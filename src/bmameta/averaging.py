@@ -29,6 +29,7 @@ from .errors import DegenerateEvidenceError, ParameterError
 from .marginal import (
     ModelSpec,
     PosteriorSummary,
+    grid_cdf,
     log_marginal,
     posterior_summary,
     summarize_grid,
@@ -246,10 +247,7 @@ def _mixture_with_spikes(
     x = np.unique(np.concatenate([spike_values] + [s.grid_x for s in summaries]))
     cdf = np.zeros_like(x)
     for s, w in zip(summaries, weights):
-        h = np.diff(s.grid_x)
-        member_cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (s.grid_pdf[:-1] + s.grid_pdf[1:]))])
-        member_cdf /= member_cdf[-1]
-        cdf += w * np.interp(x, s.grid_x, member_cdf, left=0.0, right=1.0)
+        cdf += w * np.interp(x, s.grid_x, grid_cdf(s.grid_x, s.grid_pdf), left=0.0, right=1.0)
     for v, w in zip(spike_values, spike_weights):
         cdf += w * (x >= v)
 
@@ -310,10 +308,12 @@ def evaluate(
             return None, None
         log_odds_post = _log_inclusion(logsumexp(log_unnorm[in_idx]), logsumexp(log_unnorm[out_idx]))
         log_odds_prior = float(logsumexp(log_prior[in_idx]) - logsumexp(log_prior[out_idx]))
-        bf = math.exp(log_odds_post - log_odds_prior) if math.isfinite(log_odds_post) else (
-            math.inf if log_odds_post > 0 else 0.0
-        )
-        return bf, float(np.exp(logsumexp(log_post[in_idx])))
+        try:
+            bf = math.exp(log_odds_post - log_odds_prior)
+        except OverflowError:  # the BF exceeds the float range; reported as infinite
+            bf = math.inf
+        # log-sum-exp rounding can put a sure side a few ulps above one
+        return bf, min(float(np.exp(logsumexp(log_post[in_idx]))), 1.0)
 
     bf_effect, post_effect = _partition_bf(eff)
     bf_het, post_het = _partition_bf(het)
@@ -326,11 +326,13 @@ def evaluate(
         for i, model in enumerate(models):
             if model.delta_free:
                 member_delta[i] = posterior_summary(
-                    model, comparison, "delta", grid_points=grid_points, rel_tol=rel_tol
+                    model, comparison, "delta", grid_points=grid_points, rel_tol=rel_tol,
+                    _log_ml=logml[i],
                 )
             if model.tau_free:
                 member_tau[i] = posterior_summary(
-                    model, comparison, "tau", grid_points=grid_points, rel_tol=rel_tol
+                    model, comparison, "tau", grid_points=grid_points, rel_tol=rel_tol,
+                    _log_ml=logml[i],
                 )
         fixed_idx = [i for i in eff if not models[i].tau_free]
         random_idx = [i for i in eff if models[i].tau_free]

@@ -135,24 +135,52 @@ class Comparison:
         return Comparison(tuple(self.studies[i] for i in indices), self.id, self.subfield)
 
 
-def _normal_loglik(y: np.ndarray, variances, delta) -> np.ndarray:
-    """Sum of normal log densities, broadcasting over leading axes.
+def _normal_stats(y: np.ndarray, variances) -> tuple:
+    """The delta-free terms of a sum of normal log densities.
 
-    ``variances`` carries the study axis last; ``delta`` broadcasts
-    against the remaining axes.  The quadratic form is expanded into
-    sufficient statistics so the study axis never meets the (often much
-    larger) ``delta`` axis:
+    ``variances`` carries the study axis last, which is reduced away.
+    Returns ``(c, S1, S0)`` with ``c = k log(2 pi) + log det + S2`` and
 
-        sum_i (y_i - d)^2 / v_i = S2 - 2 d S1 + d^2 S0
+        S0 = sum_i 1 / v_i,  S1 = sum_i y_i / v_i,  S2 = sum_i y_i^2 / v_i
+
+    so that :func:`loglik_from_stats` finishes the log density for any
+    ``delta`` without meeting the study axis again.
     """
-    delta = np.asarray(delta, dtype=float)
     inv = 1.0 / variances
     log_det = np.sum(np.log(variances), axis=-1)
     s0 = np.sum(inv, axis=-1)
     s1 = np.sum(inv * y, axis=-1)
     s2 = np.sum(inv * y * y, axis=-1)
     k = y.shape[-1]
-    return -0.5 * (k * _LOG_2PI + log_det + s2 - 2.0 * delta * s1 + delta * delta * s0)
+    return k * _LOG_2PI + log_det + s2, s1, s0
+
+
+def loglik_from_stats(stats: tuple, delta) -> np.ndarray:
+    """Sum of normal log densities from the ``(c, S1, S0)`` of :func:`_normal_stats`.
+
+    ``delta`` broadcasts against the statistics; the quadratic form is
+    expanded as
+
+        sum_i (y_i - d)^2 / v_i = S2 - 2 d S1 + d^2 S0
+    """
+    c, s1, s0 = stats
+    delta = np.asarray(delta, dtype=float)
+    return -0.5 * (c - 2.0 * delta * s1 + delta * delta * s0)
+
+
+def random_stats(tau, comparison: Comparison) -> tuple:
+    """The delta-free terms of :func:`loglik_random` at each ``tau``.
+
+    Each statistic has the shape of ``tau``; ``loglik_random(delta, tau,
+    comparison)`` equals ``loglik_from_stats(random_stats(tau, comparison),
+    delta)`` bit for bit, so callers that meet one ``tau`` with many
+    ``delta`` values can compute these once and reuse them.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise DomainError("tau must be non-negative")
+    y, se = comparison._canonical
+    return _normal_stats(y, se**2 + (tau * tau)[..., None])
 
 
 def loglik_fixed(delta, comparison: Comparison):
@@ -161,7 +189,7 @@ def loglik_fixed(delta, comparison: Comparison):
     ``delta`` may be a scalar or an array; the result has its shape.
     """
     y, se = comparison._canonical
-    out = _normal_loglik(y, se**2, delta)
+    out = loglik_from_stats(_normal_stats(y, se**2), delta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,10 +200,5 @@ def loglik_random(delta, tau, comparison: Comparison):
     independent N(delta, sqrt(se_i**2 + tau**2)) terms.  ``delta`` and
     ``tau`` broadcast against each other; ``tau`` must be >= 0.
     """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise DomainError("tau must be non-negative")
-    y, se = comparison._canonical
-    variances = se**2 + (tau * tau)[..., None]
-    out = _normal_loglik(y, variances, np.asarray(delta, dtype=float))
+    out = loglik_from_stats(random_stats(tau, comparison), delta)
     return float(out) if out.ndim == 0 else out

@@ -17,6 +17,14 @@ priors use their exact range), so bound truncation stays below the
 quadrature tolerance even when the likelihood is nearly flat.  Interval
 seeds derived from prior quantiles and the inverse-variance-weighted
 mean protect against likelihood peaks far narrower than the prior.
+
+The likelihood's tau-only terms (log det, S0, S1 and S2 of the variances
+se**2 + tau**2, see :func:`bmameta.core.random_stats`) and the tau prior
+density are computed once per distinct tau interval.  In the delta-
+posterior pass every delta owner starts its tau integral from the same
+bounds and seeds, so owners evaluate the same intervals over and over;
+those terms are shared across rows and only the O(1) quadratic form in
+delta is formed per (delta, tau) node.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Comparison, loglik_random
+from .core import Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
 from .priors import PriorSpec
 from .quadrature import log_quad_batch
@@ -256,12 +264,7 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
         seeds = _tau_seeds(h, comparison)
 
         def logf(own, t):
-            delta = xs[own]  # (rows, 1)
-
-            def block(ts, sl):
-                return loglik_random(delta[sl], ts, comparison) + h.log_pdf(ts)
-
-            return _chunk_rows(block, t, comparison.k)
+            return _log_joint_at_tau_nodes(xs[own], t, h, comparison)
 
         bounds = np.broadcast_to(np.array([lo, hi]), (xs.size, 2))
         inner = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol * 0.1)
@@ -270,6 +273,25 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
         return loglik_random(g.params[0], xs, comparison) + h.log_pdf(xs)
     inner = _inner_delta_integrals(xs, g, comparison, rel_tol * 0.1)
     return inner + h.log_pdf(xs)
+
+
+def _log_joint_at_tau_nodes(delta, t, h: PriorSpec, comparison: Comparison) -> np.ndarray:
+    """``loglik_random(delta, t) + h.log_pdf(t)`` with one ``delta`` per row.
+
+    The tau-only terms are computed once per distinct row of ``t`` and
+    gathered; the arithmetic is that of :func:`loglik_random`, so the
+    result is bit-identical to it.  Rows are keyed by their first and
+    last node, which on quadrature nodes identify the interval; the
+    gathered nodes are checked against ``t``, and rows are kept apart if
+    the endpoints ever fail to decide the other nodes.
+    """
+    ends = np.ascontiguousarray(t[:, [0, -1]]).view(np.complex128).ravel()
+    _, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    if not np.array_equal(t[first][inverse], t):
+        first = inverse = np.arange(t.shape[0])
+    nodes = t[first]
+    stats = tuple(s[inverse] for s in random_stats(nodes, comparison))
+    return loglik_from_stats(stats, delta) + h.log_pdf(nodes)[inverse]
 
 
 def _log_trapz(log_y: np.ndarray, x: np.ndarray) -> float:
@@ -330,13 +352,17 @@ def posterior_summary(
     *,
     grid_points: int = 2048,
     rel_tol: float = 1e-9,
+    _log_ml: Optional[float] = None,
 ) -> PosteriorSummary:
     """Grid posterior of one free parameter under one model.
 
     The grid spans the region where the posterior exceeds exp(-40) of its
     peak, normalized by trapezoidal integration and cross-checked against
     the adaptive-quadrature marginal likelihood; the grid is refined once
-    if the normalization disagrees by more than 1e-6.
+    if the normalization disagrees by more than 1e-6.  ``_log_ml`` is for
+    callers that already hold ``log_marginal(model, comparison,
+    rel_tol=rel_tol)``, such as :func:`bmameta.averaging.evaluate`; it is
+    not part of the public interface.
     """
     if parameter not in ("delta", "tau"):
         raise ParameterError(f"parameter must be 'delta' or 'tau', got {parameter!r}")
@@ -347,7 +373,7 @@ def posterior_summary(
         )
     prior = model.delta_prior if parameter == "delta" else model.tau_prior
     left, right = _mass_region(model, comparison, parameter, prior, rel_tol)
-    logml = log_marginal(model, comparison, rel_tol=rel_tol)
+    logml = log_marginal(model, comparison, rel_tol=rel_tol) if _log_ml is None else _log_ml
 
     n = grid_points
     for _ in range(2):
@@ -371,11 +397,16 @@ def summarize_grid(x: np.ndarray, pdf: np.ndarray) -> PosteriorSummary:
     pdf = pdf / mass
     mean = float(np.sum(w * pdf * x))
     var = float(np.sum(w * pdf * (x - mean) ** 2))
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (pdf[:-1] + pdf[1:]))])
-    cdf = cdf / cdf[-1]
-    q = np.interp([0.025, 0.5, 0.975], cdf, x)
+    q = np.interp([0.025, 0.5, 0.975], grid_cdf(x, pdf), x)
     return PosteriorSummary(
         mean=mean, median=float(q[1]), sd=math.sqrt(max(var, 0.0)),
         ci_lower=float(q[0]), ci_upper=float(q[2]),
         grid_x=x, grid_pdf=pdf,
     )
+
+
+def grid_cdf(x: np.ndarray, pdf: np.ndarray) -> np.ndarray:
+    """Cumulative-trapezoid CDF of a density on a grid, scaled to end at 1."""
+    h = np.diff(x)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (pdf[:-1] + pdf[1:]))])
+    return cdf / cdf[-1]

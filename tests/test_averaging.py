@@ -16,6 +16,7 @@ from bmameta import (
     general_candidate_set,
     inclusion_bf,
     mixture_summary,
+    posterior_summary,
     sequential_update,
 )
 from conftest import make_comparison
@@ -213,6 +214,20 @@ class TestEvaluate:
         assert uncond is not None
         p_eff = res.incl_posterior_prob_effect
         assert uncond.mean == pytest.approx(res.averaged_delta.mean * p_eff, rel=1e-6)
+
+    def test_member_summaries_equal_standalone_ones(self, rng):
+        # evaluate hands its log marginals to the summaries; nothing may move
+        comp = make_comparison(rng, 4)
+        ens = four_model_ensemble()
+        res = evaluate(ens, comp)
+        for member, delta, tau in zip(ens.members, res.member_delta, res.member_tau):
+            for param, got in (("delta", delta), ("tau", tau)):
+                if got is None:
+                    continue
+                want = posterior_summary(member.model, comp, param)
+                assert (got.mean, got.median, got.sd, got.ci_lower, got.ci_upper) == (
+                    want.mean, want.median, want.sd, want.ci_lower, want.ci_upper)
+                assert np.array_equal(got.grid_pdf, want.grid_pdf)
 
     def test_summaries_off_skips_grids(self, rng):
         comp = make_comparison(rng, 3)

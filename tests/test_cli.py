@@ -64,6 +64,16 @@ class TestAnalyze:
         probs = {m["name"]: m["posterior_prob"] for m in report["models"]}
         assert probs["fixed_H0"] > probs["fixed_H1"]
 
+    def test_overwhelming_heterogeneity_flags_infinite_bf(self, tmp_path):
+        # the heterogeneity log BF exceeds the float range
+        csv = write(tmp_path / "spread.csv", "effect,se\n-3,0.05\n3,0.05\n0,0.05\n5,0.05\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", csv, "--out", str(out)]) == 0
+        inclusion = json.loads(out.read_text())["inclusion"]
+        assert inclusion["heterogeneity_bf_infinite"] is True
+        assert inclusion["heterogeneity_bf"] is None
+        assert inclusion["heterogeneity_posterior_prob"] <= 1.0
+
     def test_empty_csv_is_input_error(self, tmp_path):
         csv = write(tmp_path / "empty.csv", "")
         assert main(["analyze", csv]) == 2

@@ -13,6 +13,7 @@ from bmameta import (
     loglik_random,
     smd_from_raw,
 )
+from bmameta.core import loglik_from_stats, random_stats
 
 
 class TestSmdFromRaw:
@@ -153,3 +154,34 @@ class TestLoglikRandom:
         fwd = Comparison(studies)
         rev = Comparison(studies[::-1])
         assert loglik_random(0.2, 0.4, fwd) == loglik_random(0.2, 0.4, rev)
+
+
+class TestLikelihoodStatistics:
+    @staticmethod
+    def direct(delta, tau, c):
+        """The likelihood with every term formed in one expression, in the
+        same arithmetic order as the split into statistics and combine."""
+        y, se = c._canonical
+        v = se**2 + (tau * tau)[..., None]
+        inv = 1.0 / v
+        return -0.5 * (
+            y.size * math.log(2.0 * math.pi) + np.sum(np.log(v), axis=-1)
+            + np.sum(inv * y * y, axis=-1) - 2.0 * delta * np.sum(inv * y, axis=-1)
+            + delta * delta * np.sum(inv, axis=-1)
+        )
+
+    @pytest.mark.parametrize("k", [1, 3, 12, 60])
+    def test_statistics_reproduce_loglik_random_bitwise(self, k, rng):
+        c = Comparison(tuple(
+            Study(float(y), float(s))
+            for y, s in zip(rng.normal(0.3, 0.5, k), rng.uniform(0.05, 0.4, k))
+        ))
+        tau = rng.uniform(0.0, 1.5, (7, 15))
+        delta = rng.normal(0.0, 2.0, (7, 1))
+        direct = self.direct(delta, tau, c)
+        assert np.array_equal(loglik_random(delta, tau, c), direct)
+        # statistics of one tau row serve every delta it meets
+        stats = random_stats(tau[2], c)
+        for d in delta[:, 0]:
+            assert np.array_equal(loglik_from_stats(stats, d), self.direct(d, tau[2], c))
+        assert np.array_equal(loglik_fixed(delta, c), self.direct(delta, np.zeros(1), c))

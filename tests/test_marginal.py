@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bmameta import marginal
 from bmameta import (
     Comparison,
     ModelSpec,
@@ -212,3 +213,47 @@ class TestPosteriorSummary:
         ps = posterior_summary(h1f(PriorSpec.cauchy(0.0, 0.7071)), c, "delta")
         assert ps.sd < 0.01
         assert 0.4 < ps.mean < 0.6
+
+
+class TestDeltaPosteriorIntegrand:
+    """The tau-inner integrand of the delta posterior shares tau-only terms
+    between rows; it must still equal the direct likelihood bit for bit."""
+
+    @staticmethod
+    def direct(delta, t, h, c):
+        return loglik_random(delta, t, c) + h.log_pdf(t)
+
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_matches_direct_likelihood_row_by_row(self, k, rng, monkeypatch):
+        c = make_comparison(rng, k)
+        xs = np.linspace(-6.0, 6.0, 41)  # owners far from the data refine differently
+        calls = []
+        real = marginal.log_quad_batch
+
+        def recording(log_f, bounds, **kwargs):
+            def log_f_recorded(own, t):
+                out = log_f(own, t)
+                calls.append((own, t, out))
+                return out
+
+            return real(log_f_recorded, bounds, **kwargs)
+
+        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        marginal._log_posterior_on(h1r(T_POOLED, IG_POOLED), c, "delta", xs, 1e-9)
+
+        diverged = False
+        for own, t, out in calls:
+            owners_per_interval = np.unique(t, axis=0, return_counts=True)[1]
+            diverged |= bool(owners_per_interval.min() < xs.size)
+            for r in range(t.shape[0]):
+                want = self.direct(xs[own[r, 0]], t[r], IG_POOLED, c)
+                assert np.array_equal(out[r], want), (own[r, 0], t[r])
+        assert diverged, "every owner kept the same partition; the case tests nothing"
+
+    def test_rows_with_shared_endpoints_kept_apart(self, rng):
+        c = make_comparison(rng, 5)
+        t = np.tile(np.linspace(0.1, 0.9, 15), (3, 1))
+        t[1, 7] = 0.55  # same first and last node as row 0, different interior
+        delta = np.array([[0.1], [0.2], [0.3]])
+        got = marginal._log_joint_at_tau_nodes(delta, t, IG_POOLED, c)
+        assert np.array_equal(got, self.direct(delta, t, IG_POOLED, c))

@@ -16,6 +16,7 @@ from .averaging import (
     build_standard_ensemble,
     evaluate,
     inclusion_bf,
+    log_inclusion_bf,
     mixture_summary,
     sequential_update,
 )
@@ -80,7 +81,8 @@ __all__ = [
     "ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary",
     # averaging
     "MODEL_TYPES", "EnsembleMember", "ModelEnsemble", "BmaResult",
-    "build_standard_ensemble", "evaluate", "inclusion_bf", "sequential_update",
+    "build_standard_ensemble", "evaluate", "inclusion_bf", "log_inclusion_bf",
+    "sequential_update",
     "mixture_summary",
     # reml
     "RemlFit", "reml_fit", "restricted_loglik",

@@ -44,6 +44,7 @@ __all__ = [
     "build_standard_ensemble",
     "evaluate",
     "inclusion_bf",
+    "log_inclusion_bf",
     "sequential_update",
     "mixture_summary",
 ]
@@ -163,7 +164,12 @@ def _member_name(model_type: str, d: PriorSpec, tau: PriorSpec, configs) -> str:
 
 @dataclass(frozen=True, eq=False)
 class BmaResult:
-    """Everything the ensemble update produced for one comparison."""
+    """Everything the ensemble update produced for one comparison.
+
+    Inclusion Bayes factors are held as logs (``None`` when the ensemble
+    has no model on one side); ``incl_bf_*`` are their exponentials,
+    ``inf`` once a factor exceeds the float range.
+    """
 
     member_names: tuple
     model_types: tuple
@@ -171,9 +177,9 @@ class BmaResult:
     log_marginals: np.ndarray
     posterior_probs: np.ndarray
     bf_matrix: np.ndarray
-    incl_bf_effect: Optional[float]
+    incl_log_bf_effect: Optional[float]
     incl_posterior_prob_effect: Optional[float]
-    incl_bf_heterogeneity: Optional[float]
+    incl_log_bf_heterogeneity: Optional[float]
     incl_posterior_prob_heterogeneity: Optional[float]
     averaged_delta: Optional[PosteriorSummary] = None
     delta_fixed: Optional[PosteriorSummary] = None
@@ -183,35 +189,60 @@ class BmaResult:
     member_delta: tuple = ()
     member_tau: tuple = ()
 
+    @property
+    def incl_bf_effect(self) -> Optional[float]:
+        return _exp_bf(self.incl_log_bf_effect)
 
-def _log_inclusion(log_in, log_out) -> float:
-    if not np.isfinite(log_out):
+    @property
+    def incl_bf_heterogeneity(self) -> Optional[float]:
+        return _exp_bf(self.incl_log_bf_heterogeneity)
+
+
+def _exp_bf(log_bf: Optional[float]) -> Optional[float]:
+    if log_bf is None:
+        return None
+    try:
+        return math.exp(log_bf)
+    except OverflowError:  # the BF exceeds the float range; reported as infinite
         return math.inf
-    if not np.isfinite(log_in):
-        return -math.inf
-    return float(log_in - log_out)
 
 
-def inclusion_bf(ensemble: ModelEnsemble, posterior_probs, in_indices) -> float:
-    """Bayes factor for a bipartition: posterior odds over prior odds.
+def log_inclusion_bf(ensemble: ModelEnsemble, log_weights, in_indices) -> float:
+    """Log Bayes factor for a bipartition: log posterior odds minus log prior odds.
 
-    ``in_indices`` selects the numerator side.  A zero denominator yields
-    ``inf`` (check with ``math.isinf``) rather than an exception.
+    ``log_weights`` are the members' log posterior weights up to a common
+    constant, e.g. log prior plus log marginal likelihood, or the logs of
+    posterior probabilities.  ``in_indices`` selects the numerator side.
+    A side without weight yields ``inf`` or ``-inf`` rather than an
+    exception.  The value stays finite where the Bayes factor itself
+    overflows.
     """
-    post = np.asarray(posterior_probs, dtype=float)
-    prior = ensemble.prior_probs
-    in_mask = np.zeros(post.size, dtype=bool)
+    log_weights = np.asarray(log_weights, dtype=float)
+    in_mask = np.zeros(log_weights.size, dtype=bool)
     in_mask[list(in_indices)] = True
     if not np.any(in_mask) or np.all(in_mask):
         raise ParameterError("partition must be nonempty on both sides")
-    post_in, post_out = float(np.sum(post[in_mask])), float(np.sum(post[~in_mask]))
-    prior_in, prior_out = float(np.sum(prior[in_mask])), float(np.sum(prior[~in_mask]))
-    log_prior_odds = math.log(prior_in) - math.log(prior_out)
-    if post_out == 0.0:
-        return math.inf
-    if post_in == 0.0:
-        return 0.0
-    return math.exp(math.log(post_in) - math.log(post_out) - log_prior_odds)
+    log_in, log_out = logsumexp(log_weights[in_mask]), logsumexp(log_weights[~in_mask])
+    if not np.isfinite(log_out):
+        log_odds_post = math.inf
+    elif not np.isfinite(log_in):
+        log_odds_post = -math.inf
+    else:
+        log_odds_post = float(log_in - log_out)
+    log_prior = np.log(ensemble.prior_probs)
+    return log_odds_post - float(logsumexp(log_prior[in_mask]) - logsumexp(log_prior[~in_mask]))
+
+
+def inclusion_bf(ensemble: ModelEnsemble, posterior_probs, in_indices) -> float:
+    """Bayes factor for a bipartition, from posterior model probabilities.
+
+    The exponential of :func:`log_inclusion_bf`.  A zero denominator, or
+    a factor beyond the float range, yields ``inf`` (check with
+    ``math.isinf``) rather than an exception.
+    """
+    with np.errstate(divide="ignore"):
+        log_post = np.log(np.asarray(posterior_probs, dtype=float))
+    return _exp_bf(log_inclusion_bf(ensemble, log_post, in_indices))
 
 
 def mixture_summary(summaries: Sequence[PosteriorSummary], weights) -> PosteriorSummary:
@@ -302,21 +333,16 @@ def evaluate(
     het = list(ensemble.heterogeneity_indices)
     n = len(models)
 
-    def _partition_bf(in_idx):
-        out_idx = [i for i in range(n) if i not in set(in_idx)]
-        if not in_idx or not out_idx:
+    def _inclusion(in_idx):
+        """(log BF, posterior probability) of a side; Nones unless both sides have members."""
+        if not in_idx or len(in_idx) == n:
             return None, None
-        log_odds_post = _log_inclusion(logsumexp(log_unnorm[in_idx]), logsumexp(log_unnorm[out_idx]))
-        log_odds_prior = float(logsumexp(log_prior[in_idx]) - logsumexp(log_prior[out_idx]))
-        try:
-            bf = math.exp(log_odds_post - log_odds_prior)
-        except OverflowError:  # the BF exceeds the float range; reported as infinite
-            bf = math.inf
         # log-sum-exp rounding can put a sure side a few ulps above one
-        return bf, min(float(np.exp(logsumexp(log_post[in_idx]))), 1.0)
+        post = min(float(np.exp(logsumexp(log_post[in_idx]))), 1.0)
+        return log_inclusion_bf(ensemble, log_unnorm, in_idx), post
 
-    bf_effect, post_effect = _partition_bf(eff)
-    bf_het, post_het = _partition_bf(het)
+    log_bf_effect, post_effect = _inclusion(eff)
+    log_bf_het, post_het = _inclusion(het)
 
     member_delta: list = [None] * n
     member_tau: list = [None] * n
@@ -368,9 +394,9 @@ def evaluate(
         log_marginals=logml,
         posterior_probs=posterior,
         bf_matrix=bf_matrix,
-        incl_bf_effect=bf_effect,
+        incl_log_bf_effect=log_bf_effect,
         incl_posterior_prob_effect=post_effect,
-        incl_bf_heterogeneity=bf_het,
+        incl_log_bf_heterogeneity=log_bf_het,
         incl_posterior_prob_heterogeneity=post_het,
         averaged_delta=averaged_delta,
         delta_fixed=delta_fixed,

@@ -25,6 +25,16 @@ posterior pass every delta owner starts its tau integral from the same
 bounds and seeds, so owners evaluate the same intervals over and over;
 those terms are shared across rows and only the O(1) quadratic form in
 delta is formed per (delta, tau) node.
+
+The delta integrand at fixed tau works the same way from the other
+side.  Each inner delta integral (random_H1 log marginal, tau posterior
+and its probes) has one tau per owner, so the tau statistics are
+computed once per owner and gathered by owner id, and the fixed_H1
+integral computes them once for its single tau; no delta node meets the
+study axis.  Owners again share their delta intervals, so the delta
+prior density is computed once per distinct interval and gathered.
+Distinct intervals are found by one exact key (:func:`_distinct_rows`),
+and every gathered value is bit-identical to the direct evaluation.
 """
 
 from __future__ import annotations
@@ -137,15 +147,15 @@ def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
 
 
 def _chunk_rows(fn, x: np.ndarray, k: int) -> np.ndarray:
-    """Apply ``fn(rows, row_slice)`` over row blocks to bound memory."""
+    """Apply ``fn(rows)`` over row blocks to bound memory."""
     rows = x.shape[0]
     step = max(1, _MAX_BLOCK // (x.shape[1] * max(k, 1)))
     if rows <= step:
-        return fn(x, slice(None))
+        return fn(x)
     out = np.empty(x.shape)
     for i in range(0, rows, step):
         sl = slice(i, min(i + step, rows))
-        out[sl] = fn(x[sl], sl)
+        out[sl] = fn(x[sl])
     return out
 
 
@@ -170,14 +180,11 @@ def log_marginal(
     if not model.delta_free and not model.tau_free:
         value = loglik_random(g.params[0], h.params[0], comparison)
     elif model.delta_free and not model.tau_free:
-        tau0 = h.params[0]
         lo, hi = _prior_bounds(g)
+        stats = random_stats(h.params[0], comparison)
 
         def logf(_own, d):
-            return _chunk_rows(
-                lambda xs, _sl: loglik_random(xs, tau0, comparison) + g.log_pdf(xs),
-                d, comparison.k,
-            )
+            return loglik_from_stats(stats, d) + g.log_pdf(d)
 
         value = float(log_quad_batch(
             logf, np.array([[lo, hi]]), seeds=_delta_seeds(g, comparison),
@@ -189,7 +196,7 @@ def log_marginal(
 
         def logf(_own, t):
             return _chunk_rows(
-                lambda xs, _sl: loglik_random(delta0, xs, comparison) + h.log_pdf(xs),
+                lambda xs: loglik_random(delta0, xs, comparison) + h.log_pdf(xs),
                 t, comparison.k,
             )
 
@@ -215,16 +222,11 @@ def _inner_delta_integrals(
     """For each tau, log integral over delta of likelihood times delta prior."""
     lo, hi = _prior_bounds(g)
     seeds = _delta_seeds(g, comparison)
-    k = comparison.k
     tau_values = np.asarray(tau_values, dtype=float).ravel()
+    stats = random_stats(tau_values, comparison)
 
     def logf(own, d):
-        tau = tau_values[own]  # (rows, 1)
-
-        def block(xs, sl):
-            return loglik_random(xs, tau[sl], comparison) + g.log_pdf(xs)
-
-        return _chunk_rows(block, d, k)
+        return _log_joint_at_delta_nodes(d, own, stats, g)
 
     bounds = np.broadcast_to(np.array([lo, hi]), (tau_values.size, 2))
     return log_quad_batch(
@@ -278,20 +280,43 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
 def _log_joint_at_tau_nodes(delta, t, h: PriorSpec, comparison: Comparison) -> np.ndarray:
     """``loglik_random(delta, t) + h.log_pdf(t)`` with one ``delta`` per row.
 
-    The tau-only terms are computed once per distinct row of ``t`` and
-    gathered; the arithmetic is that of :func:`loglik_random`, so the
-    result is bit-identical to it.  Rows are keyed by their first and
-    last node, which on quadrature nodes identify the interval; the
-    gathered nodes are checked against ``t``, and rows are kept apart if
-    the endpoints ever fail to decide the other nodes.
+    The tau-only terms are computed once per distinct row of ``t`` (see
+    :func:`_distinct_rows`) and gathered; the arithmetic is that of
+    :func:`loglik_random`, so the result is bit-identical to it.
     """
-    ends = np.ascontiguousarray(t[:, [0, -1]]).view(np.complex128).ravel()
-    _, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
-    if not np.array_equal(t[first][inverse], t):
-        first = inverse = np.arange(t.shape[0])
+    first, inverse = _distinct_rows(t)
     nodes = t[first]
     stats = tuple(s[inverse] for s in random_stats(nodes, comparison))
     return loglik_from_stats(stats, delta) + h.log_pdf(nodes)[inverse]
+
+
+def _log_joint_at_delta_nodes(d, own, stats: tuple, g: PriorSpec) -> np.ndarray:
+    """``loglik_random(d, tau[own]) + g.log_pdf(d)`` from per-owner statistics.
+
+    ``stats`` is ``random_stats(tau, comparison)`` over the owners' tau
+    values; it is gathered by owner id (``own`` has shape (rows, 1)), and
+    the delta prior density is computed once per distinct row of ``d``.
+    The arithmetic is that of :func:`loglik_random`, so the result is
+    bit-identical to it.
+    """
+    first, inverse = _distinct_rows(d)
+    owner_stats = tuple(s[own] for s in stats)
+    return loglik_from_stats(owner_stats, d) + g.log_pdf(d[first])[inverse]
+
+
+def _distinct_rows(x: np.ndarray) -> tuple:
+    """``(first, inverse)`` with ``x[first][inverse]`` equal to ``x``, exactly.
+
+    Rows are keyed by their first and last node, which on quadrature
+    nodes identify the interval; the gathered rows are checked against
+    ``x``, and every row is kept on its own if the endpoints ever fail to
+    decide the other nodes.
+    """
+    ends = np.ascontiguousarray(x[:, [0, -1]]).view(np.complex128).ravel()
+    _, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    if not np.array_equal(x[first][inverse], x):
+        first = inverse = np.arange(x.shape[0])
+    return first, inverse
 
 
 def _log_trapz(log_y: np.ndarray, x: np.ndarray) -> float:

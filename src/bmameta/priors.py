@@ -135,23 +135,28 @@ class PriorSpec:
             return (0.0, math.inf)
         return (-math.inf, math.inf)
 
-    def _frozen(self):
-        """Matching scipy.stats frozen distribution (non-degenerate families)."""
+    def _scipy(self) -> tuple:
+        """``(scipy.stats distribution, keyword arguments)`` of a continuous family.
+
+        Callers pass the arguments to the module-level distribution's
+        methods (``dist.ppf(p, **kwds)``), which is what a frozen
+        distribution does, without the cost of building one per call.
+        """
         f, p = self.family, self.params
         if f == "uniform":
-            return stats.uniform(loc=p[0], scale=p[1] - p[0])
+            return stats.uniform, {"loc": p[0], "scale": p[1] - p[0]}
         if f == "normal":
-            return stats.norm(loc=p[0], scale=p[1])
+            return stats.norm, {"loc": p[0], "scale": p[1]}
         if f == "halfnormal":
-            return stats.halfnorm(loc=0.0, scale=p[0])
+            return stats.halfnorm, {"loc": 0.0, "scale": p[0]}
         if f == "cauchy":
-            return stats.cauchy(loc=p[0], scale=p[1])
+            return stats.cauchy, {"loc": p[0], "scale": p[1]}
         if f == "t":
-            return stats.t(df=p[2], loc=p[0], scale=p[1])
+            return stats.t, {"df": p[2], "loc": p[0], "scale": p[1]}
         if f == "gamma":
-            return stats.gamma(a=p[0], scale=p[1])
+            return stats.gamma, {"a": p[0], "scale": p[1]}
         if f == "invgamma":
-            return stats.invgamma(a=p[0], scale=p[1])
+            return stats.invgamma, {"a": p[0], "scale": p[1]}
         raise UnsupportedOperationError(f"no continuous distribution for family {f!r}")
 
     # --- evaluation -------------------------------------------------------
@@ -213,7 +218,8 @@ class PriorSpec:
             x = np.asarray(x, dtype=float)
             out = np.where(x >= self.params[0], 1.0, 0.0)
             return float(out) if out.ndim == 0 else out
-        val = self._frozen().cdf(x)
+        dist, kwds = self._scipy()
+        val = dist.cdf(x, **kwds)
         return float(val) if np.ndim(val) == 0 else val
 
     def quantile(self, p):
@@ -227,7 +233,8 @@ class PriorSpec:
         p_arr = np.asarray(p, dtype=float)
         if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
             raise ParameterError(f"quantile probability must lie in (0, 1), got {p!r}")
-        val = self._frozen().ppf(p)
+        dist, kwds = self._scipy()
+        val = dist.ppf(p, **kwds)
         return float(val) if np.ndim(val) == 0 else val
 
     def sample(self, rng: np.random.Generator, n: int):

@@ -59,8 +59,8 @@ def _segment_logsumexp(values: np.ndarray, owners: np.ndarray, n_owners: int) ->
     peak = np.full(n_owners, -np.inf)
     np.maximum.at(peak, owners, values)
     shift = np.where(np.isfinite(peak), peak, 0.0)
-    acc = np.zeros(n_owners)
-    np.add.at(acc, owners, np.exp(values - shift[owners]))
+    # bincount adds each owner's terms in index order, as np.add.at does
+    acc = np.bincount(owners, weights=np.exp(values - shift[owners]), minlength=n_owners)
     with np.errstate(divide="ignore"):
         out = shift + np.log(acc)
     return np.where(np.isfinite(peak), out, -np.inf)

@@ -12,12 +12,13 @@ candidate prior set, in one of two modes:
 
 Posterior probabilities are ranked per comparison (descending, stable
 ties by configuration order) and tallied across the corpus.  Comparisons
-that fail to evaluate are recorded and excluded, and the run aborts if
+that fail to evaluate are recorded, logged and excluded, and the run aborts if
 more than ``max_failure_fraction`` of them fail.
 """
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +39,8 @@ __all__ = [
     "average_parameter_priors",
     "corpus_inclusion_summary",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,8 @@ def _eval_one(args):
     return (
         comparison.id,
         result.posterior_probs,
-        result.incl_bf_effect,
-        result.incl_bf_heterogeneity,
+        result.incl_log_bf_effect,
+        result.incl_log_bf_heterogeneity,
     )
 
 
@@ -139,7 +142,11 @@ def _evaluate_corpus(
     workers: int,
     max_failure_fraction: float,
 ):
-    """Posterior probabilities per comparison, with failure bookkeeping."""
+    """Posterior probabilities per comparison, with failure bookkeeping.
+
+    Each failure is logged at WARNING with the comparison id, the
+    exception class and its message.
+    """
     usable = [c for c in corpus if c.k >= min_studies]
     n_skipped = len(corpus) - len(usable)
     results = []
@@ -152,16 +159,16 @@ def _evaluate_corpus(
             for c, fut in zip(usable, futures):
                 try:
                     outcomes.append(fut.result())
-                except ComputationError:
+                except ComputationError as exc:
                     outcomes.append(None)
-                    failed.append(c.id)
+                    _record_failure(failed, c, exc)
             results = [o for o in outcomes if o is not None]
     else:
         for task in tasks:
             try:
                 results.append(_eval_one(task))
-            except ComputationError:
-                failed.append(task[1].id)
+            except ComputationError as exc:
+                _record_failure(failed, task[1], exc)
     failed.sort()
     if len(failed) > max_failure_fraction * max(len(usable), 1):
         raise CorpusEvaluationError(
@@ -169,6 +176,11 @@ def _evaluate_corpus(
             f"(threshold {max_failure_fraction:.0%}); failed ids: {failed[:20]}"
         )
     return results, failed, n_skipped
+
+
+def _record_failure(failed: list, comparison: Comparison, exc: Exception) -> None:
+    failed.append(comparison.id)
+    log.warning("comparison %s failed: %s: %s", comparison.id, type(exc).__name__, exc)
 
 
 def _tally(
@@ -322,8 +334,8 @@ def corpus_inclusion_summary(
         workers=workers, max_failure_fraction=max_failure_fraction,
     )
     ids = tuple(r[0] for r in results)
-    log_eff = tuple(float(np.log(r[2])) for r in results)
-    log_het = tuple(float(np.log(r[3])) for r in results)
+    log_eff = tuple(r[2] for r in results)
+    log_het = tuple(r[3] for r in results)
     eff_for = sum(1 for v in log_eff if v > 0)
     het_for = sum(1 for v in log_het if v > 0)
     return InclusionSummary(

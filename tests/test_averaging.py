@@ -15,6 +15,7 @@ from bmameta import (
     evaluate,
     general_candidate_set,
     inclusion_bf,
+    log_inclusion_bf,
     mixture_summary,
     posterior_summary,
     sequential_update,
@@ -112,6 +113,16 @@ class TestInclusionBf:
         ens = four_model_ensemble()
         bf = inclusion_bf(ens, [0.0, 0.6, 0.0, 0.4], [1, 3])
         assert math.isinf(bf)
+
+    def test_log_bf_stays_finite_beyond_float_range(self):
+        ens = ModelEnsemble((
+            EnsembleMember(ModelSpec("a", T_POOLED, POINT0), 0.5),
+            EnsembleMember(ModelSpec("b", POINT0, POINT0), 0.5),
+        ))
+        assert log_inclusion_bf(ens, [0.0, -2000.0], [0]) == 2000.0
+        assert log_inclusion_bf(ens, [0.0, -2000.0], [1]) == -2000.0
+        assert log_inclusion_bf(ens, [0.0, -np.inf], [0]) == math.inf
+        assert math.isinf(inclusion_bf(ens, [1.0, 5e-324], [0]))
 
     def test_empty_partition_rejected(self):
         ens = four_model_ensemble()

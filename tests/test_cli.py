@@ -276,6 +276,19 @@ class TestRank:
         groups = {r["group"] for r in table["rows"]}
         assert groups == {"delta", "tau"}
 
+    def test_inclusion_log_bf_beyond_float_range_is_finite(self, cand_json, tmp_path):
+        # the heterogeneity BF of "spread" overflows; its log does not
+        rows = [f"spread,{y},0.05" for y in (-3, 3, 0, 5)]
+        rows += [f"calm,{y},0.2" for y in (0.1, 0.3, 0.2, 0.4)]
+        corpus = write(tmp_path / "c.csv", "comparison_id,effect,se\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "incl.json"
+        assert main(["rank", corpus, "--candidates", cand_json,
+                     "--mode", "inclusion", "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        log_bf = dict(zip(summary["ids"], summary["log_bf_heterogeneity"]))
+        assert isinstance(log_bf["spread"], float) and log_bf["spread"] > 700
+        assert summary["heterogeneity_evidence_for"] >= 1
+
     def test_threads_flag_matches_serial(self, corpus_csv, cand_json, tmp_path):
         a, b = tmp_path / "t1.json", tmp_path / "t2.json"
         base = ["rank", corpus_csv, "--candidates", cand_json, "--mode", "model-types"]

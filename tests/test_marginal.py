@@ -16,6 +16,7 @@ from bmameta import (
     loglik_random,
     posterior_summary,
 )
+from bmameta.core import random_stats
 from conftest import make_comparison
 
 POINT0 = PriorSpec.point(0.0)
@@ -215,6 +216,23 @@ class TestPosteriorSummary:
         assert 0.4 < ps.mean < 0.6
 
 
+def record_integrand_calls(monkeypatch) -> list:
+    """(owner ids, nodes, values) of every integrand call through ``marginal.log_quad_batch``."""
+    calls = []
+    real = marginal.log_quad_batch
+
+    def recording(log_f, bounds, **kwargs):
+        def log_f_recorded(own, x):
+            out = log_f(own, x)
+            calls.append((own, x, out))
+            return out
+
+        return real(log_f_recorded, bounds, **kwargs)
+
+    monkeypatch.setattr(marginal, "log_quad_batch", recording)
+    return calls
+
+
 class TestDeltaPosteriorIntegrand:
     """The tau-inner integrand of the delta posterior shares tau-only terms
     between rows; it must still equal the direct likelihood bit for bit."""
@@ -227,18 +245,7 @@ class TestDeltaPosteriorIntegrand:
     def test_matches_direct_likelihood_row_by_row(self, k, rng, monkeypatch):
         c = make_comparison(rng, k)
         xs = np.linspace(-6.0, 6.0, 41)  # owners far from the data refine differently
-        calls = []
-        real = marginal.log_quad_batch
-
-        def recording(log_f, bounds, **kwargs):
-            def log_f_recorded(own, t):
-                out = log_f(own, t)
-                calls.append((own, t, out))
-                return out
-
-            return real(log_f_recorded, bounds, **kwargs)
-
-        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        calls = record_integrand_calls(monkeypatch)
         marginal._log_posterior_on(h1r(T_POOLED, IG_POOLED), c, "delta", xs, 1e-9)
 
         diverged = False
@@ -257,3 +264,49 @@ class TestDeltaPosteriorIntegrand:
         delta = np.array([[0.1], [0.2], [0.3]])
         got = marginal._log_joint_at_tau_nodes(delta, t, IG_POOLED, c)
         assert np.array_equal(got, self.direct(delta, t, IG_POOLED, c))
+
+
+class TestDeltaIntegrandAtFixedTau:
+    """The delta integrand of the inner integrals gathers per-owner tau
+    statistics and per-interval prior densities; it must still equal the
+    direct likelihood bit for bit."""
+
+    @staticmethod
+    def direct(d, tau, g, c):
+        return loglik_random(d, tau, c) + g.log_pdf(d)
+
+    @pytest.mark.parametrize("k", [3, 12, 60])
+    def test_matches_direct_likelihood_row_by_row(self, k, rng, monkeypatch):
+        c = make_comparison(rng, k)
+        # small tau makes a peak far narrower than at large tau, so owners refine differently
+        tau_values = np.concatenate([[0.0], np.geomspace(1e-3, 4.0, 24)])
+        calls = record_integrand_calls(monkeypatch)
+        marginal._inner_delta_integrals(tau_values, T_POOLED, c, 1e-10)
+
+        diverged = False
+        for own, d, out in calls:
+            owners_per_interval = np.unique(d, axis=0, return_counts=True)[1]
+            diverged |= bool(owners_per_interval.min() < tau_values.size)
+            for r in range(d.shape[0]):
+                want = self.direct(d[r], tau_values[own[r, 0]], T_POOLED, c)
+                assert np.array_equal(out[r], want), (own[r, 0], d[r])
+        assert diverged, "every owner kept the same partition; the case tests nothing"
+
+    def test_rows_with_shared_endpoints_kept_apart(self, rng):
+        c = make_comparison(rng, 5)
+        d = np.tile(np.linspace(-0.9, 0.9, 15), (3, 1))
+        d[1, 7] = 0.05  # same first and last node as row 0, different interior
+        tau_values = np.array([0.1, 0.2, 0.3])
+        own = np.array([[0], [1], [2]])
+        stats = random_stats(tau_values, c)
+        got = marginal._log_joint_at_delta_nodes(d, own, stats, T_POOLED)
+        assert np.array_equal(got, self.direct(d, tau_values[own], T_POOLED, c))
+
+    def test_fixed_tau_marginal_matches_direct_integrand(self, rng, monkeypatch):
+        c = make_comparison(rng, 12)
+        tau0 = 0.15
+        calls = record_integrand_calls(monkeypatch)
+        log_marginal(ModelSpec("m", T_POOLED, PriorSpec.point(tau0)), c)
+        assert calls
+        for _own, d, out in calls:
+            assert np.array_equal(out, self.direct(d, tau0, T_POOLED, c))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from bmameta import (
     DegenerateDataError,
@@ -15,6 +15,21 @@ from bmameta import (
     fit_mle,
     parse_prior,
 )
+
+
+def scipy_frozen(spec):
+    """A fresh scipy frozen distribution matching ``spec``."""
+    f, p = spec.family, spec.params
+    return {
+        "uniform": lambda: stats.uniform(loc=p[0], scale=p[1] - p[0]),
+        "normal": lambda: stats.norm(loc=p[0], scale=p[1]),
+        "halfnormal": lambda: stats.halfnorm(loc=0.0, scale=p[0]),
+        "cauchy": lambda: stats.cauchy(loc=p[0], scale=p[1]),
+        "t": lambda: stats.t(df=p[2], loc=p[0], scale=p[1]),
+        "gamma": lambda: stats.gamma(a=p[0], scale=p[1]),
+        "invgamma": lambda: stats.invgamma(a=p[0], scale=p[1]),
+    }[f]()
+
 
 ALL_CONTINUOUS = [
     PriorSpec.uniform(0.0, 1.0),
@@ -55,7 +70,17 @@ class TestLogPdf:
     @pytest.mark.parametrize("spec", ALL_CONTINUOUS, ids=lambda s: s.family)
     def test_matches_scipy_reference(self, spec):
         xs = np.linspace(*spec.quantile([0.01, 0.99]), 41)
-        np.testing.assert_allclose(spec.log_pdf(xs), spec._frozen().logpdf(xs), atol=1e-10)
+        np.testing.assert_allclose(spec.log_pdf(xs), scipy_frozen(spec).logpdf(xs), atol=1e-10)
+
+    @pytest.mark.parametrize("spec", ALL_CONTINUOUS, ids=lambda s: s.family)
+    def test_quantile_and_cdf_equal_frozen_scipy(self, spec):
+        levels = np.array([1e-11, 1e-4, 0.025, 0.3, 0.5, 0.85, 0.999, 1.0 - 1e-11])
+        xs = np.linspace(*spec.quantile([0.001, 0.999]), 33)
+        ref = scipy_frozen(spec)
+        assert np.array_equal(spec.quantile(levels), ref.ppf(levels))
+        assert np.array_equal(spec.cdf(xs), ref.cdf(xs))
+        assert spec.quantile(0.3) == ref.ppf(0.3)
+        assert spec.cdf(float(xs[5])) == ref.cdf(float(xs[5]))
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmameta import ConvergenceError, log_quad, log_quad_batch
+from bmameta.quadrature import _segment_logsumexp
 
 
 def test_standard_normal_integrates_to_one():
@@ -81,3 +82,31 @@ def test_convergence_error_carries_bracket():
 def test_zero_width_bounds_rejected():
     with pytest.raises(ConvergenceError):
         log_quad(lambda x: np.zeros_like(x), 1.0, 1.0)
+
+
+def _segment_logsumexp_at(values, owners, n_owners):
+    """Reference owner reduction with numpy's scatter ufuncs."""
+    peak = np.full(n_owners, -np.inf)
+    np.maximum.at(peak, owners, values)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    acc = np.zeros(n_owners)
+    np.add.at(acc, owners, np.exp(values - shift[owners]))
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(acc)
+    return np.where(np.isfinite(peak), out, -np.inf)
+
+
+def test_segment_logsumexp_matches_scatter_reference():
+    rng = np.random.default_rng(7)
+    n_owners = 40
+    owners = rng.permutation(np.repeat(np.arange(n_owners), rng.integers(1, 60, n_owners)))
+    owners = owners[owners % 7 != 3]  # owners 3, 10, ... get no entries
+    # comparable terms near log 1, so any other summation order shows in the last bits
+    values = rng.normal(0.0, 2.0, owners.size)
+    values[owners % 5 == 1] = -np.inf  # owners whose every term vanishes
+    values[rng.random(owners.size) < 0.1] = -np.inf
+    got = _segment_logsumexp(values, owners, n_owners)
+    want = _segment_logsumexp_at(values, owners, n_owners)
+    assert np.array_equal(got, want)
+    assert np.all(got[3::7] == -np.inf) and np.all(got[1::5] == -np.inf)
+    assert np.count_nonzero(np.isfinite(got)) > n_owners // 2

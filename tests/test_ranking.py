@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
+from bmameta import ranking
 from bmameta import (
+    ConvergenceError,
     CorpusEvaluationError,
     average_model_types,
     average_parameter_priors,
@@ -187,6 +191,42 @@ class TestFailureHandling:
         assert table.n_failed == 1
         assert table.failed_ids == ("wild",)
         assert table.n_evaluated == 1
+
+    def test_failure_reason_logged(self, small_corpus, candidates, monkeypatch, caplog):
+        real = ranking.evaluate
+
+        def flaky(ensemble, comparison, **kwargs):
+            if comparison.id == "c2":
+                raise ConvergenceError("planted failure", bracket=(0.0, 1.0))
+            return real(ensemble, comparison, **kwargs)
+
+        monkeypatch.setattr(ranking, "evaluate", flaky)
+        with caplog.at_level(logging.WARNING, logger="bmameta"):
+            table = rank_configurations(small_corpus, candidates, "h1r-only",
+                                        max_failure_fraction=0.5)
+        assert table.failed_ids == ("c2",)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in warnings] == [
+            "comparison c2 failed: ConvergenceError: planted failure"
+        ]
+
+    def test_failure_reason_logged_from_worker_pool(self, candidates, rng, caplog):
+        from bmameta import Comparison, Study
+        wild = Comparison(
+            tuple(
+                [Study(-50.0, 0.01) for _ in range(100)]
+                + [Study(50.0, 0.01) for _ in range(100)]
+            ),
+            id="wild",
+        )
+        corpus = [make_comparison(rng, 4, cid="fine"), wild]
+        with caplog.at_level(logging.WARNING, logger="bmameta"):
+            table = rank_configurations(corpus, candidates, "h1r-only",
+                                        workers=2, max_failure_fraction=0.9)
+        assert table.failed_ids == ("wild",)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 1
+        assert messages[0].startswith("comparison wild failed: ConvergenceError: quadrature failed")
 
     def test_worker_pool_matches_serial(self, small_corpus, candidates):
         serial = average_model_types(small_corpus, candidates)

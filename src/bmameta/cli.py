@@ -225,8 +225,6 @@ def cmd_analyze(args) -> int:
         "scheme": args.scheme,
         "model_priors": list(model_priors),
         "tol": args.tol,
-        "threads": args.threads,
-        "seed": args.seed,
     }
     report = analysis_report(result, studies=studies, config=config, sequential=sequential)
     _emit(dumps(report) + "\n", args.out)
@@ -317,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also update study-by-study in input order")
     p.add_argument("--forest", help="write an SVG forest plot here")
     p.add_argument("--tol", type=float, default=1e-9, help="quadrature relative tolerance")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="recorded in the report for provenance")
     common(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -139,33 +139,38 @@ def _normal_stats(y: np.ndarray, variances) -> tuple:
     """The delta-free terms of a sum of normal log densities.
 
     ``variances`` carries the study axis last, which is reduced away.
-    Returns ``(c, S1, S0)`` with ``c = k log(2 pi) + log det + S2`` and
+    Returns ``(c, mu, S0)`` with
 
-        S0 = sum_i 1 / v_i,  S1 = sum_i y_i / v_i,  S2 = sum_i y_i^2 / v_i
+        S0 = sum_i 1 / v_i,  mu = sum_i (y_i / v_i) / S0,
+        c = k log(2 pi) + log det + sum_i (y_i - mu)^2 / v_i
 
     so that :func:`loglik_from_stats` finishes the log density for any
-    ``delta`` without meeting the study axis again.
+    ``delta`` without meeting the study axis again.  ``c`` is summed from
+    the residuals about ``mu``, never as ``S2 - S1^2 / S0``, so it keeps
+    full relative precision however small the standard errors are.
     """
     inv = 1.0 / variances
     log_det = np.sum(np.log(variances), axis=-1)
     s0 = np.sum(inv, axis=-1)
-    s1 = np.sum(inv * y, axis=-1)
-    s2 = np.sum(inv * y * y, axis=-1)
+    mu = np.sum(inv * y, axis=-1) / s0
+    r = y - mu[..., None]
     k = y.shape[-1]
-    return k * _LOG_2PI + log_det + s2, s1, s0
+    return k * _LOG_2PI + log_det + np.sum(inv * r * r, axis=-1), mu, s0
 
 
 def loglik_from_stats(stats: tuple, delta) -> np.ndarray:
-    """Sum of normal log densities from the ``(c, S1, S0)`` of :func:`_normal_stats`.
+    """Sum of normal log densities from the ``(c, mu, S0)`` of :func:`_normal_stats`.
 
     ``delta`` broadcasts against the statistics; the quadratic form is
-    expanded as
+    centred on the likelihood peak,
 
-        sum_i (y_i - d)^2 / v_i = S2 - 2 d S1 + d^2 S0
+        sum_i (y_i - d)^2 / v_i = sum_i (y_i - mu)^2 / v_i + S0 (d - mu)^2
+
+    so no term cancels against another.
     """
-    c, s1, s0 = stats
+    c, mu, s0 = stats
     delta = np.asarray(delta, dtype=float)
-    return -0.5 * (c - 2.0 * delta * s1 + delta * delta * s0)
+    return -0.5 * (c + s0 * (delta - mu) ** 2)
 
 
 def random_stats(tau, comparison: Comparison) -> tuple:

@@ -15,30 +15,35 @@ delta, with the inner pass batched across all outer nodes).
 Integration bounds keep all prior mass up to 1e-12 per tail (uniform
 priors use their exact range), so bound truncation stays below the
 quadrature tolerance even when the likelihood is nearly flat.  Interval
-seeds derived from prior quantiles and the inverse-variance-weighted
-mean protect against likelihood peaks far narrower than the prior.
+seeds protect against likelihood peaks far narrower than the prior.
+The tau integrals are seeded at prior quantiles and at data scales.
+At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau)) with
+V = 1 / S0 (see :func:`bmameta.core.random_stats`), so every inner delta
+integral is seeded per owner at mu(tau) + sqrt(V(tau)) * {0, +-1, +-2,
++-4, +-8, +-16} plus the prior median; the seeds follow the peak as it
+moves and widens with tau.
 
-The likelihood's tau-only terms (log det, S0, S1 and S2 of the variances
-se**2 + tau**2, see :func:`bmameta.core.random_stats`) and the tau prior
-density are computed once per distinct tau interval.  In the delta-
-posterior pass every delta owner starts its tau integral from the same
-bounds and seeds, so owners evaluate the same intervals over and over;
-those terms are shared across rows and only the O(1) quadratic form in
-delta is formed per (delta, tau) node.
+The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
+squares of the variances se**2 + tau**2) and the tau prior density are
+computed once per distinct tau interval.  In the delta-posterior pass
+every delta owner starts its tau integral from the same bounds and
+seeds, so owners evaluate the same intervals over and over; those terms
+are shared across rows (one exact key, :func:`_distinct_rows`) and only
+the O(1) quadratic form in delta is formed per (delta, tau) node.
 
-The delta integrand at fixed tau works the same way from the other
-side.  Each inner delta integral (random_H1 log marginal, tau posterior
-and its probes) has one tau per owner, so the tau statistics are
-computed once per owner and gathered by owner id, and the fixed_H1
-integral computes them once for its single tau; no delta node meets the
-study axis.  Owners again share their delta intervals, so the delta
-prior density is computed once per distinct interval and gathered.
-Distinct intervals are found by one exact key (:func:`_distinct_rows`),
-and every gathered value is bit-identical to the direct evaluation.
+The delta integrand at fixed tau works from the other side.  Each inner
+delta integral (random_H1 log marginal, tau posterior and its probes,
+and the fixed_H1 integral at its single tau) has one tau per owner, so
+the tau statistics are computed once per owner and gathered by owner
+id; no delta node meets the study axis.  Owners have their own seeds,
+so they share no delta intervals, and the delta prior density is
+computed at every node.  Every gathered value is bit-identical to the
+direct evaluation.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -52,12 +57,15 @@ from .quadrature import log_quad_batch
 
 __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
 
+log = logging.getLogger(__name__)
+
 _TAIL = 1e-12
 _QUANTILE_SEED_LEVELS = np.array([
     1e-11, 1e-9, 1e-7, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5,
     0.7, 0.85, 0.95, 0.99, 0.999, 0.9999, 1.0 - 1e-6,
     1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-11,
 ])
+_LIK_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
 _MAX_BLOCK = 4_000_000  # cap on rows*15*k elements per likelihood call
 
 
@@ -109,7 +117,7 @@ def _prior_bounds(prior: PriorSpec) -> tuple:
         return (v, v)
     if prior.family == "uniform":
         return prior.params
-    lo, hi = prior.quantile(_TAIL), prior.quantile(1.0 - _TAIL)
+    lo, hi = (float(q) for q in prior.quantile(np.array([_TAIL, 1.0 - _TAIL])))
     slo, shi = prior.support
     return (max(lo, slo), min(hi, shi))
 
@@ -127,10 +135,15 @@ def _weighted_mean_se(comparison: Comparison) -> tuple:
     return float(np.sum(w * y) / np.sum(w)), float(1.0 / math.sqrt(np.sum(w)))
 
 
-def _delta_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
-    wm, wse = _weighted_mean_se(comparison)
-    offsets = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
-    return np.concatenate([_quantile_seeds(prior), wm + wse * offsets])
+def _delta_seeds(median: float, stats: tuple) -> np.ndarray:
+    """Per-owner delta split points, shape (n_owners, 12).
+
+    Each owner's likelihood in delta is N(mu, 1 / S0) at its tau, so its
+    seeds are ``mu + sqrt(1 / S0) * _LIK_OFFSETS`` plus the prior median.
+    """
+    _, mu, s0 = stats
+    sd = np.sqrt(1.0 / s0)[:, None]
+    return np.concatenate([np.full((mu.size, 1), median), mu[:, None] + sd * _LIK_OFFSETS], axis=1)
 
 
 def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
@@ -180,16 +193,8 @@ def log_marginal(
     if not model.delta_free and not model.tau_free:
         value = loglik_random(g.params[0], h.params[0], comparison)
     elif model.delta_free and not model.tau_free:
-        lo, hi = _prior_bounds(g)
-        stats = random_stats(h.params[0], comparison)
-
-        def logf(_own, d):
-            return loglik_from_stats(stats, d) + g.log_pdf(d)
-
-        value = float(log_quad_batch(
-            logf, np.array([[lo, hi]]), seeds=_delta_seeds(g, comparison),
-            rel_tol=rel_tol, extra_refine=extra_refine,
-        )[0])
+        integrals = _delta_integrals(g, comparison, rel_tol, extra_refine)
+        value = float(integrals(np.array([h.params[0]]))[0])
     elif not model.delta_free and model.tau_free:
         delta0 = g.params[0]
         lo, hi = _prior_bounds(h)
@@ -212,37 +217,44 @@ def log_marginal(
     return value
 
 
-def _inner_delta_integrals(
-    tau_values: np.ndarray,
+def _delta_integrals(
     g: PriorSpec,
     comparison: Comparison,
     rel_tol: float,
     extra_refine: int = 0,
-) -> np.ndarray:
-    """For each tau, log integral over delta of likelihood times delta prior."""
+):
+    """``integrals(tau_values)``: for each tau, the log integral over delta
+    of likelihood times delta prior.
+
+    The delta bounds and the prior median are computed here, once, so an
+    outer tau integral does not recompute them in each refinement round.
+    """
     lo, hi = _prior_bounds(g)
-    seeds = _delta_seeds(g, comparison)
-    tau_values = np.asarray(tau_values, dtype=float).ravel()
-    stats = random_stats(tau_values, comparison)
+    median = float(g.quantile(0.5))
 
-    def logf(own, d):
-        return _log_joint_at_delta_nodes(d, own, stats, g)
+    def integrals(tau_values: np.ndarray) -> np.ndarray:
+        tau_values = np.asarray(tau_values, dtype=float).ravel()
+        stats = random_stats(tau_values, comparison)
 
-    bounds = np.broadcast_to(np.array([lo, hi]), (tau_values.size, 2))
-    return log_quad_batch(
-        logf, bounds, seeds=seeds, rel_tol=rel_tol, extra_refine=extra_refine,
-    )
+        def logf(own, d):
+            return _log_joint_at_delta_nodes(d, own, stats, g)
+
+        bounds = np.broadcast_to(np.array([lo, hi]), (tau_values.size, 2))
+        return log_quad_batch(
+            logf, bounds, seeds=_delta_seeds(median, stats),
+            rel_tol=rel_tol, extra_refine=extra_refine,
+        )
+
+    return integrals
 
 
 def _log_marginal_2d(model, comparison, rel_tol, extra_refine):
     g, h = model.delta_prior, model.tau_prior
     lo, hi = _prior_bounds(h)
+    inner = _delta_integrals(g, comparison, rel_tol * 0.1, extra_refine)
 
     def outer(_own, t):
-        inner = _inner_delta_integrals(
-            t.ravel(), g, comparison, rel_tol * 0.1, extra_refine=extra_refine,
-        )
-        return inner.reshape(t.shape) + h.log_pdf(t)
+        return inner(t).reshape(t.shape) + h.log_pdf(t)
 
     return float(log_quad_batch(
         outer, np.array([[lo, hi]]), seeds=_tau_seeds(h, comparison),
@@ -273,8 +285,7 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
         return inner + g.log_pdf(xs)
     if not model.delta_free:
         return loglik_random(g.params[0], xs, comparison) + h.log_pdf(xs)
-    inner = _inner_delta_integrals(xs, g, comparison, rel_tol * 0.1)
-    return inner + h.log_pdf(xs)
+    return _delta_integrals(g, comparison, rel_tol * 0.1)(xs) + h.log_pdf(xs)
 
 
 def _log_joint_at_tau_nodes(delta, t, h: PriorSpec, comparison: Comparison) -> np.ndarray:
@@ -294,14 +305,11 @@ def _log_joint_at_delta_nodes(d, own, stats: tuple, g: PriorSpec) -> np.ndarray:
     """``loglik_random(d, tau[own]) + g.log_pdf(d)`` from per-owner statistics.
 
     ``stats`` is ``random_stats(tau, comparison)`` over the owners' tau
-    values; it is gathered by owner id (``own`` has shape (rows, 1)), and
-    the delta prior density is computed once per distinct row of ``d``.
+    values; it is gathered by owner id (``own`` has shape (rows, 1)).
     The arithmetic is that of :func:`loglik_random`, so the result is
     bit-identical to it.
     """
-    first, inverse = _distinct_rows(d)
-    owner_stats = tuple(s[own] for s in stats)
-    return loglik_from_stats(owner_stats, d) + g.log_pdf(d[first])[inverse]
+    return loglik_from_stats(tuple(s[own] for s in stats), d) + g.log_pdf(d)
 
 
 def _distinct_rows(x: np.ndarray) -> tuple:
@@ -384,10 +392,12 @@ def posterior_summary(
     The grid spans the region where the posterior exceeds exp(-40) of its
     peak, normalized by trapezoidal integration and cross-checked against
     the adaptive-quadrature marginal likelihood; the grid is refined once
-    if the normalization disagrees by more than 1e-6.  ``_log_ml`` is for
-    callers that already hold ``log_marginal(model, comparison,
-    rel_tol=rel_tol)``, such as :func:`bmameta.averaging.evaluate`; it is
-    not part of the public interface.
+    if the normalization disagrees by more than 1e-6, and a disagreement
+    that survives the refinement is logged at WARNING (the summary is
+    still returned).  ``_log_ml`` is for callers that already hold
+    ``log_marginal(model, comparison, rel_tol=rel_tol)``, such as
+    :func:`bmameta.averaging.evaluate`; it is not part of the public
+    interface.
     """
     if parameter not in ("delta", "tau"):
         raise ParameterError(f"parameter must be 'delta' or 'tau', got {parameter!r}")
@@ -405,9 +415,15 @@ def posterior_summary(
         grid = np.linspace(left, right, n)
         logpost = _log_posterior_on(model, comparison, parameter, grid, rel_tol)
         log_total = _log_trapz(logpost, grid)
-        if abs(math.expm1(log_total - logml)) <= 1e-6:
+        mismatch = math.expm1(log_total - logml)
+        if abs(mismatch) <= 1e-6:
             break
         n *= 2
+    else:
+        log.warning(
+            "posterior of %s under model %r: grid normalization differs from "
+            "the marginal likelihood by %.3g (relative)", parameter, model.name, mismatch,
+        )
     pdf = np.exp(logpost - log_total)
     return summarize_grid(grid, pdf)
 

@@ -108,8 +108,9 @@ def log_quad_batch(
     bounds:
         Array of shape (n_owners, 2) with per-owner integration limits.
     seeds:
-        Optional interior split points shared by all owners (clipped to
-        each owner's bounds).  Use these to pin down narrow peaks.
+        Optional interior split points (clipped to each owner's bounds):
+        shape (m,) shares them among all owners, shape (n_owners, m) gives
+        each owner its own row.  Use these to pin down narrow peaks.
     rel_tol:
         Relative tolerance on each owner's integral, i.e. absolute
         tolerance on the returned log value.
@@ -132,7 +133,7 @@ def log_quad_batch(
     if seeds is not None and len(seeds) > 0:
         pts = np.sort(
             np.concatenate(
-                [bounds, np.clip(np.asarray(seeds, dtype=float)[None, :], bounds[:, :1], bounds[:, 1:])],
+                [bounds, np.clip(np.atleast_2d(np.asarray(seeds, dtype=float)), bounds[:, :1], bounds[:, 1:])],
                 axis=1,
             ),
             axis=1,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, evaluate
 from .core import Comparison
-from .errors import ComputationError, CorpusEvaluationError, ParameterError
+from .errors import BmaMetaError, CorpusEvaluationError, ParameterError
 from .training import CandidatePriorSet
 
 __all__ = [
@@ -144,8 +144,9 @@ def _evaluate_corpus(
 ):
     """Posterior probabilities per comparison, with failure bookkeeping.
 
-    Each failure is logged at WARNING with the comparison id, the
-    exception class and its message.
+    Any package error (:class:`BmaMetaError`) fails only its own
+    comparison; each failure is logged at WARNING with the comparison id,
+    the exception class and its message.
     """
     usable = [c for c in corpus if c.k >= min_studies]
     n_skipped = len(corpus) - len(usable)
@@ -159,7 +160,7 @@ def _evaluate_corpus(
             for c, fut in zip(usable, futures):
                 try:
                     outcomes.append(fut.result())
-                except ComputationError as exc:
+                except BmaMetaError as exc:
                     outcomes.append(None)
                     _record_failure(failed, c, exc)
             results = [o for o in outcomes if o is not None]
@@ -167,7 +168,7 @@ def _evaluate_corpus(
         for task in tasks:
             try:
                 results.append(_eval_one(task))
-            except ComputationError as exc:
+            except BmaMetaError as exc:
                 _record_failure(failed, task[1], exc)
     failed.sort()
     if len(failed) > max_failure_fraction * max(len(usable), 1):

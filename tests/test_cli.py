@@ -51,10 +51,18 @@ class TestAnalyze:
         ]
         assert report["config"]["delta_prior"] == "t(0.0,0.51,5.0)"
         assert report["config"]["subfield_matched"] is True
+        assert "threads" not in report["config"] and "seed" not in report["config"]
         probs = [m["posterior_prob"] for m in report["models"]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         assert report["inclusion"]["effect_bf"] > 1.0
         assert report["estimates"]["averaged_delta"]["mean"] > 0.5
+
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_no_op_flags_are_gone(self, five_study_csv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", five_study_csv, flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_single_null_study_favors_h0f(self, tmp_path):
         csv = write(tmp_path / "one.csv", "effect,se\n0.0,1.0\n")

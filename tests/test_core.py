@@ -159,15 +159,17 @@ class TestLoglikRandom:
 class TestLikelihoodStatistics:
     @staticmethod
     def direct(delta, tau, c):
-        """The likelihood with every term formed in one expression, in the
-        same arithmetic order as the split into statistics and combine."""
+        """The centred likelihood with every term formed in one expression,
+        in the same arithmetic order as the split into statistics and
+        combine."""
         y, se = c._canonical
         v = se**2 + (tau * tau)[..., None]
         inv = 1.0 / v
+        mu = (np.sum(inv * y, axis=-1) / np.sum(inv, axis=-1))[..., None]
         return -0.5 * (
             y.size * math.log(2.0 * math.pi) + np.sum(np.log(v), axis=-1)
-            + np.sum(inv * y * y, axis=-1) - 2.0 * delta * np.sum(inv * y, axis=-1)
-            + delta * delta * np.sum(inv, axis=-1)
+            + np.sum(inv * (y - mu) * (y - mu), axis=-1)
+            + np.sum(inv, axis=-1) * (delta - mu[..., 0]) ** 2
         )
 
     @pytest.mark.parametrize("k", [1, 3, 12, 60])

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from bmameta import (
     PriorSpec,
     Study,
     UnsupportedOperationError,
+    build_standard_ensemble,
+    general_candidate_set,
     log_marginal,
     loglik_fixed,
     loglik_random,
@@ -158,6 +161,109 @@ class TestLogMarginal:
         assert value < peak
 
 
+def _mp_log_prior(mp, prior, x):
+    f, p = prior.family, [mp.mpf(v) for v in prior.params]
+    if f == "t":
+        loc, s, df = p
+        z = (x - loc) / s
+        return (mp.loggamma((df + 1) / 2) - mp.loggamma(df / 2) - mp.log(df * mp.pi) / 2
+                - mp.log(s) - (df + 1) / 2 * mp.log(1 + z * z / df))
+    if f == "normal":
+        m, s = p
+        return -((x - m) / s) ** 2 / 2 - mp.log(s) - mp.log(2 * mp.pi) / 2
+    if f == "halfnormal":
+        (s,) = p
+        return mp.log(2) - (x / s) ** 2 / 2 - mp.log(s) - mp.log(2 * mp.pi) / 2
+    if f == "invgamma":
+        a, b = p
+        return a * mp.log(b) - mp.loggamma(a) - (a + 1) * mp.log(x) - b / x
+    raise AssertionError(f)
+
+
+def _mp_log_inner(mp, y, se, g, tau):
+    """log of the integral over delta of likelihood times delta prior at one tau.
+
+    The likelihood is N(mu, 1/S0) in delta times exp(-c/2); every
+    integrand is scaled by its value at the peak, because mpmath's
+    quadrature stops on an absolute error estimate.
+    """
+    w = [1 / (mp.mpf(s) ** 2 + tau * tau) for s in se]
+    s0 = sum(w)
+    mu = sum(wi * mp.mpf(yi) for wi, yi in zip(w, y)) / s0
+    c = sum(mp.log(2 * mp.pi / wi) + wi * (mp.mpf(yi) - mu) ** 2 for wi, yi in zip(w, y))
+    if g.is_point:
+        return -c / 2 - s0 * (mp.mpf(g.params[0]) - mu) ** 2 / 2
+    sd = 1 / mp.sqrt(s0)
+    if g.family == "normal":  # conjugate: closed form
+        m, s = (mp.mpf(v) for v in g.params)
+        var = sd**2 + s**2
+        return -c / 2 + mp.log(mp.sqrt(2 * mp.pi) * sd) - (mu - m) ** 2 / (2 * var) - mp.log(2 * mp.pi * var) / 2
+    peak = _mp_log_prior(mp, g, mu)
+    pts = [mu + sd * k for k in (-40, -12, -4, -1, 0, 1, 4, 12, 40)]
+    integral = mp.quad(lambda d: mp.exp(_mp_log_prior(mp, g, d) - peak - s0 * (d - mu) ** 2 / 2), pts)
+    return -c / 2 + peak + mp.log(integral)
+
+
+def mp_log_marginal(y, se, model):
+    """High-precision log marginal likelihood with mpmath (30 digits).
+
+    tau runs over the region :func:`log_marginal` integrates, the prior
+    support less 1e-12 prior mass per tail, so that this checks the
+    quadrature and not that documented truncation.
+    """
+    mp = pytest.importorskip("mpmath")
+    g, h = model.delta_prior, model.tau_prior
+    with mp.workdps(30):
+        if h.is_point:
+            return float(_mp_log_inner(mp, y, se, g, mp.mpf(h.params[0])))
+
+        def log_f(t):
+            return _mp_log_inner(mp, y, se, g, t) + _mp_log_prior(mp, h, t)
+
+        lo, hi = marginal._prior_bounds(h)
+        smin, spread = min(se), max(y) - min(y)
+        pts = {smin * k for k in (0.25, 1, 4)} | {spread * k for k in (0.25, 1, 4)} | {0.1, 0.5, 2.0}
+        pts = [mp.mpf(p) for p in sorted({lo, hi} | {p for p in pts if lo < p < hi})]
+        ref = log_f(pts[len(pts) // 2])
+        integral = mp.quad(lambda t: mp.exp(log_f(t) - ref), pts)
+        return float(ref + mp.log(integral))
+
+
+class TestMpmathOracle:
+    """Log marginals against an independent 30-digit mpmath evaluation.
+
+    The small-se cases are where a likelihood formed as S2 - 2 d S1 + d^2 S0
+    loses digits to cancellation; the centred form keeps them.
+    """
+
+    @pytest.mark.parametrize("y, se, model", [
+        ((-0.60735, -0.62070), (0.00312, 0.00388), h1f(PriorSpec.t(0.0, 0.33, 3.0))),
+        ((0.29, 0.30, 0.31), (1e-4,) * 3, h1f(PriorSpec.t(0.0, 0.33, 3.0))),
+        ((0.29, 0.30, 0.31), (1e-5,) * 3, h1f(PriorSpec.normal(0.0, 0.56))),
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h0r(PriorSpec.invgamma(1.26, 0.24))),
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1r(PriorSpec.normal(0.0, 0.56), IG_POOLED)),
+        ((0.29, 0.30, 0.31), (1e-4,) * 3, h1r(PriorSpec.normal(0.0, 0.56), IG_POOLED)),
+        ((-3.0, 3.0, 0.0, 5.0), (0.05,) * 4, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.halfnormal(0.57))),
+    ])
+    def test_log_marginal_matches_mpmath(self, y, se, model):
+        c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
+        ref = mp_log_marginal(y, se, model)
+        got = log_marginal(model, c)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
+
+
+class TestTinyStandardErrors:
+    @pytest.mark.parametrize("se", [1e-4, 1e-5])
+    def test_every_candidate_member_converges(self, se):
+        # the likelihood peak in delta is ~se wide and moves with tau
+        c = Comparison(tuple(Study(y, se) for y in (0.29, 0.30, 0.31)))
+        cand = general_candidate_set()
+        members = build_standard_ensemble(cand.delta_priors, cand.tau_priors).members
+        assert len(members) == 20
+        for member in members:
+            assert math.isfinite(log_marginal(member.model, c)), member.model.name
+
+
 class TestPosteriorSummary:
     def test_conjugate_posterior_mean_sd(self, rng):
         for _ in range(5):
@@ -197,6 +303,24 @@ class TestPosteriorSummary:
             assert mass == pytest.approx(1.0, abs=1e-6)
             assert np.all(ps.grid_pdf >= 0)
             assert ps.ci_lower <= ps.median <= ps.ci_upper
+
+    def test_normalization_mismatch_is_logged(self, rng, caplog):
+        c = make_comparison(rng, 4)
+        model = h1r(T_POOLED, IG_POOLED)
+        with caplog.at_level(logging.WARNING, logger="bmameta"):
+            fine = posterior_summary(model, c, "tau")
+        assert not caplog.records
+        with caplog.at_level(logging.WARNING, logger="bmameta"):
+            coarse = posterior_summary(model, c, "tau", grid_points=128)
+        # the summary is still returned, on the doubled grid
+        assert coarse.grid_x.size == 256
+        assert abs(coarse.mean - fine.mean) < 0.1
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert message.startswith("posterior of tau under model 'random_H1': grid normalization")
+        mismatch = float(message.rsplit(" by ", 1)[1].split()[0])
+        assert abs(mismatch) > 1e-6
 
     def test_posterior_with_fixed_nonzero_tau(self, rng):
         s0, tau0, y, se = 0.8, 0.5, 0.6, 0.3
@@ -268,8 +392,7 @@ class TestDeltaPosteriorIntegrand:
 
 class TestDeltaIntegrandAtFixedTau:
     """The delta integrand of the inner integrals gathers per-owner tau
-    statistics and per-interval prior densities; it must still equal the
-    direct likelihood bit for bit."""
+    statistics; it must still equal the direct likelihood bit for bit."""
 
     @staticmethod
     def direct(d, tau, g, c):
@@ -281,7 +404,7 @@ class TestDeltaIntegrandAtFixedTau:
         # small tau makes a peak far narrower than at large tau, so owners refine differently
         tau_values = np.concatenate([[0.0], np.geomspace(1e-3, 4.0, 24)])
         calls = record_integrand_calls(monkeypatch)
-        marginal._inner_delta_integrals(tau_values, T_POOLED, c, 1e-10)
+        marginal._delta_integrals(T_POOLED, c, 1e-10)(tau_values)
 
         diverged = False
         for own, d, out in calls:
@@ -301,6 +424,26 @@ class TestDeltaIntegrandAtFixedTau:
         stats = random_stats(tau_values, c)
         got = marginal._log_joint_at_delta_nodes(d, own, stats, T_POOLED)
         assert np.array_equal(got, self.direct(d, tau_values[own], T_POOLED, c))
+
+    def test_each_owner_is_seeded_at_its_own_likelihood_peak(self, rng, monkeypatch):
+        c = make_comparison(rng, 12)
+        tau_values = np.array([0.0, 0.05, 0.3, 2.0])  # the peak moves and widens with tau
+        seen = []
+        real = marginal.log_quad_batch
+
+        def recording(log_f, bounds, **kwargs):
+            seen.append(kwargs["seeds"])
+            return real(log_f, bounds, **kwargs)
+
+        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        marginal._delta_integrals(T_POOLED, c, 1e-10)(tau_values)
+        [seeds] = seen
+        _, mu, s0 = random_stats(tau_values, c)
+        offsets = np.array([0.0, -1, 1, -2, 2, -4, 4, -8, 8, -16, 16])
+        assert seeds.shape == (tau_values.size, 12)
+        for i in range(tau_values.size):
+            want = np.concatenate([[T_POOLED.quantile(0.5)], mu[i] + offsets / np.sqrt(s0[i])])
+            np.testing.assert_allclose(np.sort(seeds[i]), np.sort(want), rtol=0, atol=1e-12)
 
     def test_fixed_tau_marginal_matches_direct_integrand(self, rng, monkeypatch):
         c = make_comparison(rng, 12)

@@ -55,6 +55,28 @@ def test_batch_multiple_owners_match_scalar():
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
 
 
+def test_per_owner_seeds_match_single_owner_calls_bitwise():
+    # narrow peaks at different places and widths, each seeded only on its own row
+    mus = np.array([-3.1, 0.2, 0.2, 4.7, -0.05])
+    sds = np.array([1e-5, 3e-4, 1.0, 1e-3, 1e-6])
+    offsets = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
+    seeds = np.concatenate([np.full((mus.size, 1), 0.3), mus[:, None] + sds[:, None] * offsets], axis=1)
+    bounds = np.tile([-10.0, 10.0], (mus.size, 1))
+
+    def logf(own, x):
+        return -0.5 * ((x - mus[own]) / sds[own]) ** 2 - np.log(sds[own] * math.sqrt(2 * math.pi))
+
+    for extra_refine in (0, 1):
+        got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10, extra_refine=extra_refine)
+        for i in range(mus.size):
+            alone = log_quad_batch(
+                lambda own, x: logf(np.full_like(own, i), x), bounds[i:i + 1],
+                seeds=seeds[i], rel_tol=1e-10, extra_refine=extra_refine,
+            )
+            assert got[i] == alone[0], (i, extra_refine)
+    np.testing.assert_allclose(got, 0.0, atol=1e-9)
+
+
 def test_extra_refine_stability():
     logf = lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi)
     base = log_quad(logf, -9.0, 9.0)

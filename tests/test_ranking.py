@@ -7,6 +7,7 @@ from bmameta import ranking
 from bmameta import (
     ConvergenceError,
     CorpusEvaluationError,
+    DomainError,
     average_model_types,
     average_parameter_priors,
     build_standard_ensemble,
@@ -208,6 +209,27 @@ class TestFailureHandling:
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert [r.getMessage() for r in warnings] == [
             "comparison c2 failed: ConvergenceError: planted failure"
+        ]
+
+    def test_input_side_error_fails_one_comparison(self, small_corpus, candidates,
+                                                    monkeypatch, caplog):
+        real = ranking.evaluate
+
+        def nan_marginal(ensemble, comparison, **kwargs):
+            if comparison.id == "c3":
+                raise DomainError("marginal likelihood of model 'm' is not a number")
+            return real(ensemble, comparison, **kwargs)
+
+        monkeypatch.setattr(ranking, "evaluate", nan_marginal)
+        with caplog.at_level(logging.WARNING, logger="bmameta"):
+            table = rank_configurations(small_corpus, candidates, "h1r-only",
+                                        max_failure_fraction=0.5)
+        assert table.n_failed == 1
+        assert table.failed_ids == ("c3",)
+        assert table.n_evaluated == len(small_corpus) - 1
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "comparison c3 failed: DomainError: marginal likelihood of model 'm' is not a number"
         ]
 
     def test_failure_reason_logged_from_worker_pool(self, candidates, rng, caplog):

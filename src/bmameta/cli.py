@@ -20,7 +20,7 @@ from typing import Optional
 from . import catalog
 from .averaging import build_standard_ensemble, evaluate, sequential_update
 from .core import Comparison, Study, smd_from_raw
-from .errors import BmaMetaError, DegenerateDataError, InputError, ParseError
+from .errors import BmaMetaError, InputError, ParseError
 from .forest import forest_svg
 from .priors import parse_prior
 from .ranking import (
@@ -87,7 +87,7 @@ def _study_from_row(row: dict, mapping: dict, line: int, mode: str) -> Optional[
             return Study(values[0], values[1], label)
         effect, se = smd_from_raw(*values)
         return Study(effect, se, label)
-    except (InputError, DegenerateDataError) as exc:
+    except InputError as exc:
         raise ParseError(str(exc), line) from exc
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Input-side problems (bad parameters, malformed files, data outside a
-family's support) and computation-side problems (non-convergence,
+family's support, data too few or too degenerate to estimate from, and
+operations undefined for their object) and computation-side problems (non-convergence,
 degenerate evidence) are kept on separate branches so the CLI can map
 them to distinct exit codes.
 """
@@ -35,15 +36,15 @@ class ParseError(InputError):
         self.line = line
 
 
-class UnsupportedOperationError(BmaMetaError):
+class UnsupportedOperationError(InputError):
     """The requested operation is undefined for the given object."""
 
 
-class DegenerateDataError(BmaMetaError):
+class DegenerateDataError(InputError):
     """The data admit no meaningful estimate (e.g. zero variance)."""
 
 
-class InsufficientDataError(BmaMetaError):
+class InsufficientDataError(InputError):
     """Fewer observations than the operation requires."""
 
 

@@ -7,10 +7,14 @@ the four classic model types arise from the point-mass pattern:
     (point, point) -> fixed_H0     (free, point) -> fixed_H1
     (point, free)  -> random_H0    (free, free)  -> random_H1
 
-Marginal likelihoods collapse point-mass dimensions analytically and
-integrate the free dimensions with the log-space adaptive Gauss-Kronrod
-rule from :mod:`bmameta.quadrature` (2D as nested 1D, outer tau, inner
-delta, with the inner pass batched across all outer nodes).
+Each model is built from two parts, one per assumption.  The delta part
+(:func:`_delta_part`) is the log likelihood integrated over the delta
+prior at many tau values, the tau part (:func:`_tau_part`) the same with
+the roles swapped; a point prior makes a part the likelihood itself.  A
+log marginal evaluates the delta part at a point tau or integrates it
+against a free tau prior, and that outer integrand is also the tau
+posterior's kernel.  Every integral uses the log-space adaptive
+Gauss-Kronrod rule from :mod:`bmameta.quadrature`.
 
 Integration bounds keep all prior mass up to 1e-12 per tail (uniform
 priors use their exact range), so bound truncation stays below the
@@ -25,20 +29,21 @@ moves and widens with tau.
 
 The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
 squares of the variances se**2 + tau**2) and the tau prior density are
-computed once per distinct tau interval.  In the delta-posterior pass
-every delta owner starts its tau integral from the same bounds and
-seeds, so owners evaluate the same intervals over and over; those terms
-are shared across rows (one exact key, :func:`_distinct_rows`) and only
-the O(1) quadratic form in delta is formed per (delta, tau) node.
+computed once per distinct tau interval.  In the tau part at a free tau
+(the delta-posterior pass) every delta owner starts its tau integral
+from the same bounds and seeds, so owners evaluate the same intervals
+over and over; those terms are shared across rows (one exact key,
+:func:`_distinct_rows`) and only the O(1) quadratic form in delta is
+formed per (delta, tau) node.
 
-The delta integrand at fixed tau works from the other side.  Each inner
-delta integral (random_H1 log marginal, tau posterior and its probes,
-and the fixed_H1 integral at its single tau) has one tau per owner, so
-the tau statistics are computed once per owner and gathered by owner
-id; no delta node meets the study axis.  Owners have their own seeds,
-so they share no delta intervals, and the delta prior density is
-computed at every node.  Every gathered value is bit-identical to the
-direct evaluation.
+The delta part at a free delta works from the other side.  Each of its
+integrals (random_H1 log marginal, tau posterior and its probes, and
+the fixed_H1 integral at its single tau) has one tau per owner, so the
+tau statistics are computed once per owner and gathered by owner id; no
+delta node meets the study axis.  Owners have their own seeds, so they
+share no delta intervals, and the delta prior density is computed at
+every node.  Every gathered value is bit-identical to the direct
+evaluation.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ _QUANTILE_SEED_LEVELS = np.array([
     1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-11,
 ])
 _LIK_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
-_MAX_BLOCK = 4_000_000  # cap on rows*15*k elements per likelihood call
 
 
 @dataclass(frozen=True)
@@ -159,19 +163,6 @@ def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
     return np.concatenate([_quantile_seeds(prior), data_pts])
 
 
-def _chunk_rows(fn, x: np.ndarray, k: int) -> np.ndarray:
-    """Apply ``fn(rows)`` over row blocks to bound memory."""
-    rows = x.shape[0]
-    step = max(1, _MAX_BLOCK // (x.shape[1] * max(k, 1)))
-    if rows <= step:
-        return fn(x)
-    out = np.empty(x.shape)
-    for i in range(0, rows, step):
-        sl = slice(i, min(i + step, rows))
-        out[sl] = fn(x[sl])
-    return out
-
-
 def log_marginal(
     model: ModelSpec,
     comparison: Comparison,
@@ -181,40 +172,40 @@ def log_marginal(
 ) -> float:
     """Log of the marginal likelihood of ``comparison`` under ``model``.
 
-    Closed form when both priors are point masses; 1D quadrature with one
-    free parameter; nested 2D quadrature when both are free.  ``rel_tol``
-    is the relative tolerance on the integral, i.e. the absolute
-    tolerance on the returned log value; ``extra_refine`` bisects every
-    converged interval that many additional times (for refinement-
-    stability checks).
+    The delta part (:func:`_delta_part`) integrates delta out at each
+    tau; a point tau evaluates it there, a free tau integrates it against
+    the tau prior by 1D quadrature.  ``rel_tol`` is the relative
+    tolerance on the integral, i.e. the absolute tolerance on the
+    returned log value; ``extra_refine`` bisects every converged interval
+    that many additional times (for refinement-stability checks).
     """
-    g, h = model.delta_prior, model.tau_prior
-
-    if not model.delta_free and not model.tau_free:
-        value = loglik_random(g.params[0], h.params[0], comparison)
-    elif model.delta_free and not model.tau_free:
-        integrals = _delta_integrals(g, comparison, rel_tol, extra_refine)
-        value = float(integrals(np.array([h.params[0]]))[0])
-    elif not model.delta_free and model.tau_free:
-        delta0 = g.params[0]
+    h = model.tau_prior
+    if not model.tau_free:
+        delta_part = _delta_part(model, comparison, rel_tol, extra_refine)
+        value = float(delta_part(np.array([h.params[0]]))[0])
+    else:
+        delta_part = _delta_part(model, comparison, rel_tol * 0.1, extra_refine)
         lo, hi = _prior_bounds(h)
 
         def logf(_own, t):
-            return _chunk_rows(
-                lambda xs: loglik_random(delta0, xs, comparison) + h.log_pdf(xs),
-                t, comparison.k,
-            )
+            return delta_part(t).reshape(t.shape) + h.log_pdf(t)
 
         value = float(log_quad_batch(
             logf, np.array([[lo, hi]]), seeds=_tau_seeds(h, comparison),
             rel_tol=rel_tol, extra_refine=extra_refine,
         )[0])
-    else:
-        value = _log_marginal_2d(model, comparison, rel_tol, extra_refine)
-
     if math.isnan(value):
         raise DomainError(f"marginal likelihood of model {model.name!r} is not a number")
     return value
+
+
+def _delta_part(model: ModelSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
+    """``f(tau_values)``: the log of the likelihood integrated over the delta
+    prior at each tau (the likelihood itself at a point delta)."""
+    g = model.delta_prior
+    if model.delta_free:
+        return _delta_integrals(g, comparison, rel_tol, extra_refine)
+    return lambda t: loglik_random(g.params[0], t, comparison)
 
 
 def _delta_integrals(
@@ -224,7 +215,8 @@ def _delta_integrals(
     extra_refine: int = 0,
 ):
     """``integrals(tau_values)``: for each tau, the log integral over delta
-    of likelihood times delta prior.
+    of likelihood times delta prior, in one batched quadrature with one
+    owner per tau.
 
     The delta bounds and the prior median are computed here, once, so an
     outer tau integral does not recompute them in each refinement round.
@@ -248,18 +240,28 @@ def _delta_integrals(
     return integrals
 
 
-def _log_marginal_2d(model, comparison, rel_tol, extra_refine):
-    g, h = model.delta_prior, model.tau_prior
+def _tau_part(model: ModelSpec, comparison: Comparison, rel_tol: float):
+    """``f(delta_values)``: the log of the likelihood integrated over the tau
+    prior at each delta (the likelihood itself at a point tau).
+
+    A free tau runs one batched quadrature with one owner per delta,
+    sharing the tau-only terms across owners
+    (:func:`_log_joint_at_tau_nodes`).
+    """
+    h = model.tau_prior
+    if not model.tau_free:
+        return lambda d: loglik_random(d, h.params[0], comparison)
     lo, hi = _prior_bounds(h)
-    inner = _delta_integrals(g, comparison, rel_tol * 0.1, extra_refine)
+    seeds = _tau_seeds(h, comparison)
 
-    def outer(_own, t):
-        return inner(t).reshape(t.shape) + h.log_pdf(t)
+    def integrals(delta_values: np.ndarray) -> np.ndarray:
+        def logf(own, t):
+            return _log_joint_at_tau_nodes(delta_values[own], t, h, comparison)
 
-    return float(log_quad_batch(
-        outer, np.array([[lo, hi]]), seeds=_tau_seeds(h, comparison),
-        rel_tol=rel_tol, extra_refine=extra_refine,
-    )[0])
+        bounds = np.broadcast_to(np.array([lo, hi]), (delta_values.size, 2))
+        return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)
+
+    return integrals
 
 
 # --------------------------------------------------------------------------
@@ -269,23 +271,10 @@ def _log_marginal_2d(model, comparison, rel_tol, extra_refine):
 
 def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
     """Unnormalized log posterior of one free parameter at points ``xs``."""
-    g, h = model.delta_prior, model.tau_prior
     xs = np.asarray(xs, dtype=float)
     if parameter == "delta":
-        if not model.tau_free:
-            return loglik_random(xs, h.params[0], comparison) + g.log_pdf(xs)
-        lo, hi = _prior_bounds(h)
-        seeds = _tau_seeds(h, comparison)
-
-        def logf(own, t):
-            return _log_joint_at_tau_nodes(xs[own], t, h, comparison)
-
-        bounds = np.broadcast_to(np.array([lo, hi]), (xs.size, 2))
-        inner = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol * 0.1)
-        return inner + g.log_pdf(xs)
-    if not model.delta_free:
-        return loglik_random(g.params[0], xs, comparison) + h.log_pdf(xs)
-    return _delta_integrals(g, comparison, rel_tol * 0.1)(xs) + h.log_pdf(xs)
+        return _tau_part(model, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
+    return _delta_part(model, comparison, rel_tol * 0.1)(xs) + model.tau_prior.log_pdf(xs)
 
 
 def _log_joint_at_tau_nodes(delta, t, h: PriorSpec, comparison: Comparison) -> np.ndarray:

@@ -123,14 +123,12 @@ def _ensemble_for(candidates: CandidatePriorSet, restriction: str) -> ModelEnsem
 
 
 def _eval_one(args):
+    """``evaluate`` one comparison; a package error is returned, not raised."""
     ensemble, comparison, rel_tol = args
-    result = evaluate(ensemble, comparison, rel_tol=rel_tol, summaries=False)
-    return (
-        comparison.id,
-        result.posterior_probs,
-        result.incl_log_bf_effect,
-        result.incl_log_bf_heterogeneity,
-    )
+    try:
+        return evaluate(ensemble, comparison, rel_tol=rel_tol, summaries=False)
+    except BmaMetaError as exc:
+        return exc
 
 
 def _evaluate_corpus(
@@ -142,7 +140,7 @@ def _evaluate_corpus(
     workers: int,
     max_failure_fraction: float,
 ):
-    """Posterior probabilities per comparison, with failure bookkeeping.
+    """``(comparison, BmaResult)`` pairs per comparison, with failure bookkeeping.
 
     Any package error (:class:`BmaMetaError`) fails only its own
     comparison; each failure is logged at WARNING with the comparison id,
@@ -150,26 +148,20 @@ def _evaluate_corpus(
     """
     usable = [c for c in corpus if c.k >= min_studies]
     n_skipped = len(corpus) - len(usable)
-    results = []
-    failed: list = []
     tasks = [(ensemble, c, rel_tol) for c in usable]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = []
-            futures = [pool.submit(_eval_one, t) for t in tasks]
-            for c, fut in zip(usable, futures):
-                try:
-                    outcomes.append(fut.result())
-                except BmaMetaError as exc:
-                    outcomes.append(None)
-                    _record_failure(failed, c, exc)
-            results = [o for o in outcomes if o is not None]
+            outcomes = list(pool.map(_eval_one, tasks))
     else:
-        for task in tasks:
-            try:
-                results.append(_eval_one(task))
-            except BmaMetaError as exc:
-                _record_failure(failed, task[1], exc)
+        outcomes = map(_eval_one, tasks)
+    results = []
+    failed: list = []
+    for c, out in zip(usable, outcomes):
+        if isinstance(out, BmaMetaError):
+            failed.append(c.id)
+            log.warning("comparison %s failed: %s: %s", c.id, type(out).__name__, out)
+        else:
+            results.append((c, out))
     failed.sort()
     if len(failed) > max_failure_fraction * max(len(usable), 1):
         raise CorpusEvaluationError(
@@ -177,11 +169,6 @@ def _evaluate_corpus(
             f"(threshold {max_failure_fraction:.0%}); failed ids: {failed[:20]}"
         )
     return results, failed, n_skipped
-
-
-def _record_failure(failed: list, comparison: Comparison, exc: Exception) -> None:
-    failed.append(comparison.id)
-    log.warning("comparison %s failed: %s: %s", comparison.id, type(exc).__name__, exc)
 
 
 def _tally(
@@ -237,7 +224,8 @@ def rank_configurations(
         corpus, ensemble, rel_tol=rel_tol, min_studies=min_studies,
         workers=workers, max_failure_fraction=max_failure_fraction,
     )
-    posteriors = np.array([r[1] for r in results]) if results else np.zeros((0, len(ensemble.members)))
+    posteriors = np.array([r.posterior_probs for _, r in results])
+    posteriors = posteriors.reshape(len(results), len(ensemble.members))
 
     if restriction == "h1r-only":
         labels = list(ensemble.names)
@@ -290,9 +278,8 @@ def average_parameter_priors(
         workers=workers, max_failure_fraction=max_failure_fraction,
     )
     n_d, n_t = len(candidates.delta_priors), len(candidates.tau_priors)
-    posteriors = np.array([r[1] for r in results]) if results else np.zeros((0, n_d * n_t))
     # h1r-only members enumerate delta-major: index = i_delta * n_t + i_tau
-    cube = posteriors.reshape(len(posteriors), n_d, n_t)
+    cube = np.array([r.posterior_probs for _, r in results]).reshape(len(results), n_d, n_t)
     delta_rows = _tally(
         cube.sum(axis=2),
         [str(p) for p in candidates.delta_priors],
@@ -334,9 +321,9 @@ def corpus_inclusion_summary(
         corpus, ensemble, rel_tol=rel_tol, min_studies=min_studies,
         workers=workers, max_failure_fraction=max_failure_fraction,
     )
-    ids = tuple(r[0] for r in results)
-    log_eff = tuple(r[2] for r in results)
-    log_het = tuple(r[3] for r in results)
+    ids = tuple(c.id for c, _ in results)
+    log_eff = tuple(r.incl_log_bf_effect for _, r in results)
+    log_het = tuple(r.incl_log_bf_heterogeneity for _, r in results)
     eff_for = sum(1 for v in log_eff if v > 0)
     het_for = sum(1 for v in log_het if v > 0)
     return InclusionSummary(

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmameta import (
+    BmaMetaError,
     Comparison,
     EnsembleMember,
     ModelEnsemble,
@@ -260,6 +262,26 @@ class TestEvaluate:
         assert min(member_means) - 1e-9 <= res.averaged_delta.mean <= max(member_means) + 1e-9
         assert res.delta_fixed is not None and res.delta_random is not None
         assert res.averaged_tau is not None and res.averaged_tau.mean > 0
+
+
+class TestEvaluateProperties:
+    @settings(deadline=None)
+    @given(st.lists(
+        st.tuples(st.floats(min_value=-50.0, max_value=50.0),
+                  st.floats(min_value=1e-6, max_value=10.0)),
+        min_size=1, max_size=200,
+    ))
+    def test_result_or_package_error(self, rows):
+        comp = Comparison(tuple(Study(d, se) for d, se in rows))
+        try:
+            res = evaluate(four_model_ensemble(), comp, summaries=False)
+        except BmaMetaError:
+            return
+        assert abs(math.fsum(res.posterior_probs) - 1.0) <= 1e-12
+        for log_bf, bf in [(res.incl_log_bf_effect, res.incl_bf_effect),
+                           (res.incl_log_bf_heterogeneity, res.incl_bf_heterogeneity)]:
+            assert not math.isnan(log_bf)
+            assert not math.isinf(bf) or math.isfinite(log_bf)
 
 
 class TestDegenerateEvidence:

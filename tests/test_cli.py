@@ -236,6 +236,15 @@ class TestFitPriors:
         assert prov["retained_comparisons"] == 4
         assert prov["input_studies"] == 56  # 55 parsed + 1 blank
 
+    @pytest.mark.parametrize("effects", [
+        (0.2,) * 10,  # every tau-hat is 0, so the floor-filtered tau sample is empty
+        (0.3, -0.3) * 5,  # every comparison has the same estimates: zero variance
+    ])
+    def test_degenerate_training_data_is_input_error(self, tmp_path, effects):
+        rows = [f"C{c:02d},{y},0.1" for c in range(12) for y in effects]
+        csv = write(tmp_path / "flat.csv", "comparison_id,effect,se\n" + "\n".join(rows) + "\n")
+        assert main(["fit-priors", csv]) == 2
+
     def test_all_filtered_is_computational_error(self, tmp_path):
         csv = write(tmp_path / "small.csv",
                     "comparison_id,effect,se\nA,0.1,0.2\nA,0.2,0.2\nB,0.3,0.2\n")

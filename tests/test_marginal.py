@@ -25,6 +25,9 @@ from conftest import make_comparison
 POINT0 = PriorSpec.point(0.0)
 T_POOLED = PriorSpec.t(0.0, 0.43, 5.0)
 IG_POOLED = PriorSpec.invgamma(1.71, 0.40)
+# a 120-study comparison, so the random_H0 integrand meets all studies at once
+LARGE_Y = tuple(round(0.3 + 0.5 * math.sin(1.7 * i), 4) for i in range(120))
+LARGE_SE = tuple(round(0.1 + 0.05 * (i % 5), 4) for i in range(120))
 
 
 def h0f():
@@ -244,6 +247,7 @@ class TestMpmathOracle:
         ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1r(PriorSpec.normal(0.0, 0.56), IG_POOLED)),
         ((0.29, 0.30, 0.31), (1e-4,) * 3, h1r(PriorSpec.normal(0.0, 0.56), IG_POOLED)),
         ((-3.0, 3.0, 0.0, 5.0), (0.05,) * 4, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.halfnormal(0.57))),
+        (LARGE_Y, LARGE_SE, h0r(IG_POOLED)),
     ])
     def test_log_marginal_matches_mpmath(self, y, se, model):
         c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))

@@ -30,7 +30,8 @@ from .marginal import (
     ModelSpec,
     PosteriorSummary,
     grid_cdf,
-    log_marginal,
+    log_marginal,  # noqa: F401 - unused here, but bench/tracing.py wraps this name
+    log_marginals,
     posterior_summary,
     summarize_grid,
 )
@@ -317,7 +318,7 @@ def evaluate(
     effect presence) and an averaged heterogeneity summary.
     """
     models = [m.model for m in ensemble.members]
-    logml = np.array([log_marginal(m, comparison, rel_tol=rel_tol) for m in models])
+    logml = log_marginals(models, comparison, rel_tol=rel_tol)
     if not np.any(np.isfinite(logml)):
         raise DegenerateEvidenceError("every model has zero marginal likelihood")
     log_prior = np.log(ensemble.prior_probs)

@@ -16,16 +16,32 @@ against a free tau prior, and that outer integrand is also the tau
 posterior's kernel.  Every integral uses the log-space adaptive
 Gauss-Kronrod rule from :mod:`bmameta.quadrature`.
 
+The delta part does not depend on the tau prior, so
+:func:`log_marginals` integrates all free-tau models that share a delta
+prior as owners of one outer tau integral: its integrand computes the
+delta part once per distinct tau interval (:func:`_distinct_rows`) and
+adds each owner's tau prior density.  :func:`log_marginal` is the
+one-model case of the same routine.
+
 Integration bounds keep all prior mass up to 1e-12 per tail (uniform
 priors use their exact range), so bound truncation stays below the
 quadrature tolerance even when the likelihood is nearly flat.  Interval
 seeds protect against likelihood peaks far narrower than the prior.
-The tau integrals are seeded at prior quantiles and at data scales.
-At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau)) with
-V = 1 / S0 (see :func:`bmameta.core.random_stats`), so every inner delta
-integral is seeded per owner at mu(tau) + sqrt(V(tau)) * {0, +-1, +-2,
-+-4, +-8, +-16} plus the prior median; the seeds follow the peak as it
-moves and widens with tau.
+The tau integrals are seeded at the powers of 4 inside the prior's
+bounds and at data scales.  Neither depends on the prior's shape, so the
+owners of one outer integral split their common range at the same
+points and share those intervals; a standalone call integrates over the
+same partition.  At fixed tau the likelihood in delta is exactly
+N(mu(tau), V(tau)) times exp(-c(tau) / 2), with V = 1 / S0 (see
+:func:`bmameta.core.random_stats`).  A normal delta prior is conjugate
+to it, so its delta part is closed:
+-(c + log S0 + log(V + s**2) + (mu - m)**2 / (V + s**2)) / 2.  Other
+priors integrate -S0 (delta - mu)**2 / 2 + log g(delta) and add -c / 2
+afterwards, so the integrand does not carry the rounding of c, which
+grows with the data's spread over se.  Every such inner delta integral
+is seeded per owner at mu(tau) + sqrt(V(tau)) * {0, +-1, +-2, +-4, +-8,
++-16} plus the prior median; the seeds follow the peak as it moves and
+widens with tau.
 
 The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
 squares of the variances se**2 + tau**2) and the tau prior density are
@@ -36,14 +52,11 @@ over and over; those terms are shared across rows (one exact key,
 :func:`_distinct_rows`) and only the O(1) quadratic form in delta is
 formed per (delta, tau) node.
 
-The delta part at a free delta works from the other side.  Each of its
-integrals (random_H1 log marginal, tau posterior and its probes, and
-the fixed_H1 integral at its single tau) has one tau per owner, so the
-tau statistics are computed once per owner and gathered by owner id; no
-delta node meets the study axis.  Owners have their own seeds, so they
-share no delta intervals, and the delta prior density is computed at
-every node.  Every gathered value is bit-identical to the direct
-evaluation.
+The inner delta integrals work from the other side.  Each has one tau
+per owner, so the tau statistics are computed once per owner and
+gathered by owner id; no delta node meets the study axis.  Owners have
+their own seeds, so they share no delta intervals, and the delta prior
+density is computed at every node.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,11 +78,6 @@ __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
 log = logging.getLogger(__name__)
 
 _TAIL = 1e-12
-_QUANTILE_SEED_LEVELS = np.array([
-    1e-11, 1e-9, 1e-7, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.5,
-    0.7, 0.85, 0.95, 0.99, 0.999, 0.9999, 1.0 - 1e-6,
-    1.0 - 1e-7, 1.0 - 1e-9, 1.0 - 1e-11,
-])
 _LIK_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
 
 
@@ -126,13 +134,6 @@ def _prior_bounds(prior: PriorSpec) -> tuple:
     return (max(lo, slo), min(hi, shi))
 
 
-def _quantile_seeds(prior: PriorSpec) -> np.ndarray:
-    if prior.family == "uniform":
-        lo, hi = prior.params
-        return lo + (hi - lo) * np.linspace(0.0, 1.0, 9)
-    return np.asarray(prior.quantile(_QUANTILE_SEED_LEVELS))
-
-
 def _weighted_mean_se(comparison: Comparison) -> tuple:
     y, se = comparison._canonical
     w = 1.0 / se**2
@@ -151,6 +152,17 @@ def _delta_seeds(median: float, stats: tuple) -> np.ndarray:
 
 
 def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
+    """Outer tau split points: the powers of 4 inside the prior's bounds
+    (from 1e-12 up) and eight data scales.
+
+    Neither depends on the prior's shape, so tau priors whose bounds
+    overlap split the overlap at the same points, and the owners of one
+    outer integral share those intervals.
+    """
+    lo, hi = _prior_bounds(prior)
+    lo = max(lo, 1e-12)
+    lattice = 4.0 ** np.arange(math.floor(math.log(lo, 4.0)), math.ceil(math.log(hi, 4.0)) + 1)
+    lattice = lattice[(lattice >= lo) & (lattice <= hi)]
     y, se = comparison._canonical
     se_min = float(np.min(se))
     sd_y = float(np.std(y)) if comparison.k > 1 else se_min
@@ -160,7 +172,7 @@ def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
         0.25 * se_min, 0.5 * se_min, se_min,
         0.5 * scale, scale, 2.0 * scale, 4.0 * scale, spread + se_min,
     ])
-    return np.concatenate([_quantile_seeds(prior), data_pts])
+    return np.concatenate([lattice, data_pts])
 
 
 def log_marginal(
@@ -172,40 +184,93 @@ def log_marginal(
 ) -> float:
     """Log of the marginal likelihood of ``comparison`` under ``model``.
 
-    The delta part (:func:`_delta_part`) integrates delta out at each
-    tau; a point tau evaluates it there, a free tau integrates it against
-    the tau prior by 1D quadrature.  ``rel_tol`` is the relative
-    tolerance on the integral, i.e. the absolute tolerance on the
-    returned log value; ``extra_refine`` bisects every converged interval
-    that many additional times (for refinement-stability checks).
+    The one-model case of :func:`log_marginals`.  ``rel_tol`` is the
+    relative tolerance on the integral, i.e. the absolute tolerance on
+    the returned log value; ``extra_refine`` bisects every converged
+    interval that many additional times (for refinement-stability checks).
     """
-    h = model.tau_prior
-    if not model.tau_free:
-        delta_part = _delta_part(model, comparison, rel_tol, extra_refine)
-        value = float(delta_part(np.array([h.params[0]]))[0])
-    else:
-        delta_part = _delta_part(model, comparison, rel_tol * 0.1, extra_refine)
-        lo, hi = _prior_bounds(h)
-
-        def logf(_own, t):
-            return delta_part(t).reshape(t.shape) + h.log_pdf(t)
-
-        value = float(log_quad_batch(
-            logf, np.array([[lo, hi]]), seeds=_tau_seeds(h, comparison),
-            rel_tol=rel_tol, extra_refine=extra_refine,
-        )[0])
-    if math.isnan(value):
-        raise DomainError(f"marginal likelihood of model {model.name!r} is not a number")
-    return value
+    return float(log_marginals([model], comparison, rel_tol=rel_tol, extra_refine=extra_refine)[0])
 
 
-def _delta_part(model: ModelSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
+def log_marginals(
+    models: Sequence[ModelSpec],
+    comparison: Comparison,
+    *,
+    rel_tol: float = 1e-9,
+    extra_refine: int = 0,
+) -> np.ndarray:
+    """Log marginal likelihoods of several models on one comparison.
+
+    A point tau evaluates the model's delta part (:func:`_delta_part`)
+    there.  The free-tau models that share a delta prior are the owners
+    of one outer tau integral (:func:`_free_tau_log_marginals`), which
+    computes their common delta part once per distinct tau interval.
+    Arguments are those of :func:`log_marginal`.
+    """
+    out = np.empty(len(models))
+    groups: dict = {}
+    for i, model in enumerate(models):
+        if model.tau_free:
+            groups.setdefault(model.delta_prior, []).append(i)
+        else:
+            delta_part = _delta_part(model.delta_prior, comparison, rel_tol, extra_refine)
+            out[i] = delta_part(np.array([model.tau_prior.params[0]]))[0]
+    for g, idx in groups.items():
+        out[idx] = _free_tau_log_marginals(
+            g, [models[i].tau_prior for i in idx], comparison, rel_tol, extra_refine
+        )
+    nan = np.flatnonzero(np.isnan(out))
+    if nan.size:
+        raise DomainError(f"marginal likelihood of model {models[nan[0]].name!r} is not a number")
+    return out
+
+
+def _free_tau_log_marginals(g, tau_priors, comparison, rel_tol, extra_refine):
+    """Log marginals under delta prior ``g`` and each free tau prior, from one
+    outer ``log_quad_batch`` with one owner per tau prior.
+
+    Owners keep their own bounds and seeds (rows padded with the owner's
+    lower bound, which clips to an empty interval), so each total is the
+    one a single-owner call gives.
+    """
+    delta_part = _delta_part(g, comparison, rel_tol * 0.1, extra_refine)
+    bounds = np.array([_prior_bounds(h) for h in tau_priors])
+    seeds = [_tau_seeds(h, comparison) for h in tau_priors]
+    width = max(row.size for row in seeds)
+    seeds = np.array([np.pad(row, (0, width - row.size), constant_values=lo)
+                      for row, lo in zip(seeds, bounds[:, 0])])
+
+    def logf(own, t):
+        first, inverse = _distinct_rows(t)
+        out = delta_part(t[first]).reshape(first.size, -1)[inverse]
+        for j, h in enumerate(tau_priors):
+            rows = own[:, 0] == j
+            out[rows] += h.log_pdf(t[rows])
+        return out
+
+    return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol, extra_refine=extra_refine)
+
+
+def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
     """``f(tau_values)``: the log of the likelihood integrated over the delta
-    prior at each tau (the likelihood itself at a point delta)."""
-    g = model.delta_prior
-    if model.delta_free:
-        return _delta_integrals(g, comparison, rel_tol, extra_refine)
-    return lambda t: loglik_random(g.params[0], t, comparison)
+    prior ``g`` at each tau (the likelihood itself at a point delta).
+
+    A normal prior is conjugate to the likelihood's N(mu, 1 / S0) shape in
+    delta, so its integral is closed: N(mu; m, 1 / S0 + s**2) times the
+    Gaussian's normalizer.  Other priors integrate by quadrature.
+    """
+    if g.is_point:
+        return lambda t: loglik_random(g.params[0], t, comparison)
+    if g.family == "normal":
+        m, s = g.params
+
+        def conjugate(t):
+            c, mu, s0 = random_stats(t, comparison)
+            v = 1.0 / s0 + s * s
+            return -0.5 * (c + np.log(s0) + np.log(v) + (mu - m) ** 2 / v)
+
+        return conjugate
+    return _delta_integrals(g, comparison, rel_tol, extra_refine)
 
 
 def _delta_integrals(
@@ -218,7 +283,10 @@ def _delta_integrals(
     of likelihood times delta prior, in one batched quadrature with one
     owner per tau.
 
-    The delta bounds and the prior median are computed here, once, so an
+    The integrand leaves out the likelihood's delta-free constant
+    ``-c / 2``, which is added to each owner's result afterwards: inside
+    the integrand it would put rounding of ulp(c) into every node.  The
+    delta bounds and the prior median are computed here, once, so an
     outer tau integral does not recompute them in each refinement round.
     """
     lo, hi = _prior_bounds(g)
@@ -235,21 +303,20 @@ def _delta_integrals(
         return log_quad_batch(
             logf, bounds, seeds=_delta_seeds(median, stats),
             rel_tol=rel_tol, extra_refine=extra_refine,
-        )
+        ) - 0.5 * stats[0]
 
     return integrals
 
 
-def _tau_part(model: ModelSpec, comparison: Comparison, rel_tol: float):
+def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
     """``f(delta_values)``: the log of the likelihood integrated over the tau
-    prior at each delta (the likelihood itself at a point tau).
+    prior ``h`` at each delta (the likelihood itself at a point tau).
 
     A free tau runs one batched quadrature with one owner per delta,
     sharing the tau-only terms across owners
     (:func:`_log_joint_at_tau_nodes`).
     """
-    h = model.tau_prior
-    if not model.tau_free:
+    if h.is_point:
         return lambda d: loglik_random(d, h.params[0], comparison)
     lo, hi = _prior_bounds(h)
     seeds = _tau_seeds(h, comparison)
@@ -273,8 +340,8 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
     """Unnormalized log posterior of one free parameter at points ``xs``."""
     xs = np.asarray(xs, dtype=float)
     if parameter == "delta":
-        return _tau_part(model, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
-    return _delta_part(model, comparison, rel_tol * 0.1)(xs) + model.tau_prior.log_pdf(xs)
+        return _tau_part(model.tau_prior, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
+    return _delta_part(model.delta_prior, comparison, rel_tol * 0.1)(xs) + model.tau_prior.log_pdf(xs)
 
 
 def _log_joint_at_tau_nodes(delta, t, h: PriorSpec, comparison: Comparison) -> np.ndarray:
@@ -291,14 +358,16 @@ def _log_joint_at_tau_nodes(delta, t, h: PriorSpec, comparison: Comparison) -> n
 
 
 def _log_joint_at_delta_nodes(d, own, stats: tuple, g: PriorSpec) -> np.ndarray:
-    """``loglik_random(d, tau[own]) + g.log_pdf(d)`` from per-owner statistics.
+    """``-S0 (d - mu)**2 / 2 + g.log_pdf(d)`` from per-owner statistics: the
+    log likelihood at ``tau[own]`` less its constant ``-c / 2``, plus the
+    delta prior.
 
     ``stats`` is ``random_stats(tau, comparison)`` over the owners' tau
-    values; it is gathered by owner id (``own`` has shape (rows, 1)).
-    The arithmetic is that of :func:`loglik_random`, so the result is
-    bit-identical to it.
+    values; mu and S0 are gathered by owner id (``own`` has shape
+    (rows, 1)), and the quadratic form is that of :func:`loglik_from_stats`.
     """
-    return loglik_from_stats(tuple(s[own] for s in stats), d) + g.log_pdf(d)
+    _, mu, s0 = stats
+    return loglik_from_stats((0.0, mu[own], s0[own]), d) + g.log_pdf(d)
 
 
 def _distinct_rows(x: np.ndarray) -> tuple:

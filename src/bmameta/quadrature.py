@@ -11,6 +11,12 @@ simultaneously, each with its own interval stack, and every refinement
 round evaluates the integrand for all pending intervals of all owners in
 a single vectorized call.  Nested 2D integration feeds the outer rule's
 nodes to an inner batched pass, which keeps per-call numpy overhead flat.
+An owner whose error bracket meets the tolerance is retired: its total is
+stored and its intervals leave the working arrays, so later rounds only
+reduce over owners still refining.  Each owner's terms are summed in the
+same order as in a call of its own, so batching changes no result bit;
+the interval cap still counts retired intervals, and ``extra_refine``
+bisects every final interval, retired or not.
 
 Because the integrands are positive, |K15 - G7| is a conservative bound:
 it is the error of the *Gauss* rule while the returned value comes from
@@ -149,27 +155,38 @@ def log_quad_batch(
         raise ConvergenceError("empty integration region")
     log_k, log_e = _eval_intervals(log_f, a, b, owners)
 
-    for _ in range(max_rounds):
+    out = np.full(n_owners, -np.inf)
+    active = np.ones(n_owners, dtype=bool)
+    retired = []  # (a, b, owners) of converged owners, whole owners per entry
+    n_retired = 0
+    for n_round in range(max_rounds + 1):
         total = _segment_logsumexp(log_k, owners, n_owners)
         err = _segment_logsumexp(log_e, owners, n_owners)
         unconverged = err > total + log_rtol
-        if not np.any(unconverged):
+        done = active & ~unconverged
+        if np.any(done):
+            # A converged owner's intervals never change again, so its total
+            # is final; its terms leave the working arrays in their order.
+            out[done] = total[done]
+            active &= unconverged
+            live = unconverged[owners]
+            retired.append((a[~live], b[~live], owners[~live]))
+            n_retired += a.size - int(np.count_nonzero(live))
+            a, b, owners, log_k, log_e = (v[live] for v in (a, b, owners, log_k, log_e))
+        if not np.any(active):
             break
+        if n_round == max_rounds:
+            raise _not_converged(f"after {max_rounds} refinement rounds", total, err, unconverged)
         counts = np.bincount(owners, minlength=n_owners).astype(float)
         # Split every interval holding more than its fair share of error;
         # the owner's worst interval always exceeds this threshold.
         threshold = total + log_rtol - np.log(4.0 * np.maximum(counts, 1.0))
-        split = unconverged[owners] & (log_e > threshold[owners])
+        split = log_e > threshold[owners]
         n_split = int(np.count_nonzero(split))
         if n_split == 0:  # pragma: no cover - guarded by threshold proof
-            break
-        if a.size + n_split > max_intervals:
-            worst = int(np.argmax(np.where(unconverged, err - total, -np.inf)))
-            raise ConvergenceError(
-                f"quadrature failed to converge within {max_intervals} intervals "
-                f"(worst owner {worst})",
-                bracket=(float(total[worst]), float(err[worst])),
-            )
+            raise _not_converged("(no interval to split)", total, err, unconverged)
+        if n_retired + a.size + n_split > max_intervals:
+            raise _not_converged(f"within {max_intervals} intervals", total, err, unconverged)
         mid = 0.5 * (a[split] + b[split])
         child_a = np.concatenate([a[split], mid])
         child_b = np.concatenate([mid, b[split]])
@@ -181,26 +198,28 @@ def log_quad_batch(
         owners = np.concatenate([owners[keep], child_owner])
         log_k = np.concatenate([log_k[keep], child_k])
         log_e = np.concatenate([log_e[keep], child_e])
-    else:
-        total = _segment_logsumexp(log_k, owners, n_owners)
-        err = _segment_logsumexp(log_e, owners, n_owners)
-        unconverged = err > total + log_rtol
-        worst = int(np.argmax(np.where(unconverged, err - total, -np.inf)))
-        raise ConvergenceError(
-            f"quadrature failed to converge after {max_rounds} refinement rounds "
-            f"(worst owner {worst})",
-            bracket=(float(total[worst]), float(err[worst])),
-        )
 
-    for _ in range(extra_refine):
-        mid = 0.5 * (a + b)
-        child_a = np.concatenate([a, mid])
-        child_b = np.concatenate([mid, b])
-        owners = np.concatenate([owners, owners])
-        a, b = child_a, child_b
-        log_k, _ = _eval_intervals(log_f, a, b, owners)
+    if extra_refine:
+        # each owner's intervals sit in one entry, in order, so its terms are
+        # summed in the order they would have without retirement
+        a, b, owners = (np.concatenate(v) for v in zip(*retired))
+        for _ in range(extra_refine):
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+            owners = np.concatenate([owners, owners])
+            log_k, _ = _eval_intervals(log_f, a, b, owners)
+        out = _segment_logsumexp(log_k, owners, n_owners)
+    return out
 
-    return _segment_logsumexp(log_k, owners, n_owners)
+
+def _not_converged(how: str, total, err, unconverged) -> ConvergenceError:
+    """The error for an unconverged batch, bracketing its worst owner."""
+    idx = np.flatnonzero(unconverged)
+    worst = int(idx[np.argmax(err[idx] - total[idx])])
+    return ConvergenceError(
+        f"quadrature failed to converge {how} (worst owner {worst})",
+        bracket=(float(total[worst]), float(err[worst])),
+    )
 
 
 def log_quad(

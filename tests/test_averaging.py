@@ -18,6 +18,7 @@ from bmameta import (
     general_candidate_set,
     inclusion_bf,
     log_inclusion_bf,
+    log_marginal,
     mixture_summary,
     posterior_summary,
     sequential_update,
@@ -242,6 +243,17 @@ class TestEvaluate:
                     want.mean, want.median, want.sd, want.ci_lower, want.ci_upper)
                 assert np.array_equal(got.grid_pdf, want.grid_pdf)
 
+    @pytest.mark.parametrize("k", [1, 3, 25, 60])
+    def test_log_marginals_equal_standalone_ones(self, k, rng):
+        # evaluate integrates the free-tau members of each delta prior together
+        comp = make_comparison(rng, k)
+        cand = general_candidate_set()
+        ens = build_standard_ensemble(cand.delta_priors, cand.tau_priors)
+        res = evaluate(ens, comp, summaries=False)
+        for member, got in zip(ens.members, res.log_marginals):
+            want = log_marginal(member.model, comp)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), member.model.name
+
     def test_summaries_off_skips_grids(self, rng):
         comp = make_comparison(rng, 3)
         res = evaluate(four_model_ensemble(), comp, summaries=False)
@@ -290,8 +302,8 @@ class TestDegenerateEvidence:
         from bmameta import DegenerateEvidenceError
 
         comp = make_comparison(rng, 2)
-        monkeypatch.setattr(averaging, "log_marginal",
-                            lambda m, c, rel_tol: float("-inf"))
+        monkeypatch.setattr(averaging, "log_marginals",
+                            lambda models, c, rel_tol: np.full(len(models), -np.inf))
         with pytest.raises(DegenerateEvidenceError):
             averaging.evaluate(four_model_ensemble(), comp, summaries=False)
 

@@ -180,6 +180,12 @@ def _mp_log_prior(mp, prior, x):
     if f == "invgamma":
         a, b = p
         return a * mp.log(b) - mp.loggamma(a) - (a + 1) * mp.log(x) - b / x
+    if f == "gamma":
+        a, s = p
+        return (a - 1) * mp.log(x) - x / s - mp.loggamma(a) - a * mp.log(s)
+    if f == "uniform":
+        lo, hi = p
+        return -mp.log(hi - lo)
     raise AssertionError(f)
 
 
@@ -248,6 +254,12 @@ class TestMpmathOracle:
         ((0.29, 0.30, 0.31), (1e-4,) * 3, h1r(PriorSpec.normal(0.0, 0.56), IG_POOLED)),
         ((-3.0, 3.0, 0.0, 5.0), (0.05,) * 4, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.halfnormal(0.57))),
         (LARGE_Y, LARGE_SE, h0r(IG_POOLED)),
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.uniform(0.0, 1.0))),
+        # the tau lattice holds a single point inside (0.5, 2)
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.uniform(0.5, 2.0))),
+        ((0.12, 0.55, -0.2), (0.2,) * 3, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.gamma(1.59, 0.26))),
+        ((0.29, 0.30, 0.31), (1e-4,) * 3, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.gamma(1.59, 0.26))),
+        (LARGE_Y, LARGE_SE, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.invgamma(1.26, 0.24))),
     ])
     def test_log_marginal_matches_mpmath(self, y, se, model):
         c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
@@ -257,7 +269,7 @@ class TestMpmathOracle:
 
 
 class TestTinyStandardErrors:
-    @pytest.mark.parametrize("se", [1e-4, 1e-5])
+    @pytest.mark.parametrize("se", [1e-4, 1e-5, 1e-6])
     def test_every_candidate_member_converges(self, se):
         # the likelihood peak in delta is ~se wide and moves with tau
         c = Comparison(tuple(Study(y, se) for y in (0.29, 0.30, 0.31)))
@@ -266,6 +278,75 @@ class TestTinyStandardErrors:
         assert len(members) == 20
         for member in members:
             assert math.isfinite(log_marginal(member.model, c)), member.model.name
+
+
+class TestLikelihoodConstantOutsideIntegrand:
+    """The inner delta integrand leaves out the likelihood's constant -c/2,
+    which can reach 1e8 and more; inside, its rounding would exceed the
+    tolerance at every node."""
+
+    @pytest.mark.parametrize("se", [1e-3, 1e-4])
+    def test_far_apart_effects_converge(self, se):
+        y = (-15.0, 15.0)
+        model = h1f(T_POOLED)
+        c = Comparison(tuple(Study(a, se) for a in y))
+        got = log_marginal(model, c)
+        ref = mp_log_marginal(y, (se,) * 2, model)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+    def test_many_widely_spread_studies_converge(self):
+        y = np.random.default_rng(0).uniform(-50.0, 50.0, 170)
+        c = Comparison(tuple(Study(float(a), 0.08) for a in y))
+        assert log_marginal(h1r(T_POOLED, IG_POOLED), c) == pytest.approx(-830.34, abs=0.01)
+
+
+class TestConjugateDeltaPart:
+    """A normal delta prior integrates in closed form; it must agree with
+    the quadrature it replaces."""
+
+    @pytest.mark.parametrize("k", [1, 3, 60])
+    @pytest.mark.parametrize("se_range", [(0.1, 0.5), (1e-5, 1e-4)])
+    def test_closed_form_matches_quadrature(self, k, se_range, rng):
+        c = make_comparison(rng, k, se_range=se_range)
+        g = PriorSpec.normal(0.0, 0.56)
+        tau = np.array([0.0, 1e-3, 0.1, 1.0, 100.0])
+        closed = marginal._delta_part(g, c, 1e-13)(tau)
+        quad = marginal._delta_integrals(g, c, 1e-13)(tau)
+        assert np.all(np.abs(closed - quad) <= 1e-12 * np.maximum(1.0, np.abs(quad))), closed - quad
+
+
+class TestSharedTauPartition:
+    def test_tau_seeds_are_a_lattice_shared_by_all_priors(self, rng):
+        c = make_comparison(rng, 5)
+        assert np.array_equal(marginal._tau_seeds(PriorSpec.uniform(0.5, 2.0), c)[:-8], [1.0])
+        for h in general_candidate_set().tau_priors:
+            lo, hi = marginal._prior_bounds(h)
+            want = [4.0 ** j for j in range(-30, 30) if max(lo, 1e-12) <= 4.0 ** j <= hi]
+            assert np.array_equal(marginal._tau_seeds(h, c)[:-8], want), h
+
+    def test_owners_of_one_delta_prior_share_tau_intervals(self, rng, monkeypatch):
+        c = make_comparison(rng, 8)
+        models = [h1r(T_POOLED, h) for h in general_candidate_set().tau_priors]
+        real = marginal.log_quad_batch
+        outer_rows = []
+
+        def recording(log_f, bounds, **kwargs):
+            if len(bounds) != len(models):  # an inner delta integral
+                return real(log_f, bounds, **kwargs)
+
+            def f(own, t):
+                outer_rows.append(t)
+                return log_f(own, t)
+
+            return real(f, bounds, **kwargs)
+
+        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        got = marginal.log_marginals(models, c)
+        rows = np.concatenate(outer_rows)
+        assert np.unique(rows, axis=0).shape[0] < 0.8 * rows.shape[0]
+        monkeypatch.setattr(marginal, "log_quad_batch", real)
+        for model, value in zip(models, got):
+            assert value == log_marginal(model, c), model.name
 
 
 class TestPosteriorSummary:
@@ -396,11 +477,13 @@ class TestDeltaPosteriorIntegrand:
 
 class TestDeltaIntegrandAtFixedTau:
     """The delta integrand of the inner integrals gathers per-owner tau
-    statistics; it must still equal the direct likelihood bit for bit."""
+    statistics; it must equal the direct likelihood less its delta-free
+    constant -c/2, plus the delta prior, bit for bit."""
 
     @staticmethod
     def direct(d, tau, g, c):
-        return loglik_random(d, tau, c) + g.log_pdf(d)
+        _, mu, s0 = random_stats(tau, c)
+        return -0.5 * (s0 * (d - mu) ** 2) + g.log_pdf(d)
 
     @pytest.mark.parametrize("k", [3, 12, 60])
     def test_matches_direct_likelihood_row_by_row(self, k, rng, monkeypatch):

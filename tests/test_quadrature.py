@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,79 @@ def test_per_owner_seeds_match_single_owner_calls_bitwise():
             )
             assert got[i] == alone[0], (i, extra_refine)
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
+
+
+def _peak_and_flat_owners():
+    """Owner 0 is a 1e-6-wide seeded peak that needs many rounds; owners 1-3
+    are flat and converge on their initial partition (31 intervals each)."""
+    mu, sd = 0.3, 1e-6
+    flat_seeds = np.linspace(-0.9, 0.9, 30)
+    peak_seeds = np.concatenate([mu + sd * np.array([-8.0, 0.0, 8.0]),
+                                 np.full(flat_seeds.size - 3, -1.0)])
+    seeds = np.vstack([peak_seeds, flat_seeds, flat_seeds, flat_seeds])
+    bounds = np.tile([-1.0, 1.0], (4, 1))
+    levels = np.array([0.0, 0.5, -2.0, 1.0])
+
+    def logf(own, x):
+        peak = -0.5 * ((x - mu) / sd) ** 2 - math.log(sd * math.sqrt(2 * math.pi))
+        return np.where(own == 0, peak, levels[own] + 0.0 * x)
+
+    return logf, bounds, seeds
+
+
+def _recording(logf, seen):
+    def wrapped(own, x):
+        seen.append(own[:, 0].copy())
+        return logf(own, x)
+    return wrapped
+
+
+def test_retired_owners_match_single_owner_calls_bitwise():
+    logf, bounds, seeds = _peak_and_flat_owners()
+    for extra_refine in (0, 1):
+        seen = []
+        got = log_quad_batch(_recording(logf, seen), bounds, seeds=seeds, rel_tol=1e-10,
+                             extra_refine=extra_refine)
+        refinement = seen[1:len(seen) - extra_refine]
+        assert len(refinement) >= 2 and all(np.all(o == 0) for o in refinement), \
+            "the flat owners must leave the batch after the first round"
+        if extra_refine:
+            assert np.array_equal(np.unique(seen[-1]), np.arange(4))
+        for i in range(4):
+            alone = log_quad_batch(
+                lambda own, x: logf(np.full_like(own, i), x), bounds[i:i + 1],
+                seeds=seeds[i], rel_tol=1e-10, extra_refine=extra_refine,
+            )
+            assert got[i] == alone[0], (i, extra_refine)
+    np.testing.assert_allclose(got, [0.0, math.log(2.0) + 0.5, math.log(2.0) - 2.0, math.log(2.0) + 1.0],
+                               atol=1e-9)
+
+
+def test_interval_cap_counts_retired_owners():
+    logf, bounds, seeds = _peak_and_flat_owners()
+    seen = []
+    log_quad_batch(_recording(lambda own, x: logf(np.zeros_like(own), x), seen), bounds[:1],
+                   seeds=seeds[0], rel_tol=1e-10)
+    peak_intervals = seen[0].size + sum(o.size for o in seen[1:]) // 2
+    log_quad_batch(lambda own, x: logf(np.zeros_like(own), x), bounds[:1], seeds=seeds[0],
+                   rel_tol=1e-10, max_intervals=peak_intervals)
+    retired = 3 * (seeds.shape[1] + 1)
+    with pytest.raises(ConvergenceError, match="within"):
+        log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10,
+                       max_intervals=peak_intervals + retired - 1)
+
+
+def test_bracket_skips_retired_owners():
+    # owner 0 vanishes and retires at once with total and error both -inf
+    def logf(own, x):
+        rough = np.log(1.5 + np.sin(1.0 / np.maximum(np.abs(x), 1e-12)))
+        return np.where(own == 0, -np.inf, rough)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="worst owner 1") as err:
+            log_quad_batch(logf, np.tile([-1.0, 1.0], (2, 1)), rel_tol=1e-13)
+    assert all(math.isfinite(v) for v in err.value.bracket)
 
 
 def test_extra_refine_stability():

@@ -174,11 +174,12 @@ class TestInclusionSummary:
 class TestFailureHandling:
     def test_failure_threshold_aborts(self, candidates, rng):
         from bmameta import Comparison, Study
-        # data so extreme the quadrature gives up
+        # data so extreme the quadrature gives up: the effects lie far beyond
+        # every effect prior's integration bounds
         wild = Comparison(
             tuple(
-                [Study(-50.0, 0.01) for _ in range(100)]
-                + [Study(50.0, 0.01) for _ in range(100)]
+                [Study(1e12 - 50.0, 0.01) for _ in range(100)]
+                + [Study(1e12 + 50.0, 0.01) for _ in range(100)]
             ),
             id="wild",
         )
@@ -236,8 +237,8 @@ class TestFailureHandling:
         from bmameta import Comparison, Study
         wild = Comparison(
             tuple(
-                [Study(-50.0, 0.01) for _ in range(100)]
-                + [Study(50.0, 0.01) for _ in range(100)]
+                [Study(1e12 - 50.0, 0.01) for _ in range(100)]
+                + [Study(1e12 + 50.0, 0.01) for _ in range(100)]
             ),
             id="wild",
         )

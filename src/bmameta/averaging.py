@@ -97,21 +97,20 @@ class ModelEnsemble:
 def build_standard_ensemble(
     delta_priors: Sequence[PriorSpec],
     tau_priors: Sequence[PriorSpec],
-    scheme: str = "four-type",
     *,
     type_probs: Sequence[float] = (0.25, 0.25, 0.25, 0.25),
     include_types: Sequence[str] = MODEL_TYPES,
 ) -> ModelEnsemble:
     """Cross free/null assumptions with candidate priors into an ensemble.
 
-    ``scheme="four-type"`` gives each model type its ``type_probs`` share
-    and spreads it evenly over the type's prior configurations (so 3
-    delta priors and 4 tau priors produce weights 1/4, 1/12, 1/16, 1/48).
-    ``scheme="flat"`` weights every configuration equally.  Restricting
-    ``include_types`` renormalizes over the kept types.
+    Each model type gets its ``type_probs`` share, spread evenly over the
+    type's prior configurations (so 3 delta priors and 4 tau priors
+    produce weights 1/4, 1/12, 1/16, 1/48).  Restricting
+    ``include_types`` renormalizes over the kept types; with
+    ``include_types=("random_H1",)`` every free-effect/free-tau
+    configuration gets equal weight.  Members are ordered by model type,
+    then delta-major within ``random_H1``.
     """
-    if scheme not in ("four-type", "flat"):
-        raise ParameterError(f"unknown ensemble scheme {scheme!r}")
     delta_priors = list(delta_priors)
     tau_priors = list(tau_priors)
     if not delta_priors or not tau_priors:
@@ -133,23 +132,15 @@ def build_standard_ensemble(
         "random_H1": [(d, t) for d in delta_priors for t in tau_priors],
     }
     kept = [t for t in MODEL_TYPES if t in set(include_types)]
+    shares = {t: p for t, p in zip(MODEL_TYPES, type_probs)}
+    # renormalize only when types were actually excluded, so a full
+    # ensemble passes the caller's probabilities through untouched
+    norm = sum(shares[t] for t in kept) if len(kept) < 4 else 1.0
     members = []
-    if scheme == "four-type":
-        shares = {t: p for t, p in zip(MODEL_TYPES, type_probs)}
-        # renormalize only when types were actually excluded, so a full
-        # ensemble passes the caller's probabilities through untouched
-        norm = sum(shares[t] for t in kept) if len(kept) < 4 else 1.0
-        for t in kept:
-            per = shares[t] / norm / len(configs[t])
-            for d, tau in configs[t]:
-                members.append(EnsembleMember(ModelSpec(_member_name(t, d, tau, configs), d, tau), per))
-    else:
-        total = sum(len(configs[t]) for t in kept)
-        for t in kept:
-            for d, tau in configs[t]:
-                members.append(
-                    EnsembleMember(ModelSpec(_member_name(t, d, tau, configs), d, tau), 1.0 / total)
-                )
+    for t in kept:
+        per = shares[t] / norm / len(configs[t])
+        for d, tau in configs[t]:
+            members.append(EnsembleMember(ModelSpec(_member_name(t, d, tau, configs), d, tau), per))
     return ModelEnsemble(tuple(members))
 
 

@@ -195,6 +195,26 @@ def _parse_model_priors(text: str) -> tuple:
     return probs
 
 
+def _checked(kind, ok, condition: str):
+    """An argparse ``type`` that parses ``kind`` and requires ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r} as {kind.__name__}")
+        if not ok(value):  # comparisons with nan are false, so nan fails too
+            raise argparse.ArgumentTypeError(f"must be {condition}, got {text!r}")
+        return value
+
+    return parse
+
+
+_tol = _checked(float, lambda v: 0.0 < v < 1.0, "finite with 0 < tol < 1")
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -207,12 +227,8 @@ def cmd_analyze(args) -> int:
     studies = read_analysis_csv(args.input, _parse_map(args.map))
     delta_prior, tau_prior, subfield, matched = _resolve_priors(args)
     model_priors = _parse_model_priors(args.model_priors)
-    if args.scheme == "flat" and args.model_priors != "0.25,0.25,0.25,0.25":
-        raise ParseError("--model-priors only applies to the four-type scheme")
     comparison = Comparison(tuple(studies), id=args.input)
-    ensemble = build_standard_ensemble(
-        [delta_prior], [tau_prior], scheme=args.scheme, type_probs=model_priors,
-    )
+    ensemble = build_standard_ensemble([delta_prior], [tau_prior], type_probs=model_priors)
     result = evaluate(ensemble, comparison, rel_tol=args.tol, summaries=True)
     sequential = None
     if args.sequential:
@@ -222,7 +238,6 @@ def cmd_analyze(args) -> int:
         "tau_prior": str(tau_prior),
         "subfield": subfield,
         "subfield_matched": matched,
-        "scheme": args.scheme,
         "model_priors": list(model_priors),
         "tol": args.tol,
     }
@@ -266,7 +281,7 @@ def cmd_rank(args) -> int:
         max_failure_fraction=args.max_failure_fraction,
     )
     if args.mode == "configs":
-        table = rank_configurations(comparisons, candidates, "h1r-only", **kwargs)
+        table = rank_configurations(comparisons, candidates, **kwargs)
     elif args.mode == "model-types":
         table = average_model_types(comparisons, candidates, **kwargs)
     elif args.mode == "parameter-priors":
@@ -308,13 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-prior", help='effect-size prior, e.g. "t(0.0,0.51,5.0)"')
     p.add_argument("--tau-prior", help='heterogeneity prior, e.g. "invgamma(1.79,0.28)"')
     p.add_argument("--subfield", help="catalog subfield supplying default priors")
-    p.add_argument("--scheme", choices=["four-type", "flat"], default="four-type")
     p.add_argument("--model-priors", default="0.25,0.25,0.25,0.25",
                    help="prior probabilities for H0f,H1f,H0r,H1r")
     p.add_argument("--sequential", action="store_true",
                    help="also update study-by-study in input order")
     p.add_argument("--forest", help="write an SVG forest plot here")
-    p.add_argument("--tol", type=float, default=1e-9, help="quadrature relative tolerance")
+    p.add_argument("--tol", type=_tol, default=1e-9, help="quadrature relative tolerance")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -331,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["configs", "model-types", "parameter-priors", "inclusion"],
                    default="configs")
     p.add_argument("--min-studies", type=int, default=3)
-    p.add_argument("--max-failure-fraction", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--max-failure-fraction", type=_fraction, default=0.01)
+    p.add_argument("--tol", type=_tol, default=1e-9)
+    p.add_argument("--threads", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_rank)
 

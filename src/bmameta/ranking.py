@@ -2,18 +2,31 @@
 inclusion-Bayes-factor summaries.
 
 Each comparison in a corpus is scored against an ensemble built from a
-candidate prior set, in one of two modes:
+candidate prior set, and every ranking mode is a tally over groups of
+the ensemble's posterior columns:
 
-* ``h1r-only``: the free-effect/free-heterogeneity configurations only,
-  each with equal prior probability (12 configurations for the standard
-  3 x 4 candidate set);
-* ``four-type``: all four model types at probability 1/4 each, spread
-  evenly over each type's configurations.
+* :func:`rank_configurations` uses the ``random_H1`` ensemble (the
+  free-effect/free-heterogeneity configurations at equal prior
+  probability, 12 for the standard 3 x 4 candidate set), one column per
+  group;
+* :func:`average_model_types` uses the four-type ensemble (each model
+  type at probability 1/4, spread evenly over its configurations), one
+  group per model type;
+* :func:`average_parameter_priors` uses the ``random_H1`` ensemble, one
+  group per effect-size prior (its heterogeneity partners) and one per
+  heterogeneity prior (its effect-size partners).
 
-Posterior probabilities are ranked per comparison (descending, stable
-ties by configuration order) and tallied across the corpus.  Comparisons
-that fail to evaluate are recorded, logged and excluded, and the run aborts if
-more than ``max_failure_fraction`` of them fail.
+A group's posterior is the sum of its columns.  Groups are ranked per
+comparison (descending, stable ties by group order) and tallied across
+the corpus.  :func:`corpus_inclusion_summary` reports the four-type
+ensemble's inclusion Bayes factors instead.  Comparisons that fail to
+evaluate are recorded, logged and excluded, and the run aborts if more
+than ``max_failure_fraction`` of them fail.
+
+Every function takes the keyword options ``rel_tol`` (quadrature
+relative tolerance, default 1e-9), ``min_studies`` (comparisons with
+fewer studies are skipped, default 3), ``workers`` (processes, default
+1) and ``max_failure_fraction`` (default 0.01).
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ import numpy as np
 
 from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, evaluate
 from .core import Comparison
-from .errors import BmaMetaError, CorpusEvaluationError, ParameterError
+from .errors import BmaMetaError, CorpusEvaluationError
 from .training import CandidatePriorSet
 
 __all__ = [
@@ -109,19 +122,6 @@ class InclusionSummary:
         }
 
 
-def _ensemble_for(candidates: CandidatePriorSet, restriction: str) -> ModelEnsemble:
-    if restriction == "h1r-only":
-        return build_standard_ensemble(
-            candidates.delta_priors, candidates.tau_priors,
-            scheme="flat", include_types=("random_H1",),
-        )
-    if restriction == "four-type":
-        return build_standard_ensemble(
-            candidates.delta_priors, candidates.tau_priors, scheme="four-type",
-        )
-    raise ParameterError(f"unknown restriction {restriction!r}")
-
-
 def _eval_one(args):
     """``evaluate`` one comparison; a package error is returned, not raised."""
     ensemble, comparison, rel_tol = args
@@ -135,22 +135,25 @@ def _evaluate_corpus(
     corpus: Sequence[Comparison],
     ensemble: ModelEnsemble,
     *,
-    rel_tol: float,
-    min_studies: int,
-    workers: int,
-    max_failure_fraction: float,
+    rel_tol: float = 1e-9,
+    min_studies: int = 3,
+    workers: int = 1,
+    max_failure_fraction: float = 0.01,
 ):
-    """``(comparison, BmaResult)`` pairs per comparison, with failure bookkeeping.
+    """``(comparison, BmaResult)`` pairs and the run's counts.
 
-    Any package error (:class:`BmaMetaError`) fails only its own
-    comparison; each failure is logged at WARNING with the comparison id,
-    the exception class and its message.
+    The counts are the ``n_evaluated``, ``n_failed``, ``n_skipped_small``
+    and ``failed_ids`` fields of :class:`RankingTable` and
+    :class:`InclusionSummary`.  ``workers > 1`` evaluates in a process
+    pool of at most one worker per comparison.  Any package
+    error (:class:`BmaMetaError`) fails only its own comparison; each
+    failure is logged at WARNING with the comparison id, the exception
+    class and its message.
     """
     usable = [c for c in corpus if c.k >= min_studies]
-    n_skipped = len(corpus) - len(usable)
     tasks = [(ensemble, c, rel_tol) for c in usable]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_eval_one, tasks))
     else:
         outcomes = map(_eval_one, tasks)
@@ -168,103 +171,89 @@ def _evaluate_corpus(
             f"{len(failed)}/{len(usable)} comparisons failed to evaluate "
             f"(threshold {max_failure_fraction:.0%}); failed ids: {failed[:20]}"
         )
-    return results, failed, n_skipped
+    counts = {
+        "n_evaluated": len(results),
+        "n_failed": len(failed),
+        "n_skipped_small": len(corpus) - len(usable),
+        "failed_ids": tuple(failed),
+    }
+    return results, counts
 
 
-def _tally(
-    posterior_rows: np.ndarray,
-    labels: Sequence[str],
-    priors: Sequence[float],
-    group: str,
-) -> list:
-    """Rank every row's entries (stable descending) and tally per label."""
-    n_entities = len(labels)
-    counts = np.zeros((n_entities, n_entities), dtype=int)
-    for row in posterior_rows:
+def _tally(posteriors: np.ndarray, groups: Sequence[tuple], kind: str) -> list:
+    """Rank the groups' posteriors per comparison (stable descending) and tally.
+
+    ``groups`` are ``(label, column indices, prior probability)``; a
+    group's posterior is the sum of its columns of ``posteriors``.
+    """
+    summed = np.stack([posteriors[:, cols].sum(axis=1) for _, cols, _ in groups], axis=1)
+    n_groups = len(groups)
+    counts = np.zeros((n_groups, n_groups), dtype=int)
+    for row in summed:
         order = np.argsort(-row, kind="stable")
         for rank, idx in enumerate(order):
             counts[idx, rank] += 1
-    if len(posterior_rows):
+    if len(summed):
         # summing each column in sorted order makes the average exactly
         # independent of corpus ordering
-        avg = np.sort(posterior_rows, axis=0).mean(axis=0)
+        avg = np.sort(summed, axis=0).mean(axis=0)
     else:
-        avg = np.zeros(n_entities)
+        avg = np.zeros(n_groups)
     return [
         RankingRow(
-            label=labels[i],
-            group=group,
+            label=label,
+            group=kind,
             rank_counts=tuple(int(c) for c in counts[i]),
-            prior_prob=float(priors[i]),
+            prior_prob=float(prior),
             avg_posterior=float(avg[i]),
         )
-        for i in range(n_entities)
+        for i, (label, _, prior) in enumerate(groups)
     ]
 
 
-def rank_configurations(
-    corpus: Sequence[Comparison],
-    candidates: CandidatePriorSet,
-    restriction: str = "h1r-only",
-    *,
-    rel_tol: float = 1e-9,
-    min_studies: int = 3,
-    workers: int = 1,
-    max_failure_fraction: float = 0.01,
-) -> RankingTable:
-    """Rank prior configurations (``h1r-only``) or model types (``four-type``).
-
-    In ``h1r-only`` mode each free-effect/free-heterogeneity prior
-    configuration is one ranked entity; in ``four-type`` mode the
-    configuration posteriors are summed per model type first, matching
-    :func:`average_model_types`.
-    """
-    ensemble = _ensemble_for(candidates, restriction)
-    results, failed, n_skipped = _evaluate_corpus(
-        corpus, ensemble, rel_tol=rel_tol, min_studies=min_studies,
-        workers=workers, max_failure_fraction=max_failure_fraction,
-    )
+def _rank_groups(corpus, ensemble: ModelEnsemble, partitions, options) -> RankingTable:
+    """Evaluate the corpus and tally each ``(kind, groups)`` partition."""
+    results, counts = _evaluate_corpus(corpus, ensemble, **options)
     posteriors = np.array([r.posterior_probs for _, r in results])
     posteriors = posteriors.reshape(len(results), len(ensemble.members))
+    rows = [row for kind, groups in partitions for row in _tally(posteriors, groups, kind)]
+    return RankingTable(rows=tuple(rows), **counts)
 
-    if restriction == "h1r-only":
-        labels = list(ensemble.names)
-        rows = _tally(posteriors, labels, ensemble.prior_probs, group="configuration")
-    else:
-        types = [m.model.model_type for m in ensemble.members]
-        type_cols = {t: [i for i, mt in enumerate(types) if mt == t] for t in MODEL_TYPES}
-        summed = np.stack(
-            [posteriors[:, cols].sum(axis=1) for cols in type_cols.values()], axis=1
-        ) if len(posteriors) else np.zeros((0, 4))
-        priors = [float(ensemble.prior_probs[cols].sum()) for cols in type_cols.values()]
-        rows = _tally(summed, list(MODEL_TYPES), priors, group="model_type")
 
-    return RankingTable(
-        rows=tuple(rows),
-        n_evaluated=len(results),
-        n_failed=len(failed),
-        n_skipped_small=n_skipped,
-        failed_ids=tuple(failed),
+def _h1r_ensemble(candidates: CandidatePriorSet) -> ModelEnsemble:
+    return build_standard_ensemble(
+        candidates.delta_priors, candidates.tau_priors, include_types=("random_H1",),
     )
+
+
+def rank_configurations(
+    corpus: Sequence[Comparison], candidates: CandidatePriorSet, **options
+) -> RankingTable:
+    """Rank the free-effect/free-heterogeneity prior configurations.
+
+    Each configuration of the ``random_H1`` ensemble is one ranked group.
+    """
+    ensemble = _h1r_ensemble(candidates)
+    groups = [
+        (name, [i], p) for i, (name, p) in enumerate(zip(ensemble.names, ensemble.prior_probs))
+    ]
+    return _rank_groups(corpus, ensemble, [("configuration", groups)], options)
 
 
 def average_model_types(
-    corpus: Sequence[Comparison],
-    candidates: CandidatePriorSet,
-    **kwargs,
+    corpus: Sequence[Comparison], candidates: CandidatePriorSet, **options
 ) -> RankingTable:
-    """Model-type ranking with posteriors averaged over configurations."""
-    return rank_configurations(corpus, candidates, "four-type", **kwargs)
+    """Rank the four model types, each the sum of its configurations' posteriors."""
+    ensemble = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
+    groups = []
+    for t in MODEL_TYPES:
+        cols = [i for i, m in enumerate(ensemble.members) if m.model.model_type == t]
+        groups.append((t, cols, ensemble.prior_probs[cols].sum()))
+    return _rank_groups(corpus, ensemble, [("model_type", groups)], options)
 
 
 def average_parameter_priors(
-    corpus: Sequence[Comparison],
-    candidates: CandidatePriorSet,
-    *,
-    rel_tol: float = 1e-9,
-    min_studies: int = 3,
-    workers: int = 1,
-    max_failure_fraction: float = 0.01,
+    corpus: Sequence[Comparison], candidates: CandidatePriorSet, **options
 ) -> RankingTable:
     """Per-parameter prior ranking under the free-effect/free-tau model.
 
@@ -272,43 +261,24 @@ def average_parameter_priors(
     its heterogeneity partners (and vice versa), so the table carries two
     partitions: rows grouped as ``"delta"`` and rows grouped as ``"tau"``.
     """
-    ensemble = _ensemble_for(candidates, "h1r-only")
-    results, failed, n_skipped = _evaluate_corpus(
-        corpus, ensemble, rel_tol=rel_tol, min_studies=min_studies,
-        workers=workers, max_failure_fraction=max_failure_fraction,
-    )
+    ensemble = _h1r_ensemble(candidates)
     n_d, n_t = len(candidates.delta_priors), len(candidates.tau_priors)
-    # h1r-only members enumerate delta-major: index = i_delta * n_t + i_tau
-    cube = np.array([r.posterior_probs for _, r in results]).reshape(len(results), n_d, n_t)
-    delta_rows = _tally(
-        cube.sum(axis=2),
-        [str(p) for p in candidates.delta_priors],
-        [1.0 / n_d] * n_d,
-        group="delta",
-    )
-    tau_rows = _tally(
-        cube.sum(axis=1),
-        [str(p) for p in candidates.tau_priors],
-        [1.0 / n_t] * n_t,
-        group="tau",
-    )
-    return RankingTable(
-        rows=tuple(delta_rows + tau_rows),
-        n_evaluated=len(results),
-        n_failed=len(failed),
-        n_skipped_small=n_skipped,
-        failed_ids=tuple(failed),
+    # random_H1 members enumerate delta-major: column = i_delta * n_t + i_tau
+    delta_groups = [
+        (str(p), range(i * n_t, (i + 1) * n_t), 1.0 / n_d)
+        for i, p in enumerate(candidates.delta_priors)
+    ]
+    tau_groups = [
+        (str(p), range(j, n_d * n_t, n_t), 1.0 / n_t)
+        for j, p in enumerate(candidates.tau_priors)
+    ]
+    return _rank_groups(
+        corpus, ensemble, [("delta", delta_groups), ("tau", tau_groups)], options
     )
 
 
 def corpus_inclusion_summary(
-    corpus: Sequence[Comparison],
-    candidates: CandidatePriorSet,
-    *,
-    rel_tol: float = 1e-9,
-    min_studies: int = 3,
-    workers: int = 1,
-    max_failure_fraction: float = 0.01,
+    corpus: Sequence[Comparison], candidates: CandidatePriorSet, **options
 ) -> InclusionSummary:
     """Inclusion Bayes factors for effect and heterogeneity per comparison.
 
@@ -316,26 +286,19 @@ def corpus_inclusion_summary(
     evidence for (BF > 1) and against each inclusion, plus the full
     log-BF lists for external plotting.
     """
-    ensemble = _ensemble_for(candidates, "four-type")
-    results, failed, n_skipped = _evaluate_corpus(
-        corpus, ensemble, rel_tol=rel_tol, min_studies=min_studies,
-        workers=workers, max_failure_fraction=max_failure_fraction,
-    )
-    ids = tuple(c.id for c, _ in results)
+    ensemble = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
+    results, counts = _evaluate_corpus(corpus, ensemble, **options)
     log_eff = tuple(r.incl_log_bf_effect for _, r in results)
     log_het = tuple(r.incl_log_bf_heterogeneity for _, r in results)
     eff_for = sum(1 for v in log_eff if v > 0)
     het_for = sum(1 for v in log_het if v > 0)
     return InclusionSummary(
-        ids=ids,
+        ids=tuple(c.id for c, _ in results),
         log_bf_effect=log_eff,
         log_bf_heterogeneity=log_het,
         effect_evidence_for=eff_for,
         effect_evidence_against=len(results) - eff_for,
         heterogeneity_evidence_for=het_for,
         heterogeneity_evidence_against=len(results) - het_for,
-        n_evaluated=len(results),
-        n_failed=len(failed),
-        n_skipped_small=n_skipped,
-        failed_ids=tuple(failed),
+        **counts,
     )

@@ -224,8 +224,7 @@ def test_criterion_7_pipeline_self_consistency():
         tau = float(config11_tau.sample(rng, 1)[0])
         corpus.append(make_comparison(rng, 20, delta=delta, tau=tau,
                                       se_range=(0.1, 0.4), cid=f"g{i}"))
-    table = bm.rank_configurations(corpus, cand, "h1r-only",
-                                   max_failure_fraction=0.02)
+    table = bm.rank_configurations(corpus, cand, max_failure_fraction=0.02)
     best = max(table.rows, key=lambda r: r.avg_posterior)
     ok = best.label == "random_H1[t(0.0,0.33,3.0);invgamma(1.26,0.24)]"
 

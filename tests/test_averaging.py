@@ -56,8 +56,7 @@ class TestBuildStandardEnsemble:
     def test_flat_restricted_to_h1r(self):
         cand = general_candidate_set()
         ens = build_standard_ensemble(
-            cand.delta_priors, cand.tau_priors, scheme="flat",
-            include_types=("random_H1",),
+            cand.delta_priors, cand.tau_priors, include_types=("random_H1",),
         )
         assert len(ens.members) == 12
         assert all(m.prior_prob == pytest.approx(1.0 / 12.0, abs=1e-15) for m in ens.members)
@@ -66,8 +65,7 @@ class TestBuildStandardEnsemble:
     def test_member_order_is_delta_major(self):
         cand = general_candidate_set()
         ens = build_standard_ensemble(
-            cand.delta_priors, cand.tau_priors, scheme="flat",
-            include_types=("random_H1",),
+            cand.delta_priors, cand.tau_priors, include_types=("random_H1",),
         )
         for i, m in enumerate(ens.members):
             assert m.model.delta_prior == cand.delta_priors[i // 4]
@@ -82,8 +80,6 @@ class TestBuildStandardEnsemble:
     def test_validation(self):
         with pytest.raises(ParameterError):
             build_standard_ensemble([], [IG_POOLED])
-        with pytest.raises(ParameterError):
-            build_standard_ensemble([T_POOLED], [IG_POOLED], scheme="funky")
         with pytest.raises(ParameterError):
             build_standard_ensemble([T_POOLED], [IG_POOLED], type_probs=(1.0, 1.0, 1.0, 1.0))
 

@@ -57,7 +57,7 @@ class TestAnalyze:
         assert report["inclusion"]["effect_bf"] > 1.0
         assert report["estimates"]["averaged_delta"]["mean"] > 0.5
 
-    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    @pytest.mark.parametrize("flag", ["--threads", "--seed", "--scheme"])
     def test_no_op_flags_are_gone(self, five_study_csv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", five_study_csv, flag, "2"])
@@ -151,21 +151,19 @@ class TestAnalyze:
         assert main(["analyze", five_study_csv, "--model-priors", "0.5,0.5"]) == 2
         assert main(["analyze", five_study_csv, "--model-priors", "0.5,0.2,0.2,0.2"]) == 2
 
-    def test_flat_scheme(self, five_study_csv, tmp_path):
-        out = tmp_path / "r.json"
-        assert main(["analyze", five_study_csv, "--scheme", "flat",
-                     "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert [m["prior_prob"] for m in report["models"]] == [0.25] * 4
-        assert main(["analyze", five_study_csv, "--scheme", "flat",
-                     "--model-priors", "0.4,0.2,0.2,0.2"]) == 2
-
     def test_tol_override(self, five_study_csv, tmp_path):
         out = tmp_path / "r.json"
         assert main(["analyze", five_study_csv, "--tol", "1e-6",
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["tol"] == 1e-6
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "1", "-0.5", "inf"])
+    def test_tol_out_of_range_is_usage_error(self, five_study_csv, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", five_study_csv, "--tol", tol])
+        assert exc.value.code == 2
+        assert "argument --tol: must be finite with 0 < tol < 1" in capsys.readouterr().err
 
     def test_sequential(self, tmp_path):
         csv = write(tmp_path / "three.csv", "effect,se\n0.4,0.3\n0.6,0.3\n0.5,0.25\n")
@@ -305,6 +303,22 @@ class TestRank:
         log_bf = dict(zip(summary["ids"], summary["log_bf_heterogeneity"]))
         assert isinstance(log_bf["spread"], float) and log_bf["spread"] > 700
         assert summary["heterogeneity_evidence_for"] >= 1
+
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "0"),
+        ("--tol", "nan"),
+        ("--max-failure-fraction", "-0.1"),
+        ("--max-failure-fraction", "1.5"),
+        ("--threads", "0"),
+    ])
+    def test_numeric_option_out_of_range_is_usage_error(self, cand_json, tmp_path,
+                                                        option, value, capsys):
+        rows = [f"A,{y},0.2" for y in (0.1, 0.3, 0.2)]
+        corpus = write(tmp_path / "c.csv", "comparison_id,effect,se\n" + "\n".join(rows) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", corpus, "--candidates", cand_json, option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be" in capsys.readouterr().err
 
     def test_threads_flag_matches_serial(self, corpus_csv, cand_json, tmp_path):
         a, b = tmp_path / "t1.json", tmp_path / "t2.json"

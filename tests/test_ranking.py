@@ -36,7 +36,7 @@ def candidates():
 class TestRankConfigurations:
     def test_single_comparison_rank_columns(self, candidates, rng):
         corpus = [make_comparison(rng, 4, cid="only")]
-        table = rank_configurations(corpus, candidates, "h1r-only")
+        table = rank_configurations(corpus, candidates)
         assert len(table.rows) == 12
         assert table.n_evaluated == 1
         for col in range(12):
@@ -46,7 +46,7 @@ class TestRankConfigurations:
             assert row.prior_prob == pytest.approx(1.0 / 12.0)
 
     def test_rank_columns_sum_to_evaluated(self, small_corpus, candidates):
-        table = rank_configurations(small_corpus, candidates, "h1r-only")
+        table = rank_configurations(small_corpus, candidates)
         n = table.n_evaluated
         for col in range(12):
             assert sum(r.rank_counts[col] for r in table.rows) == n
@@ -55,13 +55,13 @@ class TestRankConfigurations:
 
     def test_small_comparisons_skipped(self, candidates, rng):
         corpus = [make_comparison(rng, 2, cid="small"), make_comparison(rng, 4, cid="ok")]
-        table = rank_configurations(corpus, candidates, "h1r-only")
+        table = rank_configurations(corpus, candidates)
         assert table.n_skipped_small == 1
         assert table.n_evaluated == 1
 
     def test_corpus_order_invariance(self, small_corpus, candidates):
-        fwd = rank_configurations(small_corpus, candidates, "h1r-only")
-        rev = rank_configurations(list(reversed(small_corpus)), candidates, "h1r-only")
+        fwd = rank_configurations(small_corpus, candidates)
+        rev = rank_configurations(list(reversed(small_corpus)), candidates)
         assert fwd.rows == rev.rows
         assert fwd.n_evaluated == rev.n_evaluated
 
@@ -76,11 +76,6 @@ class TestModelTypes:
         assert sum(r.avg_posterior for r in table.rows) == pytest.approx(1.0, abs=1e-8)
         for col in range(4):
             assert sum(r.rank_counts[col] for r in table.rows) == table.n_evaluated
-
-    def test_matches_rank_configurations_four_type(self, small_corpus, candidates):
-        a = average_model_types(small_corpus, candidates)
-        b = rank_configurations(small_corpus, candidates, "four-type")
-        assert a == b
 
     def test_heterogeneous_large_effects_favor_random_h1(self, candidates):
         rng = np.random.default_rng(616)
@@ -110,6 +105,23 @@ class TestParameterPriors:
             assert sum(r.rank_counts[col] for r in tau_rows) == n
 
 
+class TestModesGroupTheSameColumns:
+    def test_parameter_priors_sum_configuration_rows(self, small_corpus, candidates):
+        configs = rank_configurations(small_corpus, candidates)
+        params = average_parameter_priors(small_corpus, candidates)
+        avg = {r.label: r.avg_posterior for r in configs.rows}
+        for row in params.rows:
+            if row.group == "delta":
+                parts = [v for k, v in avg.items() if k.startswith(f"random_H1[{row.label};")]
+                assert len(parts) == 4
+            else:
+                parts = [v for k, v in avg.items() if k.endswith(f";{row.label}]")]
+                assert len(parts) == 3
+            assert row.avg_posterior == pytest.approx(sum(parts), abs=1e-12)
+        assert params.n_evaluated == configs.n_evaluated
+        assert params.failed_ids == configs.failed_ids
+
+
 class TestParameterPriorSelfConsistency:
     def test_generating_priors_rank_top(self, candidates):
         from bmameta import PriorSpec
@@ -136,8 +148,7 @@ class TestWithinH1rConsistency:
     def test_relative_posteriors_match_across_modes(self, candidates, rng):
         comp = make_comparison(rng, 5, delta=0.5, tau=0.3)
         flat = build_standard_ensemble(
-            candidates.delta_priors, candidates.tau_priors,
-            scheme="flat", include_types=("random_H1",),
+            candidates.delta_priors, candidates.tau_priors, include_types=("random_H1",),
         )
         full = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
         p_flat = evaluate(flat, comp, summaries=False).posterior_probs
@@ -185,11 +196,9 @@ class TestFailureHandling:
         )
         ok = make_comparison(rng, 4, cid="fine")
         with pytest.raises(CorpusEvaluationError):
-            rank_configurations([wild, ok], candidates, "h1r-only",
-                                max_failure_fraction=0.01)
+            rank_configurations([wild, ok], candidates, max_failure_fraction=0.01)
         # a permissive threshold records and continues
-        table = rank_configurations([wild, ok], candidates, "h1r-only",
-                                    max_failure_fraction=0.9)
+        table = rank_configurations([wild, ok], candidates, max_failure_fraction=0.9)
         assert table.n_failed == 1
         assert table.failed_ids == ("wild",)
         assert table.n_evaluated == 1
@@ -204,8 +213,7 @@ class TestFailureHandling:
 
         monkeypatch.setattr(ranking, "evaluate", flaky)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
-            table = rank_configurations(small_corpus, candidates, "h1r-only",
-                                        max_failure_fraction=0.5)
+            table = rank_configurations(small_corpus, candidates, max_failure_fraction=0.5)
         assert table.failed_ids == ("c2",)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert [r.getMessage() for r in warnings] == [
@@ -223,8 +231,7 @@ class TestFailureHandling:
 
         monkeypatch.setattr(ranking, "evaluate", nan_marginal)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
-            table = rank_configurations(small_corpus, candidates, "h1r-only",
-                                        max_failure_fraction=0.5)
+            table = rank_configurations(small_corpus, candidates, max_failure_fraction=0.5)
         assert table.n_failed == 1
         assert table.failed_ids == ("c3",)
         assert table.n_evaluated == len(small_corpus) - 1
@@ -244,12 +251,33 @@ class TestFailureHandling:
         )
         corpus = [make_comparison(rng, 4, cid="fine"), wild]
         with caplog.at_level(logging.WARNING, logger="bmameta"):
-            table = rank_configurations(corpus, candidates, "h1r-only",
-                                        workers=2, max_failure_fraction=0.9)
+            table = rank_configurations(corpus, candidates, workers=2, max_failure_fraction=0.9)
         assert table.failed_ids == ("wild",)
         messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(messages) == 1
         assert messages[0].startswith("comparison wild failed: ConvergenceError: quadrature failed")
+
+    def test_worker_pool_bounded_by_comparisons(self, candidates, rng, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ranking, "ProcessPoolExecutor", RecordingPool)
+        corpus = [make_comparison(rng, 3, cid="a"), make_comparison(rng, 3, cid="b")]
+        table = rank_configurations(corpus, candidates, workers=64)
+        assert sizes == [2]
+        assert table.n_evaluated == 2
 
     def test_worker_pool_matches_serial(self, small_corpus, candidates):
         serial = average_model_types(small_corpus, candidates)

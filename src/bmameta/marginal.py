@@ -23,25 +23,46 @@ delta part once per distinct tau interval (:func:`_distinct_rows`) and
 adds each owner's tau prior density.  :func:`log_marginal` is the
 one-model case of the same routine.
 
-Integration bounds keep all prior mass up to 1e-12 per tail (uniform
-priors use their exact range), so bound truncation stays below the
-quadrature tolerance even when the likelihood is nearly flat.  Interval
-seeds protect against likelihood peaks far narrower than the prior.
-The tau integrals are seeded at the powers of 4 inside the prior's
-bounds and at data scales.  Neither depends on the prior's shape, so the
-owners of one outer integral split their common range at the same
-points and share those intervals; a standalone call integrates over the
-same partition.  At fixed tau the likelihood in delta is exactly
-N(mu(tau), V(tau)) times exp(-c(tau) / 2), with V = 1 / S0 (see
-:func:`bmameta.core.random_stats`).  A normal delta prior is conjugate
-to it, so its delta part is closed:
--(c + log S0 + log(V + s**2) + (mu - m)**2 / (V + s**2)) / 2.  Other
-priors integrate -S0 (delta - mu)**2 / 2 + log g(delta) and add -c / 2
-afterwards, so the integrand does not carry the rounding of c, which
-grows with the data's spread over se.  Every such inner delta integral
-is seeded per owner at mu(tau) + sqrt(V(tau)) * {0, +-1, +-2, +-4, +-8,
-+-16} plus the prior median; the seeds follow the peak as it moves and
-widens with tau.
+At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau))
+times exp(-c(tau) / 2), with V = 1 / S0 (see
+:func:`bmameta.core.random_stats`).  The delta part of each family:
+
+* point: the likelihood itself.
+* normal(m, s): conjugate to that shape, so closed (:func:`_conjugate`):
+  conj(s**2) = -(c + log S0 + log(V + s**2) + (mu - m)**2 / (V + s**2)) / 2.
+* t(m, s, nu) and Cauchy(m, s) (nu = 1): gamma scale mixtures of normals,
+  t_nu(m, s) = integral of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate
+  nu / 2) d lambda, so the delta part is the log integral of
+  exp(conj(s**2 / lambda)) against that gamma density.  It runs over
+  u = log(lambda), seeded at the logs of seven mixing-prior quantiles
+  (:class:`_Mixing`).  The narrow likelihood peak in delta is integrated
+  in closed form, so delta has no bounds and the integrand is smooth in
+  u.  The only cut is in lambda: the lower limit drops at most 1e-16 of
+  the integral for data up to 1e4 prior scales from the prior's
+  location, the upper limit 1e-30 of the mixing prior's mass.  (The
+  grid posterior of delta, :func:`posterior_summary`, still stops at
+  the 1e-12 bounds below.)
+* uniform, halfnormal, gamma and invgamma: quadrature over delta of
+  -S0 (delta - mu)**2 / 2 + log g(delta) between bounds that keep all
+  prior mass up to 1e-12 per tail (uniform priors use their exact
+  range).  Each inner integral is seeded per owner at
+  mu(tau) + sqrt(V(tau)) * {0, +-1, +-2, +-4, +-8, +-16} plus the prior
+  median, so the seeds follow the peak as it moves and widens with tau;
+  owners share no delta intervals, and the delta prior density is
+  computed at every node.
+
+Both integrated forms leave the likelihood's constant -c / 2 out of the
+integrand and add it afterwards, so no node carries the rounding of c,
+which grows with the data's spread over se.  The tau statistics of an
+inner integral are computed once per owner tau and gathered by owner id;
+no inner node meets the study axis.  The prior constants (bounds, median,
+mixing limits and seeds) are computed once per distinct prior.
+
+The tau integrals keep all prior mass up to 1e-12 per tail and are
+seeded at the powers of 4 inside those bounds and at data scales.
+Neither depends on the prior's shape, so the owners of one outer
+integral split their common range at the same points and share those
+intervals; a standalone call integrates over the same partition.
 
 The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
 squares of the variances se**2 + tau**2) and the tau prior density are
@@ -51,12 +72,6 @@ from the same bounds and seeds, so owners evaluate the same intervals
 over and over; those terms are shared across rows (one exact key,
 :func:`_distinct_rows`) and only the O(1) quadratic form in delta is
 formed per (delta, tau) node.
-
-The inner delta integrals work from the other side.  Each has one tau
-per owner, so the tau statistics are computed once per owner and
-gathered by owner id; no delta node meets the study axis.  Owners have
-their own seeds, so they share no delta intervals, and the delta prior
-density is computed at every node.
 """
 
 from __future__ import annotations
@@ -64,9 +79,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import gammainccinv, gammaincinv, gammaln
 
 from .core import Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
@@ -79,6 +96,13 @@ log = logging.getLogger(__name__)
 
 _TAIL = 1e-12
 _LIK_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+# Scale-mixture delta parts: the lower lambda cut drops at most _MIX_TAIL of
+# the integral for data up to _MIX_REACH prior scales from the prior's
+# location; the upper cut drops _MIX_UPPER_TAIL of the mixing prior's mass.
+_MIX_TAIL = 1e-16
+_MIX_REACH = 1e4
+_MIX_UPPER_TAIL = 1e-30
+_MIX_SEED_LEVELS = (1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-6)
 
 
 @dataclass(frozen=True)
@@ -123,6 +147,7 @@ class PosteriorSummary:
     grid_pdf: Optional[np.ndarray] = None
 
 
+@lru_cache(maxsize=1024)
 def _prior_bounds(prior: PriorSpec) -> tuple:
     if prior.is_point:
         v = prior.params[0]
@@ -132,6 +157,46 @@ def _prior_bounds(prior: PriorSpec) -> tuple:
     lo, hi = (float(q) for q in prior.quantile(np.array([_TAIL, 1.0 - _TAIL])))
     slo, shi = prior.support
     return (max(lo, slo), min(hi, shi))
+
+
+@lru_cache(maxsize=1024)
+def _prior_median(prior: PriorSpec) -> float:
+    return float(prior.quantile(0.5))
+
+
+@dataclass(frozen=True)
+class _Mixing:
+    """The gamma mixing prior of a t or Cauchy delta prior, in u = log(lambda).
+
+    t_nu(m, s) = integral of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate
+    nu / 2) d lambda, so with a = nu / 2 the mixing density in u is
+    ``log_norm + a u - a exp(u)``.  ``bounds`` is the u range integrated and
+    ``seeds`` the logs of the mixing prior's quantiles at _MIX_SEED_LEVELS.
+
+    With precise data (V -> 0) whose mu lies D prior scales from the
+    location, the integrand is, up to a constant, the density of
+    u = log(lambda) for lambda ~ Ga(a + 1/2, rate a + D**2 / 2).  The lower
+    cut is that law's _MIX_TAIL quantile at D = _MIX_REACH, so it drops at
+    most _MIX_TAIL of the integral for every D up to _MIX_REACH; less
+    precise data leave less below it.
+    """
+
+    a: float
+    log_norm: float
+    bounds: np.ndarray
+    seeds: np.ndarray
+
+
+@lru_cache(maxsize=1024)
+def _mixing(g: PriorSpec) -> _Mixing:
+    a = 0.5 if g.family == "cauchy" else 0.5 * g.params[2]
+    lo = gammaincinv(a + 0.5, _MIX_TAIL) / (a + 0.5 * _MIX_REACH**2)
+    hi = gammainccinv(a, _MIX_UPPER_TAIL) / a
+    bounds = np.log([lo, hi])
+    # a tiny nu puts the low quantiles at 0, below the cut
+    seeds = np.log(np.clip(gammaincinv(a, np.array(_MIX_SEED_LEVELS)) / a, lo, hi))
+    bounds.flags.writeable = seeds.flags.writeable = False
+    return _Mixing(a, a * math.log(a) - float(gammaln(a)), bounds, seeds)
 
 
 def _weighted_mean_se(comparison: Comparison) -> tuple:
@@ -256,21 +321,60 @@ def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refi
     prior ``g`` at each tau (the likelihood itself at a point delta).
 
     A normal prior is conjugate to the likelihood's N(mu, 1 / S0) shape in
-    delta, so its integral is closed: N(mu; m, 1 / S0 + s**2) times the
-    Gaussian's normalizer.  Other priors integrate by quadrature.
+    delta, so its integral is closed (:func:`_conjugate`).  t and Cauchy
+    priors are gamma scale mixtures of normals, so theirs is a 1-D
+    integral of that closed form (:func:`_mixture_integrals`).  Other
+    priors integrate over delta by quadrature.
     """
     if g.is_point:
         return lambda t: loglik_random(g.params[0], t, comparison)
     if g.family == "normal":
         m, s = g.params
-
-        def conjugate(t):
-            c, mu, s0 = random_stats(t, comparison)
-            v = 1.0 / s0 + s * s
-            return -0.5 * (c + np.log(s0) + np.log(v) + (mu - m) ** 2 / v)
-
-        return conjugate
+        return lambda t: _conjugate(random_stats(t, comparison), m, s * s)
+    if g.family in ("t", "cauchy"):
+        return _mixture_integrals(g, comparison, rel_tol, extra_refine)
     return _delta_integrals(g, comparison, rel_tol, extra_refine)
+
+
+def _conjugate(stats: tuple, m: float, w) -> np.ndarray:
+    """log of the likelihood integrated over a N(m, w) delta prior, from
+    ``stats = (c, mu, S0)``: -(c + log S0 + log(V + w) + (mu - m)**2 / (V + w)) / 2
+    with V = 1 / S0.  The arrays broadcast against ``w``."""
+    c, mu, s0 = stats
+    v = 1.0 / s0 + w
+    return -0.5 * (c + np.log(s0) + np.log(v) + (mu - m) ** 2 / v)
+
+
+def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
+    """``integrals(tau_values)``: the delta part of a t or Cauchy prior
+    ``g`` at each tau, as log of the integral over u = log(lambda) of
+    ``_conjugate`` at prior variance s**2 / lambda times the gamma mixing
+    density (:class:`_Mixing`), in one batched quadrature with one owner
+    per tau.
+
+    The narrow likelihood peak in delta is integrated in closed form, so
+    the integrand is smooth in u, delta has no bounds and no owner needs
+    seeds of its own.  As in :func:`_delta_integrals`, ``-c / 2`` is added
+    after the integral.
+    """
+    m, s = g.params[:2]
+    mix = _mixing(g)
+    a = mix.a
+
+    def integrals(tau_values: np.ndarray) -> np.ndarray:
+        tau_values = np.asarray(tau_values, dtype=float).ravel()
+        c, mu, s0 = random_stats(tau_values, comparison)
+
+        def logf(own, u):
+            lam = np.exp(u)
+            return _conjugate((0.0, mu[own], s0[own]), m, s * s / lam) + (mix.log_norm + a * u - a * lam)
+
+        bounds = np.broadcast_to(mix.bounds, (tau_values.size, 2))
+        return log_quad_batch(
+            logf, bounds, seeds=mix.seeds, rel_tol=rel_tol, extra_refine=extra_refine,
+        ) - 0.5 * c
+
+    return integrals
 
 
 def _delta_integrals(
@@ -285,12 +389,10 @@ def _delta_integrals(
 
     The integrand leaves out the likelihood's delta-free constant
     ``-c / 2``, which is added to each owner's result afterwards: inside
-    the integrand it would put rounding of ulp(c) into every node.  The
-    delta bounds and the prior median are computed here, once, so an
-    outer tau integral does not recompute them in each refinement round.
+    the integrand it would put rounding of ulp(c) into every node.
     """
     lo, hi = _prior_bounds(g)
-    median = float(g.quantile(0.5))
+    median = _prior_median(g)
 
     def integrals(tau_values: np.ndarray) -> np.ndarray:
         tau_values = np.asarray(tau_values, dtype=float).ravel()
@@ -398,6 +500,18 @@ def _log_trapz(log_y: np.ndarray, x: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(vals - m))))
 
 
+@lru_cache(maxsize=1024)
+def _prior_probe(prior: PriorSpec) -> np.ndarray:
+    """41 probe points of a prior: its quantiles from 1e-4 to 1 - 1e-4
+    (a uniform prior's range, evenly)."""
+    if prior.family == "uniform":
+        out = np.linspace(*prior.params, 41)
+    else:
+        out = np.asarray(prior.quantile(np.linspace(1e-4, 1.0 - 1e-4, 41)))
+    out.flags.writeable = False
+    return out
+
+
 def _mass_region(model, comparison, parameter, prior, rel_tol):
     """Bracket the parameter region holding all posterior mass above exp(-40).
 
@@ -407,11 +521,7 @@ def _mass_region(model, comparison, parameter, prior, rel_tol):
     cuts the region short).
     """
     lo, hi = _prior_bounds(prior)
-    levels = np.linspace(1e-4, 1.0 - 1e-4, 41)
-    if prior.family == "uniform":
-        probe = [np.linspace(lo, hi, 41)]
-    else:
-        probe = [np.asarray(prior.quantile(levels))]
+    probe = [_prior_probe(prior)]
     wm, wse = _weighted_mean_se(comparison)
     if parameter == "delta":
         probe.append(wm + wse * np.linspace(-12.0, 12.0, 49))

@@ -129,8 +129,8 @@ def prepare_training(
     """
     if min_studies < 2:
         raise ParameterError("min_studies must be at least 2")
-    if tau_floor < 0:
-        raise ParameterError("tau_floor must be non-negative")
+    if not (0.0 <= tau_floor < math.inf):  # nan fails every comparison
+        raise ParameterError(f"tau_floor must be finite and non-negative, got {tau_floor!r}")
     non_estimable_counts = dict(non_estimable_counts or {})
 
     input_comparisons = len(corpus)

@@ -252,6 +252,13 @@ class TestFitPriors:
         csv = write(tmp_path / "noid.csv", "effect,se\n0.1,0.2\n")
         assert main(["fit-priors", csv]) == 2
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+    def test_tau_floor_out_of_range_is_usage_error(self, corpus_csv, floor, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-priors", corpus_csv, "--tau-floor", floor])
+        assert exc.value.code == 2
+        assert "argument --tau-floor: must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestRank:
     @pytest.fixture

@@ -171,6 +171,9 @@ def _mp_log_prior(mp, prior, x):
         z = (x - loc) / s
         return (mp.loggamma((df + 1) / 2) - mp.loggamma(df / 2) - mp.log(df * mp.pi) / 2
                 - mp.log(s) - (df + 1) / 2 * mp.log(1 + z * z / df))
+    if f == "cauchy":
+        loc, s = p
+        return -mp.log(mp.pi * s) - mp.log(1 + ((x - loc) / s) ** 2)
     if f == "normal":
         m, s = p
         return -((x - m) / s) ** 2 / 2 - mp.log(s) - mp.log(2 * mp.pi) / 2
@@ -192,9 +195,10 @@ def _mp_log_prior(mp, prior, x):
 def _mp_log_inner(mp, y, se, g, tau):
     """log of the integral over delta of likelihood times delta prior at one tau.
 
-    The likelihood is N(mu, 1/S0) in delta times exp(-c/2); every
-    integrand is scaled by its value at the peak, because mpmath's
-    quadrature stops on an absolute error estimate.
+    The likelihood is N(mu, 1/S0) in delta times exp(-c/2).  Normal and
+    Cauchy priors integrate in closed form; for the others every integrand
+    is scaled by its value at the peak, because mpmath's quadrature stops
+    on an absolute error estimate.
     """
     w = [1 / (mp.mpf(s) ** 2 + tau * tau) for s in se]
     s0 = sum(w)
@@ -207,6 +211,10 @@ def _mp_log_inner(mp, y, se, g, tau):
         m, s = (mp.mpf(v) for v in g.params)
         var = sd**2 + s**2
         return -c / 2 + mp.log(mp.sqrt(2 * mp.pi) * sd) - (mu - m) ** 2 / (2 * var) - mp.log(2 * mp.pi * var) / 2
+    if g.family == "cauchy":  # a Voigt profile: Re w(z) with the Faddeeva function w
+        loc, gamma = (mp.mpf(v) for v in g.params)
+        z = (mu - loc + 1j * gamma) / (sd * mp.sqrt(2))
+        return -c / 2 + mp.log(mp.re(mp.exp(-z * z) * mp.erfc(-1j * z)))
     peak = _mp_log_prior(mp, g, mu)
     pts = [mu + sd * k for k in (-40, -12, -4, -1, 0, 1, 4, 12, 40)]
     integral = mp.quad(lambda d: mp.exp(_mp_log_prior(mp, g, d) - peak - s0 * (d - mu) ** 2 / 2), pts)
@@ -260,6 +268,11 @@ class TestMpmathOracle:
         ((0.12, 0.55, -0.2), (0.2,) * 3, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.gamma(1.59, 0.26))),
         ((0.29, 0.30, 0.31), (1e-4,) * 3, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.gamma(1.59, 0.26))),
         (LARGE_Y, LARGE_SE, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.invgamma(1.26, 0.24))),
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1r(PriorSpec.cauchy(0.0, 1.0 / math.sqrt(2.0)), PriorSpec.halfnormal(0.57))),
+        # data 700 prior scales out, beyond the 1e-12 delta quantiles
+        ((300.0, 301.0), (0.1, 0.1), h1f(T_POOLED)),
+        # nu = 1e-3 puts the low mixing quantiles at lambda = 0
+        ((0.3, 0.5), (0.2, 0.2), h1f(PriorSpec.t(0.0, 0.5, 1e-3))),
     ])
     def test_log_marginal_matches_mpmath(self, y, se, model):
         c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
@@ -313,6 +326,55 @@ class TestConjugateDeltaPart:
         closed = marginal._delta_part(g, c, 1e-13)(tau)
         quad = marginal._delta_integrals(g, c, 1e-13)(tau)
         assert np.all(np.abs(closed - quad) <= 1e-12 * np.maximum(1.0, np.abs(quad))), closed - quad
+
+
+class TestScaleMixtureDeltaPart:
+    """t and Cauchy delta priors integrate as gamma scale mixtures of the
+    normal closed form; inside the old delta bounds the mixture must agree
+    with the quadrature over delta, and beyond them it must keep the tail."""
+
+    PRIORS = [T_POOLED, PriorSpec.t(0.0, 0.33, 3.0), PriorSpec.cauchy(0.0, 0.7071),
+              PriorSpec.t(0.2, 0.5, 30.0)]
+
+    @pytest.mark.parametrize("g", PRIORS, ids=str)
+    @pytest.mark.parametrize("k", [1, 3, 60])
+    @pytest.mark.parametrize("se_range", [(0.1, 0.5), (1e-5, 1e-4)])
+    def test_mixture_matches_quadrature_over_delta(self, g, k, se_range, rng):
+        c = make_comparison(rng, k, se_range=se_range)
+        tau = np.array([0.0, 1e-3, 0.1, 1.0, 100.0])
+        mixture = marginal._delta_part(g, c, 1e-13)(tau)
+        quad = marginal._delta_integrals(g, c, 1e-13)(tau)
+        assert np.all(np.abs(mixture - quad) <= 1e-12 * np.maximum(1.0, np.abs(quad))), mixture - quad
+
+    @pytest.mark.parametrize("g", PRIORS, ids=str)
+    def test_data_far_in_the_prior_tail(self, g):
+        # a precise study 1e4 prior scales from the location: the lambda cut
+        # holds this case to 1e-16 of the integral
+        loc, scale = g.params[:2]
+        y, se = (loc + 1e4 * scale,), (1e-3 * scale,)
+        model = h1f(g)
+        got = log_marginal(model, Comparison((Study(y[0], se[0]),)))
+        ref = mp_log_marginal(y, se, model)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
+
+    @pytest.mark.parametrize("g", PRIORS, ids=str)
+    def test_lower_lambda_cut_drops_no_visible_mass(self, g, monkeypatch):
+        # moving the cut 24 orders of magnitude further out changes nothing
+        # from data at the location to data 1e4 prior scales out, for
+        # precise data and for study variances up to 1e8 prior variances
+        loc, scale = g.params[:2]
+        tau = scale * np.array([0.0, 1e-2, 1.0, 1e2, 1e4])
+        for dist in (0.0, 1.0, 30.0, 1e3, 1e4):
+            c = Comparison((Study(loc + dist * scale, 1e-3 * scale),))
+            base = marginal._delta_part(g, c, 1e-12)(tau)
+            monkeypatch.setattr(marginal, "_MIX_TAIL", 1e-40)
+            marginal._mixing.cache_clear()
+            try:
+                wide = marginal._delta_part(g, c, 1e-12)(tau)
+            finally:
+                monkeypatch.undo()
+                marginal._mixing.cache_clear()
+            assert np.all(np.abs(base - wide) <= 1e-14 * np.maximum(1.0, np.abs(wide))), (dist, base - wide)
 
 
 class TestSharedTauPartition:
@@ -533,10 +595,12 @@ class TestDeltaIntegrandAtFixedTau:
             np.testing.assert_allclose(np.sort(seeds[i]), np.sort(want), rtol=0, atol=1e-12)
 
     def test_fixed_tau_marginal_matches_direct_integrand(self, rng, monkeypatch):
+        # a family whose delta part still integrates over delta
+        g = PriorSpec.halfnormal(0.57)
         c = make_comparison(rng, 12)
         tau0 = 0.15
         calls = record_integrand_calls(monkeypatch)
-        log_marginal(ModelSpec("m", T_POOLED, PriorSpec.point(tau0)), c)
+        log_marginal(ModelSpec("m", g, PriorSpec.point(tau0)), c)
         assert calls
         for _own, d, out in calls:
-            assert np.array_equal(out, self.direct(d, tau0, T_POOLED, c))
+            assert np.array_equal(out, self.direct(d, tau0, g, c))

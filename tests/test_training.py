@@ -5,6 +5,7 @@ from bmameta import (
     Comparison,
     DegenerateDataError,
     EmptyTrainingError,
+    ParameterError,
     PriorSpec,
     Study,
     CandidatePriorSet,
@@ -42,6 +43,13 @@ def test_tau_floor_splits_lists(rng):
     assert len(estimates.deltas) == 3
     assert len(estimates.taus) == 1
     assert prov.n_tau_below_floor == 2
+
+
+@pytest.mark.parametrize("floor", [-0.1, float("nan"), float("inf")])
+def test_tau_floor_must_be_finite_and_non_negative(rng, floor):
+    corpus = corpus_with_sizes(rng, [12, 12, 12])
+    with pytest.raises(ParameterError, match="tau_floor"):
+        prepare_training(corpus, min_studies=10, tau_floor=floor)
 
 
 def test_non_estimable_comparisons_dropped(rng):

@@ -30,18 +30,21 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
 * point: the likelihood itself.
 * normal(m, s): conjugate to that shape, so closed (:func:`_conjugate`):
   conj(s**2) = -(c + log S0 + log(V + s**2) + (mu - m)**2 / (V + s**2)) / 2.
-* t(m, s, nu) and Cauchy(m, s) (nu = 1): gamma scale mixtures of normals,
-  t_nu(m, s) = integral of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate
-  nu / 2) d lambda, so the delta part is the log integral of
-  exp(conj(s**2 / lambda)) against that gamma density.  It runs over
-  u = log(lambda), seeded at the logs of seven mixing-prior quantiles
-  (:class:`_Mixing`).  The narrow likelihood peak in delta is integrated
+* Cauchy(m, g): the convolution of a normal with a Cauchy is a Voigt
+  profile, closed in the Faddeeva function w(z) = exp(-z**2) erfc(-i z)
+  (:func:`_voigt`): -c / 2 + log Re w((mu - m + i g) sqrt(S0 / 2)), from
+  ``scipy.special.wofz`` (Poppe & Wijers 1990).  No quadrature, no bounds.
+* t(m, s, nu): a gamma scale mixture of normals, t_nu(m, s) = integral
+  of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate nu / 2) d lambda, so the
+  delta part is the log integral of exp(conj(s**2 / lambda)) against that
+  gamma density.  It runs over u = log(lambda), seeded at the logs of
+  seven mixing-prior quantiles (:class:`_Mixing`), whose log density is
+  written K(nu / 2) - (nu / 2) (expm1(u) - u) so that a large nu cancels
+  no terms of size nu.  The narrow likelihood peak in delta is integrated
   in closed form, so delta has no bounds and the integrand is smooth in
   u.  The only cut is in lambda: the lower limit drops at most 1e-16 of
   the integral for data up to 1e4 prior scales from the prior's
-  location, the upper limit 1e-30 of the mixing prior's mass.  (The
-  grid posterior of delta, :func:`posterior_summary`, still stops at
-  the 1e-12 bounds below.)
+  location, the upper limit 1e-30 of the mixing prior's mass.
 * uniform, halfnormal, gamma and invgamma: quadrature over delta of
   -S0 (delta - mu)**2 / 2 + log g(delta) between bounds that keep all
   prior mass up to 1e-12 per tail (uniform priors use their exact
@@ -51,7 +54,11 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
   owners share no delta intervals, and the delta prior density is
   computed at every node.
 
-Both integrated forms leave the likelihood's constant -c / 2 out of the
+Only this last group has delta bounds in the log marginal; the grid
+posterior of delta (:func:`posterior_summary`) still stops at the 1e-12
+bounds for every family.
+
+The integrated forms leave the likelihood's constant -c / 2 out of the
 integrand and add it afterwards, so no node carries the rounding of c,
 which grows with the data's spread over se.  The tau statistics of an
 inner integral are computed once per owner tau and gathered by owner id;
@@ -59,7 +66,8 @@ no inner node meets the study axis.  The prior constants (bounds, median,
 mixing limits and seeds) are computed once per distinct prior.
 
 The tau integrals keep all prior mass up to 1e-12 per tail and are
-seeded at the powers of 4 inside those bounds and at data scales.
+seeded at the powers of 4 inside those bounds (computed once per prior)
+and at eight data scales (computed once per :func:`log_marginals` call).
 Neither depends on the prior's shape, so the owners of one outer
 integral split their common range at the same points and share those
 intervals; a standalone call integrates over the same partition.
@@ -83,7 +91,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln
+from scipy.special import gammainccinv, gammaincinv, gammaln, wofz
 
 from .core import Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
@@ -166,12 +174,15 @@ def _prior_median(prior: PriorSpec) -> float:
 
 @dataclass(frozen=True)
 class _Mixing:
-    """The gamma mixing prior of a t or Cauchy delta prior, in u = log(lambda).
+    """The gamma mixing prior of a t delta prior, in u = log(lambda).
 
     t_nu(m, s) = integral of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate
-    nu / 2) d lambda, so with a = nu / 2 the mixing density in u is
-    ``log_norm + a u - a exp(u)``.  ``bounds`` is the u range integrated and
-    ``seeds`` the logs of the mixing prior's quantiles at _MIX_SEED_LEVELS.
+    nu / 2) d lambda, so with a = nu / 2 the log mixing density in u is
+    ``log_norm - a (expm1(u) - u)`` with log_norm = K(a) = a log a - a -
+    gammaln(a) (:func:`_log_mixing_norm`).  Written so, no term of size a
+    cancels: the density peaks at u = 0 with value K(a) ~ log(a / 2 pi) / 2.
+    ``bounds`` is the u range integrated and ``seeds`` the logs of the
+    mixing prior's quantiles at _MIX_SEED_LEVELS.
 
     With precise data (V -> 0) whose mu lies D prior scales from the
     location, the integrand is, up to a constant, the density of
@@ -187,16 +198,39 @@ class _Mixing:
     seeds: np.ndarray
 
 
+# K(a) from Stirling's series from this a up: its first omitted term,
+# 1/(156 a**13), is below 1e-15 there.
+_STIRLING_FROM = 10.0
+# B_2n / (2n (2n - 1)), n = 1..6: the coefficients of a**(1 - 2n)
+_STIRLING_COEFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _log_mixing_norm(a: float) -> float:
+    """K(a) = a log a - a - gammaln(a).
+
+    Directly below _STIRLING_FROM; above it from Stirling's series,
+    K(a) = log(a / 2 pi) / 2 - sum_n B_2n / (2n (2n - 1) a**(2n - 1)),
+    since the direct terms each reach ~a log a and cancel to ~log(a) / 2.
+    """
+    if a < _STIRLING_FROM:
+        return a * math.log(a) - a - float(gammaln(a))
+    x = 1.0 / (a * a)
+    series = 0.0
+    for coef in reversed(_STIRLING_COEFS):
+        series = coef + x * series
+    return 0.5 * math.log(a / (2.0 * math.pi)) - series / a
+
+
 @lru_cache(maxsize=1024)
 def _mixing(g: PriorSpec) -> _Mixing:
-    a = 0.5 if g.family == "cauchy" else 0.5 * g.params[2]
+    a = 0.5 * g.params[2]
     lo = gammaincinv(a + 0.5, _MIX_TAIL) / (a + 0.5 * _MIX_REACH**2)
     hi = gammainccinv(a, _MIX_UPPER_TAIL) / a
     bounds = np.log([lo, hi])
     # a tiny nu puts the low quantiles at 0, below the cut
     seeds = np.log(np.clip(gammaincinv(a, np.array(_MIX_SEED_LEVELS)) / a, lo, hi))
     bounds.flags.writeable = seeds.flags.writeable = False
-    return _Mixing(a, a * math.log(a) - float(gammaln(a)), bounds, seeds)
+    return _Mixing(a, _log_mixing_norm(a), bounds, seeds)
 
 
 def _weighted_mean_se(comparison: Comparison) -> tuple:
@@ -216,28 +250,45 @@ def _delta_seeds(median: float, stats: tuple) -> np.ndarray:
     return np.concatenate([np.full((mu.size, 1), median), mu[:, None] + sd * _LIK_OFFSETS], axis=1)
 
 
-def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
-    """Outer tau split points: the powers of 4 inside the prior's bounds
-    (from 1e-12 up) and eight data scales.
-
-    Neither depends on the prior's shape, so tau priors whose bounds
-    overlap split the overlap at the same points, and the owners of one
-    outer integral share those intervals.
-    """
+@lru_cache(maxsize=1024)
+def _tau_lattice(prior: PriorSpec) -> np.ndarray:
+    """The powers of 4 inside the prior's bounds, from 1e-12 up."""
     lo, hi = _prior_bounds(prior)
     lo = max(lo, 1e-12)
     lattice = 4.0 ** np.arange(math.floor(math.log(lo, 4.0)), math.ceil(math.log(hi, 4.0)) + 1)
     lattice = lattice[(lattice >= lo) & (lattice <= hi)]
+    lattice.flags.writeable = False
+    return lattice
+
+
+def _tau_data_scales(comparison: Comparison) -> np.ndarray:
+    """Eight tau split points from the data: 1/4, 1/2 and 1 times the
+    smallest se, 1/2 to 4 times the effects' standard deviation (floored
+    at a quarter of the smallest se), and the effects' largest distance
+    from their median plus the smallest se."""
     y, se = comparison._canonical
     se_min = float(np.min(se))
     sd_y = float(np.std(y)) if comparison.k > 1 else se_min
     spread = float(np.max(np.abs(y - np.median(y)))) if comparison.k > 1 else se_min
     scale = max(sd_y, 0.25 * se_min)
-    data_pts = np.array([
+    return np.array([
         0.25 * se_min, 0.5 * se_min, se_min,
         0.5 * scale, scale, 2.0 * scale, 4.0 * scale, spread + se_min,
     ])
-    return np.concatenate([lattice, data_pts])
+
+
+def _tau_seeds(prior: PriorSpec, comparison: Comparison, scales: Optional[np.ndarray] = None) -> np.ndarray:
+    """Outer tau split points: the powers of 4 inside the prior's bounds
+    (:func:`_tau_lattice`) and eight data scales (``scales``, computed
+    from ``comparison`` when not given).
+
+    Neither depends on the prior's shape, so tau priors whose bounds
+    overlap split the overlap at the same points, and the owners of one
+    outer integral share those intervals.
+    """
+    if scales is None:
+        scales = _tau_data_scales(comparison)
+    return np.concatenate([_tau_lattice(prior), scales])
 
 
 def log_marginal(
@@ -280,9 +331,10 @@ def log_marginals(
         else:
             delta_part = _delta_part(model.delta_prior, comparison, rel_tol, extra_refine)
             out[i] = delta_part(np.array([model.tau_prior.params[0]]))[0]
+    scales = _tau_data_scales(comparison) if groups else None
     for g, idx in groups.items():
         out[idx] = _free_tau_log_marginals(
-            g, [models[i].tau_prior for i in idx], comparison, rel_tol, extra_refine
+            g, [models[i].tau_prior for i in idx], comparison, scales, rel_tol, extra_refine
         )
     nan = np.flatnonzero(np.isnan(out))
     if nan.size:
@@ -290,9 +342,10 @@ def log_marginals(
     return out
 
 
-def _free_tau_log_marginals(g, tau_priors, comparison, rel_tol, extra_refine):
+def _free_tau_log_marginals(g, tau_priors, comparison, scales, rel_tol, extra_refine):
     """Log marginals under delta prior ``g`` and each free tau prior, from one
-    outer ``log_quad_batch`` with one owner per tau prior.
+    outer ``log_quad_batch`` with one owner per tau prior; ``scales`` are the
+    comparison's tau data scales (:func:`_tau_data_scales`).
 
     Owners keep their own bounds and seeds (rows padded with the owner's
     lower bound, which clips to an empty interval), so each total is the
@@ -300,7 +353,7 @@ def _free_tau_log_marginals(g, tau_priors, comparison, rel_tol, extra_refine):
     """
     delta_part = _delta_part(g, comparison, rel_tol * 0.1, extra_refine)
     bounds = np.array([_prior_bounds(h) for h in tau_priors])
-    seeds = [_tau_seeds(h, comparison) for h in tau_priors]
+    seeds = [_tau_seeds(h, comparison, scales) for h in tau_priors]
     width = max(row.size for row in seeds)
     seeds = np.array([np.pad(row, (0, width - row.size), constant_values=lo)
                       for row, lo in zip(seeds, bounds[:, 0])])
@@ -321,17 +374,22 @@ def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refi
     prior ``g`` at each tau (the likelihood itself at a point delta).
 
     A normal prior is conjugate to the likelihood's N(mu, 1 / S0) shape in
-    delta, so its integral is closed (:func:`_conjugate`).  t and Cauchy
-    priors are gamma scale mixtures of normals, so theirs is a 1-D
-    integral of that closed form (:func:`_mixture_integrals`).  Other
-    priors integrate over delta by quadrature.
+    delta, so its integral is closed (:func:`_conjugate`), and so is a
+    Cauchy prior's, a Voigt profile (:func:`_voigt`); both are batched over
+    all tau values and run no quadrature.  t priors are gamma scale
+    mixtures of normals, so theirs is a 1-D integral of the normal closed
+    form (:func:`_mixture_integrals`).  Other priors integrate over delta
+    by quadrature.
     """
     if g.is_point:
         return lambda t: loglik_random(g.params[0], t, comparison)
     if g.family == "normal":
         m, s = g.params
         return lambda t: _conjugate(random_stats(t, comparison), m, s * s)
-    if g.family in ("t", "cauchy"):
+    if g.family == "cauchy":
+        m, gamma = g.params
+        return lambda t: _voigt(random_stats(t, comparison), m, gamma)
+    if g.family == "t":
         return _mixture_integrals(g, comparison, rel_tol, extra_refine)
     return _delta_integrals(g, comparison, rel_tol, extra_refine)
 
@@ -345,12 +403,27 @@ def _conjugate(stats: tuple, m: float, w) -> np.ndarray:
     return -0.5 * (c + np.log(s0) + np.log(v) + (mu - m) ** 2 / v)
 
 
+def _voigt(stats: tuple, m: float, gamma: float) -> np.ndarray:
+    """log of the likelihood integrated over a Cauchy(m, gamma) delta prior,
+    from ``stats = (c, mu, S0)``: -c / 2 + log Re w((mu - m + i gamma) sqrt(S0 / 2)).
+
+    The likelihood is exp(-c / 2) sqrt(2 pi V) N(delta; mu, V), and a normal
+    convolved with a Cauchy is the Voigt profile Re w(z) / sqrt(2 pi V), with
+    w the Faddeeva function.  Re w > 0 for Im z > 0, but it underflows to 0
+    for data ~1e150 prior scales from m; the result is then -inf, without a
+    warning.
+    """
+    c, mu, s0 = stats
+    r = np.sqrt(0.5 * s0)
+    with np.errstate(divide="ignore"):
+        return np.log(wofz((mu - m) * r + 1j * (gamma * r)).real) - 0.5 * c
+
+
 def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
-    """``integrals(tau_values)``: the delta part of a t or Cauchy prior
-    ``g`` at each tau, as log of the integral over u = log(lambda) of
-    ``_conjugate`` at prior variance s**2 / lambda times the gamma mixing
-    density (:class:`_Mixing`), in one batched quadrature with one owner
-    per tau.
+    """``integrals(tau_values)``: the delta part of a t prior ``g`` at each
+    tau, as log of the integral over u = log(lambda) of ``_conjugate`` at
+    prior variance s**2 / lambda times the gamma mixing density
+    (:class:`_Mixing`), in one batched quadrature with one owner per tau.
 
     The narrow likelihood peak in delta is integrated in closed form, so
     the integrand is smooth in u, delta has no bounds and no owner needs
@@ -367,7 +440,7 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
 
         def logf(own, u):
             lam = np.exp(u)
-            return _conjugate((0.0, mu[own], s0[own]), m, s * s / lam) + (mix.log_norm + a * u - a * lam)
+            return _conjugate((0.0, mu[own], s0[own]), m, s * s / lam) + (mix.log_norm - a * (np.expm1(u) - u))
 
         bounds = np.broadcast_to(mix.bounds, (tau_values.size, 2))
         return log_quad_batch(

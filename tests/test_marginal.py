@@ -280,6 +280,17 @@ class TestMpmathOracle:
         got = log_marginal(model, c)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
 
+    @pytest.mark.parametrize("nu", [1e3, 1e5, 1e6, 1e8])
+    def test_t_prior_with_large_nu(self, nu):
+        # a = nu / 2 enters the mixing density only through K(a) and
+        # a * (expm1(u) - u), so no two terms of size a cancel
+        y, se = (0.3, 0.5, 0.1), (0.2,) * 3
+        model = h1f(PriorSpec.t(0.0, 0.5, nu))
+        c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
+        ref = mp_log_marginal(y, se, model)
+        got = log_marginal(model, c)
+        assert abs(got - ref) <= 5e-12, (got, ref)
+
 
 class TestTinyStandardErrors:
     @pytest.mark.parametrize("se", [1e-4, 1e-5, 1e-6])
@@ -329,9 +340,10 @@ class TestConjugateDeltaPart:
 
 
 class TestScaleMixtureDeltaPart:
-    """t and Cauchy delta priors integrate as gamma scale mixtures of the
-    normal closed form; inside the old delta bounds the mixture must agree
-    with the quadrature over delta, and beyond them it must keep the tail."""
+    """t delta priors integrate as gamma scale mixtures of the normal closed
+    form and Cauchy priors as a Voigt profile; inside the old delta bounds
+    both must agree with the quadrature over delta, and beyond them they
+    must keep the tail.  (The lambda cut does not touch a Cauchy prior.)"""
 
     PRIORS = [T_POOLED, PriorSpec.t(0.0, 0.33, 3.0), PriorSpec.cauchy(0.0, 0.7071),
               PriorSpec.t(0.2, 0.5, 30.0)]
@@ -375,6 +387,63 @@ class TestScaleMixtureDeltaPart:
                 monkeypatch.undo()
                 marginal._mixing.cache_clear()
             assert np.all(np.abs(base - wide) <= 1e-14 * np.maximum(1.0, np.abs(wide))), (dist, base - wide)
+
+
+    @pytest.mark.parametrize("a", [0.5, 2.5, 9.99, 10.0, 15.0, 500.0, 5e4, 5e7])
+    def test_mixing_normalizer_matches_mpmath(self, a):
+        # K(a) = a log a - a - gammaln(a), from Stirling's series for a >= 10
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = float(a * mp.log(a) - a - mp.loggamma(a))
+        assert abs(marginal._log_mixing_norm(a) - want) <= 4e-15
+
+
+def _count_quadratures(monkeypatch):
+    """Owner counts of every ``log_quad_batch`` call ``marginal`` makes."""
+    real = marginal.log_quad_batch
+    calls = []
+
+    def counting(log_f, bounds, **kwargs):
+        calls.append(len(bounds))
+        return real(log_f, bounds, **kwargs)
+
+    monkeypatch.setattr(marginal, "log_quad_batch", counting)
+    return calls
+
+
+class TestVoigtDeltaPart:
+    """A Cauchy delta prior's delta part is closed: log Re w(z) of the
+    Faddeeva function, with no quadrature."""
+
+    CAUCHY = PriorSpec.cauchy(0.0, 1.0 / math.sqrt(2.0))
+
+    def test_matches_mpmath_on_extreme_grid(self):
+        mp = pytest.importorskip("mpmath")
+        gamma = self.CAUCHY.params[1]
+        dist = np.logspace(-6.0, 5.0, 12)
+        diff, s0 = (x.ravel() for x in np.meshgrid(np.concatenate([-dist, dist]), np.logspace(-6.0, 12.0, 10)))
+        got = marginal._voigt((np.zeros(diff.size), diff, s0), 0.0, gamma)
+        with mp.workdps(50):
+            for d, s, value in zip(diff, s0, got):
+                z = mp.mpc(d, gamma) * mp.sqrt(mp.mpf(s) / 2)
+                want = mp.log(mp.re(mp.exp(-z * z) * mp.erfc(-1j * z)))
+                assert abs(value - float(want)) <= 1e-13, (d, s, value, want)
+
+    def test_underflow_is_neg_inf_without_warning(self):
+        # Re w(z) ~ Im z / (sqrt(pi) |z|**2) underflows to 0 here; the suite
+        # turns the RuntimeWarning of log(0) into an error
+        got = marginal._voigt((np.zeros(2), np.array([1e200, 0.3]), np.array([2.0, 25.0])), 0.0, 1.0)
+        assert got[0] == -np.inf and np.isfinite(got[1])
+
+    def test_fixed_h1_runs_no_quadrature(self, rng, monkeypatch):
+        calls = _count_quadratures(monkeypatch)
+        assert math.isfinite(log_marginal(h1f(self.CAUCHY), make_comparison(rng, 5)))
+        assert calls == []
+
+    def test_random_h1_runs_only_the_outer_tau_integral(self, rng, monkeypatch):
+        calls = _count_quadratures(monkeypatch)
+        assert math.isfinite(log_marginal(h1r(self.CAUCHY, IG_POOLED), make_comparison(rng, 5)))
+        assert calls == [1]
 
 
 class TestSharedTauPartition:

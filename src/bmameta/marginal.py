@@ -44,7 +44,10 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
   in closed form, so delta has no bounds and the integrand is smooth in
   u.  The only cut is in lambda: the lower limit drops at most 1e-16 of
   the integral for data up to 1e4 prior scales from the prior's
-  location, the upper limit 1e-30 of the mixing prior's mass.
+  location, the upper limit 1e-30 of the mixing prior's mass.  Every
+  tau has the same u range and seeds, so the tau values share one u
+  partition (:func:`bmameta.quadrature.log_quad_shared`); in the outer
+  tau integral each tau interval refines its own.
 * uniform, halfnormal, gamma and invgamma: quadrature over delta of
   -S0 (delta - mu)**2 / 2 + log g(delta) between bounds that keep all
   prior mass up to 1e-12 per tail (uniform priors use their exact
@@ -61,9 +64,10 @@ bounds for every family.
 The integrated forms leave the likelihood's constant -c / 2 out of the
 integrand and add it afterwards, so no node carries the rounding of c,
 which grows with the data's spread over se.  The tau statistics of an
-inner integral are computed once per owner tau and gathered by owner id;
-no inner node meets the study axis.  The prior constants (bounds, median,
-mixing limits and seeds) are computed once per distinct prior.
+inner integral are computed once per owner tau and broadcast or gathered
+to the nodes; no inner node meets the study axis.  The prior constants
+(bounds, median, mixing limits and seeds) are computed once per distinct
+prior.
 
 The tau integrals keep all prior mass up to 1e-12 per tail and are
 seeded at the powers of 4 inside those bounds (computed once per prior)
@@ -74,12 +78,13 @@ intervals; a standalone call integrates over the same partition.
 
 The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
 squares of the variances se**2 + tau**2) and the tau prior density are
-computed once per distinct tau interval.  In the tau part at a free tau
-(the delta-posterior pass) every delta owner starts its tau integral
-from the same bounds and seeds, so owners evaluate the same intervals
-over and over; those terms are shared across rows (one exact key,
-:func:`_distinct_rows`) and only the O(1) quadratic form in delta is
-formed per (delta, tau) node.
+computed once per tau node.  In the tau part at a free tau (the
+delta-posterior pass) every delta value has the same tau range and
+seeds, so all of them are owners of one shared partition
+(:func:`bmameta.quadrature.log_quad_shared`): an interval is evaluated
+once for all owners, the tau-only terms of its nodes are broadcast
+against every delta, and only the O(1) quadratic form in delta is formed
+per (delta, tau) cell.
 """
 
 from __future__ import annotations
@@ -91,12 +96,12 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln, wofz
+from scipy.special import gammainccinv, gammaincinv, wofz
 
 from .core import Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
-from .priors import PriorSpec
-from .quadrature import log_quad_batch
+from .priors import PriorSpec, _gammaln_k
+from .quadrature import log_quad_batch, log_quad_shared
 
 __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
 
@@ -179,8 +184,9 @@ class _Mixing:
     t_nu(m, s) = integral of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate
     nu / 2) d lambda, so with a = nu / 2 the log mixing density in u is
     ``log_norm - a (expm1(u) - u)`` with log_norm = K(a) = a log a - a -
-    gammaln(a) (:func:`_log_mixing_norm`).  Written so, no term of size a
-    cancels: the density peaks at u = 0 with value K(a) ~ log(a / 2 pi) / 2.
+    gammaln(a) (:func:`bmameta.priors._gammaln_k`).  Written so, no term of
+    size a cancels: the density peaks at u = 0 with value K(a) ~
+    log(a / 2 pi) / 2.
     ``bounds`` is the u range integrated and ``seeds`` the logs of the
     mixing prior's quantiles at _MIX_SEED_LEVELS.
 
@@ -198,29 +204,6 @@ class _Mixing:
     seeds: np.ndarray
 
 
-# K(a) from Stirling's series from this a up: its first omitted term,
-# 1/(156 a**13), is below 1e-15 there.
-_STIRLING_FROM = 10.0
-# B_2n / (2n (2n - 1)), n = 1..6: the coefficients of a**(1 - 2n)
-_STIRLING_COEFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-
-
-def _log_mixing_norm(a: float) -> float:
-    """K(a) = a log a - a - gammaln(a).
-
-    Directly below _STIRLING_FROM; above it from Stirling's series,
-    K(a) = log(a / 2 pi) / 2 - sum_n B_2n / (2n (2n - 1) a**(2n - 1)),
-    since the direct terms each reach ~a log a and cancel to ~log(a) / 2.
-    """
-    if a < _STIRLING_FROM:
-        return a * math.log(a) - a - float(gammaln(a))
-    x = 1.0 / (a * a)
-    series = 0.0
-    for coef in reversed(_STIRLING_COEFS):
-        series = coef + x * series
-    return 0.5 * math.log(a / (2.0 * math.pi)) - series / a
-
-
 @lru_cache(maxsize=1024)
 def _mixing(g: PriorSpec) -> _Mixing:
     a = 0.5 * g.params[2]
@@ -230,7 +213,7 @@ def _mixing(g: PriorSpec) -> _Mixing:
     # a tiny nu puts the low quantiles at 0, below the cut
     seeds = np.log(np.clip(gammaincinv(a, np.array(_MIX_SEED_LEVELS)) / a, lo, hi))
     bounds.flags.writeable = seeds.flags.writeable = False
-    return _Mixing(a, _log_mixing_norm(a), bounds, seeds)
+    return _Mixing(a, _gammaln_k(a), bounds, seeds)
 
 
 def _weighted_mean_se(comparison: Comparison) -> tuple:
@@ -423,29 +406,36 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
     """``integrals(tau_values)``: the delta part of a t prior ``g`` at each
     tau, as log of the integral over u = log(lambda) of ``_conjugate`` at
     prior variance s**2 / lambda times the gamma mixing density
-    (:class:`_Mixing`), in one batched quadrature with one owner per tau.
+    (:class:`_Mixing`).
 
-    The narrow likelihood peak in delta is integrated in closed form, so
-    the integrand is smooth in u, delta has no bounds and no owner needs
-    seeds of its own.  As in :func:`_delta_integrals`, ``-c / 2`` is added
-    after the integral.
+    Every tau has the same u range and seeds, so the tau values are the
+    owners of one :func:`log_quad_shared` call and share its partition.
+    The rows of a 2-D ``tau_values`` each refine a partition of their own:
+    a row's results then do not depend on the other rows, so a tau
+    interval of an outer integral gets the same bits in any batch.  The
+    narrow likelihood peak in delta is integrated in closed form, so the
+    integrand is smooth in u and delta has no bounds.  As in
+    :func:`_delta_integrals`, ``-c / 2`` is added after the integral.
     """
     m, s = g.params[:2]
     mix = _mixing(g)
     a = mix.a
 
     def integrals(tau_values: np.ndarray) -> np.ndarray:
-        tau_values = np.asarray(tau_values, dtype=float).ravel()
-        c, mu, s0 = random_stats(tau_values, comparison)
+        tau_values = np.asarray(tau_values, dtype=float)
+        rows = np.atleast_2d(tau_values)
+        c, mu, s0 = random_stats(rows, comparison)
 
-        def logf(own, u):
-            lam = np.exp(u)
-            return _conjugate((0.0, mu[own], s0[own]), m, s * s / lam) + (mix.log_norm - a * (np.expm1(u) - u))
+        def logf(grp, u):
+            lam = np.exp(u)[..., None]
+            row = grp[:, 0]
+            conj = _conjugate((0.0, mu[row, None], s0[row, None]), m, s * s / lam)
+            return conj + (mix.log_norm - a * (np.expm1(u) - u))[..., None]
 
-        bounds = np.broadcast_to(mix.bounds, (tau_values.size, 2))
-        return log_quad_batch(
-            logf, bounds, seeds=mix.seeds, rel_tol=rel_tol, extra_refine=extra_refine,
-        ) - 0.5 * c
+        return (log_quad_shared(
+            logf, mix.bounds, rows.shape[1], n_groups=rows.shape[0], seeds=mix.seeds,
+            rel_tol=rel_tol, extra_refine=extra_refine,
+        ) - 0.5 * c).reshape(tau_values.shape)
 
     return integrals
 
@@ -487,21 +477,22 @@ def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
     """``f(delta_values)``: the log of the likelihood integrated over the tau
     prior ``h`` at each delta (the likelihood itself at a point tau).
 
-    A free tau runs one batched quadrature with one owner per delta,
-    sharing the tau-only terms across owners
-    (:func:`_log_joint_at_tau_nodes`).
+    A free tau runs one :func:`log_quad_shared` call with one owner per
+    delta: every owner has the same tau range and seeds, so they share
+    one partition, and the integrand computes the tau-only terms once per
+    node and broadcasts them against all delta values.
     """
     if h.is_point:
         return lambda d: loglik_random(d, h.params[0], comparison)
-    lo, hi = _prior_bounds(h)
+    bounds = _prior_bounds(h)
     seeds = _tau_seeds(h, comparison)
 
     def integrals(delta_values: np.ndarray) -> np.ndarray:
-        def logf(own, t):
-            return _log_joint_at_tau_nodes(delta_values[own], t, h, comparison)
+        def logf(_grp, t):
+            stats = tuple(v[..., None] for v in random_stats(t, comparison))
+            return loglik_from_stats(stats, delta_values) + h.log_pdf(t)[..., None]
 
-        bounds = np.broadcast_to(np.array([lo, hi]), (delta_values.size, 2))
-        return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)
+        return log_quad_shared(logf, bounds, delta_values.size, seeds=seeds, rel_tol=rel_tol)[0]
 
     return integrals
 
@@ -517,19 +508,6 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
     if parameter == "delta":
         return _tau_part(model.tau_prior, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
     return _delta_part(model.delta_prior, comparison, rel_tol * 0.1)(xs) + model.tau_prior.log_pdf(xs)
-
-
-def _log_joint_at_tau_nodes(delta, t, h: PriorSpec, comparison: Comparison) -> np.ndarray:
-    """``loglik_random(delta, t) + h.log_pdf(t)`` with one ``delta`` per row.
-
-    The tau-only terms are computed once per distinct row of ``t`` (see
-    :func:`_distinct_rows`) and gathered; the arithmetic is that of
-    :func:`loglik_random`, so the result is bit-identical to it.
-    """
-    first, inverse = _distinct_rows(t)
-    nodes = t[first]
-    stats = tuple(s[inverse] for s in random_stats(nodes, comparison))
-    return loglik_from_stats(stats, delta) + h.log_pdf(nodes)[inverse]
 
 
 def _log_joint_at_delta_nodes(d, own, stats: tuple, g: PriorSpec) -> np.ndarray:

@@ -389,15 +389,6 @@ class TestScaleMixtureDeltaPart:
             assert np.all(np.abs(base - wide) <= 1e-14 * np.maximum(1.0, np.abs(wide))), (dist, base - wide)
 
 
-    @pytest.mark.parametrize("a", [0.5, 2.5, 9.99, 10.0, 15.0, 500.0, 5e4, 5e7])
-    def test_mixing_normalizer_matches_mpmath(self, a):
-        # K(a) = a log a - a - gammaln(a), from Stirling's series for a >= 10
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            want = float(a * mp.log(a) - a - mp.loggamma(a))
-        assert abs(marginal._log_mixing_norm(a) - want) <= 4e-15
-
-
 def _count_quadratures(monkeypatch):
     """Owner counts of every ``log_quad_batch`` call ``marginal`` makes."""
     real = marginal.log_quad_batch
@@ -478,6 +469,30 @@ class TestSharedTauPartition:
         monkeypatch.setattr(marginal, "log_quad_batch", real)
         for model, value in zip(models, got):
             assert value == log_marginal(model, c), model.name
+
+    @pytest.mark.parametrize("seed", [27, 35, 37, 54])
+    def test_grouped_log_marginals_match_standalone_bitwise(self, seed):
+        # comparisons on which the log-MLs of a group differ in the last bit
+        # from standalone ones when the rule sums are a matrix product (27,
+        # 35) or when all tau values share one lambda partition (37, 54)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 30))
+        c = make_comparison(rng, k, delta=float(rng.normal(0, 0.5)), tau=float(rng.uniform(0, 0.5)),
+                            se_range=(0.05, 0.4))
+        cands = general_candidate_set()
+        for g in [T_POOLED] + [p for p in cands.delta_priors if p.family == "t"]:
+            models = [h1r(g, h) for h in cands.tau_priors]
+            for model, value in zip(models, marginal.log_marginals(models, c)):
+                assert value == log_marginal(model, c), (g, model.tau_prior)
+
+    def test_distinct_rows_keep_rows_with_shared_endpoints_apart(self):
+        t = np.tile(np.linspace(0.1, 0.9, 15), (4, 1))
+        t[1, 7] = 0.55  # same first and last node as row 0, different interior
+        first, inverse = marginal._distinct_rows(t)
+        assert np.array_equal(t[first][inverse], t)
+        assert first.size == 4
+        first, inverse = marginal._distinct_rows(t[[0, 2, 3]])
+        assert first.size == 1 and np.array_equal(inverse, [0, 0, 0])
 
 
 class TestPosteriorSummary:
@@ -574,36 +589,36 @@ def record_integrand_calls(monkeypatch) -> list:
 
 
 class TestDeltaPosteriorIntegrand:
-    """The tau-inner integrand of the delta posterior shares tau-only terms
-    between rows; it must still equal the direct likelihood bit for bit."""
-
-    @staticmethod
-    def direct(delta, t, h, c):
-        return loglik_random(delta, t, c) + h.log_pdf(t)
+    """The tau-inner integrand of the delta posterior is dense: every delta
+    owner shares one tau partition, and each node's tau-only terms are
+    broadcast against all delta values.  It must still equal the direct
+    likelihood plus the tau prior bit for bit."""
 
     @pytest.mark.parametrize("k", [3, 12])
-    def test_matches_direct_likelihood_row_by_row(self, k, rng, monkeypatch):
+    def test_dense_integrand_matches_direct_likelihood(self, k, rng, monkeypatch):
         c = make_comparison(rng, k)
-        xs = np.linspace(-6.0, 6.0, 41)  # owners far from the data refine differently
-        calls = record_integrand_calls(monkeypatch)
+        xs = np.linspace(-6.0, 6.0, 41)
+        real = marginal.log_quad_shared
+        calls = []
+
+        def recording(log_f, bounds, n_owners, **kwargs):
+            def log_f_recorded(grp, t):
+                out = log_f(grp, t)
+                calls.append((t, out))
+                return out
+
+            assert n_owners == xs.size
+            return real(log_f_recorded, bounds, n_owners, **kwargs)
+
+        monkeypatch.setattr(marginal, "log_quad_shared", recording)
         marginal._log_posterior_on(h1r(T_POOLED, IG_POOLED), c, "delta", xs, 1e-9)
 
-        diverged = False
-        for own, t, out in calls:
-            owners_per_interval = np.unique(t, axis=0, return_counts=True)[1]
-            diverged |= bool(owners_per_interval.min() < xs.size)
+        assert len(calls) >= 2, "the partition must be refined at least once"
+        for t, out in calls:
+            assert out.shape == t.shape + (xs.size,)
             for r in range(t.shape[0]):
-                want = self.direct(xs[own[r, 0]], t[r], IG_POOLED, c)
-                assert np.array_equal(out[r], want), (own[r, 0], t[r])
-        assert diverged, "every owner kept the same partition; the case tests nothing"
-
-    def test_rows_with_shared_endpoints_kept_apart(self, rng):
-        c = make_comparison(rng, 5)
-        t = np.tile(np.linspace(0.1, 0.9, 15), (3, 1))
-        t[1, 7] = 0.55  # same first and last node as row 0, different interior
-        delta = np.array([[0.1], [0.2], [0.3]])
-        got = marginal._log_joint_at_tau_nodes(delta, t, IG_POOLED, c)
-        assert np.array_equal(got, self.direct(delta, t, IG_POOLED, c))
+                want = loglik_random(xs[:, None], t[r], c) + IG_POOLED.log_pdf(t[r])
+                assert np.array_equal(out[r], want.T), t[r]
 
 
 class TestDeltaIntegrandAtFixedTau:

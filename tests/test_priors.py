@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from bmameta import priors
 from bmameta import (
     DegenerateDataError,
     DomainError,
@@ -81,6 +82,38 @@ class TestLogPdf:
         assert np.array_equal(spec.cdf(xs), ref.cdf(xs))
         assert spec.quantile(0.3) == ref.ppf(0.3)
         assert spec.cdf(float(xs[5])) == ref.cdf(float(xs[5]))
+
+    @pytest.mark.parametrize("a", [0.5, 2.5, 9.99, 10.0, 15.0, 500.0, 5e4, 5e7])
+    def test_gammaln_k_matches_mpmath(self, a):
+        # K(a) = a log a - a - gammaln(a), from Stirling's series for a >= 10
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = float(a * mp.log(a) - a - mp.loggamma(a))
+        assert abs(priors._gammaln_k(a) - want) <= 4e-15
+
+    @pytest.mark.parametrize("nu", [1e3, 1e5, 1e6, 1e8])
+    def test_t_density_at_large_nu_matches_mpmath(self, nu):
+        # gammaln((nu + 1) / 2) - gammaln(nu / 2) formed directly is off by
+        # 3.8e-11 at nu = 1e5 and 1.0e-8 at nu = 1e8
+        mp = pytest.importorskip("mpmath")
+        loc, scale = 0.1, 0.5
+        xs = np.array([-3.0, 0.1, 0.4, 2.5])
+        got = PriorSpec.t(loc, scale, nu).log_pdf(xs)
+        with mp.workdps(40):
+            n, s = mp.mpf(nu), mp.mpf(scale)
+            const = mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - mp.log(n * mp.pi) / 2 - mp.log(s)
+            want = [float(const - (n + 1) / 2 * mp.log1p(((mp.mpf(x) - mp.mpf(loc)) / s) ** 2 / n))
+                    for x in xs]
+        assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want))), got - want
+
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 5.0, 19.0])
+    def test_t_density_below_the_series_keeps_the_direct_form(self, nu):
+        from scipy.special import gammaln
+
+        spec = PriorSpec.t(0.0, 0.43, nu)
+        xs = np.linspace(-2.0, 2.0, 9)
+        const = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi) - math.log(0.43)
+        assert np.array_equal(spec.log_pdf(xs), const - 0.5 * (nu + 1.0) * np.log1p((xs / 0.43) ** 2 / nu))
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bmameta import ConvergenceError, log_quad, log_quad_batch
+from bmameta import ConvergenceError, log_quad, log_quad_batch, log_quad_shared
+from bmameta import quadrature
 from bmameta.quadrature import _segment_logsumexp
 
 
@@ -76,6 +77,25 @@ def test_per_owner_seeds_match_single_owner_calls_bitwise():
             )
             assert got[i] == alone[0], (i, extra_refine)
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
+
+
+def test_batch_bits_do_not_depend_on_the_other_owners():
+    # many owners whose intervals sit at every place in the batch's arrays:
+    # an owner's bits must match a call of its own
+    rng = np.random.default_rng(3)
+    mus = rng.uniform(-2.0, 2.0, 40)
+    sds = np.exp(rng.uniform(np.log(1e-3), 0.0, 40))
+    seeds = mus[:, None] + sds[:, None] * np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
+    bounds = np.tile([-10.0, 10.0], (mus.size, 1))
+
+    def logf(own, x):
+        return -0.5 * ((x - mus[own]) / sds[own]) ** 2 - np.log(sds[own] * math.sqrt(2 * math.pi))
+
+    got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10)
+    for i in range(mus.size):
+        alone = log_quad_batch(lambda own, x: logf(np.full_like(own, i), x), bounds[i:i + 1],
+                               seeds=seeds[i], rel_tol=1e-10)
+        assert got[i] == alone[0], i
 
 
 def _peak_and_flat_owners():
@@ -206,3 +226,144 @@ def test_segment_logsumexp_matches_scatter_reference():
     assert np.array_equal(got, want)
     assert np.all(got[3::7] == -np.inf) and np.all(got[1::5] == -np.inf)
     assert np.count_nonzero(np.isfinite(got)) > n_owners // 2
+
+
+# --------------------------------------------------------------------------
+# log_quad_shared: owners with one range, one set of seeds, one partition
+# --------------------------------------------------------------------------
+
+SHARED_BOUNDS = (-10.0, 10.0)
+SHARED_SEEDS = np.array([-3.1, -1.0, 0.0, 0.2, 1.0, 4.7])
+
+
+def _shared_owners():
+    """log densities of different shapes on [-10, 10], as functions of x:
+    normal peaks of different widths and places, a heavy-tailed t, a flat
+    density and a one-sided exponential."""
+    def normal(m, s):
+        return lambda x: -0.5 * ((x - m) / s) ** 2 - math.log(s * math.sqrt(2 * math.pi))
+
+    def exponential(x):
+        with np.errstate(invalid="ignore"):
+            return np.where(x >= 0.0, -2.0 * np.abs(x) + math.log(2.0), -np.inf)
+
+    return [
+        normal(-3.1, 0.05), normal(0.2, 1.0), normal(4.7, 0.3),
+        lambda x: -np.log1p(x * x) - math.log(math.pi),
+        lambda x: np.full_like(x, -math.log(20.0)),
+        exponential,
+    ]
+
+
+def _stack(owners):
+    return lambda _grp, x: np.stack([f(x) for f in owners], axis=-1)
+
+
+def test_shared_partition_matches_single_owner_calls():
+    owners = _shared_owners()
+    for extra_refine in (0, 1):
+        got = log_quad_shared(_stack(owners), SHARED_BOUNDS, len(owners), seeds=SHARED_SEEDS,
+                              rel_tol=1e-10, extra_refine=extra_refine)
+        assert got.shape == (1, len(owners))
+        for j, f in enumerate(owners):
+            alone = log_quad_batch(lambda _own, x: f(x), [SHARED_BOUNDS], seeds=SHARED_SEEDS,
+                                   rel_tol=1e-10, extra_refine=extra_refine)
+            assert abs(got[0, j] - alone[0]) <= 1e-13, (j, extra_refine, got[0, j] - alone[0])
+
+
+def test_shared_converged_owner_is_frozen():
+    # the flat owner converges on the initial partition and keeps that
+    # total while the peak owner refines the partition around it
+    mu, sd = 0.3, 1e-6
+    seeds = mu + sd * np.array([-8.0, 0.0, 8.0])
+
+    def logf(_grp, x):
+        z = (x - mu) / sd
+        return np.stack([-0.5 * z * z - math.log(sd * math.sqrt(2 * math.pi)), np.full_like(x, -math.log(2.0))],
+                        axis=-1)
+
+    got = log_quad_shared(logf, (-1.0, 1.0), 2, seeds=seeds, rel_tol=1e-10)
+    alone = log_quad_shared(lambda grp, x: logf(grp, x)[..., 1:], (-1.0, 1.0), 1, seeds=seeds, rel_tol=1e-10)
+    assert got[0, 1] == alone[0, 0]
+    np.testing.assert_allclose(got[0], 0.0, atol=1e-9)
+
+
+def test_shared_owner_vanishing_everywhere():
+    owners = _shared_owners()[:2] + [lambda x: np.full_like(x, -np.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_quad_shared(_stack(owners), SHARED_BOUNDS, 3, seeds=SHARED_SEEDS, rel_tol=1e-10)
+    assert got[0, 2] == -np.inf
+    np.testing.assert_allclose(got[0, :2], 0.0, atol=1e-9)
+
+
+def test_shared_extra_refine_stability():
+    owners = _shared_owners()
+    base = log_quad_shared(_stack(owners), SHARED_BOUNDS, len(owners), seeds=SHARED_SEEDS)
+    refined = log_quad_shared(_stack(owners), SHARED_BOUNDS, len(owners), seeds=SHARED_SEEDS,
+                              extra_refine=2)
+    assert np.all(np.abs(base - refined) < 1e-9)
+
+
+def test_groups_do_not_depend_on_each_other_bitwise():
+    # group g integrates normals centred at centres[g] with two widths; each
+    # group's results must equal a call of its own, bit for bit
+    centres = np.array([-3.1, 0.2, 4.7, 0.21])
+    widths = np.array([0.01, 0.5])
+
+    def logf(grp, x):
+        z = (x[..., None] - centres[grp][..., None]) / widths
+        return -0.5 * z * z - np.log(widths * math.sqrt(2 * math.pi))
+
+    for extra_refine in (0, 1):
+        got = log_quad_shared(logf, SHARED_BOUNDS, 2, n_groups=centres.size, seeds=SHARED_SEEDS,
+                              rel_tol=1e-10, extra_refine=extra_refine)
+        for g in range(centres.size):
+            alone = log_quad_shared(lambda grp, x: logf(np.full_like(grp, g), x), SHARED_BOUNDS, 2,
+                                    seeds=SHARED_SEEDS, rel_tol=1e-10, extra_refine=extra_refine)
+            assert np.array_equal(got[g], alone[0]), (g, extra_refine)
+    np.testing.assert_allclose(got, 0.0, atol=1e-9)
+
+
+def test_shared_bracket_names_the_worst_active_owner():
+    # owner 0 vanishes, owner 1 converges at once, owner 2 never settles
+    def logf(_grp, x):
+        rough = np.log(1.5 + np.sin(1.0 / np.maximum(np.abs(x), 1e-12)))
+        return np.stack([np.full_like(x, -np.inf), np.zeros_like(x), rough], axis=-1)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="worst owner 2 of group 0") as err:
+            log_quad_shared(logf, (-1.0, 1.0), 3, rel_tol=1e-13)
+    total, err_bound = err.value.bracket
+    assert math.isfinite(total) and err_bound > total + math.log(1e-13)
+
+
+def test_shared_cell_cap_raises_before_evaluating(monkeypatch):
+    def refuse(_grp, x):
+        raise AssertionError("the integrand must not run")
+
+    with pytest.raises(ConvergenceError, match="cap"):
+        log_quad_shared(refuse, SHARED_BOUNDS, 10**9, seeds=SHARED_SEEDS)
+
+    # a narrow peak that needs many rounds: no evaluation passes the cap
+    mu, sd = 0.3, 1e-6
+    evaluated = []
+
+    def peak(_grp, x):
+        evaluated.append(x.shape[0] * 4)
+        z = (x - mu) / sd
+        return np.repeat((-0.5 * z * z)[..., None], 4, axis=-1)
+
+    seeds = mu + sd * np.array([-8.0, 0.0, 8.0])
+    def stored():  # a split keeps both children in place of their parent
+        return evaluated[0] + sum(evaluated[1:]) // 2
+
+    log_quad_shared(peak, (-1.0, 1.0), 4, seeds=seeds, rel_tol=1e-10)
+    assert len(evaluated) >= 4
+    cap = stored() // 2
+    evaluated.clear()
+    monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
+    with pytest.raises(ConvergenceError, match="within"):
+        log_quad_shared(peak, (-1.0, 1.0), 4, seeds=seeds, rel_tol=1e-10)
+    assert stored() <= cap

@@ -48,16 +48,12 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
   tau has the same u range and seeds, so the tau values share one u
   partition (:func:`bmameta.quadrature.log_quad_shared`); in the outer
   tau integral each tau interval refines its own.
-* uniform, halfnormal, gamma and invgamma: quadrature over delta of
-  -S0 (delta - mu)**2 / 2 + log g(delta) between bounds that keep all
-  prior mass up to 1e-12 per tail (uniform priors use their exact
-  range).  Each inner integral is seeded per owner at
-  mu(tau) + sqrt(V(tau)) * {0, +-1, +-2, +-4, +-8, +-16} plus the prior
-  median, so the seeds follow the peak as it moves and widens with tau;
-  owners share no delta intervals, and the delta prior density is
-  computed at every node.
+* uniform(a, b) and halfnormal(s): the likelihood's normal shape cut to
+  an interval, closed (:func:`_uniform`, :func:`_halfnormal`) in a log
+  difference of normal CDFs formed away from mu (:func:`_log_ndtr_diff`).
 
-Only this last group has delta bounds in the log marginal; the grid
+No delta part cuts the delta range or refines a quadrature over delta;
+:class:`ModelSpec` rejects gamma and invgamma delta priors.  The grid
 posterior of delta (:func:`posterior_summary`) still stops at the 1e-12
 bounds for every family.
 
@@ -66,8 +62,7 @@ integrand and add it afterwards, so no node carries the rounding of c,
 which grows with the data's spread over se.  The tau statistics of an
 inner integral are computed once per owner tau and broadcast or gathered
 to the nodes; no inner node meets the study axis.  The prior constants
-(bounds, median, mixing limits and seeds) are computed once per distinct
-prior.
+(bounds, mixing limits and seeds) are computed once per distinct prior.
 
 The tau integrals keep all prior mass up to 1e-12 per tail and are
 seeded at the powers of 4 inside those bounds (computed once per prior)
@@ -96,19 +91,19 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, wofz
+from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
 
 from .core import Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
-from .priors import PriorSpec, _gammaln_k
-from .quadrature import log_quad_batch, log_quad_shared
+from .priors import _LOG_2PI, PriorSpec, _gammaln_k
+from .quadrature import _NODES, _WEIGHTS_K, log_quad_batch, log_quad_shared
 
 __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
 
 log = logging.getLogger(__name__)
 
 _TAIL = 1e-12
-_LIK_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+_EFFECT_FAMILIES = ("point", "normal", "t", "cauchy", "uniform", "halfnormal")
 # Scale-mixture delta parts: the lower lambda cut drops at most _MIX_TAIL of
 # the integral for data up to _MIX_REACH prior scales from the prior's
 # location; the upper cut drops _MIX_UPPER_TAIL of the mixing prior's mass.
@@ -130,6 +125,11 @@ class ModelSpec:
         if self.tau_prior.support[0] < 0:
             raise ParameterError(
                 f"tau prior must have non-negative support, got {self.tau_prior}"
+            )
+        if self.delta_prior.family not in _EFFECT_FAMILIES:
+            raise ParameterError(
+                f"delta prior must be one of the effect families {', '.join(_EFFECT_FAMILIES)} "
+                f"(gamma and invgamma are heterogeneity-only), got {self.delta_prior}"
             )
 
     @property
@@ -170,11 +170,6 @@ def _prior_bounds(prior: PriorSpec) -> tuple:
     lo, hi = (float(q) for q in prior.quantile(np.array([_TAIL, 1.0 - _TAIL])))
     slo, shi = prior.support
     return (max(lo, slo), min(hi, shi))
-
-
-@lru_cache(maxsize=1024)
-def _prior_median(prior: PriorSpec) -> float:
-    return float(prior.quantile(0.5))
 
 
 @dataclass(frozen=True)
@@ -220,17 +215,6 @@ def _weighted_mean_se(comparison: Comparison) -> tuple:
     y, se = comparison._canonical
     w = 1.0 / se**2
     return float(np.sum(w * y) / np.sum(w)), float(1.0 / math.sqrt(np.sum(w)))
-
-
-def _delta_seeds(median: float, stats: tuple) -> np.ndarray:
-    """Per-owner delta split points, shape (n_owners, 12).
-
-    Each owner's likelihood in delta is N(mu, 1 / S0) at its tau, so its
-    seeds are ``mu + sqrt(1 / S0) * _LIK_OFFSETS`` plus the prior median.
-    """
-    _, mu, s0 = stats
-    sd = np.sqrt(1.0 / s0)[:, None]
-    return np.concatenate([np.full((mu.size, 1), median), mu[:, None] + sd * _LIK_OFFSETS], axis=1)
 
 
 @lru_cache(maxsize=1024)
@@ -357,12 +341,11 @@ def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refi
     prior ``g`` at each tau (the likelihood itself at a point delta).
 
     A normal prior is conjugate to the likelihood's N(mu, 1 / S0) shape in
-    delta, so its integral is closed (:func:`_conjugate`), and so is a
-    Cauchy prior's, a Voigt profile (:func:`_voigt`); both are batched over
-    all tau values and run no quadrature.  t priors are gamma scale
-    mixtures of normals, so theirs is a 1-D integral of the normal closed
-    form (:func:`_mixture_integrals`).  Other priors integrate over delta
-    by quadrature.
+    delta, so its integral is closed (:func:`_conjugate`), and so are a
+    Cauchy prior's (:func:`_voigt`) and those of the uniform and half-normal
+    priors, which cut that shape to an interval; they run no quadrature.
+    t priors are gamma scale mixtures of normals, so theirs is a 1-D
+    integral of the normal closed form (:func:`_mixture_integrals`).
     """
     if g.is_point:
         return lambda t: loglik_random(g.params[0], t, comparison)
@@ -372,9 +355,13 @@ def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refi
     if g.family == "cauchy":
         m, gamma = g.params
         return lambda t: _voigt(random_stats(t, comparison), m, gamma)
-    if g.family == "t":
-        return _mixture_integrals(g, comparison, rel_tol, extra_refine)
-    return _delta_integrals(g, comparison, rel_tol, extra_refine)
+    if g.family == "uniform":
+        a, b = g.params
+        return lambda t: _uniform(random_stats(t, comparison), a, b)
+    if g.family == "halfnormal":
+        (s,) = g.params
+        return lambda t: _halfnormal(random_stats(t, comparison), s)
+    return _mixture_integrals(g, comparison, rel_tol, extra_refine)
 
 
 def _conjugate(stats: tuple, m: float, w) -> np.ndarray:
@@ -402,6 +389,47 @@ def _voigt(stats: tuple, m: float, gamma: float) -> np.ndarray:
         return np.log(wofz((mu - m) * r + 1j * (gamma * r)).real) - 0.5 * c
 
 
+def _uniform(stats: tuple, a: float, b: float) -> np.ndarray:
+    """log of the likelihood integrated over a uniform(a, b) delta prior:
+    -c / 2 + log(2 pi / S0) / 2 - log(b - a) + log(Phi(beta) - Phi(alpha)),
+    with alpha = (a - mu) sqrt(S0) and beta = (b - mu) sqrt(S0)."""
+    c, mu, s0 = stats
+    r = np.sqrt(s0)
+    return (0.5 * (_LOG_2PI - np.log(s0)) - 0.5 * c - math.log(b - a)
+            + _log_ndtr_diff((a - mu) * r, (b - mu) * r))
+
+
+def _halfnormal(stats: tuple, s: float) -> np.ndarray:
+    """log of the likelihood integrated over a halfnormal(s) delta prior:
+    ``_conjugate`` at N(0, s**2) + log 2 + log Phi(m' / sqrt(v')), with
+    N(m', v') the posterior under that normal prior, v' = 1 / (S0 + 1 / s**2)
+    and m' = v' S0 mu."""
+    _, mu, s0 = stats
+    z = s0 * mu * np.sqrt(1.0 / (s0 + 1.0 / (s * s)))
+    return _conjugate(stats, 0.0, s * s) + math.log(2.0) + log_ndtr(z)
+
+
+def _log_ndtr_diff(lo, hi) -> np.ndarray:
+    """log(Phi(hi) - Phi(lo)) for lo < hi, elementwise, to a few ulp.
+
+    An interval above 0 is mirrored below it, so the difference is formed
+    in the far tail, log Phi(hi) + log(1 - Phi(lo) / Phi(hi)), where
+    neither tail cancels.  On a narrow interval, (hi - lo) max(1, |lo|,
+    |hi|) <= 1, that ratio nears 1 and loses digits; but there the density
+    changes by at most a factor e, so the Kronrod-15 rule is exact to rounding.
+    """
+    flip = lo > 0.0
+    lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    narrow = (hi - lo) * np.maximum(1.0, np.maximum(-lo, hi)) <= 1.0
+    out, wide = np.empty(lo.shape), ~narrow
+    log_hi = log_ndtr(hi[wide])
+    out[wide] = log_hi + np.log(-np.expm1(log_ndtr(lo[wide]) - log_hi))
+    half = 0.5 * (hi[narrow] - lo[narrow])
+    x = (0.5 * (hi[narrow] + lo[narrow]))[:, None] + half[:, None] * _NODES
+    out[narrow] = np.log(half) - 0.5 * _LOG_2PI + logsumexp(-0.5 * x * x, b=_WEIGHTS_K, axis=1)
+    return out
+
+
 def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
     """``integrals(tau_values)``: the delta part of a t prior ``g`` at each
     tau, as log of the integral over u = log(lambda) of ``_conjugate`` at
@@ -414,8 +442,8 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
     a row's results then do not depend on the other rows, so a tau
     interval of an outer integral gets the same bits in any batch.  The
     narrow likelihood peak in delta is integrated in closed form, so the
-    integrand is smooth in u and delta has no bounds.  As in
-    :func:`_delta_integrals`, ``-c / 2`` is added after the integral.
+    integrand is smooth in u and delta has no bounds.  ``-c / 2`` is added
+    after the integral, so no node carries its rounding.
     """
     m, s = g.params[:2]
     mix = _mixing(g)
@@ -436,39 +464,6 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
             logf, mix.bounds, rows.shape[1], n_groups=rows.shape[0], seeds=mix.seeds,
             rel_tol=rel_tol, extra_refine=extra_refine,
         ) - 0.5 * c).reshape(tau_values.shape)
-
-    return integrals
-
-
-def _delta_integrals(
-    g: PriorSpec,
-    comparison: Comparison,
-    rel_tol: float,
-    extra_refine: int = 0,
-):
-    """``integrals(tau_values)``: for each tau, the log integral over delta
-    of likelihood times delta prior, in one batched quadrature with one
-    owner per tau.
-
-    The integrand leaves out the likelihood's delta-free constant
-    ``-c / 2``, which is added to each owner's result afterwards: inside
-    the integrand it would put rounding of ulp(c) into every node.
-    """
-    lo, hi = _prior_bounds(g)
-    median = _prior_median(g)
-
-    def integrals(tau_values: np.ndarray) -> np.ndarray:
-        tau_values = np.asarray(tau_values, dtype=float).ravel()
-        stats = random_stats(tau_values, comparison)
-
-        def logf(own, d):
-            return _log_joint_at_delta_nodes(d, own, stats, g)
-
-        bounds = np.broadcast_to(np.array([lo, hi]), (tau_values.size, 2))
-        return log_quad_batch(
-            logf, bounds, seeds=_delta_seeds(median, stats),
-            rel_tol=rel_tol, extra_refine=extra_refine,
-        ) - 0.5 * stats[0]
 
     return integrals
 
@@ -508,19 +503,6 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
     if parameter == "delta":
         return _tau_part(model.tau_prior, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
     return _delta_part(model.delta_prior, comparison, rel_tol * 0.1)(xs) + model.tau_prior.log_pdf(xs)
-
-
-def _log_joint_at_delta_nodes(d, own, stats: tuple, g: PriorSpec) -> np.ndarray:
-    """``-S0 (d - mu)**2 / 2 + g.log_pdf(d)`` from per-owner statistics: the
-    log likelihood at ``tau[own]`` less its constant ``-c / 2``, plus the
-    delta prior.
-
-    ``stats`` is ``random_stats(tau, comparison)`` over the owners' tau
-    values; mu and S0 are gathered by owner id (``own`` has shape
-    (rows, 1)), and the quadratic form is that of :func:`loglik_from_stats`.
-    """
-    _, mu, s0 = stats
-    return loglik_from_stats((0.0, mu[own], s0[own]), d) + g.log_pdf(d)
 
 
 def _distinct_rows(x: np.ndarray) -> tuple:

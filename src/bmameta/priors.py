@@ -4,7 +4,9 @@ Eight families are supported: a degenerate point mass plus uniform,
 normal, half-normal, Cauchy, Student-t (location/scale/df), gamma and
 inverse-gamma (both shape/scale).  Densities are evaluated with explicit
 log-space formulas so integrands never underflow; quantiles, CDFs and
-random draws delegate to ``scipy.stats``.
+random draws delegate to ``scipy.stats``.  Gamma and inverse-gamma are
+heterogeneity-only: an effect (delta) prior is point, normal, t, cauchy,
+uniform or halfnormal (:class:`bmameta.marginal.ModelSpec`).
 
 The half-normal with parameter ``sd`` is the zero-truncated normal with
 that standard deviation.  The inverse-gamma scale ``b`` follows the

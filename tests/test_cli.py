@@ -147,6 +147,26 @@ class TestAnalyze:
     def test_bad_prior_string_is_input_error(self, five_study_csv):
         assert main(["analyze", five_study_csv, "--delta-prior", "normal(0,0.5)"]) == 2
 
+    def test_halfnormal_delta_prior_far_from_the_prior(self, tmp_path):
+        # a closed form; the quadrature over delta it replaces did not converge here
+        csv = write(tmp_path / "far.csv", "effect,se\n300.0,0.1\n301.0,0.1\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", csv, "--delta-prior", "halfnormal(0.57)",
+                     "--tau-prior", "invgamma(1.71,0.4)", "--out", str(out)]) == 0
+        fixed_h1 = json.loads(out.read_text())["models"][1]
+        assert fixed_h1["name"] == "fixed_H1"
+        # the 30-digit mpmath value of this log marginal
+        assert fixed_h1["log_marginal"] == pytest.approx(-136883.6675789702, rel=1e-12)
+
+    @pytest.mark.parametrize("prior", ["gamma(1.59,0.26)", "invgamma(1.26,0.24)"])
+    def test_gamma_families_are_heterogeneity_only(self, five_study_csv, prior, tmp_path, caplog):
+        assert main(["analyze", five_study_csv, "--delta-prior", prior]) == 2
+        assert "point, normal, t, cauchy, uniform, halfnormal" in caplog.text
+        assert "heterogeneity-only" in caplog.text
+        out = tmp_path / "r.json"
+        assert main(["analyze", five_study_csv, "--tau-prior", prior, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["tau_prior"] == prior
+
     def test_bad_model_priors(self, five_study_csv):
         assert main(["analyze", five_study_csv, "--model-priors", "0.5,0.5"]) == 2
         assert main(["analyze", five_study_csv, "--model-priors", "0.5,0.2,0.2,0.2"]) == 2
@@ -326,6 +346,21 @@ class TestRank:
             main(["rank", corpus, "--candidates", cand_json, option, value])
         assert exc.value.code == 2
         assert f"argument {option}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["configs", "model-types", "parameter-priors", "inclusion"])
+    def test_gamma_effect_prior_rejected_before_any_comparison(self, corpus_csv, tmp_path, mode,
+                                                              monkeypatch, caplog):
+        from bmameta import ranking
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps({
+            "delta_priors": ["normal(0.0,0.56)", "invgamma(1.26,0.24)"],
+            "tau_priors": ["halfnormal(0.57)"],
+        }))
+        evaluated = []
+        monkeypatch.setattr(ranking, "evaluate", lambda *a, **k: evaluated.append(a))
+        assert main(["rank", corpus_csv, "--candidates", str(path), "--mode", mode]) == 2
+        assert evaluated == []
+        assert "got invgamma(1.26,0.24)" in caplog.text
 
     def test_threads_flag_matches_serial(self, corpus_csv, cand_json, tmp_path):
         a, b = tmp_path / "t1.json", tmp_path / "t2.json"

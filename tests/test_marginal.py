@@ -1,8 +1,11 @@
 import logging
 import math
+import warnings
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bmameta import marginal
 from bmameta import (
@@ -19,7 +22,6 @@ from bmameta import (
     loglik_random,
     posterior_summary,
 )
-from bmameta.core import random_stats
 from conftest import make_comparison
 
 POINT0 = PriorSpec.point(0.0)
@@ -58,6 +60,12 @@ class TestModelSpec:
             ModelSpec("bad", POINT0, PriorSpec.normal(0.0, 1.0))
         with pytest.raises(ParameterError):
             ModelSpec("bad", POINT0, PriorSpec.uniform(-1.0, 1.0))
+
+    @pytest.mark.parametrize("dprior", [PriorSpec.gamma(1.59, 0.26), PriorSpec.invgamma(1.26, 0.24)], ids=str)
+    def test_gamma_families_are_heterogeneity_only(self, dprior):
+        with pytest.raises(ParameterError, match="point, normal, t, cauchy, uniform, halfnormal"):
+            ModelSpec("bad", dprior, IG_POOLED)
+        assert ModelSpec("ok", POINT0, dprior).model_type == "random_H0"
 
 
 class TestLogMarginal:
@@ -98,6 +106,8 @@ class TestLogMarginal:
         PriorSpec.cauchy(0.0, 1.0 / math.sqrt(2.0)),
         PriorSpec.normal(0.0, 0.56),
         PriorSpec.t(0.0, 0.33, 3.0),
+        PriorSpec.uniform(-1.0, 1.0),
+        PriorSpec.halfnormal(0.57),
     ], ids=lambda p: p.family)
     @pytest.mark.parametrize("tprior", [
         PriorSpec.uniform(0.0, 1.0),
@@ -106,7 +116,8 @@ class TestLogMarginal:
         PriorSpec.gamma(1.59, 0.26),
     ], ids=lambda p: p.family)
     def test_monte_carlo_oracle_all_candidate_pairs(self, dprior, tprior):
-        rng = np.random.default_rng(hash((dprior.family, tprior.family)) % 2**31)
+        # crc32, not hash(): str hashes are salted per process
+        rng = np.random.default_rng(zlib.crc32(f"{dprior.family},{tprior.family}".encode()))
         comp = make_comparison(rng, 4, delta=0.4, tau=0.25)
         model = h1r(dprior, tprior)
         quad = log_marginal(model, comp)
@@ -192,33 +203,56 @@ def _mp_log_prior(mp, prior, x):
     raise AssertionError(f)
 
 
+def _mp_log_ndtr_diff(mp, lo, hi):
+    """log(Phi(hi) - Phi(lo)) from erfc, as Q(-hi) - Q(-lo) or, for an
+    interval above 0, as Q(lo) - Q(hi), on the far side of 0 (Q(x) = Phi(-x))."""
+    if lo > 0:
+        return mp.log((mp.erfc(lo / mp.sqrt(2)) - mp.erfc(hi / mp.sqrt(2))) / 2)
+    return mp.log((mp.erfc(-hi / mp.sqrt(2)) - mp.erfc(-lo / mp.sqrt(2))) / 2)
+
+
 def _mp_log_inner(mp, y, se, g, tau):
     """log of the integral over delta of likelihood times delta prior at one tau.
 
-    The likelihood is N(mu, 1/S0) in delta times exp(-c/2).  Normal and
-    Cauchy priors integrate in closed form; for the others every integrand
-    is scaled by its value at the peak, because mpmath's quadrature stops
-    on an absolute error estimate.
+    The likelihood is N(mu, 1/S0) in delta times exp(-c/2).  Normal,
+    Cauchy, uniform and half-normal priors integrate in closed form; for a
+    t prior the integrand is scaled by its value at mu, because mpmath's
+    quadrature stops on an absolute error estimate.
     """
     w = [1 / (mp.mpf(s) ** 2 + tau * tau) for s in se]
     s0 = sum(w)
     mu = sum(wi * mp.mpf(yi) for wi, yi in zip(w, y)) / s0
-    c = sum(mp.log(2 * mp.pi / wi) + wi * (mp.mpf(yi) - mu) ** 2 for wi, yi in zip(w, y))
+    # one log of the product, not one per study: sum(log(2 pi / w)) = k log(2 pi) - log(prod(w))
+    c = len(w) * mp.log(2 * mp.pi) - mp.log(mp.fprod(w)) + sum(wi * (mp.mpf(yi) - mu) ** 2 for wi, yi in zip(w, y))
     if g.is_point:
         return -c / 2 - s0 * (mp.mpf(g.params[0]) - mu) ** 2 / 2
     sd = 1 / mp.sqrt(s0)
-    if g.family == "normal":  # conjugate: closed form
-        m, s = (mp.mpf(v) for v in g.params)
+    if g.family in ("normal", "halfnormal"):  # conjugate: closed form
+        m, s = (0, mp.mpf(g.params[0])) if g.family == "halfnormal" else (mp.mpf(v) for v in g.params)
         var = sd**2 + s**2
-        return -c / 2 + mp.log(mp.sqrt(2 * mp.pi) * sd) - (mu - m) ** 2 / (2 * var) - mp.log(2 * mp.pi * var) / 2
+        out = -c / 2 + mp.log(mp.sqrt(2 * mp.pi) * sd) - (mu - m) ** 2 / (2 * var) - mp.log(2 * mp.pi * var) / 2
+        if g.family == "normal":
+            return out
+        # the normal prior cut at 0: twice the posterior mass above 0
+        v_post = 1 / (s0 + 1 / s**2)
+        return out + mp.log(2) + _mp_log_ndtr_diff(mp, -mp.inf, v_post * s0 * mu / mp.sqrt(v_post))
+    if g.family == "uniform":  # the likelihood's normal shape cut to [a, b]
+        a, b = (mp.mpf(v) for v in g.params)
+        return -c / 2 + mp.log(mp.sqrt(2 * mp.pi) * sd / (b - a)) + _mp_log_ndtr_diff(mp, (a - mu) / sd, (b - mu) / sd)
     if g.family == "cauchy":  # a Voigt profile: Re w(z) with the Faddeeva function w
         loc, gamma = (mp.mpf(v) for v in g.params)
         z = (mu - loc + 1j * gamma) / (sd * mp.sqrt(2))
         return -c / 2 + mp.log(mp.re(mp.exp(-z * z) * mp.erfc(-1j * z)))
-    peak = _mp_log_prior(mp, g, mu)
+    assert g.family == "t", g
+    loc, s, df = (mp.mpf(v) for v in g.params)
+
+    def kernel(d):  # the t density less its constant
+        return (1 + ((d - loc) / s) ** 2 / df) ** (-(df + 1) / 2)
+
+    peak = kernel(mu)
     pts = [mu + sd * k for k in (-40, -12, -4, -1, 0, 1, 4, 12, 40)]
-    integral = mp.quad(lambda d: mp.exp(_mp_log_prior(mp, g, d) - peak - s0 * (d - mu) ** 2 / 2), pts)
-    return -c / 2 + peak + mp.log(integral)
+    integral = mp.quad(lambda d: kernel(d) / peak * mp.exp(-s0 * (d - mu) ** 2 / 2), pts)
+    return -c / 2 + _mp_log_prior(mp, g, mu) + mp.log(integral)
 
 
 def mp_log_marginal(y, se, model):
@@ -273,6 +307,18 @@ class TestMpmathOracle:
         ((300.0, 301.0), (0.1, 0.1), h1f(T_POOLED)),
         # nu = 1e-3 puts the low mixing quantiles at lambda = 0
         ((0.3, 0.5), (0.2, 0.2), h1f(PriorSpec.t(0.0, 0.5, 1e-3))),
+        # uniform and half-normal delta priors: closed forms on both sides of
+        # the interval and of 0; the parent's quadrature over delta failed to
+        # converge on 300, 301
+        ((300.0, 301.0), (0.1, 0.1), h1f(PriorSpec.halfnormal(0.57))),
+        ((300.0, 301.0), (0.1, 0.1), h1f(PriorSpec.uniform(-1.0, 1.0))),
+        ((-0.60735, -0.62070), (0.00312, 0.00388), h1f(PriorSpec.halfnormal(0.57))),
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1f(PriorSpec.uniform(0.1, 0.2))),
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), ModelSpec("fixed_tau", PriorSpec.halfnormal(0.57), PriorSpec.point(0.15))),
+        ((300.0, 301.0), (0.1, 0.1), h1r(PriorSpec.halfnormal(0.57), IG_POOLED)),
+        ((300.0, 301.0), (0.1, 0.1), h1r(PriorSpec.uniform(-1.0, 1.0), IG_POOLED)),
+        ((-3.0, 3.0, 0.0, 5.0), (0.05,) * 4, h1r(PriorSpec.uniform(-1.0, 1.0), PriorSpec.halfnormal(0.57))),
+        ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1r(PriorSpec.halfnormal(0.57), PriorSpec.gamma(1.59, 0.26))),
     ])
     def test_log_marginal_matches_mpmath(self, y, se, model):
         c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
@@ -324,26 +370,36 @@ class TestLikelihoodConstantOutsideIntegrand:
         assert log_marginal(h1r(T_POOLED, IG_POOLED), c) == pytest.approx(-830.34, abs=0.01)
 
 
-class TestConjugateDeltaPart:
-    """A normal delta prior integrates in closed form; it must agree with
-    the quadrature it replaces."""
+def mp_delta_part(c, g, tau):
+    """:func:`_mp_log_inner` at each tau value, as floats (30 digits)."""
+    mp = pytest.importorskip("mpmath")
+    y, se = [s.effect for s in c.studies], [s.se for s in c.studies]
+    with mp.workdps(30):
+        return np.array([float(_mp_log_inner(mp, y, se, g, mp.mpf(t))) for t in tau])
 
+
+class TestConjugateDeltaPart:
+    """A normal delta prior integrates in closed form, and so do uniform and
+    half-normal priors, which cut the likelihood's normal shape in delta to
+    an interval; each must agree with the 30-digit mpmath oracle."""
+
+    @pytest.mark.parametrize("g", [PriorSpec.normal(0.0, 0.56), PriorSpec.uniform(-1.0, 1.0),
+                                   PriorSpec.uniform(0.1, 0.2), PriorSpec.halfnormal(0.57)], ids=str)
     @pytest.mark.parametrize("k", [1, 3, 60])
     @pytest.mark.parametrize("se_range", [(0.1, 0.5), (1e-5, 1e-4)])
-    def test_closed_form_matches_quadrature(self, k, se_range, rng):
+    def test_closed_form_matches_mpmath(self, g, k, se_range, rng):
         c = make_comparison(rng, k, se_range=se_range)
-        g = PriorSpec.normal(0.0, 0.56)
         tau = np.array([0.0, 1e-3, 0.1, 1.0, 100.0])
         closed = marginal._delta_part(g, c, 1e-13)(tau)
-        quad = marginal._delta_integrals(g, c, 1e-13)(tau)
-        assert np.all(np.abs(closed - quad) <= 1e-12 * np.maximum(1.0, np.abs(quad))), closed - quad
+        ref = mp_delta_part(c, g, tau)
+        assert np.all(np.abs(closed - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), closed - ref
 
 
 class TestScaleMixtureDeltaPart:
     """t delta priors integrate as gamma scale mixtures of the normal closed
-    form and Cauchy priors as a Voigt profile; inside the old delta bounds
-    both must agree with the quadrature over delta, and beyond them they
-    must keep the tail.  (The lambda cut does not touch a Cauchy prior.)"""
+    form and Cauchy priors as a Voigt profile; both must agree with the
+    30-digit mpmath oracle, and far in the prior's tail they must keep the
+    tail.  (The lambda cut does not touch a Cauchy prior.)"""
 
     PRIORS = [T_POOLED, PriorSpec.t(0.0, 0.33, 3.0), PriorSpec.cauchy(0.0, 0.7071),
               PriorSpec.t(0.2, 0.5, 30.0)]
@@ -351,12 +407,12 @@ class TestScaleMixtureDeltaPart:
     @pytest.mark.parametrize("g", PRIORS, ids=str)
     @pytest.mark.parametrize("k", [1, 3, 60])
     @pytest.mark.parametrize("se_range", [(0.1, 0.5), (1e-5, 1e-4)])
-    def test_mixture_matches_quadrature_over_delta(self, g, k, se_range, rng):
+    def test_mixture_matches_mpmath(self, g, k, se_range, rng):
         c = make_comparison(rng, k, se_range=se_range)
         tau = np.array([0.0, 1e-3, 0.1, 1.0, 100.0])
         mixture = marginal._delta_part(g, c, 1e-13)(tau)
-        quad = marginal._delta_integrals(g, c, 1e-13)(tau)
-        assert np.all(np.abs(mixture - quad) <= 1e-12 * np.maximum(1.0, np.abs(quad))), mixture - quad
+        ref = mp_delta_part(c, g, tau)
+        assert np.all(np.abs(mixture - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), mixture - ref
 
     @pytest.mark.parametrize("g", PRIORS, ids=str)
     def test_data_far_in_the_prior_tail(self, g):
@@ -435,6 +491,42 @@ class TestVoigtDeltaPart:
         calls = _count_quadratures(monkeypatch)
         assert math.isfinite(log_marginal(h1r(self.CAUCHY, IG_POOLED), make_comparison(rng, 5)))
         assert calls == [1]
+
+
+class TestTruncatedNormalDeltaParts:
+    """Uniform and half-normal delta parts are closed (see
+    :class:`TestConjugateDeltaPart`), from log Phi differences formed on the
+    far side of 0 (``_log_ndtr_diff``)."""
+
+    PRIORS = [PriorSpec.uniform(-1.0, 1.0), PriorSpec.uniform(0.1, 0.2), PriorSpec.halfnormal(0.57)]
+
+    @pytest.mark.parametrize("g", PRIORS, ids=str)
+    def test_fixed_h1_runs_no_quadrature(self, g, rng, monkeypatch):
+        calls = _count_quadratures(monkeypatch)
+        assert math.isfinite(log_marginal(h1f(g), make_comparison(rng, 5)))
+        assert calls == []
+
+    @pytest.mark.parametrize("g", PRIORS, ids=str)
+    def test_random_h1_runs_only_the_outer_tau_integral(self, g, rng, monkeypatch):
+        calls = _count_quadratures(monkeypatch)
+        assert math.isfinite(log_marginal(h1r(g, IG_POOLED), make_comparison(rng, 5)))
+        assert calls == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-40.0, 40.0), log_width=st.floats(-6.0, math.log10(80.0)))
+    def test_phi_difference_matches_mpmath(self, lo, log_width):
+        # narrow intervals anywhere (a Kronrod rule of the density) and wide
+        # ones far in either tail (log_ndtr on the far side) keep 1e-12
+        mp = pytest.importorskip("mpmath")
+        hi = lo + 10.0**log_width
+        assume(hi <= 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = marginal._log_ndtr_diff(np.array([lo, -hi]), np.array([hi, -lo]))
+        with mp.workdps(40):
+            ref = float(_mp_log_ndtr_diff(mp, mp.mpf(lo), mp.mpf(hi)))
+        # the interval and its mirror image about 0
+        assert np.all(np.abs(got - ref) <= 1e-12 * max(1.0, abs(ref))), (got, ref)
 
 
 class TestSharedTauPartition:
@@ -571,23 +663,6 @@ class TestPosteriorSummary:
         assert 0.4 < ps.mean < 0.6
 
 
-def record_integrand_calls(monkeypatch) -> list:
-    """(owner ids, nodes, values) of every integrand call through ``marginal.log_quad_batch``."""
-    calls = []
-    real = marginal.log_quad_batch
-
-    def recording(log_f, bounds, **kwargs):
-        def log_f_recorded(own, x):
-            out = log_f(own, x)
-            calls.append((own, x, out))
-            return out
-
-        return real(log_f_recorded, bounds, **kwargs)
-
-    monkeypatch.setattr(marginal, "log_quad_batch", recording)
-    return calls
-
-
 class TestDeltaPosteriorIntegrand:
     """The tau-inner integrand of the delta posterior is dense: every delta
     owner shares one tau partition, and each node's tau-only terms are
@@ -619,72 +694,3 @@ class TestDeltaPosteriorIntegrand:
             for r in range(t.shape[0]):
                 want = loglik_random(xs[:, None], t[r], c) + IG_POOLED.log_pdf(t[r])
                 assert np.array_equal(out[r], want.T), t[r]
-
-
-class TestDeltaIntegrandAtFixedTau:
-    """The delta integrand of the inner integrals gathers per-owner tau
-    statistics; it must equal the direct likelihood less its delta-free
-    constant -c/2, plus the delta prior, bit for bit."""
-
-    @staticmethod
-    def direct(d, tau, g, c):
-        _, mu, s0 = random_stats(tau, c)
-        return -0.5 * (s0 * (d - mu) ** 2) + g.log_pdf(d)
-
-    @pytest.mark.parametrize("k", [3, 12, 60])
-    def test_matches_direct_likelihood_row_by_row(self, k, rng, monkeypatch):
-        c = make_comparison(rng, k)
-        # small tau makes a peak far narrower than at large tau, so owners refine differently
-        tau_values = np.concatenate([[0.0], np.geomspace(1e-3, 4.0, 24)])
-        calls = record_integrand_calls(monkeypatch)
-        marginal._delta_integrals(T_POOLED, c, 1e-10)(tau_values)
-
-        diverged = False
-        for own, d, out in calls:
-            owners_per_interval = np.unique(d, axis=0, return_counts=True)[1]
-            diverged |= bool(owners_per_interval.min() < tau_values.size)
-            for r in range(d.shape[0]):
-                want = self.direct(d[r], tau_values[own[r, 0]], T_POOLED, c)
-                assert np.array_equal(out[r], want), (own[r, 0], d[r])
-        assert diverged, "every owner kept the same partition; the case tests nothing"
-
-    def test_rows_with_shared_endpoints_kept_apart(self, rng):
-        c = make_comparison(rng, 5)
-        d = np.tile(np.linspace(-0.9, 0.9, 15), (3, 1))
-        d[1, 7] = 0.05  # same first and last node as row 0, different interior
-        tau_values = np.array([0.1, 0.2, 0.3])
-        own = np.array([[0], [1], [2]])
-        stats = random_stats(tau_values, c)
-        got = marginal._log_joint_at_delta_nodes(d, own, stats, T_POOLED)
-        assert np.array_equal(got, self.direct(d, tau_values[own], T_POOLED, c))
-
-    def test_each_owner_is_seeded_at_its_own_likelihood_peak(self, rng, monkeypatch):
-        c = make_comparison(rng, 12)
-        tau_values = np.array([0.0, 0.05, 0.3, 2.0])  # the peak moves and widens with tau
-        seen = []
-        real = marginal.log_quad_batch
-
-        def recording(log_f, bounds, **kwargs):
-            seen.append(kwargs["seeds"])
-            return real(log_f, bounds, **kwargs)
-
-        monkeypatch.setattr(marginal, "log_quad_batch", recording)
-        marginal._delta_integrals(T_POOLED, c, 1e-10)(tau_values)
-        [seeds] = seen
-        _, mu, s0 = random_stats(tau_values, c)
-        offsets = np.array([0.0, -1, 1, -2, 2, -4, 4, -8, 8, -16, 16])
-        assert seeds.shape == (tau_values.size, 12)
-        for i in range(tau_values.size):
-            want = np.concatenate([[T_POOLED.quantile(0.5)], mu[i] + offsets / np.sqrt(s0[i])])
-            np.testing.assert_allclose(np.sort(seeds[i]), np.sort(want), rtol=0, atol=1e-12)
-
-    def test_fixed_tau_marginal_matches_direct_integrand(self, rng, monkeypatch):
-        # a family whose delta part still integrates over delta
-        g = PriorSpec.halfnormal(0.57)
-        c = make_comparison(rng, 12)
-        tau0 = 0.15
-        calls = record_integrand_calls(monkeypatch)
-        log_marginal(ModelSpec("m", g, PriorSpec.point(tau0)), c)
-        assert calls
-        for _own, d, out in calls:
-            assert np.array_equal(out, self.direct(d, tau0, g, c))

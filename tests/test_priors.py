@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from bmameta import priors
+from bmameta import catalog, general_candidate_set, priors
+from bmameta.marginal import _TAIL
 from bmameta import (
     DegenerateDataError,
     DomainError,
@@ -41,6 +42,16 @@ ALL_CONTINUOUS = [
     PriorSpec.gamma(1.59, 0.26),
     PriorSpec.invgamma(1.26, 0.24),
 ]
+
+_CANDIDATES = general_candidate_set()
+#: Every prior the package ships: catalog entries, the pooled entry and the candidate set.
+SHIPPED = list(dict.fromkeys(
+    [p for e in (*catalog.entries(), catalog.pooled_entry()) for p in (e.delta_prior, e.tau_prior)]
+    + list(_CANDIDATES.delta_priors) + list(_CANDIDATES.tau_priors)
+))
+#: The quantile levels log marginals and summaries ask for: the integration
+#: range's tails and the 41 probe levels of marginal._prior_probe.
+MARGINAL_LEVELS = np.concatenate([[_TAIL, 1.0 - _TAIL], np.linspace(1e-4, 1.0 - 1e-4, 41)])
 
 
 class TestLogPdf:
@@ -160,6 +171,11 @@ class TestQuantile:
         with pytest.raises(ParameterError):
             PriorSpec.normal(0.0, 1.0).quantile(1.5)
 
+    @pytest.mark.parametrize("p", [math.nan, [0.3, math.nan]], ids=["scalar", "array"])
+    def test_nan_probability_rejected(self, p):
+        with pytest.raises(ParameterError):
+            PriorSpec.t(0.0, 0.43, 5.0).quantile(p)
+
     @pytest.mark.parametrize("spec", ALL_CONTINUOUS, ids=lambda s: s.family)
     def test_quantile_cdf_roundtrip(self, spec):
         # central 99% of mass
@@ -167,6 +183,39 @@ class TestQuantile:
         back = spec.quantile(spec.cdf(xs))
         scale = np.maximum(np.abs(xs), 1.0)
         assert np.max(np.abs(back - xs) / scale) < 1e-8
+
+
+class TestScipyStatsEquality:
+    """Quantiles and CDFs from scipy.special equal scipy.stats bit for bit."""
+
+    @pytest.mark.parametrize("spec", SHIPPED, ids=str)
+    def test_shipped_priors_at_the_marginal_levels(self, spec):
+        ref = scipy_frozen(spec)
+        assert np.array_equal(spec.quantile(MARGINAL_LEVELS), ref.ppf(MARGINAL_LEVELS))
+        xs = np.linspace(*spec.quantile([0.001, 0.999]), 33)
+        assert np.array_equal(spec.cdf(xs), ref.cdf(xs))
+
+    @pytest.mark.parametrize("spec", ALL_CONTINUOUS + [PriorSpec.uniform(0.1, 0.2)], ids=str)
+    def test_cdf_edge_rules(self, spec):
+        lo, hi = spec.support
+        xs = np.array([math.nan, -math.inf, math.inf, lo, hi, lo - 1.0, hi + 1.0, -0.0, 1e-300])
+        got = spec.cdf(xs)
+        assert np.array_equal(got, scipy_frozen(spec).cdf(xs), equal_nan=True)
+        assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == 1.0
+        assert got[3] == 0.0 and got[4] == 1.0 and got[5] == 0.0 and got[6] == 1.0
+        for x, want in zip(xs, got):
+            value = spec.cdf(float(x))
+            assert type(value) is float
+            assert value == want or (math.isnan(value) and math.isnan(want))
+
+    def test_scalar_quantile_is_a_python_float(self):
+        for spec in ALL_CONTINUOUS:
+            assert type(spec.quantile(0.3)) is float
+            assert isinstance(spec.quantile([0.3]), np.ndarray)
+
+    def test_point_mass_cdf_is_a_step(self):
+        assert np.array_equal(PriorSpec.point(0.5).cdf([0.4, 0.5, 0.6]), [0.0, 1.0, 1.0])
+        assert type(PriorSpec.point(0.5).cdf(0.5)) is float
 
 
 class TestSample:

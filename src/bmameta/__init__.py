@@ -56,7 +56,7 @@ from .ranking import (
     corpus_inclusion_summary,
     rank_configurations,
 )
-from .reml import RemlFit, reml_fit, restricted_loglik
+from .reml import RemlFit, reml_fit, reml_fits, restricted_loglik
 from .training import (
     CandidatePriorSet,
     TrainingEstimates,
@@ -85,7 +85,7 @@ __all__ = [
     "sequential_update",
     "mixture_summary",
     # reml
-    "RemlFit", "reml_fit", "restricted_loglik",
+    "RemlFit", "reml_fit", "reml_fits", "restricted_loglik",
     # training
     "TrainingProvenance", "TrainingEstimates", "CandidatePriorSet",
     "prepare_training", "fit_candidates", "general_candidate_set",

@@ -275,7 +275,7 @@ class PriorSpec:
         """
         x = np.asarray(x, dtype=float)
         if self.family == "point":
-            out = np.where(x >= self.params[0], 1.0, 0.0)
+            out = np.where(np.isnan(x), np.nan, np.where(x >= self.params[0], 1.0, 0.0))
         else:
             std = _STANDARD[self.family]
             loc, scale, shape = std.split(*self.params)

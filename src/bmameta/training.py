@@ -21,7 +21,10 @@ from typing import Mapping, Optional, Sequence
 from .core import Comparison
 from .errors import EmptyTrainingError, ParameterError
 from .priors import PriorSpec, fit_mle
-from .reml import reml_fit
+from .reml import (
+    reml_fit,  # noqa: F401 - unused here, but bench/tracing.py wraps this name
+    reml_fits,
+)
 
 __all__ = [
     "TrainingProvenance",
@@ -151,13 +154,9 @@ def prepare_training(
             f"no comparisons left after filtering ({input_comparisons} supplied)"
         )
 
-    pairs = []
-    non_converged = 0
-    for comp in retained:
-        fit = reml_fit(comp)
-        if not fit.converged:
-            non_converged += 1
-        pairs.append((fit.delta_hat, fit.tau_hat))
+    fits = reml_fits(retained)
+    pairs = [(fit.delta_hat, fit.tau_hat) for fit in fits]
+    non_converged = sum(not fit.converged for fit in fits)
 
     deltas = tuple(d for d, _ in pairs)
     taus = tuple(t for _, t in pairs if t >= tau_floor)

@@ -217,6 +217,12 @@ class TestScipyStatsEquality:
         assert np.array_equal(PriorSpec.point(0.5).cdf([0.4, 0.5, 0.6]), [0.0, 1.0, 1.0])
         assert type(PriorSpec.point(0.5).cdf(0.5)) is float
 
+    def test_point_mass_cdf_is_nan_at_nan(self):
+        point = PriorSpec.point(0.5)
+        assert math.isnan(point.cdf(math.nan))
+        got = point.cdf([math.nan, -math.inf, math.inf])
+        assert np.array_equal(got, [math.nan, 0.0, 1.0], equal_nan=True)
+
 
 class TestSample:
     def test_point_mass_constant(self, rng):

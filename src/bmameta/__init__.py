@@ -46,7 +46,7 @@ from .errors import (
 from .forest import forest_svg
 from .marginal import ModelSpec, PosteriorSummary, log_marginal, posterior_summary
 from .priors import FAMILIES, FITTABLE_FAMILIES, PriorSpec, fit_mle, parse_prior
-from .quadrature import log_quad, log_quad_batch, log_quad_shared
+from .quadrature import log_quad, log_quad_batch
 from .ranking import (
     InclusionSummary,
     RankingRow,
@@ -76,7 +76,7 @@ __all__ = [
     # core
     "Study", "RawSummaries", "Comparison", "smd_from_raw", "loglik_fixed", "loglik_random",
     # quadrature
-    "log_quad", "log_quad_batch", "log_quad_shared",
+    "log_quad", "log_quad_batch",
     # marginal
     "ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary",
     # averaging

@@ -296,7 +296,6 @@ def evaluate(
     *,
     rel_tol: float = 1e-9,
     summaries: bool = True,
-    grid_points: int = 2048,
     include_null_average: bool = False,
 ) -> BmaResult:
     """Update the ensemble on one comparison.
@@ -344,13 +343,11 @@ def evaluate(
         for i, model in enumerate(models):
             if model.delta_free:
                 member_delta[i] = posterior_summary(
-                    model, comparison, "delta", grid_points=grid_points, rel_tol=rel_tol,
-                    _log_ml=logml[i],
+                    model, comparison, "delta", rel_tol=rel_tol, _log_ml=logml[i]
                 )
             if model.tau_free:
                 member_tau[i] = posterior_summary(
-                    model, comparison, "tau", grid_points=grid_points, rel_tol=rel_tol,
-                    _log_ml=logml[i],
+                    model, comparison, "tau", rel_tol=rel_tol, _log_ml=logml[i]
                 )
         fixed_idx = [i for i in eff if not models[i].tau_free]
         random_idx = [i for i in eff if models[i].tau_free]

@@ -213,6 +213,7 @@ def _checked(kind, ok, condition: str):
 _tol = _checked(float, lambda v: 0.0 < v < 1.0, "finite with 0 < tol < 1")
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_min_training_studies = _checked(int, lambda v: v >= 2, "at least 2")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 
 
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-priors", help="fit candidate priors to a training corpus")
     p.add_argument("corpus", help="CSV with a comparison_id column")
-    p.add_argument("--min-studies", type=int, default=10)
+    p.add_argument("--min-studies", type=_min_training_studies, default=10)
     p.add_argument("--tau-floor", type=_nonnegative, default=0.01)
     common(p)
     p.set_defaults(func=cmd_fit_priors)
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True, help="candidate prior set JSON")
     p.add_argument("--mode", choices=["configs", "model-types", "parameter-priors", "inclusion"],
                    default="configs")
-    p.add_argument("--min-studies", type=int, default=3)
+    p.add_argument("--min-studies", type=_positive_int, default=3)
     p.add_argument("--max-failure-fraction", type=_fraction, default=0.01)
     p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--threads", type=_positive_int, default=1)

@@ -13,15 +13,17 @@ prior at many tau values, the tau part (:func:`_tau_part`) the same with
 the roles swapped; a point prior makes a part the likelihood itself.  A
 log marginal evaluates the delta part at a point tau or integrates it
 against a free tau prior, and that outer integrand is also the tau
-posterior's kernel.  Every integral uses the log-space adaptive
-Gauss-Kronrod rule from :mod:`bmameta.quadrature`.
+posterior's kernel.  Every integral runs through the log-space adaptive
+Gauss-Kronrod integrator :func:`bmameta.quadrature.log_quad_batch`,
+whose groups each refine a partition of their own, shared by the owners
+of the group.
 
 The delta part does not depend on the tau prior, so
 :func:`log_marginals` integrates all free-tau models that share a delta
-prior as owners of one outer tau integral: its integrand computes the
-delta part once per distinct tau interval (:func:`_distinct_rows`) and
-adds each owner's tau prior density.  :func:`log_marginal` is the
-one-model case of the same routine.
+prior in one outer tau integral, one group per tau prior: its integrand
+computes the delta part once per distinct tau interval
+(:func:`_distinct_rows`) and adds each group's tau prior density.
+:func:`log_marginal` is the one-model case of the same routine.
 
 At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau))
 times exp(-c(tau) / 2), with V = 1 / S0 (see
@@ -45,9 +47,9 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
   u.  The only cut is in lambda: the lower limit drops at most 1e-16 of
   the integral for data up to 1e4 prior scales from the prior's
   location, the upper limit 1e-30 of the mixing prior's mass.  Every
-  tau has the same u range and seeds, so the tau values share one u
-  partition (:func:`bmameta.quadrature.log_quad_shared`); in the outer
-  tau integral each tau interval refines its own.
+  tau has the same u range and seeds, so the tau values are the owners
+  of one group and share its u partition; in the outer tau integral each
+  tau interval is a group of its own.
 * uniform(a, b) and halfnormal(s): the likelihood's normal shape cut to
   an interval, closed (:func:`_uniform`, :func:`_halfnormal`) in a log
   difference of normal CDFs formed away from mu (:func:`_log_ndtr_diff`).
@@ -67,7 +69,7 @@ to the nodes; no inner node meets the study axis.  The prior constants
 The tau integrals keep all prior mass up to 1e-12 per tail and are
 seeded at the powers of 4 inside those bounds (computed once per prior)
 and at eight data scales (computed once per :func:`log_marginals` call).
-Neither depends on the prior's shape, so the owners of one outer
+Neither depends on the prior's shape, so the groups of one outer
 integral split their common range at the same points and share those
 intervals; a standalone call integrates over the same partition.
 
@@ -75,11 +77,10 @@ The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
 squares of the variances se**2 + tau**2) and the tau prior density are
 computed once per tau node.  In the tau part at a free tau (the
 delta-posterior pass) every delta value has the same tau range and
-seeds, so all of them are owners of one shared partition
-(:func:`bmameta.quadrature.log_quad_shared`): an interval is evaluated
-once for all owners, the tau-only terms of its nodes are broadcast
-against every delta, and only the O(1) quadratic form in delta is formed
-per (delta, tau) cell.
+seeds, so all of them are owners of one group and share its partition:
+an interval is evaluated once for all owners, the tau-only terms of its
+nodes are broadcast against every delta, and only the O(1) quadratic
+form in delta is formed per (delta, tau) cell.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
 from .core import Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
 from .priors import _LOG_2PI, PriorSpec, _gammaln_k
-from .quadrature import _NODES, _WEIGHTS_K, log_quad_batch, log_quad_shared
+from .quadrature import _NODES, _WEIGHTS_K, log_quad_batch
 
 __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
 
@@ -250,7 +251,7 @@ def _tau_seeds(prior: PriorSpec, comparison: Comparison, scales: Optional[np.nda
     from ``comparison`` when not given).
 
     Neither depends on the prior's shape, so tau priors whose bounds
-    overlap split the overlap at the same points, and the owners of one
+    overlap split the overlap at the same points, and the groups of one
     outer integral share those intervals.
     """
     if scales is None:
@@ -285,7 +286,7 @@ def log_marginals(
     """Log marginal likelihoods of several models on one comparison.
 
     A point tau evaluates the model's delta part (:func:`_delta_part`)
-    there.  The free-tau models that share a delta prior are the owners
+    there.  The free-tau models that share a delta prior are the groups
     of one outer tau integral (:func:`_free_tau_log_marginals`), which
     computes their common delta part once per distinct tau interval.
     Arguments are those of :func:`log_marginal`.
@@ -311,29 +312,27 @@ def log_marginals(
 
 def _free_tau_log_marginals(g, tau_priors, comparison, scales, rel_tol, extra_refine):
     """Log marginals under delta prior ``g`` and each free tau prior, from one
-    outer ``log_quad_batch`` with one owner per tau prior; ``scales`` are the
-    comparison's tau data scales (:func:`_tau_data_scales`).
+    outer ``log_quad_batch`` with one group of one owner per tau prior;
+    ``scales`` are the comparison's tau data scales (:func:`_tau_data_scales`).
 
-    Owners keep their own bounds and seeds (rows padded with the owner's
-    lower bound, which clips to an empty interval), so each total is the
-    one a single-owner call gives.
+    Every group gets the seeds of all the tau priors.  Clipped to a prior's
+    bounds, another prior's lattice points either fall on those bounds or
+    are its own lattice points, so each group refines the partition, and
+    gets the total, of a single-prior call.
     """
     delta_part = _delta_part(g, comparison, rel_tol * 0.1, extra_refine)
     bounds = np.array([_prior_bounds(h) for h in tau_priors])
-    seeds = [_tau_seeds(h, comparison, scales) for h in tau_priors]
-    width = max(row.size for row in seeds)
-    seeds = np.array([np.pad(row, (0, width - row.size), constant_values=lo)
-                      for row, lo in zip(seeds, bounds[:, 0])])
+    seeds = np.concatenate([_tau_seeds(h, comparison, scales) for h in tau_priors])
 
-    def logf(own, t):
+    def logf(grp, t):
         first, inverse = _distinct_rows(t)
         out = delta_part(t[first]).reshape(first.size, -1)[inverse]
         for j, h in enumerate(tau_priors):
-            rows = own[:, 0] == j
+            rows = grp[:, 0] == j
             out[rows] += h.log_pdf(t[rows])
-        return out
+        return out[..., None]
 
-    return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol, extra_refine=extra_refine)
+    return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol, extra_refine=extra_refine)[:, 0]
 
 
 def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
@@ -437,8 +436,8 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
     (:class:`_Mixing`).
 
     Every tau has the same u range and seeds, so the tau values are the
-    owners of one :func:`log_quad_shared` call and share its partition.
-    The rows of a 2-D ``tau_values`` each refine a partition of their own:
+    owners of one :func:`~bmameta.quadrature.log_quad_batch` group and share
+    its partition.  The rows of a 2-D ``tau_values`` are groups of their own:
     a row's results then do not depend on the other rows, so a tau
     interval of an outer integral gets the same bits in any batch.  The
     narrow likelihood peak in delta is integrated in closed form, so the
@@ -460,9 +459,9 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
             conj = _conjugate((0.0, mu[row, None], s0[row, None]), m, s * s / lam)
             return conj + (mix.log_norm - a * (np.expm1(u) - u))[..., None]
 
-        return (log_quad_shared(
-            logf, mix.bounds, rows.shape[1], n_groups=rows.shape[0], seeds=mix.seeds,
-            rel_tol=rel_tol, extra_refine=extra_refine,
+        return (log_quad_batch(
+            logf, np.broadcast_to(mix.bounds, (rows.shape[0], 2)), n_owners=rows.shape[1],
+            seeds=mix.seeds, rel_tol=rel_tol, extra_refine=extra_refine,
         ) - 0.5 * c).reshape(tau_values.shape)
 
     return integrals
@@ -472,14 +471,14 @@ def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
     """``f(delta_values)``: the log of the likelihood integrated over the tau
     prior ``h`` at each delta (the likelihood itself at a point tau).
 
-    A free tau runs one :func:`log_quad_shared` call with one owner per
-    delta: every owner has the same tau range and seeds, so they share
-    one partition, and the integrand computes the tau-only terms once per
-    node and broadcasts them against all delta values.
+    A free tau runs one :func:`~bmameta.quadrature.log_quad_batch` group
+    with one owner per delta: every owner has the same tau range and seeds,
+    so they share one partition, and the integrand computes the tau-only
+    terms once per node and broadcasts them against all delta values.
     """
     if h.is_point:
         return lambda d: loglik_random(d, h.params[0], comparison)
-    bounds = _prior_bounds(h)
+    bounds = np.array([_prior_bounds(h)])
     seeds = _tau_seeds(h, comparison)
 
     def integrals(delta_values: np.ndarray) -> np.ndarray:
@@ -487,7 +486,7 @@ def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
             stats = tuple(v[..., None] for v in random_stats(t, comparison))
             return loglik_from_stats(stats, delta_values) + h.log_pdf(t)[..., None]
 
-        return log_quad_shared(logf, bounds, delta_values.size, seeds=seeds, rel_tol=rel_tol)[0]
+        return log_quad_batch(logf, bounds, n_owners=delta_values.size, seeds=seeds, rel_tol=rel_tol)[0]
 
     return integrals
 

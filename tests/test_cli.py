@@ -279,6 +279,17 @@ class TestFitPriors:
         assert exc.value.code == 2
         assert "argument --tau-floor: must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1", "0", "-3", "2.5", "x"])
+    def test_min_studies_below_two_is_usage_error(self, corpus_csv, value, capsys):
+        # prepare_training needs two studies to estimate tau
+        with pytest.raises(SystemExit) as exc:
+            main(["fit-priors", corpus_csv, "--min-studies", value])
+        assert exc.value.code == 2
+        assert "argument --min-studies:" in capsys.readouterr().err
+
+    def test_min_studies_of_two_is_accepted(self, corpus_csv, tmp_path):
+        assert main(["fit-priors", corpus_csv, "--min-studies", "2", "--out", str(tmp_path / "c.json")]) == 0
+
 
 class TestRank:
     @pytest.fixture
@@ -337,6 +348,8 @@ class TestRank:
         ("--max-failure-fraction", "-0.1"),
         ("--max-failure-fraction", "1.5"),
         ("--threads", "0"),
+        ("--min-studies", "0"),
+        ("--min-studies", "-3"),
     ])
     def test_numeric_option_out_of_range_is_usage_error(self, cand_json, tmp_path,
                                                         option, value, capsys):

@@ -446,12 +446,13 @@ class TestScaleMixtureDeltaPart:
 
 
 def _count_quadratures(monkeypatch):
-    """Owner counts of every ``log_quad_batch`` call ``marginal`` makes."""
+    """(groups, owners per group) of every ``log_quad_batch`` call
+    ``marginal`` makes."""
     real = marginal.log_quad_batch
     calls = []
 
     def counting(log_f, bounds, **kwargs):
-        calls.append(len(bounds))
+        calls.append((np.shape(bounds)[0], kwargs.get("n_owners", 1)))
         return real(log_f, bounds, **kwargs)
 
     monkeypatch.setattr(marginal, "log_quad_batch", counting)
@@ -490,7 +491,7 @@ class TestVoigtDeltaPart:
     def test_random_h1_runs_only_the_outer_tau_integral(self, rng, monkeypatch):
         calls = _count_quadratures(monkeypatch)
         assert math.isfinite(log_marginal(h1r(self.CAUCHY, IG_POOLED), make_comparison(rng, 5)))
-        assert calls == [1]
+        assert calls == [(1, 1)]
 
 
 class TestTruncatedNormalDeltaParts:
@@ -510,7 +511,7 @@ class TestTruncatedNormalDeltaParts:
     def test_random_h1_runs_only_the_outer_tau_integral(self, g, rng, monkeypatch):
         calls = _count_quadratures(monkeypatch)
         assert math.isfinite(log_marginal(h1r(g, IG_POOLED), make_comparison(rng, 5)))
-        assert calls == [1]
+        assert calls == [(1, 1)]
 
     @settings(max_examples=300, deadline=None)
     @given(lo=st.floats(-40.0, 40.0), log_width=st.floats(-6.0, math.log10(80.0)))
@@ -545,12 +546,13 @@ class TestSharedTauPartition:
         outer_rows = []
 
         def recording(log_f, bounds, **kwargs):
-            if len(bounds) != len(models):  # an inner delta integral
+            if kwargs.get("n_owners", 1) != 1:  # an inner delta integral, an owner per tau node
                 return real(log_f, bounds, **kwargs)
+            assert np.shape(bounds) == (len(models), 2)
 
-            def f(own, t):
+            def f(grp, t):
                 outer_rows.append(t)
-                return log_f(own, t)
+                return log_f(grp, t)
 
             return real(f, bounds, **kwargs)
 
@@ -673,19 +675,19 @@ class TestDeltaPosteriorIntegrand:
     def test_dense_integrand_matches_direct_likelihood(self, k, rng, monkeypatch):
         c = make_comparison(rng, k)
         xs = np.linspace(-6.0, 6.0, 41)
-        real = marginal.log_quad_shared
+        real = marginal.log_quad_batch
         calls = []
 
-        def recording(log_f, bounds, n_owners, **kwargs):
+        def recording(log_f, bounds, **kwargs):
             def log_f_recorded(grp, t):
                 out = log_f(grp, t)
                 calls.append((t, out))
                 return out
 
-            assert n_owners == xs.size
-            return real(log_f_recorded, bounds, n_owners, **kwargs)
+            assert np.shape(bounds) == (1, 2) and kwargs["n_owners"] == xs.size
+            return real(log_f_recorded, bounds, **kwargs)
 
-        monkeypatch.setattr(marginal, "log_quad_shared", recording)
+        monkeypatch.setattr(marginal, "log_quad_batch", recording)
         marginal._log_posterior_on(h1r(T_POOLED, IG_POOLED), c, "delta", xs, 1e-9)
 
         assert len(calls) >= 2, "the partition must be refined at least once"

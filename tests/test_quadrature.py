@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bmameta import ConvergenceError, log_quad, log_quad_batch, log_quad_shared
+from bmameta import ConvergenceError, log_quad, log_quad_batch
 from bmameta import quadrature
-from bmameta.quadrature import _segment_logsumexp
 
 
 def test_standard_normal_integrates_to_one():
@@ -46,129 +45,160 @@ def test_narrow_peak_needs_seeds():
     assert got == pytest.approx(0.0, abs=1e-8)
 
 
-def test_batch_multiple_owners_match_scalar():
+def _normals(mus, sds):
+    """``log_f(grp, x)`` with one owner per group: group g is the normal
+    density N(mus[g], sds[g]**2)."""
+    def logf(grp, x):
+        z = (x - mus[grp]) / sds[grp]
+        return (-0.5 * z * z - np.log(sds[grp] * math.sqrt(2 * math.pi)))[..., None]
+    return logf
+
+
+def _alone(logf, g):
+    """``logf`` with every row evaluated as group ``g``."""
+    return lambda grp, x: logf(np.full_like(grp, g), x)
+
+
+def test_batch_multiple_groups_match_scalar():
     means = np.array([-1.0, 0.0, 2.5])
-
-    def logf(own, x):
-        return -0.5 * (x - means[own]) ** 2 - 0.5 * math.log(2 * math.pi)
-
     bounds = np.array([[m - 10, m + 10] for m in means])
-    got = log_quad_batch(logf, bounds)
+    got = log_quad_batch(_normals(means, np.ones(3)), bounds)
+    assert got.shape == (3, 1)
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
 
 
-def test_per_owner_seeds_match_single_owner_calls_bitwise():
-    # narrow peaks at different places and widths, each seeded only on its own row
+def test_per_group_bounds_and_seeds_match_single_group_calls_bitwise():
+    # narrow peaks at different places and widths, each seeded only on its
+    # own row, in ranges of different widths
     mus = np.array([-3.1, 0.2, 0.2, 4.7, -0.05])
     sds = np.array([1e-5, 3e-4, 1.0, 1e-3, 1e-6])
     offsets = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
     seeds = np.concatenate([np.full((mus.size, 1), 0.3), mus[:, None] + sds[:, None] * offsets], axis=1)
-    bounds = np.tile([-10.0, 10.0], (mus.size, 1))
-
-    def logf(own, x):
-        return -0.5 * ((x - mus[own]) / sds[own]) ** 2 - np.log(sds[own] * math.sqrt(2 * math.pi))
+    bounds = np.array([[-10.0, 10.0], [-1.0, 7.0], [-12.0, 9.0], [-5.0, 5.0], [-0.5, 20.0]])
+    logf = _normals(mus, sds)
 
     for extra_refine in (0, 1):
         got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10, extra_refine=extra_refine)
         for i in range(mus.size):
-            alone = log_quad_batch(
-                lambda own, x: logf(np.full_like(own, i), x), bounds[i:i + 1],
-                seeds=seeds[i], rel_tol=1e-10, extra_refine=extra_refine,
-            )
-            assert got[i] == alone[0], (i, extra_refine)
+            alone = log_quad_batch(_alone(logf, i), bounds[i:i + 1], seeds=seeds[i], rel_tol=1e-10,
+                                   extra_refine=extra_refine)
+            assert got[i, 0] == alone[0, 0], (i, extra_refine)
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
 
 
-def test_batch_bits_do_not_depend_on_the_other_owners():
-    # many owners whose intervals sit at every place in the batch's arrays:
-    # an owner's bits must match a call of its own
+def test_shared_seed_row_is_clipped_to_each_groups_bounds():
+    # one seed row for all groups equals each group's own in-range seeds
+    mus, sds = np.array([0.3, 2.0]), np.array([1e-4, 1e-3])
+    seeds = (mus[:, None] + sds[:, None] * np.array([-8.0, 0.0, 8.0])).ravel()
+    bounds = np.array([[-1.0, 1.0], [1.5, 4.0]])
+    logf = _normals(mus, sds)
+    got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10)
+    for i in range(2):
+        own = seeds[(seeds > bounds[i, 0]) & (seeds < bounds[i, 1])]
+        assert own.size == 3
+        alone = log_quad_batch(_alone(logf, i), bounds[i], seeds=own, rel_tol=1e-10)
+        assert got[i, 0] == alone[0, 0], i
+    np.testing.assert_allclose(got, 0.0, atol=1e-9)
+
+
+def test_batch_bits_do_not_depend_on_the_other_groups():
+    # many groups whose intervals sit at every place in the batch's arrays:
+    # a group's bits must match a call of its own
     rng = np.random.default_rng(3)
     mus = rng.uniform(-2.0, 2.0, 40)
     sds = np.exp(rng.uniform(np.log(1e-3), 0.0, 40))
     seeds = mus[:, None] + sds[:, None] * np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
     bounds = np.tile([-10.0, 10.0], (mus.size, 1))
-
-    def logf(own, x):
-        return -0.5 * ((x - mus[own]) / sds[own]) ** 2 - np.log(sds[own] * math.sqrt(2 * math.pi))
+    logf = _normals(mus, sds)
 
     got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10)
     for i in range(mus.size):
-        alone = log_quad_batch(lambda own, x: logf(np.full_like(own, i), x), bounds[i:i + 1],
-                               seeds=seeds[i], rel_tol=1e-10)
-        assert got[i] == alone[0], i
+        alone = log_quad_batch(_alone(logf, i), bounds[i:i + 1], seeds=seeds[i], rel_tol=1e-10)
+        assert got[i, 0] == alone[0, 0], i
 
 
-def _peak_and_flat_owners():
-    """Owner 0 is a 1e-6-wide seeded peak that needs many rounds; owners 1-3
-    are flat and converge on their initial partition (31 intervals each)."""
+def _peak_and_flat_groups(flat_sizes=(31, 31, 31)):
+    """Group 0 is a 1e-6-wide seeded peak that needs many rounds; the other
+    groups are flat and converge on their initial partition, of
+    ``flat_sizes`` intervals (seed rows padded with the lower bound)."""
     mu, sd = 0.3, 1e-6
-    flat_seeds = np.linspace(-0.9, 0.9, 30)
-    peak_seeds = np.concatenate([mu + sd * np.array([-8.0, 0.0, 8.0]),
-                                 np.full(flat_seeds.size - 3, -1.0)])
-    seeds = np.vstack([peak_seeds, flat_seeds, flat_seeds, flat_seeds])
-    bounds = np.tile([-1.0, 1.0], (4, 1))
-    levels = np.array([0.0, 0.5, -2.0, 1.0])
+    width = max(flat_sizes) - 1
+    peak_seeds = np.concatenate([mu + sd * np.array([-8.0, 0.0, 8.0]), np.full(width - 3, -1.0)])
+    flat_seeds = [np.concatenate([np.linspace(-0.9, 0.9, n - 1), np.full(width - n + 1, -1.0)])
+                  for n in flat_sizes]
+    seeds = np.vstack([peak_seeds] + flat_seeds)
+    bounds = np.tile([-1.0, 1.0], (seeds.shape[0], 1))
+    levels = np.concatenate([[0.0], np.linspace(0.5, -2.0, len(flat_sizes))])
 
-    def logf(own, x):
+    def logf(grp, x):
         peak = -0.5 * ((x - mu) / sd) ** 2 - math.log(sd * math.sqrt(2 * math.pi))
-        return np.where(own == 0, peak, levels[own] + 0.0 * x)
+        return np.where(grp == 0, peak, levels[grp] + 0.0 * x)[..., None]
 
-    return logf, bounds, seeds
+    return logf, bounds, seeds, levels
 
 
 def _recording(logf, seen):
-    def wrapped(own, x):
-        seen.append(own[:, 0].copy())
-        return logf(own, x)
+    def wrapped(grp, x):
+        seen.append(grp[:, 0].copy())
+        return logf(grp, x)
     return wrapped
 
 
-def test_retired_owners_match_single_owner_calls_bitwise():
-    logf, bounds, seeds = _peak_and_flat_owners()
+def test_retired_groups_match_single_group_calls_bitwise():
+    logf, bounds, seeds, levels = _peak_and_flat_groups()
     for extra_refine in (0, 1):
         seen = []
         got = log_quad_batch(_recording(logf, seen), bounds, seeds=seeds, rel_tol=1e-10,
                              extra_refine=extra_refine)
         refinement = seen[1:len(seen) - extra_refine]
-        assert len(refinement) >= 2 and all(np.all(o == 0) for o in refinement), \
-            "the flat owners must leave the batch after the first round"
+        assert len(refinement) >= 2 and all(np.all(g == 0) for g in refinement), \
+            "the flat groups must leave the batch after the first round"
         if extra_refine:
             assert np.array_equal(np.unique(seen[-1]), np.arange(4))
         for i in range(4):
-            alone = log_quad_batch(
-                lambda own, x: logf(np.full_like(own, i), x), bounds[i:i + 1],
-                seeds=seeds[i], rel_tol=1e-10, extra_refine=extra_refine,
-            )
-            assert got[i] == alone[0], (i, extra_refine)
-    np.testing.assert_allclose(got, [0.0, math.log(2.0) + 0.5, math.log(2.0) - 2.0, math.log(2.0) + 1.0],
-                               atol=1e-9)
+            alone = log_quad_batch(_alone(logf, i), bounds[i:i + 1], seeds=seeds[i], rel_tol=1e-10,
+                                   extra_refine=extra_refine)
+            assert got[i, 0] == alone[0, 0], (i, extra_refine)
+    np.testing.assert_allclose(got[:, 0], [0.0, *(math.log(2.0) + levels[1:])], atol=1e-9)
 
 
-def test_interval_cap_counts_retired_owners():
-    logf, bounds, seeds = _peak_and_flat_owners()
+def test_cell_cap_counts_retired_groups():
+    # n groups x 1 owner store at most 40000 intervals, finished groups
+    # included: flat groups that retire at once fill the cap up to the
+    # peak group's final partition, then one interval past it
+    logf, bounds, seeds, _ = _peak_and_flat_groups()
     seen = []
-    log_quad_batch(_recording(lambda own, x: logf(np.zeros_like(own), x), seen), bounds[:1],
-                   seeds=seeds[0], rel_tol=1e-10)
-    peak_intervals = seen[0].size + sum(o.size for o in seen[1:]) // 2
-    log_quad_batch(lambda own, x: logf(np.zeros_like(own), x), bounds[:1], seeds=seeds[0],
-                   rel_tol=1e-10, max_intervals=peak_intervals)
-    retired = 3 * (seeds.shape[1] + 1)
-    with pytest.raises(ConvergenceError, match="within"):
-        log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10,
-                       max_intervals=peak_intervals + retired - 1)
+    log_quad_batch(_recording(_alone(logf, 0), seen), bounds[:1], seeds=seeds[0], rel_tol=1e-10)
+    peak_intervals = seen[0].size + sum(g.size for g in seen[1:]) // 2
+    room = 40000 - peak_intervals
+    for spare, fits in ((0, True), (1, False)):
+        flat = (room // 3, room // 3, room - 2 * (room // 3) + spare)
+        logf, bounds, seeds, _ = _peak_and_flat_groups(flat)
+        if fits:
+            got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10)
+            alone = log_quad_batch(_alone(logf, 0), bounds[:1], seeds=seeds[0], rel_tol=1e-10)
+            assert got[0, 0] == alone[0, 0]
+        else:
+            with pytest.raises(ConvergenceError, match="within 40000 cells"):
+                log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10)
 
 
-def test_bracket_skips_retired_owners():
-    # owner 0 vanishes and retires at once with total and error both -inf
-    def logf(own, x):
+def test_bracket_skips_retired_groups():
+    # group 0 vanishes and retires at once with total and error both -inf
+    def logf(grp, x):
         rough = np.log(1.5 + np.sin(1.0 / np.maximum(np.abs(x), 1e-12)))
-        return np.where(own == 0, -np.inf, rough)
+        return np.where(grp == 0, -np.inf, rough)[..., None]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="worst owner 1") as err:
+        with pytest.raises(ConvergenceError, match="worst owner 0 of group 1") as err:
             log_quad_batch(logf, np.tile([-1.0, 1.0], (2, 1)), rel_tol=1e-13)
     assert all(math.isfinite(v) for v in err.value.bracket)
+
+
+def test_empty_group_rejected():
+    with pytest.raises(ConvergenceError, match="empty"):
+        log_quad_batch(lambda grp, x: np.zeros(x.shape + (1,)), [[0.0, 1.0], [2.0, 2.0]])
 
 
 def test_extra_refine_stability():
@@ -200,39 +230,30 @@ def test_zero_width_bounds_rejected():
         log_quad(lambda x: np.zeros_like(x), 1.0, 1.0)
 
 
-def _segment_logsumexp_at(values, owners, n_owners):
-    """Reference owner reduction with numpy's scatter ufuncs."""
-    peak = np.full(n_owners, -np.inf)
-    np.maximum.at(peak, owners, values)
-    shift = np.where(np.isfinite(peak), peak, 0.0)
-    acc = np.zeros(n_owners)
-    np.add.at(acc, owners, np.exp(values - shift[owners]))
-    with np.errstate(divide="ignore"):
-        out = shift + np.log(acc)
-    return np.where(np.isfinite(peak), out, -np.inf)
-
-
-def test_segment_logsumexp_matches_scatter_reference():
+def test_group_logsumexp_segments_do_not_depend_on_each_other():
+    # each segment's columns equal a reduction of that segment alone, bit
+    # for bit, with vanishing columns and segments at -inf
     rng = np.random.default_rng(7)
-    n_owners = 40
-    owners = rng.permutation(np.repeat(np.arange(n_owners), rng.integers(1, 60, n_owners)))
-    owners = owners[owners % 7 != 3]  # owners 3, 10, ... get no entries
+    sizes = rng.integers(1, 60, 40)
+    starts = np.cumsum(sizes) - sizes
     # comparable terms near log 1, so any other summation order shows in the last bits
-    values = rng.normal(0.0, 2.0, owners.size)
-    values[owners % 5 == 1] = -np.inf  # owners whose every term vanishes
-    values[rng.random(owners.size) < 0.1] = -np.inf
-    got = _segment_logsumexp(values, owners, n_owners)
-    want = _segment_logsumexp_at(values, owners, n_owners)
-    assert np.array_equal(got, want)
-    assert np.all(got[3::7] == -np.inf) and np.all(got[1::5] == -np.inf)
-    assert np.count_nonzero(np.isfinite(got)) > n_owners // 2
+    values = rng.normal(0.0, 2.0, (int(sizes.sum()), 3))
+    values[rng.random(values.shape) < 0.1] = -np.inf
+    values[:, 2] = -np.inf
+    for s, n in zip(starts[::5], sizes[::5]):
+        values[s:s + n] = -np.inf
+    got = quadrature._group_logsumexp(values, sizes)
+    for g, (s, n) in enumerate(zip(starts, sizes)):
+        assert np.array_equal(got[g], quadrature._group_logsumexp(values[s:s + n], np.array([n]))[0]), g
+    assert np.all(got[:, 2] == -np.inf) and np.all(got[::5] == -np.inf)
+    assert np.count_nonzero(np.isfinite(got)) > sizes.size
 
 
 # --------------------------------------------------------------------------
-# log_quad_shared: owners with one range, one set of seeds, one partition
+# owners of one group: one range, one set of seeds, one partition
 # --------------------------------------------------------------------------
 
-SHARED_BOUNDS = (-10.0, 10.0)
+SHARED_BOUNDS = [(-10.0, 10.0)]
 SHARED_SEEDS = np.array([-3.1, -1.0, 0.0, 0.2, 1.0, 4.7])
 
 
@@ -262,13 +283,13 @@ def _stack(owners):
 def test_shared_partition_matches_single_owner_calls():
     owners = _shared_owners()
     for extra_refine in (0, 1):
-        got = log_quad_shared(_stack(owners), SHARED_BOUNDS, len(owners), seeds=SHARED_SEEDS,
-                              rel_tol=1e-10, extra_refine=extra_refine)
+        got = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS,
+                             rel_tol=1e-10, extra_refine=extra_refine)
         assert got.shape == (1, len(owners))
         for j, f in enumerate(owners):
-            alone = log_quad_batch(lambda _own, x: f(x), [SHARED_BOUNDS], seeds=SHARED_SEEDS,
-                                   rel_tol=1e-10, extra_refine=extra_refine)
-            assert abs(got[0, j] - alone[0]) <= 1e-13, (j, extra_refine, got[0, j] - alone[0])
+            alone = log_quad(f, *SHARED_BOUNDS[0], seeds=SHARED_SEEDS, rel_tol=1e-10,
+                             extra_refine=extra_refine)
+            assert abs(got[0, j] - alone) <= 1e-13, (j, extra_refine, got[0, j] - alone)
 
 
 def test_shared_converged_owner_is_frozen():
@@ -282,8 +303,8 @@ def test_shared_converged_owner_is_frozen():
         return np.stack([-0.5 * z * z - math.log(sd * math.sqrt(2 * math.pi)), np.full_like(x, -math.log(2.0))],
                         axis=-1)
 
-    got = log_quad_shared(logf, (-1.0, 1.0), 2, seeds=seeds, rel_tol=1e-10)
-    alone = log_quad_shared(lambda grp, x: logf(grp, x)[..., 1:], (-1.0, 1.0), 1, seeds=seeds, rel_tol=1e-10)
+    got = log_quad_batch(logf, [(-1.0, 1.0)], n_owners=2, seeds=seeds, rel_tol=1e-10)
+    alone = log_quad_batch(lambda grp, x: logf(grp, x)[..., 1:], [(-1.0, 1.0)], seeds=seeds, rel_tol=1e-10)
     assert got[0, 1] == alone[0, 0]
     np.testing.assert_allclose(got[0], 0.0, atol=1e-9)
 
@@ -292,16 +313,16 @@ def test_shared_owner_vanishing_everywhere():
     owners = _shared_owners()[:2] + [lambda x: np.full_like(x, -np.inf)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = log_quad_shared(_stack(owners), SHARED_BOUNDS, 3, seeds=SHARED_SEEDS, rel_tol=1e-10)
+        got = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=3, seeds=SHARED_SEEDS, rel_tol=1e-10)
     assert got[0, 2] == -np.inf
     np.testing.assert_allclose(got[0, :2], 0.0, atol=1e-9)
 
 
 def test_shared_extra_refine_stability():
     owners = _shared_owners()
-    base = log_quad_shared(_stack(owners), SHARED_BOUNDS, len(owners), seeds=SHARED_SEEDS)
-    refined = log_quad_shared(_stack(owners), SHARED_BOUNDS, len(owners), seeds=SHARED_SEEDS,
-                              extra_refine=2)
+    base = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS)
+    refined = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS,
+                             extra_refine=2)
     assert np.all(np.abs(base - refined) < 1e-9)
 
 
@@ -316,11 +337,11 @@ def test_groups_do_not_depend_on_each_other_bitwise():
         return -0.5 * z * z - np.log(widths * math.sqrt(2 * math.pi))
 
     for extra_refine in (0, 1):
-        got = log_quad_shared(logf, SHARED_BOUNDS, 2, n_groups=centres.size, seeds=SHARED_SEEDS,
-                              rel_tol=1e-10, extra_refine=extra_refine)
+        got = log_quad_batch(logf, SHARED_BOUNDS * centres.size, n_owners=2, seeds=SHARED_SEEDS,
+                             rel_tol=1e-10, extra_refine=extra_refine)
         for g in range(centres.size):
-            alone = log_quad_shared(lambda grp, x: logf(np.full_like(grp, g), x), SHARED_BOUNDS, 2,
-                                    seeds=SHARED_SEEDS, rel_tol=1e-10, extra_refine=extra_refine)
+            alone = log_quad_batch(_alone(logf, g), SHARED_BOUNDS, n_owners=2, seeds=SHARED_SEEDS,
+                                   rel_tol=1e-10, extra_refine=extra_refine)
             assert np.array_equal(got[g], alone[0]), (g, extra_refine)
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
 
@@ -334,7 +355,7 @@ def test_shared_bracket_names_the_worst_active_owner():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="worst owner 2 of group 0") as err:
-            log_quad_shared(logf, (-1.0, 1.0), 3, rel_tol=1e-13)
+            log_quad_batch(logf, [(-1.0, 1.0)], n_owners=3, rel_tol=1e-13)
     total, err_bound = err.value.bracket
     assert math.isfinite(total) and err_bound > total + math.log(1e-13)
 
@@ -344,7 +365,7 @@ def test_shared_cell_cap_raises_before_evaluating(monkeypatch):
         raise AssertionError("the integrand must not run")
 
     with pytest.raises(ConvergenceError, match="cap"):
-        log_quad_shared(refuse, SHARED_BOUNDS, 10**9, seeds=SHARED_SEEDS)
+        log_quad_batch(refuse, SHARED_BOUNDS, n_owners=10**9, seeds=SHARED_SEEDS)
 
     # a narrow peak that needs many rounds: no evaluation passes the cap
     mu, sd = 0.3, 1e-6
@@ -359,11 +380,11 @@ def test_shared_cell_cap_raises_before_evaluating(monkeypatch):
     def stored():  # a split keeps both children in place of their parent
         return evaluated[0] + sum(evaluated[1:]) // 2
 
-    log_quad_shared(peak, (-1.0, 1.0), 4, seeds=seeds, rel_tol=1e-10)
+    log_quad_batch(peak, [(-1.0, 1.0)], n_owners=4, seeds=seeds, rel_tol=1e-10)
     assert len(evaluated) >= 4
     cap = stored() // 2
     evaluated.clear()
     monkeypatch.setattr(quadrature, "_MAX_CELLS", cap)
     with pytest.raises(ConvergenceError, match="within"):
-        log_quad_shared(peak, (-1.0, 1.0), 4, seeds=seeds, rel_tol=1e-10)
+        log_quad_batch(peak, [(-1.0, 1.0)], n_owners=4, seeds=seeds, rel_tol=1e-10)
     assert stored() <= cap

@@ -166,11 +166,16 @@ def loglik_from_stats(stats: tuple, delta) -> np.ndarray:
 
         sum_i (y_i - d)^2 / v_i = sum_i (y_i - mu)^2 / v_i + S0 (d - mu)^2
 
-    so no term cancels against another.
+    so no term cancels against another.  The result is one array of the
+    broadcast shape, formed in place.
     """
     c, mu, s0 = stats
-    delta = np.asarray(delta, dtype=float)
-    return -0.5 * (c + s0 * (delta - mu) ** 2)
+    # formed in one array, in the order of -0.5 * (c + s0 * (delta - mu) ** 2)
+    out = np.asarray(np.subtract(delta, mu, dtype=float))
+    np.square(out, out=out)
+    np.multiply(s0, out, out=out)
+    np.add(c, out, out=out)
+    return np.multiply(-0.5, out, out=out)
 
 
 def random_stats(tau, comparison: Comparison) -> tuple:

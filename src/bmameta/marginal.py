@@ -80,7 +80,8 @@ delta-posterior pass) every delta value has the same tau range and
 seeds, so all of them are owners of one group and share its partition:
 an interval is evaluated once for all owners, the tau-only terms of its
 nodes are broadcast against every delta, and only the O(1) quadratic
-form in delta is formed per (delta, tau) cell.
+form in delta is formed per (delta, tau) cell, in place in the one
+array the integrand returns (:func:`bmameta.core.loglik_from_stats`).
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ _MIX_TAIL = 1e-16
 _MIX_REACH = 1e4
 _MIX_UPPER_TAIL = 1e-30
 _MIX_SEED_LEVELS = (1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-6)
+# (node x owner) cells of the t mixture integrand formed at a time: its
+# V + w scratch stays far below the integrator's block size
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -367,9 +371,29 @@ def _conjugate(stats: tuple, m: float, w) -> np.ndarray:
     """log of the likelihood integrated over a N(m, w) delta prior, from
     ``stats = (c, mu, S0)``: -(c + log S0 + log(V + w) + (mu - m)**2 / (V + w)) / 2
     with V = 1 / S0.  The arrays broadcast against ``w``."""
+    return _conjugate_finish(_conjugate_terms(stats, m), w)
+
+
+def _conjugate_terms(stats: tuple, m: float) -> tuple:
+    """The prior-variance-free terms of :func:`_conjugate`:
+    ``(c + log S0, V, (mu - m)**2)``, computed once per owner."""
     c, mu, s0 = stats
-    v = 1.0 / s0 + w
-    return -0.5 * (c + np.log(s0) + np.log(v) + (mu - m) ** 2 / v)
+    return c + np.log(s0), 1.0 / s0, (mu - m) ** 2
+
+
+def _conjugate_finish(terms: tuple, w, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`_conjugate` from its :func:`_conjugate_terms` at prior variance
+    ``w``: per cell one log and one division, in the order of
+    -0.5 * (c + log S0 + log(V + w) + (mu - m)**2 / (V + w)).
+
+    Written into ``out`` if given, an array of the broadcast shape; V + w
+    takes a second array of that shape."""
+    c_log_s0, inv_s0, sq = terms
+    v = inv_s0 + w
+    out = np.log(v, out=out)
+    np.add(c_log_s0, out, out=out)
+    out += np.divide(sq, v, out=v)
+    return np.multiply(-0.5, out, out=out)
 
 
 def _voigt(stats: tuple, m: float, gamma: float) -> np.ndarray:
@@ -442,7 +466,9 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
     interval of an outer integral gets the same bits in any batch.  The
     narrow likelihood peak in delta is integrated in closed form, so the
     integrand is smooth in u and delta has no bounds.  ``-c / 2`` is added
-    after the integral, so no node carries its rounding.
+    after the integral, so no node carries its rounding.  The lambda-free
+    terms (:func:`_conjugate_terms`) are computed once per owner tau, so a
+    cell costs one log and one division (:func:`_conjugate_finish`).
     """
     m, s = g.params[:2]
     mix = _mixing(g)
@@ -452,12 +478,19 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
         tau_values = np.asarray(tau_values, dtype=float)
         rows = np.atleast_2d(tau_values)
         c, mu, s0 = random_stats(rows, comparison)
+        terms = _conjugate_terms((0.0, mu, s0), m)
 
         def logf(grp, u):
             lam = np.exp(u)[..., None]
-            row = grp[:, 0]
-            conj = _conjugate((0.0, mu[row, None], s0[row, None]), m, s * s / lam)
-            return conj + (mix.log_norm - a * (np.expm1(u) - u))[..., None]
+            out = np.empty(u.shape + (rows.shape[1],))
+            # a few rows at a time, so V + w needs no second block-sized array
+            step = max(1, _CHUNK_CELLS // out[0].size)
+            for i in range(0, u.shape[0], step):
+                chunk = slice(i, i + step)
+                row = grp[chunk, 0]
+                _conjugate_finish(tuple(v[row, None] for v in terms), s * s / lam[chunk], out[chunk])
+            out += (mix.log_norm - a * (np.expm1(u) - u))[..., None]
+            return out
 
         return (log_quad_batch(
             logf, np.broadcast_to(mix.bounds, (rows.shape[0], 2)), n_owners=rows.shape[1],
@@ -484,7 +517,9 @@ def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
     def integrals(delta_values: np.ndarray) -> np.ndarray:
         def logf(_grp, t):
             stats = tuple(v[..., None] for v in random_stats(t, comparison))
-            return loglik_from_stats(stats, delta_values) + h.log_pdf(t)[..., None]
+            out = loglik_from_stats(stats, delta_values)
+            out += h.log_pdf(t)[..., None]
+            return out
 
         return log_quad_batch(logf, bounds, n_owners=delta_values.size, seeds=seeds, rel_tol=rel_tol)[0]
 

@@ -129,6 +129,26 @@ def _cauchy_ppf(q):
                         np.where(q > 0.5, 1.0 / np.tan(np.pi * (1.0 - q)), 0.0))
 
 
+def _t_ppf(df, q):
+    """Standard t quantile: ``stdtrit``, except far in the lower tail.
+
+    There stdtrit goes wrong (df 3: half the quantile at 1e-200, +inf from
+    about 1e-250), while the leading tail term P(T < -x) = C x**-df, with
+    C = K df**((df - 1) / 2) and K = gamma((df + 1) / 2) / (sqrt(df pi)
+    gamma(df / 2)), is exact to about df (df + 1) / ((df + 2) x**2).  The
+    tail term replaces stdtrit only where that is below 1e-15 and the two
+    differ by more than 1e-12 relative, so every quantile stdtrit gets
+    right keeps its bits.  A quantile beyond the float range is -inf.
+    """
+    x = stdtrit(df, q)
+    log_c = (gammaln(0.5 * (df + 1.0)) - 0.5 * math.log(df * math.pi) - gammaln(0.5 * df)
+             + 0.5 * (df - 1.0) * math.log(df))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail = -np.exp((log_c - np.log(q)) / df)
+        use = (df * (df + 1.0) < 1e-15 * (df + 2.0) * tail * tail) & ~(np.abs(x / tail - 1.0) <= 1e-12)
+    return np.where(use, tail, x)
+
+
 class _Standard(NamedTuple):
     """A continuous family as loc + scale times a standard form, as scipy.stats has it."""
 
@@ -146,7 +166,7 @@ _STANDARD = {
                             lambda z: erf(z / np.sqrt(2)), 0.0, math.inf),
     "cauchy": _Standard(lambda m, s: (m, s, ()), _cauchy_ppf,
                         lambda z: np.arctan2(1, -z) / np.pi, -math.inf, math.inf),
-    "t": _Standard(lambda m, s, df: (m, s, (df,)), stdtrit, stdtr, -math.inf, math.inf),
+    "t": _Standard(lambda m, s, df: (m, s, (df,)), _t_ppf, stdtr, -math.inf, math.inf),
     "gamma": _Standard(lambda a, s: (0.0, s, (a,)), gammaincinv, gammainc, 0.0, math.inf),
     "invgamma": _Standard(lambda a, s: (0.0, s, (a,)), lambda a, q: 1.0 / gammainccinv(a, q),
                           lambda a, z: gammaincc(a, 1.0 / z), 0.0, math.inf),

@@ -24,6 +24,14 @@ interval, which keeps per-call numpy overhead flat.  The integrand runs
 on blocks of a few MB, and the stored (interval x owner) cells are
 capped before each evaluation.
 
+Each block is evaluated in place.  The integrator consumes the array
+``log_f`` returns: the rule forms its shifted exponentials in it and sums
+the nodes through one reused (interval x owner) temporary, so a block
+allocates nothing of the block's size besides the integrand's result.
+Fresh multi-MB arrays are costly here for more than their arithmetic:
+the allocator returns freed ones to the kernel, and each reuse then
+faults every 4 KB page in again.
+
 Because the integrands are positive, |K15 - G7| is a conservative bound:
 it is the error of the *Gauss* rule while the returned value comes from
 the much more accurate Kronrod extension.  Narrow peaks that could hide
@@ -75,22 +83,26 @@ _WEIGHTS_G[1::2] = [
 def _kronrod(lf: np.ndarray, half: np.ndarray):
     """log of the Kronrod-15 estimate and of |K15 - G7| per interval and
     owner, from log integrand values ``lf`` of shape (intervals, 15,
-    owners) and the intervals' half widths.
+    owners) and the intervals' half widths.  ``lf`` is overwritten.
 
     The rule sums run node by node with plain ufuncs, so an interval's
     bits do not depend on the intervals evaluated with it (a matrix
     product's do: BLAS rounds a row differently by its place in a batch).
+    The shifted exponentials are formed in ``lf`` itself and each node's
+    weighted term in one reused temporary, so a block allocates nothing
+    of its own size.
     """
     peak = np.max(lf, axis=1)
     shift = np.where(np.isfinite(peak), peak, 0.0)
-    scaled = lf - shift[:, None]
+    scaled = np.subtract(lf, shift[:, None], out=lf)
     np.exp(scaled, out=scaled)
+    term = np.empty_like(shift)
     sum_k = _WEIGHTS_K[0] * scaled[:, 0]
     for j in range(1, 15):
-        sum_k += _WEIGHTS_K[j] * scaled[:, j]
+        sum_k += np.multiply(_WEIGHTS_K[j], scaled[:, j], out=term)
     sum_g = _WEIGHTS_G[1] * scaled[:, 1]
     for j in range(3, 15, 2):
-        sum_g += _WEIGHTS_G[j] * scaled[:, j]
+        sum_g += np.multiply(_WEIGHTS_G[j], scaled[:, j], out=term)
     with np.errstate(divide="ignore"):
         log_half = np.log(half)[:, None]
         log_k = np.where(sum_k > 0, shift + np.log(np.maximum(sum_k, 1e-300)) + log_half, -np.inf)
@@ -102,18 +114,27 @@ def _kronrod(lf: np.ndarray, half: np.ndarray):
     return log_k, log_e
 
 
+def _by_interval(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-group rows of ``values`` repeated to one row per interval, for
+    groups of ``sizes`` consecutive intervals; a single group's row is
+    left to broadcast."""
+    return values if sizes.size == 1 else np.repeat(values, sizes, axis=0)
+
+
 def _group_logsumexp(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Elementwise log(sum(exp(values))) over consecutive row segments of
     ``sizes`` rows each (all positive); -inf where a segment's entry
     vanishes.
 
     ``reduceat`` adds each segment's rows in order, one segment at a time,
-    so a segment's result does not depend on the rows around it.
+    so a segment's result does not depend on the rows around it.  The
+    exponentials are formed in one array of the size of ``values``.
     """
     starts = np.cumsum(sizes) - sizes
     peak = np.maximum.reduceat(values, starts, axis=0)
     shift = np.where(np.isfinite(peak), peak, 0.0)
-    acc = np.add.reduceat(np.exp(values - np.repeat(shift, sizes, axis=0)), starts, axis=0)
+    scaled = np.subtract(values, _by_interval(shift, sizes))
+    acc = np.add.reduceat(np.exp(scaled, out=scaled), starts, axis=0)
     with np.errstate(divide="ignore"):
         out = shift + np.log(acc)
     return np.where(np.isfinite(peak), out, -np.inf)
@@ -123,14 +144,19 @@ def _eval_cells(log_f, a: np.ndarray, b: np.ndarray, groups: np.ndarray, n_owner
     """:func:`_kronrod` of the intervals ``[a, b]`` of ``groups``, shape
     (intervals, 2, n_owners) with the log estimates at [:, 0] and the log
     error brackets at [:, 1], the integrand run on blocks of at most
-    _BLOCK_CELLS values."""
+    _BLOCK_CELLS values.  A block's integrand values are consumed in
+    place, unless ``log_f`` returns a read-only or non-float64 array,
+    which is copied first."""
     terms = np.empty((a.size, 2, n_owners))
     step = max(1, _BLOCK_CELLS // (15 * max(n_owners, 1)))
     for i in range(0, a.size, step):
         block = slice(i, i + step)
         half = 0.5 * (b[block] - a[block])
         x = 0.5 * (a[block] + b[block])[:, None] + half[:, None] * _NODES[None, :]
-        terms[block, 0], terms[block, 1] = _kronrod(log_f(groups[block, None], x), half)
+        lf = log_f(groups[block, None], x)
+        if not (isinstance(lf, np.ndarray) and lf.dtype == np.float64 and lf.flags.writeable):
+            lf = np.array(lf, dtype=float)
+        terms[block, 0], terms[block, 1] = _kronrod(lf, half)
     return terms
 
 
@@ -152,7 +178,11 @@ def log_quad_batch(
         Vectorized callable ``log_f(group_ids, x)`` where ``group_ids``
         has shape (m, 1) and ``x`` shape (m, 15); returns the log
         integrand of every owner of the row's group, shape (m, 15,
-        n_owners).  Must tolerate -inf results.
+        n_owners).  Must tolerate -inf results.  The integrator consumes
+        the returned array and may overwrite it, so return a new array,
+        not one kept elsewhere; a read-only array (such as a
+        ``np.broadcast_to`` view) or one of another dtype is copied
+        first.
     bounds:
         Array of shape (n_groups, 2) with each group's integration limits.
         Each group refines a partition of its own, so its results do not
@@ -227,7 +257,7 @@ def log_quad_batch(
         # Split every interval holding more than its fair share of some live
         # owner's error; each live owner's worst interval exceeds this.
         threshold = np.where(live, total + log_rtol - np.log(4.0 * sizes)[:, None], np.inf)
-        split = np.any(terms[:, 1] > np.repeat(threshold, sizes, axis=0), axis=1)
+        split = np.any(terms[:, 1] > _by_interval(threshold, sizes), axis=1)
         n_split = int(np.count_nonzero(split))
         if n_split == 0:  # pragma: no cover - guarded by threshold proof
             raise _not_converged("(no interval to split)", total, err, live, ids)
@@ -297,7 +327,8 @@ def log_quad(
 ) -> float:
     """Single-integral convenience wrapper around :func:`log_quad_batch`.
 
-    ``log_f`` receives plain arrays of abscissae.
+    ``log_f`` receives plain arrays of abscissae; its result is consumed
+    as in :func:`log_quad_batch`.
     """
     result = log_quad_batch(
         lambda _grp, x: log_f(x)[..., None],

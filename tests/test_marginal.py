@@ -681,7 +681,7 @@ class TestDeltaPosteriorIntegrand:
         def recording(log_f, bounds, **kwargs):
             def log_f_recorded(grp, t):
                 out = log_f(grp, t)
-                calls.append((t, out))
+                calls.append((t, out.copy()))  # the integrator consumes out
                 return out
 
             assert np.shape(bounds) == (1, 2) and kwargs["n_owners"] == xs.size

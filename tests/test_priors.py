@@ -185,6 +185,47 @@ class TestQuantile:
         assert np.max(np.abs(back - xs) / scale) < 1e-8
 
 
+def _t_quantile_mpmath(df, p):
+    """The standard t quantile at a lower-tail level p, to 40 digits: the
+    root in log|x| of 0.5 I_{df / (df + x**2)}(df / 2, 1 / 2) = p; -inf
+    beyond the float range."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        df, p = mp.mpf(df), mp.mpf(p)
+        gap = lambda lx: mp.log(mp.betainc(df / 2, 0.5, 0, df / (df + mp.exp(2 * lx)), regularized=True) / 2) - mp.log(p)
+        x = -mp.exp(mp.findroot(gap, (mp.mpf(-1), mp.mpf(800)), solver="illinois"))
+        return float(x) if abs(x) <= mp.mpf(np.finfo(float).max) else -math.inf
+
+
+class TestTQuantileFarTail:
+    """stdtrit goes wrong far in the lower tail (df 3: half the quantile at
+    1e-200, +inf at 1e-250); the leading tail term takes over there."""
+
+    LEVELS = (1e-12, 1e-50, 1e-100, 1e-160, 1e-200, 1e-250, 1e-300, 1e-307, 1e-310)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 5.0, 30.0, 1e3])
+    def test_matches_mpmath(self, df):
+        spec = PriorSpec.t(0.0, 1.0, df)
+        got = spec.quantile(np.array(self.LEVELS))
+        for p, x in zip(self.LEVELS, got):
+            want = _t_quantile_mpmath(df, p)
+            if math.isinf(want):
+                assert x == want, p
+            else:
+                assert x == pytest.approx(want, rel=1e-13), p
+            assert spec.quantile(p) == x
+
+    def test_location_and_scale(self):
+        assert PriorSpec.t(2.0, 0.5, 3.0).quantile(1e-250) == pytest.approx(
+            2.0 + 0.5 * _t_quantile_mpmath(3.0, 1e-250), rel=1e-13)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 3.0, 5.0, 30.0, 1e3])
+    def test_stdtrit_kept_where_it_is_right(self, df):
+        # the package's levels, and the tail down to where stdtrit still holds
+        levels = np.concatenate([MARGINAL_LEVELS, [1e-16, 1e-50]])
+        assert np.array_equal(PriorSpec.t(0.0, 1.0, df).quantile(levels), stats.t(df).ppf(levels))
+
+
 class TestScipyStatsEquality:
     """Quantiles and CDFs from scipy.special equal scipy.stats bit for bit."""
 

@@ -249,6 +249,115 @@ def test_group_logsumexp_segments_do_not_depend_on_each_other():
     assert np.count_nonzero(np.isfinite(got)) > sizes.size
 
 
+def _kronrod_allocating(lf, half):
+    """The Kronrod rule as it was written before it ran in place: fresh
+    arrays for the shifted exponentials and for every node's term."""
+    peak = np.max(lf, axis=1)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    scaled = lf - shift[:, None]
+    np.exp(scaled, out=scaled)
+    sum_k = quadrature._WEIGHTS_K[0] * scaled[:, 0]
+    for j in range(1, 15):
+        sum_k += quadrature._WEIGHTS_K[j] * scaled[:, j]
+    sum_g = quadrature._WEIGHTS_G[1] * scaled[:, 1]
+    for j in range(3, 15, 2):
+        sum_g += quadrature._WEIGHTS_G[j] * scaled[:, j]
+    with np.errstate(divide="ignore"):
+        log_half = np.log(half)[:, None]
+        log_k = np.where(sum_k > 0, shift + np.log(np.maximum(sum_k, 1e-300)) + log_half, -np.inf)
+        diff = np.abs(sum_k - sum_g)
+        log_e = np.where(diff > 0, shift + np.log(np.maximum(diff, 1e-300)) + log_half, -np.inf)
+    bad = ~np.isfinite(peak)
+    log_k[bad] = -np.inf
+    log_e[bad] = -np.inf
+    return log_k, log_e
+
+
+def _group_logsumexp_allocating(values, sizes):
+    """The segment log-sum-exp as it was written before it ran in place."""
+    starts = np.cumsum(sizes) - sizes
+    peak = np.maximum.reduceat(values, starts, axis=0)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    acc = np.add.reduceat(np.exp(values - np.repeat(shift, sizes, axis=0)), starts, axis=0)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(acc)
+    return np.where(np.isfinite(peak), out, -np.inf)
+
+
+def _awkward_cells(rng, m, owners):
+    """log integrand values of shape (m, 15, owners) on very different
+    scales, with an interval that vanishes for every owner, owners that
+    vanish on one interval, and cells at +inf, NaN and -inf."""
+    lf = rng.normal(0.0, 3.0, (m, 15, owners)) + rng.normal(0.0, 300.0, (m, 1, owners))
+    lf[0] = -np.inf
+    lf[1, :, ::3] = -np.inf
+    lf[2, 4, ::5] = np.inf
+    lf[3, 9, 1::4] = np.nan
+    lf[rng.random(lf.shape) < 0.05] = -np.inf
+    return lf
+
+
+@pytest.mark.parametrize("owners", [1, 15, 2048])
+def test_kronrod_in_place_matches_allocating_rule_bitwise(owners):
+    rng = np.random.default_rng(owners)
+    m = 6 if owners == 2048 else 40
+    lf = _awkward_cells(rng, m, owners)
+    half = rng.uniform(1e-6, 3.0, m)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and +inf cells
+        want = _kronrod_allocating(lf.copy(), half)
+        got = quadrature._kronrod(lf.copy(), half)
+    for g, w in zip(got, want):
+        assert g.shape == (m, owners)
+        assert np.array_equal(g, w)
+    assert np.all(got[0][0] == -np.inf) and got[0][2, 0] == -np.inf, "vanishing and +inf cells read -inf"
+    assert np.isfinite(got[0]).any()
+
+
+@pytest.mark.parametrize("owners", [1, 15, 2048])
+def test_group_logsumexp_in_place_matches_allocating_version_bitwise(owners):
+    rng = np.random.default_rng(owners + 1)
+    sizes = np.array([3, 1, 7, 2, 5]) if owners == 2048 else rng.integers(1, 30, 12)
+    values = rng.normal(0.0, 2.0, (int(sizes.sum()), 2, owners)) + rng.normal(0.0, 50.0, (1, 1, owners))
+    values[:sizes[0]] = -np.inf
+    values[sizes[0], 0, ::2] = np.inf
+    values[-1, 1, 1::3] = np.nan
+    values[rng.random(values.shape) < 0.1] = -np.inf
+    for segments in (sizes, np.array([sizes.sum()])):
+        want = _group_logsumexp_allocating(values, segments)
+        got = quadrature._group_logsumexp(values, segments)
+        assert got.shape == (segments.size, 2, owners)
+        assert np.array_equal(got, want)
+        # the extra_refine call reduces a strided (intervals, owners) view
+        assert np.array_equal(quadrature._group_logsumexp(values[:, 0], segments),
+                              _group_logsumexp_allocating(values[:, 0], segments))
+    assert np.all(quadrature._group_logsumexp(values, sizes)[0] == -np.inf)
+
+
+def test_integrands_the_rule_may_not_write_are_copied():
+    # the integrator consumes log_f's result in place; a read-only array, a
+    # broadcast view and an integer array are copied first, so each call
+    # returns the same value as a plain integrand and leaves them intact
+    def normal(x):
+        return -0.5 * x * x - 0.5 * math.log(2 * math.pi)
+
+    kept = {}
+
+    def read_only(x):
+        out = normal(x)
+        out.flags.writeable = False
+        kept[out.tobytes()] = out
+        return out
+
+    want = log_quad(normal, -9.0, 9.0)
+    assert log_quad(read_only, -9.0, 9.0) == want
+    assert all(out.tobytes() == key for key, out in kept.items())
+    shared = log_quad_batch(lambda grp, x: np.broadcast_to(normal(x)[..., None], x.shape + (3,)),
+                            [(-9.0, 9.0)], n_owners=3)
+    assert np.all(shared == want)
+    assert log_quad(lambda x: np.zeros(x.shape, dtype=np.int64), 0.0, 2.0) == pytest.approx(math.log(2.0),
+                                                                                              abs=1e-15)
+
+
 # --------------------------------------------------------------------------
 # owners of one group: one range, one set of seeds, one partition
 # --------------------------------------------------------------------------

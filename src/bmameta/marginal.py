@@ -268,16 +268,14 @@ def log_marginal(
     comparison: Comparison,
     *,
     rel_tol: float = 1e-9,
-    extra_refine: int = 0,
 ) -> float:
     """Log of the marginal likelihood of ``comparison`` under ``model``.
 
     The one-model case of :func:`log_marginals`.  ``rel_tol`` is the
     relative tolerance on the integral, i.e. the absolute tolerance on
-    the returned log value; ``extra_refine`` bisects every converged
-    interval that many additional times (for refinement-stability checks).
+    the returned log value.
     """
-    return float(log_marginals([model], comparison, rel_tol=rel_tol, extra_refine=extra_refine)[0])
+    return float(log_marginals([model], comparison, rel_tol=rel_tol)[0])
 
 
 def log_marginals(
@@ -285,7 +283,6 @@ def log_marginals(
     comparison: Comparison,
     *,
     rel_tol: float = 1e-9,
-    extra_refine: int = 0,
 ) -> np.ndarray:
     """Log marginal likelihoods of several models on one comparison.
 
@@ -301,12 +298,12 @@ def log_marginals(
         if model.tau_free:
             groups.setdefault(model.delta_prior, []).append(i)
         else:
-            delta_part = _delta_part(model.delta_prior, comparison, rel_tol, extra_refine)
+            delta_part = _delta_part(model.delta_prior, comparison, rel_tol)
             out[i] = delta_part(np.array([model.tau_prior.params[0]]))[0]
     scales = _tau_data_scales(comparison) if groups else None
     for g, idx in groups.items():
         out[idx] = _free_tau_log_marginals(
-            g, [models[i].tau_prior for i in idx], comparison, scales, rel_tol, extra_refine
+            g, [models[i].tau_prior for i in idx], comparison, scales, rel_tol
         )
     nan = np.flatnonzero(np.isnan(out))
     if nan.size:
@@ -314,7 +311,7 @@ def log_marginals(
     return out
 
 
-def _free_tau_log_marginals(g, tau_priors, comparison, scales, rel_tol, extra_refine):
+def _free_tau_log_marginals(g, tau_priors, comparison, scales, rel_tol):
     """Log marginals under delta prior ``g`` and each free tau prior, from one
     outer ``log_quad_batch`` with one group of one owner per tau prior;
     ``scales`` are the comparison's tau data scales (:func:`_tau_data_scales`).
@@ -324,7 +321,7 @@ def _free_tau_log_marginals(g, tau_priors, comparison, scales, rel_tol, extra_re
     are its own lattice points, so each group refines the partition, and
     gets the total, of a single-prior call.
     """
-    delta_part = _delta_part(g, comparison, rel_tol * 0.1, extra_refine)
+    delta_part = _delta_part(g, comparison, rel_tol * 0.1)
     bounds = np.array([_prior_bounds(h) for h in tau_priors])
     seeds = np.concatenate([_tau_seeds(h, comparison, scales) for h in tau_priors])
 
@@ -336,10 +333,10 @@ def _free_tau_log_marginals(g, tau_priors, comparison, scales, rel_tol, extra_re
             out[rows] += h.log_pdf(t[rows])
         return out[..., None]
 
-    return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol, extra_refine=extra_refine)[:, 0]
+    return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)[:, 0]
 
 
-def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
+def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float):
     """``f(tau_values)``: the log of the likelihood integrated over the delta
     prior ``g`` at each tau (the likelihood itself at a point delta).
 
@@ -364,7 +361,7 @@ def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refi
     if g.family == "halfnormal":
         (s,) = g.params
         return lambda t: _halfnormal(random_stats(t, comparison), s)
-    return _mixture_integrals(g, comparison, rel_tol, extra_refine)
+    return _mixture_integrals(g, comparison, rel_tol)
 
 
 def _conjugate(stats: tuple, m: float, w) -> np.ndarray:
@@ -453,7 +450,7 @@ def _log_ndtr_diff(lo, hi) -> np.ndarray:
     return out
 
 
-def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, extra_refine: int = 0):
+def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
     """``integrals(tau_values)``: the delta part of a t prior ``g`` at each
     tau, as log of the integral over u = log(lambda) of ``_conjugate`` at
     prior variance s**2 / lambda times the gamma mixing density
@@ -494,7 +491,7 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float, ext
 
         return (log_quad_batch(
             logf, np.broadcast_to(mix.bounds, (rows.shape[0], 2)), n_owners=rows.shape[1],
-            seeds=mix.seeds, rel_tol=rel_tol, extra_refine=extra_refine,
+            seeds=mix.seeds, rel_tol=rel_tol,
         ) - 0.5 * c).reshape(tau_values.shape)
 
     return integrals

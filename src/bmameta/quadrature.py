@@ -17,8 +17,7 @@ owner's total is frozen.  A group whose owners have all converged is
 retired: its intervals leave the working arrays, so later rounds only
 reduce over groups still refining.  Each group's terms are summed in the
 same order as in a call of its own, so batching changes no result bit;
-the cell cap still counts retired intervals, and ``extra_refine``
-bisects every final interval, retired or not.  Nested 2D integration
+the cell cap still counts retired intervals.  Nested 2D integration
 feeds the outer rule's nodes to an inner call, one group per outer
 interval, which keeps per-call numpy overhead flat.  The integrand runs
 on blocks of a few MB, and the stored (interval x owner) cells are
@@ -167,7 +166,6 @@ def log_quad_batch(
     n_owners: int = 1,
     seeds: Optional[np.ndarray] = None,
     rel_tol: float = 1e-9,
-    extra_refine: int = 0,
 ) -> np.ndarray:
     """``log(integral(exp(log_f)))`` for groups of owners; the owners of a
     group share its range, its seeds and one partition.
@@ -196,9 +194,6 @@ def log_quad_batch(
     rel_tol:
         Relative tolerance on each owner's integral, i.e. absolute
         tolerance on the returned log value.
-    extra_refine:
-        After convergence, bisect every interval this many times and
-        recompute; used to verify refinement stability.
 
     Returns
     -------
@@ -227,12 +222,14 @@ def log_quad_batch(
         raise ConvergenceError("empty integration region")
     a, b = pts[:, :-1][keep], pts[:, 1:][keep]
     groups = np.repeat(np.arange(n_groups), keep.shape[1])[keep.ravel()]
-    _check_cells(a.size, n_owners, max_cells)
+    if a.size * n_owners > max_cells:
+        raise ConvergenceError(
+            f"quadrature needs {a.size} intervals x {n_owners} owners, over the cap of {max_cells} cells"
+        )
     terms = _eval_cells(log_f, a, b, groups, n_owners)
 
     out = np.full((n_groups, n_owners), -np.inf)
     active = np.ones((n_groups, n_owners), dtype=bool)
-    retired = []  # (a, b, groups) of finished groups, whole groups per entry
     n_retired = 0
     # the groups still refining and their interval counts; a group's
     # intervals are consecutive in a, b, groups and terms
@@ -246,7 +243,6 @@ def log_quad_batch(
         if not going.all():
             # a finished group's intervals never change again
             keep = np.repeat(going, sizes)
-            retired.append((a[~keep], b[~keep], groups[~keep]))
             n_retired += a.size - int(np.count_nonzero(keep))
             a, b, groups, terms = (v[keep] for v in (a, b, groups, terms))
             ids, sizes, total, err, live = (v[going] for v in (ids, sizes, total, err, live))
@@ -273,20 +269,10 @@ def log_quad_batch(
             np.concatenate([v[keep], w]) for v, w in
             ((a, child_a), (b, child_b), (groups, child_groups), (terms, child_terms))
         )
-        if n_groups > 1:
-            a, b, groups, terms = _by_group(groups, a, b, groups, terms)
+        if n_groups > 1:  # back to consecutive groups, each in its own order
+            order = np.argsort(groups, kind="stable")
+            a, b, groups, terms = (v[order] for v in (a, b, groups, terms))
         sizes = np.bincount(groups, minlength=n_groups)[ids]
-
-    if extra_refine:
-        a, b, groups = (np.concatenate(v) for v in zip(*retired))
-        for _ in range(extra_refine):
-            mid = 0.5 * (a + b)
-            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-            groups = np.concatenate([groups, groups])
-        a, b, groups = _by_group(groups, a, b, groups)
-        _check_cells(a.size, n_owners, max_cells)
-        terms = _eval_cells(log_f, a, b, groups, n_owners)
-        out = _group_logsumexp(terms[:, 0], np.bincount(groups))
     return out
 
 
@@ -303,18 +289,6 @@ def _not_converged(how: str, total, err, live, group_ids) -> ConvergenceError:
     )
 
 
-def _by_group(groups: np.ndarray, *arrays) -> tuple:
-    """``arrays`` reordered by group, keeping each group's own order."""
-    order = np.argsort(groups, kind="stable")
-    return tuple(v[order] for v in arrays)
-
-
-def _check_cells(n_intervals: int, n_owners: int, max_cells: int) -> None:
-    if n_intervals * n_owners > max_cells:
-        raise ConvergenceError(
-            f"quadrature needs {n_intervals} intervals x {n_owners} owners, over the cap of {max_cells} cells"
-        )
-
 
 def log_quad(
     log_f: Callable[[np.ndarray], np.ndarray],
@@ -323,7 +297,6 @@ def log_quad(
     *,
     seeds: Optional[np.ndarray] = None,
     rel_tol: float = 1e-9,
-    extra_refine: int = 0,
 ) -> float:
     """Single-integral convenience wrapper around :func:`log_quad_batch`.
 
@@ -335,6 +308,5 @@ def log_quad(
         np.array([[lower, upper]]),
         seeds=seeds,
         rel_tol=rel_tol,
-        extra_refine=extra_refine,
     )
     return float(result[0, 0])

@@ -77,12 +77,10 @@ def test_per_group_bounds_and_seeds_match_single_group_calls_bitwise():
     bounds = np.array([[-10.0, 10.0], [-1.0, 7.0], [-12.0, 9.0], [-5.0, 5.0], [-0.5, 20.0]])
     logf = _normals(mus, sds)
 
-    for extra_refine in (0, 1):
-        got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10, extra_refine=extra_refine)
-        for i in range(mus.size):
-            alone = log_quad_batch(_alone(logf, i), bounds[i:i + 1], seeds=seeds[i], rel_tol=1e-10,
-                                   extra_refine=extra_refine)
-            assert got[i, 0] == alone[0, 0], (i, extra_refine)
+    got = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=1e-10)
+    for i in range(mus.size):
+        alone = log_quad_batch(_alone(logf, i), bounds[i:i + 1], seeds=seeds[i], rel_tol=1e-10)
+        assert got[i, 0] == alone[0, 0], i
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
 
 
@@ -146,19 +144,14 @@ def _recording(logf, seen):
 
 def test_retired_groups_match_single_group_calls_bitwise():
     logf, bounds, seeds, levels = _peak_and_flat_groups()
-    for extra_refine in (0, 1):
-        seen = []
-        got = log_quad_batch(_recording(logf, seen), bounds, seeds=seeds, rel_tol=1e-10,
-                             extra_refine=extra_refine)
-        refinement = seen[1:len(seen) - extra_refine]
-        assert len(refinement) >= 2 and all(np.all(g == 0) for g in refinement), \
-            "the flat groups must leave the batch after the first round"
-        if extra_refine:
-            assert np.array_equal(np.unique(seen[-1]), np.arange(4))
-        for i in range(4):
-            alone = log_quad_batch(_alone(logf, i), bounds[i:i + 1], seeds=seeds[i], rel_tol=1e-10,
-                                   extra_refine=extra_refine)
-            assert got[i, 0] == alone[0, 0], (i, extra_refine)
+    seen = []
+    got = log_quad_batch(_recording(logf, seen), bounds, seeds=seeds, rel_tol=1e-10)
+    refinement = seen[1:]
+    assert len(refinement) >= 2 and all(np.all(g == 0) for g in refinement), \
+        "the flat groups must leave the batch after the first round"
+    for i in range(4):
+        alone = log_quad_batch(_alone(logf, i), bounds[i:i + 1], seeds=seeds[i], rel_tol=1e-10)
+        assert got[i, 0] == alone[0, 0], i
     np.testing.assert_allclose(got[:, 0], [0.0, *(math.log(2.0) + levels[1:])], atol=1e-9)
 
 
@@ -201,10 +194,10 @@ def test_empty_group_rejected():
         log_quad_batch(lambda grp, x: np.zeros(x.shape + (1,)), [[0.0, 1.0], [2.0, 2.0]])
 
 
-def test_extra_refine_stability():
+def test_tighter_tolerance_stability():
     logf = lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi)
     base = log_quad(logf, -9.0, 9.0)
-    refined = log_quad(logf, -9.0, 9.0, extra_refine=1)
+    refined = log_quad(logf, -9.0, 9.0, rel_tol=1e-11)
     assert abs(base - refined) < 1e-9
 
 
@@ -327,9 +320,6 @@ def test_group_logsumexp_in_place_matches_allocating_version_bitwise(owners):
         got = quadrature._group_logsumexp(values, segments)
         assert got.shape == (segments.size, 2, owners)
         assert np.array_equal(got, want)
-        # the extra_refine call reduces a strided (intervals, owners) view
-        assert np.array_equal(quadrature._group_logsumexp(values[:, 0], segments),
-                              _group_logsumexp_allocating(values[:, 0], segments))
     assert np.all(quadrature._group_logsumexp(values, sizes)[0] == -np.inf)
 
 
@@ -391,14 +381,11 @@ def _stack(owners):
 
 def test_shared_partition_matches_single_owner_calls():
     owners = _shared_owners()
-    for extra_refine in (0, 1):
-        got = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS,
-                             rel_tol=1e-10, extra_refine=extra_refine)
-        assert got.shape == (1, len(owners))
-        for j, f in enumerate(owners):
-            alone = log_quad(f, *SHARED_BOUNDS[0], seeds=SHARED_SEEDS, rel_tol=1e-10,
-                             extra_refine=extra_refine)
-            assert abs(got[0, j] - alone) <= 1e-13, (j, extra_refine, got[0, j] - alone)
+    got = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS, rel_tol=1e-10)
+    assert got.shape == (1, len(owners))
+    for j, f in enumerate(owners):
+        alone = log_quad(f, *SHARED_BOUNDS[0], seeds=SHARED_SEEDS, rel_tol=1e-10)
+        assert abs(got[0, j] - alone) <= 1e-13, (j, got[0, j] - alone)
 
 
 def test_shared_converged_owner_is_frozen():
@@ -427,11 +414,11 @@ def test_shared_owner_vanishing_everywhere():
     np.testing.assert_allclose(got[0, :2], 0.0, atol=1e-9)
 
 
-def test_shared_extra_refine_stability():
+def test_shared_tighter_tolerance_stability():
     owners = _shared_owners()
     base = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS)
     refined = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS,
-                             extra_refine=2)
+                             rel_tol=1e-11)
     assert np.all(np.abs(base - refined) < 1e-9)
 
 
@@ -445,13 +432,10 @@ def test_groups_do_not_depend_on_each_other_bitwise():
         z = (x[..., None] - centres[grp][..., None]) / widths
         return -0.5 * z * z - np.log(widths * math.sqrt(2 * math.pi))
 
-    for extra_refine in (0, 1):
-        got = log_quad_batch(logf, SHARED_BOUNDS * centres.size, n_owners=2, seeds=SHARED_SEEDS,
-                             rel_tol=1e-10, extra_refine=extra_refine)
-        for g in range(centres.size):
-            alone = log_quad_batch(_alone(logf, g), SHARED_BOUNDS, n_owners=2, seeds=SHARED_SEEDS,
-                                   rel_tol=1e-10, extra_refine=extra_refine)
-            assert np.array_equal(got[g], alone[0]), (g, extra_refine)
+    got = log_quad_batch(logf, SHARED_BOUNDS * centres.size, n_owners=2, seeds=SHARED_SEEDS, rel_tol=1e-10)
+    for g in range(centres.size):
+        alone = log_quad_batch(_alone(logf, g), SHARED_BOUNDS, n_owners=2, seeds=SHARED_SEEDS, rel_tol=1e-10)
+        assert np.array_equal(got[g], alone[0]), g
     np.testing.assert_allclose(got, 0.0, atol=1e-9)
 
 

@@ -44,12 +44,12 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
   written K(nu / 2) - (nu / 2) (expm1(u) - u) so that a large nu cancels
   no terms of size nu.  The narrow likelihood peak in delta is integrated
   in closed form, so delta has no bounds and the integrand is smooth in
-  u.  The only cut is in lambda: the lower limit drops at most 1e-16 of
-  the integral for data up to 1e4 prior scales from the prior's
-  location, the upper limit 1e-30 of the mixing prior's mass.  Every
-  tau has the same u range and seeds, so the tau values are the owners
-  of one group and share its u partition; in the outer tau integral each
-  tau interval is a group of its own.
+  u.  The only cut is in lambda: the lower limit, set from the data's
+  distance to the prior's location, drops at most 1e-16 of the integral,
+  the upper limit 1e-30 of the mixing prior's mass.  The tau values of
+  one call are the owners of one group and share its u range and
+  partition; in the outer tau integral each tau interval is a group of
+  its own.
 * uniform(a, b) and halfnormal(s): the likelihood's normal shape cut to
   an interval, closed (:func:`_uniform`, :func:`_halfnormal`) in a log
   difference of normal CDFs formed away from mu (:func:`_log_ndtr_diff`).
@@ -107,12 +107,11 @@ log = logging.getLogger(__name__)
 _TAIL = 1e-12
 _EFFECT_FAMILIES = ("point", "normal", "t", "cauchy", "uniform", "halfnormal")
 # Scale-mixture delta parts: the lower lambda cut drops at most _MIX_TAIL of
-# the integral for data up to _MIX_REACH prior scales from the prior's
-# location; the upper cut drops _MIX_UPPER_TAIL of the mixing prior's mass.
+# the integral, the upper cut _MIX_UPPER_TAIL of the mixing prior's mass.
 _MIX_TAIL = 1e-16
-_MIX_REACH = 1e4
 _MIX_UPPER_TAIL = 1e-30
 _MIX_SEED_LEVELS = (1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-6)
+_TINY = np.finfo(float).tiny
 # (node x owner) cells of the t mixture integrand formed at a time: its
 # V + w scratch stays far below the integrator's block size
 _CHUNK_CELLS = 1 << 16
@@ -187,33 +186,39 @@ class _Mixing:
     gammaln(a) (:func:`bmameta.priors._gammaln_k`).  Written so, no term of
     size a cancels: the density peaks at u = 0 with value K(a) ~
     log(a / 2 pi) / 2.
-    ``bounds`` is the u range integrated and ``seeds`` the logs of the
-    mixing prior's quantiles at _MIX_SEED_LEVELS.
+    ``upper`` is the log of the upper lambda limit and ``seeds`` the logs
+    of the mixing prior's quantiles at _MIX_SEED_LEVELS.
 
     With precise data (V -> 0) whose mu lies D prior scales from the
     location, the integrand is, up to a constant, the density of
-    u = log(lambda) for lambda ~ Ga(a + 1/2, rate a + D**2 / 2).  The lower
-    cut is that law's _MIX_TAIL quantile at D = _MIX_REACH, so it drops at
-    most _MIX_TAIL of the integral for every D up to _MIX_REACH; less
-    precise data leave less below it.
+    u = log(lambda) for lambda ~ Ga(a + 1/2, rate a + D**2 / 2), and the
+    lower lambda limit is that law's _MIX_TAIL quantile,
+    ``cut / (a + D**2 / 2)`` with ``cut`` its value at rate 1.  A variance
+    V = r s**2 scales the integrand by (1 + r lambda)**-1/2 and slows its
+    decay in D, so by Jensen the integral is at least 1 / k of the precise
+    one, k = sqrt(1 + r (a + 1/2) / a).  The limit is divided by
+    k**(1 / (a + 1/2)), which cuts the precise law's tail below it by k
+    where that tail is a power of lambda.  Checked numerically, the limit
+    drops at most _MIX_TAIL of the integral for nu = 1, 3, 5, 30 and 1000,
+    D = 0, 1 and 1e3, and r from 0 to 1e12.
     """
 
     a: float
     log_norm: float
-    bounds: np.ndarray
+    cut: float
+    upper: float
     seeds: np.ndarray
 
 
 @lru_cache(maxsize=1024)
 def _mixing(g: PriorSpec) -> _Mixing:
     a = 0.5 * g.params[2]
-    lo = gammaincinv(a + 0.5, _MIX_TAIL) / (a + 0.5 * _MIX_REACH**2)
     hi = gammainccinv(a, _MIX_UPPER_TAIL) / a
-    bounds = np.log([lo, hi])
-    # a tiny nu puts the low quantiles at 0, below the cut
-    seeds = np.log(np.clip(gammaincinv(a, np.array(_MIX_SEED_LEVELS)) / a, lo, hi))
-    bounds.flags.writeable = seeds.flags.writeable = False
-    return _Mixing(a, _gammaln_k(a), bounds, seeds)
+    # a tiny nu puts the low quantiles at 0; the integrator clips the seeds
+    # to each row's cut
+    seeds = np.log(np.clip(gammaincinv(a, np.array(_MIX_SEED_LEVELS)) / a, _TINY, hi))
+    seeds.flags.writeable = False
+    return _Mixing(a, _gammaln_k(a), float(gammaincinv(a + 0.5, _MIX_TAIL)), math.log(hi), seeds)
 
 
 def _weighted_mean_se(comparison: Comparison) -> tuple:
@@ -456,11 +461,13 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
     prior variance s**2 / lambda times the gamma mixing density
     (:class:`_Mixing`).
 
-    Every tau has the same u range and seeds, so the tau values are the
-    owners of one :func:`~bmameta.quadrature.log_quad_batch` group and share
-    its partition.  The rows of a 2-D ``tau_values`` are groups of their own:
-    a row's results then do not depend on the other rows, so a tau
-    interval of an outer integral gets the same bits in any batch.  The
+    The tau values are the owners of one
+    :func:`~bmameta.quadrature.log_quad_batch` group and share its u range,
+    seeds and partition; the lower lambda limit is set for the owner
+    farthest, in prior scales, from the prior's location.  The rows of a
+    2-D ``tau_values`` are groups of their own: a row's range and results
+    then do not depend on the other rows, so a tau interval of an outer
+    integral gets the same bits in any batch.  The
     narrow likelihood peak in delta is integrated in closed form, so the
     integrand is smooth in u and delta has no bounds.  ``-c / 2`` is added
     after the integral, so no node carries its rounding.  The lambda-free
@@ -476,6 +483,13 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
         rows = np.atleast_2d(tau_values)
         c, mu, s0 = random_stats(rows, comparison)
         terms = _conjugate_terms((0.0, mu, s0), m)
+        # each row's lower lambda limit (:class:`_Mixing`) for its owners'
+        # largest D**2 and r, floored so that an overflow still gives a
+        # finite log
+        d2, r = (np.max(v, axis=1) / (s * s) for v in (terms[2], terms[1]))
+        cut = mix.cut / (a + 0.5 * d2) / (1.0 + r * (a + 0.5) / a) ** (1.0 / (2.0 * a + 1.0))
+        lower = np.log(np.fmax(cut, _TINY))
+        bounds = np.stack([lower, np.full_like(lower, mix.upper)], axis=1)
 
         def logf(grp, u):
             lam = np.exp(u)[..., None]
@@ -489,10 +503,8 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
             out += (mix.log_norm - a * (np.expm1(u) - u))[..., None]
             return out
 
-        return (log_quad_batch(
-            logf, np.broadcast_to(mix.bounds, (rows.shape[0], 2)), n_owners=rows.shape[1],
-            seeds=mix.seeds, rel_tol=rel_tol,
-        ) - 0.5 * c).reshape(tau_values.shape)
+        return (log_quad_batch(logf, bounds, n_owners=rows.shape[1], seeds=mix.seeds, rel_tol=rel_tol)
+                - 0.5 * c).reshape(tau_values.shape)
 
     return integrals
 

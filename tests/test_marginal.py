@@ -320,6 +320,11 @@ class TestMpmathOracle:
         ((300.0, 301.0), (0.1, 0.1), h1r(PriorSpec.uniform(-1.0, 1.0), IG_POOLED)),
         ((-3.0, 3.0, 0.0, 5.0), (0.05,) * 4, h1r(PriorSpec.uniform(-1.0, 1.0), PriorSpec.halfnormal(0.57))),
         ((0.12, 0.55, -0.2), (0.2, 0.15, 0.3), h1r(PriorSpec.halfnormal(0.57), PriorSpec.gamma(1.59, 0.26))),
+        # data 1e5, 1e6 and 1e7 prior scales out: each lambda row's lower
+        # limit follows the data, with no fixed reach
+        ((4.3e4, 4.3e4 + 1.0), (0.1, 0.1), h1f(T_POOLED)),
+        ((4.3e5, 4.3e5 + 1.0), (0.1, 0.1), h1f(T_POOLED)),
+        ((4.3e6, 4.3e6 + 1.0), (0.1, 0.1), h1f(T_POOLED)),
     ])
     def test_log_marginal_matches_mpmath(self, y, se, model):
         c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from . import catalog
@@ -104,12 +105,25 @@ def _detect_mode(fieldnames, mapping: dict) -> str:
     )
 
 
+@contextmanager
+def _csv_reader(path: str):
+    """A ``csv.DictReader`` over the UTF-8 file ``path``, which must have a
+    header row; undecodable bytes and malformed CSV are a ParseError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ParseError("empty CSV: no header row", line=1)
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}", reader.line_num) from exc
+
+
 def read_analysis_csv(path: str, mapping: dict) -> list:
     """Read a single-comparison CSV; every row must be estimable."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty CSV: no header row", line=1)
+    with _csv_reader(path) as reader:
         mode = _detect_mode(reader.fieldnames, mapping)
         studies = []
         for i, row in enumerate(reader):
@@ -131,10 +145,7 @@ def read_corpus_csv(path: str, mapping: dict) -> tuple:
     a comparison whose rows are all blank is dropped at parse time (it
     could never survive the non-estimable filter anyway).
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty CSV: no header row", line=1)
+    with _csv_reader(path) as reader:
         id_col = mapping.get("comparison_id", "comparison_id")
         if id_col not in reader.fieldnames:
             raise ParseError(f"missing {id_col!r} column", line=1)
@@ -166,6 +177,16 @@ def read_corpus_csv(path: str, mapping: dict) -> tuple:
         if groups[cid]
     ]
     return comparisons, non_estimable
+
+
+def read_candidates(path: str) -> CandidatePriorSet:
+    """Read a candidate prior set JSON (as ``fit-priors`` writes it)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ParseError(f"{path} is not a JSON candidate prior set: {exc}") from exc
+    return CandidatePriorSet.from_dict(data)
 
 
 def _resolve_priors(args) -> tuple:
@@ -274,8 +295,7 @@ def cmd_fit_priors(args) -> int:
 
 def cmd_rank(args) -> int:
     comparisons, _ = read_corpus_csv(args.corpus, _parse_map(args.map))
-    with open(args.candidates) as fh:
-        candidates = CandidatePriorSet.from_dict(json.load(fh))
+    candidates = read_candidates(args.candidates)
     kwargs = dict(
         rel_tol=args.tol,
         min_studies=args.min_studies,
@@ -370,10 +390,7 @@ def main(argv=None) -> int:
         parser.error("catalog show requires a topic name")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return 2
-    except InputError as exc:
+    except (OSError, InputError) as exc:
         log.error("%s", exc)
         return 2
     except BmaMetaError as exc:

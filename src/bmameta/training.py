@@ -15,11 +15,11 @@ heterogeneity) alongside the fitted families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 from .core import Comparison
-from .errors import EmptyTrainingError, ParameterError
+from .errors import EmptyTrainingError, ParameterError, ParseError
 from .priors import PriorSpec, fit_mle
 from .reml import (
     reml_fit,  # noqa: F401 - unused here, but bench/tracing.py wraps this name
@@ -86,16 +86,24 @@ class CandidatePriorSet:
 
     @staticmethod
     def from_dict(data: Mapping) -> "CandidatePriorSet":
+        """The inverse of :meth:`to_dict`; anything else is a ParseError."""
         from .priors import parse_prior
 
-        prov = None
-        if "provenance" in data and data["provenance"] is not None:
-            prov = TrainingProvenance(**data["provenance"])
-        return CandidatePriorSet(
-            delta_priors=tuple(parse_prior(s) for s in data["delta_priors"]),
-            tau_priors=tuple(parse_prior(s) for s in data["tau_priors"]),
-            provenance=prov,
-        )
+        if not isinstance(data, Mapping):
+            raise ParseError(f"candidate prior set must be an object, got {type(data).__name__}")
+        priors = {}
+        for key in ("delta_priors", "tau_priors"):
+            specs = data.get(key)
+            if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
+                raise ParseError(f"candidate prior set needs {key!r}: a list of prior strings")
+            priors[key] = tuple(parse_prior(s) for s in specs)
+        prov = data.get("provenance")
+        if prov is not None:
+            names = {f.name for f in fields(TrainingProvenance)}
+            if not isinstance(prov, Mapping) or set(prov) != names:
+                raise ParseError(f"candidate prior set 'provenance' must be an object with keys {sorted(names)}")
+            prov = TrainingProvenance(**prov)
+        return CandidatePriorSet(**priors, provenance=prov)
 
 
 def general_candidate_set() -> CandidatePriorSet:

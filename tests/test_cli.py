@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import bmameta
 from bmameta.cli import main
 
 
@@ -381,6 +385,80 @@ class TestRank:
         assert main(base + ["--out", str(a)]) == 0
         assert main(base + ["--threads", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _one_error(caplog) -> str:
+    """The message of the single ERROR record a failed command logged."""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    return errors[0]
+
+
+NOT_UTF8 = b"effect,se\n0.5,0.2\n0.7\xff,0.3\n"
+NOT_UTF8_CORPUS = b"comparison_id,effect,se\nc1,0.5,0.2\nc1,0.7\xff,0.3\n"
+
+
+class TestFileErrors:
+    """Unreadable, unwritable and malformed files end in exit 2 and one
+    ERROR line, never in a traceback."""
+
+    @pytest.fixture
+    def cand_json(self, tmp_path):
+        from bmameta import general_candidate_set
+        path = tmp_path / "cand.json"
+        path.write_text(json.dumps(general_candidate_set().to_dict()))
+        return str(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("delta_priors: [t(0.0,0.43,5.0)]", "not a JSON candidate prior set"),
+        ('["t(0.0,0.43,5.0)"]', "must be an object, got list"),
+        ('{"tau_priors": ["halfnormal(0.57)"]}', "needs 'delta_priors'"),
+        ('{"delta_priors": ["normal(0.0,0.56)"], "tau_priors": ["halfnormal(0.57)"], '
+         '"provenance": {"input_comparisons": 3, "colour": "red"}}', "'provenance' must be an object with keys"),
+    ], ids=["not-json", "json-list", "no-delta-priors", "unknown-provenance-key"])
+    def test_malformed_candidates(self, corpus_csv, tmp_path, text, message, caplog):
+        path = write(tmp_path / "bad.json", text)
+        assert main(["rank", corpus_csv, "--candidates", path]) == 2
+        assert message in _one_error(caplog)
+
+    @pytest.mark.parametrize("option", ["--out", "--forest"])
+    def test_analyze_output_is_a_directory(self, five_study_csv, tmp_path, option, caplog):
+        assert main(["analyze", five_study_csv, option, str(tmp_path)]) == 2
+        assert "Is a directory" in _one_error(caplog)
+
+    def test_candidates_is_a_directory(self, corpus_csv, tmp_path, caplog):
+        assert main(["rank", corpus_csv, "--candidates", str(tmp_path)]) == 2
+        assert "Is a directory" in _one_error(caplog)
+
+    @pytest.mark.parametrize("command", ["analyze", "fit-priors", "rank"])
+    def test_csv_not_utf8(self, tmp_path, command, cand_json, caplog):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(NOT_UTF8 if command == "analyze" else NOT_UTF8_CORPUS)
+        extra = ["--candidates", cand_json] if command == "rank" else []
+        assert main([command, str(path), *extra]) == 2
+        assert "is not UTF-8 text" in _one_error(caplog)
+
+    def test_candidates_not_utf8(self, corpus_csv, tmp_path, caplog):
+        path = tmp_path / "cand.json"
+        path.write_bytes(b'{"delta_priors": ["\xff"]}')
+        assert main(["rank", corpus_csv, "--candidates", str(path)]) == 2
+        assert "not a JSON candidate prior set" in _one_error(caplog)
+
+    @pytest.mark.parametrize("case", ["out-is-a-directory", "csv-not-utf8"])
+    def test_console_entry_point(self, five_study_csv, tmp_path, case):
+        if case == "out-is-a-directory":
+            argv = ["analyze", five_study_csv, "--out", str(tmp_path)]
+        else:
+            path = tmp_path / "bad.csv"
+            path.write_bytes(NOT_UTF8)
+            argv = ["analyze", str(path)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bmameta.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "bmameta.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert sum(line.startswith("ERROR:") for line in done.stderr.splitlines()) == 1, done.stderr
 
 
 class TestCatalogCommand:

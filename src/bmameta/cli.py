@@ -118,7 +118,7 @@ def _csv_reader(path: str):
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
         except csv.Error as exc:
-            raise ParseError(f"{path}: {exc}", reader.line_num) from exc
+            raise ParseError(f"{path} is not valid CSV: {exc}") from exc
 
 
 def read_analysis_csv(path: str, mapping: dict) -> list:

@@ -45,8 +45,9 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
   no terms of size nu.  The narrow likelihood peak in delta is integrated
   in closed form, so delta has no bounds and the integrand is smooth in
   u.  The only cut is in lambda: the lower limit, set from the data's
-  distance to the prior's location, drops at most 1e-16 of the integral,
-  the upper limit 1e-30 of the mixing prior's mass.  The tau values of
+  distance to the prior's location and the likelihood's variance, drops
+  at most 1e-16 of the integral, the upper limit 1e-30 of the mixing
+  prior's mass.  The tau values of
   one call are the owners of one group and share its u range and
   partition; in the outer tau integral each tau interval is a group of
   its own.
@@ -463,8 +464,9 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
 
     The tau values are the owners of one
     :func:`~bmameta.quadrature.log_quad_batch` group and share its u range,
-    seeds and partition; the lower lambda limit is set for the owner
-    farthest, in prior scales, from the prior's location.  The rows of a
+    seeds and partition; the lower lambda limit is set for the owners'
+    largest distance from the prior's location and largest likelihood
+    variance, both in prior scales.  The rows of a
     2-D ``tau_values`` are groups of their own: a row's range and results
     then do not depend on the other rows, so a tau interval of an outer
     integral gets the same bits in any batch.  The

@@ -438,6 +438,11 @@ class TestFileErrors:
         assert main([command, str(path), *extra]) == 2
         assert "is not UTF-8 text" in _one_error(caplog)
 
+    def test_malformed_csv(self, tmp_path, caplog):
+        path = write(tmp_path / "huge.csv", "effect,se\n0.5,0.2\n" + "9" * 200_000 + ",0.3\n")
+        assert main(["analyze", path]) == 2
+        assert "is not valid CSV: field larger than field limit" in _one_error(caplog)
+
     def test_candidates_not_utf8(self, corpus_csv, tmp_path, caplog):
         path = tmp_path / "cand.json"
         path.write_bytes(b'{"delta_priors": ["\xff"]}')

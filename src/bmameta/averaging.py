@@ -44,6 +44,8 @@ __all__ = [
     "BmaResult",
     "build_standard_ensemble",
     "evaluate",
+    "member_log_marginals",
+    "log_posteriors",
     "inclusion_bf",
     "log_inclusion_bf",
     "sequential_update",
@@ -285,6 +287,25 @@ def _mixture_with_spikes(
     )
 
 
+def member_log_marginals(
+    ensemble: ModelEnsemble, comparison: Comparison, *, rel_tol: float = 1e-9
+) -> np.ndarray:
+    """The members' log marginal likelihoods on ``comparison``; a
+    :class:`DegenerateEvidenceError` when every one of them is zero."""
+    models = [m.model for m in ensemble.members]
+    logml = log_marginals(models, comparison, rel_tol=rel_tol)
+    if not np.any(np.isfinite(logml)):
+        raise DegenerateEvidenceError("every model has zero marginal likelihood")
+    return logml
+
+
+def log_posteriors(ensemble: ModelEnsemble, logml: np.ndarray) -> tuple:
+    """(log prior + log marginal, log posterior probability) of the members,
+    whose log marginals ``logml`` holds along its last axis."""
+    log_unnorm = np.log(ensemble.prior_probs) + logml
+    return log_unnorm, log_unnorm - logsumexp(log_unnorm, axis=-1, keepdims=True)
+
+
 def _group_weights(log_post: np.ndarray, indices) -> np.ndarray:
     sub = log_post[list(indices)]
     return np.exp(sub - logsumexp(sub))
@@ -308,12 +329,8 @@ def evaluate(
     effect presence) and an averaged heterogeneity summary.
     """
     models = [m.model for m in ensemble.members]
-    logml = log_marginals(models, comparison, rel_tol=rel_tol)
-    if not np.any(np.isfinite(logml)):
-        raise DegenerateEvidenceError("every model has zero marginal likelihood")
-    log_prior = np.log(ensemble.prior_probs)
-    log_unnorm = log_prior + logml
-    log_post = log_unnorm - logsumexp(log_unnorm)
+    logml = member_log_marginals(ensemble, comparison, rel_tol=rel_tol)
+    log_unnorm, log_post = log_posteriors(ensemble, logml)
     posterior = np.exp(log_post)
 
     with np.errstate(invalid="ignore", over="ignore"):
@@ -403,13 +420,13 @@ def sequential_update(
     order: Optional[Sequence[int]] = None,
     *,
     rel_tol: float = 1e-9,
-    summaries: bool = False,
 ) -> list:
     """Re-evaluate the ensemble on growing study prefixes.
 
     ``order`` must be a permutation of the study indices; the default is
-    input order.  Element ``t`` is the batch result for the first ``t+1``
-    studies, so the final element matches a full batch evaluation.
+    input order.  Element ``t`` is the batch result, without posterior
+    summaries, for the first ``t+1`` studies, so the final element
+    matches a full batch evaluation.
     """
     k = comparison.k
     if order is None:
@@ -418,10 +435,7 @@ def sequential_update(
         order = [int(i) for i in order]
         if sorted(order) != list(range(k)):
             raise ParameterError("order must be a permutation of the study indices")
-    results = []
-    for t in range(1, k + 1):
-        prefix = comparison.subset(order[:t])
-        results.append(
-            evaluate(ensemble, prefix, rel_tol=rel_tol, summaries=summaries)
-        )
-    return results
+    return [
+        evaluate(ensemble, comparison.subset(order[:t]), rel_tol=rel_tol, summaries=False)
+        for t in range(1, k + 1)
+    ]

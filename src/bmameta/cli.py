@@ -264,8 +264,7 @@ def cmd_analyze(args) -> int:
         "model_priors": list(model_priors),
         "tol": args.tol,
     }
-    report = analysis_report(result, studies=studies, config=config, sequential=sequential)
-    _emit(dumps(report) + "\n", args.out)
+    # the plot goes first, so a forest path that cannot be written leaves no report
     if args.forest:
         svg = forest_svg(
             [(s.label or f"Study {i + 1}", s.effect, s.se) for i, s in enumerate(studies)],
@@ -277,6 +276,8 @@ def cmd_analyze(args) -> int:
         with open(args.forest, "w") as fh:
             fh.write(svg)
         log.info("wrote forest plot to %s", args.forest)
+    report = analysis_report(result, studies=studies, config=config, sequential=sequential)
+    _emit(dumps(report) + "\n", args.out)
     return 0
 
 

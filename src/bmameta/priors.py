@@ -86,9 +86,6 @@ def _gammaln_half_step(a: float) -> float:
 
 FAMILIES = ("point", "uniform", "normal", "halfnormal", "cauchy", "t", "gamma", "invgamma")
 
-#: Families accepted by :func:`fit_mle`.
-FITTABLE_FAMILIES = ("normal", "t", "halfnormal", "gamma", "invgamma")
-
 _PARAM_NAMES = {
     "point": ("value",),
     "uniform": ("lower", "upper"),
@@ -436,116 +433,77 @@ def _nelder_mead(neg_ll, starts: Sequence[np.ndarray]) -> np.ndarray:
     return best.x
 
 
-def _perturb(x0: np.ndarray) -> list:
+def _rms_starts(data: np.ndarray) -> list:
+    # a zero-centred scale: the root mean square, perturbed
+    x0 = np.array([math.log(math.sqrt(float(np.mean(data**2))))])
     return [x0, x0 + math.log(1.5), x0 - math.log(1.8)]
 
 
-def fit_mle(family: str, data, *, fix_location: bool = True) -> PriorSpec:
-    """Fit a distribution family to a sample by maximum likelihood.
+def _t_starts(data: np.ndarray) -> list:
+    # a robust scale (MAD, floored at a quarter of the sd) at df 5, 2 and 30
+    mad = float(np.median(np.abs(data - np.median(data)))) * 1.4826
+    scale0 = max(mad, 0.25 * math.sqrt(float(np.var(data))), 1e-8)
+    return [np.array([math.log(scale0), math.log(df0)]) for df0 in (5.0, 2.0, 30.0)]
 
-    Fittable families: normal, t, halfnormal, gamma, invgamma.  For the
-    location families (normal, t) the location is fixed at 0 by default,
-    matching how zero-centered effect-size priors are built; pass
-    ``fix_location=False`` to fit it freely.
 
-    Optimization is Nelder-Mead on log-transformed positive parameters,
-    restarted from three moment-based initial guesses.
-    """
-    if family not in FITTABLE_FAMILIES:
-        raise UnsupportedOperationError(f"family {family!r} is not fittable")
-    data = np.asarray(data, dtype=float).ravel()
-    _check_fit_data(family, data)
-    n = data.size
+def _gamma_starts(data: np.ndarray) -> list:
+    mean, var = float(np.mean(data)), float(np.var(data))
+    shape_mom, scale_mom = mean * mean / var, var / mean
+    # Log-moment initial guess (method of Ye & Chen style closed form).
+    s = math.log(mean) - float(np.mean(np.log(data)))
+    shape_log = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s) if s > 0 else shape_mom
+    return [
+        np.array([math.log(shape_mom), math.log(scale_mom)]),
+        np.array([math.log(shape_log), math.log(mean / shape_log)]),
+        np.array([math.log(shape_mom * 1.6), math.log(scale_mom / 1.6)]),
+    ]
+
+
+def _invgamma_starts(data: np.ndarray) -> list:
     mean = float(np.mean(data))
-    var = float(np.var(data))
-
-    if family == "normal":
-        if fix_location:
-            sd0 = math.sqrt(float(np.mean(data**2)))
-
-            def neg_ll(theta):
-                return -float(np.sum(PriorSpec.normal(0.0, math.exp(theta[0])).log_pdf(data)))
-
-            sol = _nelder_mead(neg_ll, _perturb(np.array([math.log(sd0)])))
-            return PriorSpec.normal(0.0, math.exp(sol[0]))
-
-        def neg_ll(theta):
-            return -float(np.sum(PriorSpec.normal(theta[0], math.exp(theta[1])).log_pdf(data)))
-
-        x0 = np.array([mean, math.log(math.sqrt(var))])
-        starts = [x0, x0 + np.array([0.2 * math.sqrt(var), math.log(1.5)]),
-                  x0 - np.array([0.2 * math.sqrt(var), math.log(1.8)])]
-        sol = _nelder_mead(neg_ll, starts)
-        return PriorSpec.normal(sol[0], math.exp(sol[1]))
-
-    if family == "halfnormal":
-        sd0 = math.sqrt(float(np.mean(data**2)))
-
-        def neg_ll(theta):
-            return -float(np.sum(PriorSpec.halfnormal(math.exp(theta[0])).log_pdf(data)))
-
-        sol = _nelder_mead(neg_ll, _perturb(np.array([math.log(sd0)])))
-        return PriorSpec.halfnormal(math.exp(sol[0]))
-
-    if family == "t":
-        sd = math.sqrt(var)
-        mad = float(np.median(np.abs(data - np.median(data)))) * 1.4826
-        scale0 = max(mad, 0.25 * sd, 1e-8)
-        if fix_location:
-
-            def neg_ll(theta):
-                spec = PriorSpec.t(0.0, math.exp(theta[0]), math.exp(theta[1]))
-                return -float(np.sum(spec.log_pdf(data)))
-
-            starts = [np.array([math.log(scale0), math.log(df0)]) for df0 in (5.0, 2.0, 30.0)]
-            sol = _nelder_mead(neg_ll, starts)
-            return PriorSpec.t(0.0, math.exp(sol[0]), math.exp(sol[1]))
-
-        def neg_ll(theta):
-            spec = PriorSpec.t(theta[0], math.exp(theta[1]), math.exp(theta[2]))
-            return -float(np.sum(spec.log_pdf(data)))
-
-        med = float(np.median(data))
-        starts = [np.array([med, math.log(scale0), math.log(df0)]) for df0 in (5.0, 2.0, 30.0)]
-        sol = _nelder_mead(neg_ll, starts)
-        return PriorSpec.t(sol[0], math.exp(sol[1]), math.exp(sol[2]))
-
-    if family == "gamma":
-        if var <= 0 or mean <= 0:
-            raise DegenerateDataError("gamma fit needs positive spread")
-        shape_mom = mean * mean / var
-        scale_mom = var / mean
-        # Log-moment initial guess (method of Ye & Chen style closed form).
-        s = math.log(mean) - float(np.mean(np.log(data)))
-        shape_log = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s) if s > 0 else shape_mom
-
-        def neg_ll(theta):
-            spec = PriorSpec.gamma(math.exp(theta[0]), math.exp(theta[1]))
-            return -float(np.sum(spec.log_pdf(data)))
-
-        starts = [
-            np.array([math.log(shape_mom), math.log(scale_mom)]),
-            np.array([math.log(shape_log), math.log(mean / shape_log)]),
-            np.array([math.log(shape_mom * 1.6), math.log(scale_mom / 1.6)]),
-        ]
-        sol = _nelder_mead(neg_ll, starts)
-        return PriorSpec.gamma(math.exp(sol[0]), math.exp(sol[1]))
-
-    # invgamma
-    if var > 0 and mean > 0:
-        a0 = mean * mean / var + 2.0
-        b0 = mean * (a0 - 1.0)
-    else:  # pragma: no cover - guarded by _check_fit_data
-        a0, b0 = 2.0, mean
-
-    def neg_ll(theta):
-        spec = PriorSpec.invgamma(math.exp(theta[0]), math.exp(theta[1]))
-        return -float(np.sum(spec.log_pdf(data)))
-
-    starts = [
+    a0 = mean * mean / float(np.var(data)) + 2.0
+    b0 = mean * (a0 - 1.0)
+    return [
         np.array([math.log(a0), math.log(b0)]),
         np.array([math.log(a0 * 1.7), math.log(b0 * 1.7)]),
         np.array([math.log(max(a0 / 1.7, 0.2)), math.log(b0 / 1.7)]),
     ]
-    sol = _nelder_mead(neg_ll, starts)
-    return PriorSpec.invgamma(math.exp(sol[0]), math.exp(sol[1]))
+
+
+#: family -> (prior from its positive parameters, data -> starts as log parameters)
+_FITS = {
+    "normal": (lambda sd: PriorSpec.normal(0.0, sd), _rms_starts),
+    "t": (lambda scale, df: PriorSpec.t(0.0, scale, df), _t_starts),
+    "halfnormal": (PriorSpec.halfnormal, _rms_starts),
+    "gamma": (PriorSpec.gamma, _gamma_starts),
+    "invgamma": (PriorSpec.invgamma, _invgamma_starts),
+}
+
+#: Families accepted by :func:`fit_mle`.
+FITTABLE_FAMILIES = tuple(_FITS)
+
+
+def fit_mle(family: str, data) -> PriorSpec:
+    """Fit a distribution family to a sample by maximum likelihood.
+
+    Fittable families: normal, t, halfnormal, gamma, invgamma.  Normal and
+    t fits are zero-centred: their location is fixed at 0, matching how
+    effect-size priors are built, and only the scale (and the t's df) is
+    fitted.
+
+    Optimization is Nelder-Mead on the log of the positive parameters,
+    restarted from three moment-based initial guesses.
+    """
+    if family not in _FITS:
+        raise UnsupportedOperationError(f"family {family!r} is not fittable")
+    prior, starts = _FITS[family]
+    data = np.asarray(data, dtype=float).ravel()
+    _check_fit_data(family, data)
+
+    def spec(theta) -> PriorSpec:
+        return prior(*(math.exp(v) for v in theta))
+
+    def neg_ll(theta):
+        return -float(np.sum(spec(theta).log_pdf(data)))
+
+    return spec(_nelder_mead(neg_ll, starts(data)))

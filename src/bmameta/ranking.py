@@ -1,9 +1,11 @@
 """Corpus-level evaluation: rank tallies, model-type averaging, and
 inclusion-Bayes-factor summaries.
 
-Each comparison in a corpus is scored against an ensemble built from a
-candidate prior set, and every ranking mode is a tally over groups of
-the ensemble's posterior columns:
+Each mode builds an ensemble from a candidate prior set and computes one
+(comparisons x members) matrix of log marginal likelihoods, a row per
+comparison.  One log-sum-exp along the member axis turns the whole
+matrix into posterior model probabilities, and every ranking mode is a
+tally over groups of its columns:
 
 * :func:`rank_configurations` uses the ``random_H1`` ensemble (the
   free-effect/free-heterogeneity configurations at equal prior
@@ -19,9 +21,10 @@ the ensemble's posterior columns:
 A group's posterior is the sum of its columns.  Groups are ranked per
 comparison (descending, stable ties by group order) and tallied across
 the corpus.  :func:`corpus_inclusion_summary` reports the four-type
-ensemble's inclusion Bayes factors instead.  Comparisons that fail to
-evaluate are recorded, logged and excluded, and the run aborts if more
-than ``max_failure_fraction`` of them fail.
+ensemble's inclusion Bayes factors instead, one
+:func:`~bmameta.averaging.log_inclusion_bf` call per matrix row.
+Comparisons that fail to evaluate are recorded, logged and excluded,
+and the run aborts if more than ``max_failure_fraction`` of them fail.
 
 Every function takes the keyword options ``rel_tol`` (quadrature
 relative tolerance, default 1e-9), ``min_studies`` (comparisons with
@@ -33,12 +36,14 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, evaluate
+from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, log_inclusion_bf
+from .averaging import evaluate  # noqa: F401 - unused here, but bench/tracing.py wraps this name
+from .averaging import log_posteriors, member_log_marginals
 from .core import Comparison
 from .errors import BmaMetaError, CorpusEvaluationError
 from .training import CandidatePriorSet
@@ -74,22 +79,7 @@ class RankingTable:
     failed_ids: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "label": r.label,
-                    "group": r.group,
-                    "rank_counts": list(r.rank_counts),
-                    "prior_prob": r.prior_prob,
-                    "avg_posterior": r.avg_posterior,
-                }
-                for r in self.rows
-            ],
-            "n_evaluated": self.n_evaluated,
-            "n_failed": self.n_failed,
-            "n_skipped_small": self.n_skipped_small,
-            "failed_ids": list(self.failed_ids),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -107,26 +97,14 @@ class InclusionSummary:
     failed_ids: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "ids": list(self.ids),
-            "log_bf_effect": list(self.log_bf_effect),
-            "log_bf_heterogeneity": list(self.log_bf_heterogeneity),
-            "effect_evidence_for": self.effect_evidence_for,
-            "effect_evidence_against": self.effect_evidence_against,
-            "heterogeneity_evidence_for": self.heterogeneity_evidence_for,
-            "heterogeneity_evidence_against": self.heterogeneity_evidence_against,
-            "n_evaluated": self.n_evaluated,
-            "n_failed": self.n_failed,
-            "n_skipped_small": self.n_skipped_small,
-            "failed_ids": list(self.failed_ids),
-        }
+        return asdict(self)
 
 
 def _eval_one(args):
-    """``evaluate`` one comparison; a package error is returned, not raised."""
+    """One comparison's member log marginals; a package error is returned, not raised."""
     ensemble, comparison, rel_tol = args
     try:
-        return evaluate(ensemble, comparison, rel_tol=rel_tol, summaries=False)
+        return member_log_marginals(ensemble, comparison, rel_tol=rel_tol)
     except BmaMetaError as exc:
         return exc
 
@@ -140,7 +118,7 @@ def _evaluate_corpus(
     workers: int = 1,
     max_failure_fraction: float = 0.01,
 ):
-    """``(comparison, BmaResult)`` pairs and the run's counts.
+    """The evaluated ids, their (ids x members) log-marginal matrix, and the counts.
 
     The counts are the ``n_evaluated``, ``n_failed``, ``n_skipped_small``
     and ``failed_ids`` fields of :class:`RankingTable` and
@@ -157,14 +135,16 @@ def _evaluate_corpus(
             outcomes = list(pool.map(_eval_one, tasks))
     else:
         outcomes = map(_eval_one, tasks)
-    results = []
+    ids: list = []
+    rows: list = []
     failed: list = []
     for c, out in zip(usable, outcomes):
         if isinstance(out, BmaMetaError):
             failed.append(c.id)
             log.warning("comparison %s failed: %s: %s", c.id, type(out).__name__, out)
         else:
-            results.append((c, out))
+            ids.append(c.id)
+            rows.append(out)
     failed.sort()
     if len(failed) > max_failure_fraction * max(len(usable), 1):
         raise CorpusEvaluationError(
@@ -172,12 +152,13 @@ def _evaluate_corpus(
             f"(threshold {max_failure_fraction:.0%}); failed ids: {failed[:20]}"
         )
     counts = {
-        "n_evaluated": len(results),
+        "n_evaluated": len(ids),
         "n_failed": len(failed),
         "n_skipped_small": len(corpus) - len(usable),
         "failed_ids": tuple(failed),
     }
-    return results, counts
+    logml = np.array(rows).reshape(len(ids), len(ensemble.members))
+    return tuple(ids), logml, counts
 
 
 def _tally(posteriors: np.ndarray, groups: Sequence[tuple], kind: str) -> list:
@@ -213,9 +194,8 @@ def _tally(posteriors: np.ndarray, groups: Sequence[tuple], kind: str) -> list:
 
 def _rank_groups(corpus, ensemble: ModelEnsemble, partitions, options) -> RankingTable:
     """Evaluate the corpus and tally each ``(kind, groups)`` partition."""
-    results, counts = _evaluate_corpus(corpus, ensemble, **options)
-    posteriors = np.array([r.posterior_probs for _, r in results])
-    posteriors = posteriors.reshape(len(results), len(ensemble.members))
+    _, logml, counts = _evaluate_corpus(corpus, ensemble, **options)
+    posteriors = np.exp(log_posteriors(ensemble, logml)[1])
     rows = [row for kind, groups in partitions for row in _tally(posteriors, groups, kind)]
     return RankingTable(rows=tuple(rows), **counts)
 
@@ -287,18 +267,21 @@ def corpus_inclusion_summary(
     log-BF lists for external plotting.
     """
     ensemble = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
-    results, counts = _evaluate_corpus(corpus, ensemble, **options)
-    log_eff = tuple(r.incl_log_bf_effect for _, r in results)
-    log_het = tuple(r.incl_log_bf_heterogeneity for _, r in results)
+    ids, logml, counts = _evaluate_corpus(corpus, ensemble, **options)
+    log_unnorm, _ = log_posteriors(ensemble, logml)
+    log_eff = tuple(log_inclusion_bf(ensemble, w, ensemble.effect_indices) for w in log_unnorm)
+    log_het = tuple(
+        log_inclusion_bf(ensemble, w, ensemble.heterogeneity_indices) for w in log_unnorm
+    )
     eff_for = sum(1 for v in log_eff if v > 0)
     het_for = sum(1 for v in log_het if v > 0)
     return InclusionSummary(
-        ids=tuple(c.id for c, _ in results),
+        ids=ids,
         log_bf_effect=log_eff,
         log_bf_heterogeneity=log_het,
         effect_evidence_for=eff_for,
-        effect_evidence_against=len(results) - eff_for,
+        effect_evidence_against=len(ids) - eff_for,
         heterogeneity_evidence_for=het_for,
-        heterogeneity_evidence_against=len(results) - het_for,
+        heterogeneity_evidence_against=len(ids) - het_for,
         **counts,
     )

@@ -201,8 +201,8 @@ def fit_candidates(
     taus = list(estimates.taus)
     delta_priors = (
         DEFAULT_DELTA_PRIOR,
-        fit_mle("normal", deltas, fix_location=True),
-        fit_mle("t", deltas, fix_location=True),
+        fit_mle("normal", deltas),
+        fit_mle("t", deltas),
     )
     tau_priors = (
         DEFAULT_TAU_PRIOR,

@@ -367,14 +367,14 @@ class TestRank:
     @pytest.mark.parametrize("mode", ["configs", "model-types", "parameter-priors", "inclusion"])
     def test_gamma_effect_prior_rejected_before_any_comparison(self, corpus_csv, tmp_path, mode,
                                                               monkeypatch, caplog):
-        from bmameta import ranking
+        from bmameta import averaging
         path = tmp_path / "cand.json"
         path.write_text(json.dumps({
             "delta_priors": ["normal(0.0,0.56)", "invgamma(1.26,0.24)"],
             "tau_priors": ["halfnormal(0.57)"],
         }))
         evaluated = []
-        monkeypatch.setattr(ranking, "evaluate", lambda *a, **k: evaluated.append(a))
+        monkeypatch.setattr(averaging, "log_marginals", lambda *a, **k: evaluated.append(a))
         assert main(["rank", corpus_csv, "--candidates", str(path), "--mode", mode]) == 2
         assert evaluated == []
         assert "got invgamma(1.26,0.24)" in caplog.text
@@ -425,6 +425,12 @@ class TestFileErrors:
     def test_analyze_output_is_a_directory(self, five_study_csv, tmp_path, option, caplog):
         assert main(["analyze", five_study_csv, option, str(tmp_path)]) == 2
         assert "Is a directory" in _one_error(caplog)
+
+    def test_forest_directory_writes_no_report(self, five_study_csv, tmp_path, caplog):
+        out = tmp_path / "r.json"
+        assert main(["analyze", five_study_csv, "--out", str(out), "--forest", str(tmp_path)]) == 2
+        assert "Is a directory" in _one_error(caplog)
+        assert not out.exists()
 
     def test_candidates_is_a_directory(self, corpus_csv, tmp_path, caplog):
         assert main(["rank", corpus_csv, "--candidates", str(tmp_path)]) == 2

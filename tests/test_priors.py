@@ -307,7 +307,7 @@ class TestFitMle:
     def test_t_scale_recovery_location_fixed(self):
         rng = np.random.default_rng(102)
         data = PriorSpec.t(0.0, 0.33, 3.0).sample(rng, 2000)
-        fit = fit_mle("t", data, fix_location=True)
+        fit = fit_mle("t", data)
         assert fit.params[0] == 0.0
         assert fit.params[1] == pytest.approx(0.33, rel=0.10)
 

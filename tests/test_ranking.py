@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from bmameta import ranking
+from bmameta import averaging, ranking
 from bmameta import (
     ConvergenceError,
     CorpusEvaluationError,
@@ -161,6 +161,41 @@ class TestWithinH1rConsistency:
             assert ratio_flat == pytest.approx(ratio_full, rel=1e-9)
 
 
+class TestMatchesEvaluate:
+    """The corpus matrix gives, row by row, exactly what ``evaluate`` gives
+    one comparison."""
+
+    def test_posteriors_bitwise(self, small_corpus, candidates, monkeypatch):
+        seen = []
+        real = ranking._tally
+
+        def recording(posteriors, groups, kind):
+            seen.append(posteriors)
+            return real(posteriors, groups, kind)
+
+        monkeypatch.setattr(ranking, "_tally", recording)
+        rank_configurations(small_corpus, candidates)
+        average_model_types(small_corpus, candidates)
+        h1r = build_standard_ensemble(
+            candidates.delta_priors, candidates.tau_priors, include_types=("random_H1",),
+        )
+        full = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
+        for posteriors, ensemble in zip(seen, (h1r, full)):
+            assert posteriors.shape == (len(small_corpus), len(ensemble.members))
+            for row, comp in zip(posteriors, small_corpus):
+                expected = evaluate(ensemble, comp, summaries=False).posterior_probs
+                assert np.array_equal(row, expected)
+
+    def test_inclusion_log_bfs_bitwise(self, small_corpus, candidates):
+        summary = corpus_inclusion_summary(small_corpus, candidates)
+        full = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
+        assert summary.ids == tuple(c.id for c in small_corpus)
+        for i, comp in enumerate(small_corpus):
+            res = evaluate(full, comp, summaries=False)
+            assert summary.log_bf_effect[i] == res.incl_log_bf_effect
+            assert summary.log_bf_heterogeneity[i] == res.incl_log_bf_heterogeneity
+
+
 class TestInclusionSummary:
     def test_count_bookkeeping(self, small_corpus, candidates):
         summary = corpus_inclusion_summary(small_corpus, candidates)
@@ -204,14 +239,14 @@ class TestFailureHandling:
         assert table.n_evaluated == 1
 
     def test_failure_reason_logged(self, small_corpus, candidates, monkeypatch, caplog):
-        real = ranking.evaluate
+        real = averaging.log_marginals
 
-        def flaky(ensemble, comparison, **kwargs):
+        def flaky(models, comparison, **kwargs):
             if comparison.id == "c2":
                 raise ConvergenceError("planted failure", bracket=(0.0, 1.0))
-            return real(ensemble, comparison, **kwargs)
+            return real(models, comparison, **kwargs)
 
-        monkeypatch.setattr(ranking, "evaluate", flaky)
+        monkeypatch.setattr(averaging, "log_marginals", flaky)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
             table = rank_configurations(small_corpus, candidates, max_failure_fraction=0.5)
         assert table.failed_ids == ("c2",)
@@ -222,14 +257,14 @@ class TestFailureHandling:
 
     def test_input_side_error_fails_one_comparison(self, small_corpus, candidates,
                                                     monkeypatch, caplog):
-        real = ranking.evaluate
+        real = averaging.log_marginals
 
-        def nan_marginal(ensemble, comparison, **kwargs):
+        def nan_marginal(models, comparison, **kwargs):
             if comparison.id == "c3":
                 raise DomainError("marginal likelihood of model 'm' is not a number")
-            return real(ensemble, comparison, **kwargs)
+            return real(models, comparison, **kwargs)
 
-        monkeypatch.setattr(ranking, "evaluate", nan_marginal)
+        monkeypatch.setattr(averaging, "log_marginals", nan_marginal)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
             table = rank_configurations(small_corpus, candidates, max_failure_fraction=0.5)
         assert table.n_failed == 1
@@ -238,6 +273,25 @@ class TestFailureHandling:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == [
             "comparison c3 failed: DomainError: marginal likelihood of model 'm' is not a number"
+        ]
+
+    def test_all_zero_evidence_fails_one_comparison(self, small_corpus, candidates,
+                                                     monkeypatch, caplog):
+        real = averaging.log_marginals
+
+        def zero_evidence(models, comparison, **kwargs):
+            if comparison.id == "c4":
+                return np.full(len(models), -np.inf)
+            return real(models, comparison, **kwargs)
+
+        monkeypatch.setattr(averaging, "log_marginals", zero_evidence)
+        with caplog.at_level(logging.WARNING, logger="bmameta"):
+            table = average_model_types(small_corpus, candidates, max_failure_fraction=0.5)
+        assert table.n_failed == 1
+        assert table.failed_ids == ("c4",)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "comparison c4 failed: DegenerateEvidenceError: every model has zero marginal likelihood"
         ]
 
     def test_failure_reason_logged_from_worker_pool(self, candidates, rng, caplog):

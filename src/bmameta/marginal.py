@@ -18,11 +18,13 @@ Gauss-Kronrod integrator :func:`bmameta.quadrature.log_quad_batch`,
 whose groups each refine a partition of their own, shared by the owners
 of the group.
 
-The delta part does not depend on the tau prior, so
-:func:`log_marginals` integrates all free-tau models that share a delta
-prior in one outer tau integral, one group per tau prior: its integrand
-computes the delta part once per distinct tau interval
-(:func:`_distinct_rows`) and adds each group's tau prior density.
+The delta part does not depend on the tau prior, and every part is a
+function of the likelihood's tau statistics, so :func:`log_marginals`
+integrates all its free-tau models in one outer tau integral, one group
+per (delta prior, tau prior) pair.  Its integrand computes the tau
+statistics once per distinct tau interval of all its rows
+(:func:`_distinct_rows`), each delta prior's part once per interval its
+groups need, and adds each group's tau prior density.
 :func:`log_marginal` is the one-model case of the same routine.
 
 At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau))
@@ -75,8 +77,11 @@ integral split their common range at the same points and share those
 intervals; a standalone call integrates over the same partition.
 
 The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
-squares of the variances se**2 + tau**2) and the tau prior density are
-computed once per tau node.  In the tau part at a free tau (the
+squares of the variances se**2 + tau**2) are computed once per tau node
+of an integrand call (:func:`bmameta.core.random_stats`), and every delta
+part reads them: the parts take these statistics, not tau values, so the
+point-tau models of a call share one such computation and the outer
+integrand one per distinct interval.  In the tau part at a free tau (the
 delta-posterior pass) every delta value has the same tau range and
 seeds, so all of them are owners of one group and share its partition:
 an interval is evaluated once for all owners, the tau-only terms of its
@@ -255,18 +260,15 @@ def _tau_data_scales(comparison: Comparison) -> np.ndarray:
     ])
 
 
-def _tau_seeds(prior: PriorSpec, comparison: Comparison, scales: Optional[np.ndarray] = None) -> np.ndarray:
+def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
     """Outer tau split points: the powers of 4 inside the prior's bounds
-    (:func:`_tau_lattice`) and eight data scales (``scales``, computed
-    from ``comparison`` when not given).
+    (:func:`_tau_lattice`) and eight data scales (:func:`_tau_data_scales`).
 
     Neither depends on the prior's shape, so tau priors whose bounds
     overlap split the overlap at the same points, and the groups of one
     outer integral share those intervals.
     """
-    if scales is None:
-        scales = _tau_data_scales(comparison)
-    return np.concatenate([_tau_lattice(prior), scales])
+    return np.concatenate([_tau_lattice(prior), _tau_data_scales(comparison)])
 
 
 def log_marginal(
@@ -293,81 +295,113 @@ def log_marginals(
     """Log marginal likelihoods of several models on one comparison.
 
     A point tau evaluates the model's delta part (:func:`_delta_part`)
-    there.  The free-tau models that share a delta prior are the groups
-    of one outer tau integral (:func:`_free_tau_log_marginals`), which
-    computes their common delta part once per distinct tau interval.
-    Arguments are those of :func:`log_marginal`.
+    there, from one :func:`~bmameta.core.random_stats` call for all the
+    point tau values of the call.  The free-tau models are the groups of
+    one outer tau integral (:func:`_free_tau_log_marginals`), one group per
+    distinct (delta prior, tau prior) pair.  Each group refines a
+    partition of its own, so its log-ML does not depend on the other
+    models; but the groups share the integrator's cell cap,
+    ``max(40000, 64 n_groups)`` intervals, so a call whose groups together
+    refine past it fails where one model alone might not.  Arguments are
+    those of :func:`log_marginal`.
     """
     out = np.empty(len(models))
-    groups: dict = {}
-    for i, model in enumerate(models):
-        if model.tau_free:
-            groups.setdefault(model.delta_prior, []).append(i)
-        else:
-            delta_part = _delta_part(model.delta_prior, comparison, rel_tol)
-            out[i] = delta_part(np.array([model.tau_prior.params[0]]))[0]
-    scales = _tau_data_scales(comparison) if groups else None
-    for g, idx in groups.items():
-        out[idx] = _free_tau_log_marginals(
-            g, [models[i].tau_prior for i in idx], comparison, scales, rel_tol
-        )
+    point = [i for i, model in enumerate(models) if not model.tau_free]
+    if point:
+        values, row = np.unique([models[i].tau_prior.params[0] for i in point], return_inverse=True)
+        stats = random_stats(values[:, None], comparison)
+        for i, j in zip(point, row):
+            part = _delta_part(models[i].delta_prior, rel_tol)
+            out[i] = part(tuple(v[j:j + 1] for v in stats))[0, 0]
+    free = [i for i, model in enumerate(models) if model.tau_free]
+    if free:
+        out[free] = _free_tau_log_marginals([models[i] for i in free], comparison, rel_tol)
     nan = np.flatnonzero(np.isnan(out))
     if nan.size:
         raise DomainError(f"marginal likelihood of model {models[nan[0]].name!r} is not a number")
     return out
 
 
-def _free_tau_log_marginals(g, tau_priors, comparison, scales, rel_tol):
-    """Log marginals under delta prior ``g`` and each free tau prior, from one
-    outer ``log_quad_batch`` with one group of one owner per tau prior;
-    ``scales`` are the comparison's tau data scales (:func:`_tau_data_scales`).
+def _free_tau_log_marginals(models, comparison, rel_tol):
+    """Log marginals of free-tau ``models`` from one outer ``log_quad_batch``
+    with one group of one owner per distinct (delta prior, tau prior) pair.
 
-    Every group gets the seeds of all the tau priors.  Clipped to a prior's
-    bounds, another prior's lattice points either fall on those bounds or
-    are its own lattice points, so each group refines the partition, and
-    gets the total, of a single-prior call.
+    Every group gets the seeds of all the tau priors and the data scales.
+    Clipped to a prior's bounds, another prior's lattice points either fall
+    on those bounds or are its own lattice points, so each group refines
+    the partition, and gets the total, of a single-model call.
+
+    An integrand call computes the tau statistics once per distinct tau
+    interval of its rows (:func:`_distinct_rows`), whatever the groups; each
+    delta prior's part then reads those of the intervals its groups need,
+    and each group adds its tau prior's density.
     """
-    delta_part = _delta_part(g, comparison, rel_tol * 0.1)
-    bounds = np.array([_prior_bounds(h) for h in tau_priors])
-    seeds = np.concatenate([_tau_seeds(h, comparison, scales) for h in tau_priors])
+    pairs = _first_seen((m.delta_prior, m.tau_prior) for m in models)
+    deltas = _first_seen(g for g, _ in pairs)
+    taus = _first_seen(h for _, h in pairs)
+    parts = [_delta_part(g, rel_tol * 0.1) for g in deltas]
+    delta_of = np.array([deltas[g] for g, _ in pairs])
+    tau_of = np.array([taus[h] for _, h in pairs])
+    bounds = np.array([_prior_bounds(h) for _, h in pairs])
+    seeds = np.concatenate([_tau_lattice(h) for h in taus] + [_tau_data_scales(comparison)])
 
     def logf(grp, t):
+        grp = grp[:, 0]
         first, inverse = _distinct_rows(t)
-        out = delta_part(t[first]).reshape(first.size, -1)[inverse]
-        for j, h in enumerate(tau_priors):
-            rows = grp[:, 0] == j
+        stats = random_stats(t[first], comparison)
+        out = np.empty(t.shape)
+        for j, part in enumerate(parts):
+            rows = delta_of[grp] == j
+            if rows.any():
+                need, back = np.unique(inverse[rows], return_inverse=True)
+                out[rows] = part(tuple(v[need] for v in stats))[back]
+        for j, h in enumerate(taus):
+            rows = tau_of[grp] == j
             out[rows] += h.log_pdf(t[rows])
         return out[..., None]
 
-    return log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)[:, 0]
+    values = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)[:, 0]
+    return values[[pairs[m.delta_prior, m.tau_prior] for m in models]]
 
 
-def _delta_part(g: PriorSpec, comparison: Comparison, rel_tol: float):
-    """``f(tau_values)``: the log of the likelihood integrated over the delta
-    prior ``g`` at each tau (the likelihood itself at a point delta).
+def _first_seen(keys) -> dict:
+    """The distinct ``keys``, each mapped to its index in order of first appearance."""
+    index: dict = {}
+    for key in keys:
+        index.setdefault(key, len(index))
+    return index
+
+
+def _delta_part(g: PriorSpec, rel_tol: float):
+    """``f(stats)``: the log of the likelihood integrated over the delta
+    prior ``g`` (the likelihood itself at a point delta) at the tau values
+    whose ``stats = (c, mu, S0)`` are given (:func:`bmameta.core.random_stats`);
+    the result has their shape.
 
     A normal prior is conjugate to the likelihood's N(mu, 1 / S0) shape in
     delta, so its integral is closed (:func:`_conjugate`), and so are a
     Cauchy prior's (:func:`_voigt`) and those of the uniform and half-normal
     priors, which cut that shape to an interval; they run no quadrature.
     t priors are gamma scale mixtures of normals, so theirs is a 1-D
-    integral of the normal closed form (:func:`_mixture_integrals`).
+    integral of the normal closed form (:func:`_mixture_integrals`).  A
+    point delta is :func:`bmameta.core.loglik_from_stats`, bit for bit
+    :func:`bmameta.core.loglik_random`.
     """
     if g.is_point:
-        return lambda t: loglik_random(g.params[0], t, comparison)
+        return lambda stats: loglik_from_stats(stats, g.params[0])
     if g.family == "normal":
         m, s = g.params
-        return lambda t: _conjugate(random_stats(t, comparison), m, s * s)
+        return lambda stats: _conjugate(stats, m, s * s)
     if g.family == "cauchy":
         m, gamma = g.params
-        return lambda t: _voigt(random_stats(t, comparison), m, gamma)
+        return lambda stats: _voigt(stats, m, gamma)
     if g.family == "uniform":
         a, b = g.params
-        return lambda t: _uniform(random_stats(t, comparison), a, b)
+        return lambda stats: _uniform(stats, a, b)
     if g.family == "halfnormal":
         (s,) = g.params
-        return lambda t: _halfnormal(random_stats(t, comparison), s)
-    return _mixture_integrals(g, comparison, rel_tol)
+        return lambda stats: _halfnormal(stats, s)
+    return _mixture_integrals(g, rel_tol)
 
 
 def _conjugate(stats: tuple, m: float, w) -> np.ndarray:
@@ -456,20 +490,20 @@ def _log_ndtr_diff(lo, hi) -> np.ndarray:
     return out
 
 
-def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
-    """``integrals(tau_values)``: the delta part of a t prior ``g`` at each
-    tau, as log of the integral over u = log(lambda) of ``_conjugate`` at
-    prior variance s**2 / lambda times the gamma mixing density
-    (:class:`_Mixing`).
+def _mixture_integrals(g: PriorSpec, rel_tol: float):
+    """``integrals(stats)``: the delta part of a t prior ``g`` at the tau
+    values whose ``stats = (c, mu, S0)`` are given, as log of the integral
+    over u = log(lambda) of ``_conjugate`` at prior variance s**2 / lambda
+    times the gamma mixing density (:class:`_Mixing`).
 
     The tau values are the owners of one
     :func:`~bmameta.quadrature.log_quad_batch` group and share its u range,
     seeds and partition; the lower lambda limit is set for the owners'
     largest distance from the prior's location and largest likelihood
-    variance, both in prior scales.  The rows of a
-    2-D ``tau_values`` are groups of their own: a row's range and results
-    then do not depend on the other rows, so a tau interval of an outer
-    integral gets the same bits in any batch.  The
+    variance, both in prior scales.  The rows of 2-D statistics are groups
+    of their own: a row's range and results then do not depend on the
+    other rows, so a tau interval of an outer integral gets the same bits
+    in any batch.  The
     narrow likelihood peak in delta is integrated in closed form, so the
     integrand is smooth in u and delta has no bounds.  ``-c / 2`` is added
     after the integral, so no node carries its rounding.  The lambda-free
@@ -480,10 +514,9 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
     mix = _mixing(g)
     a = mix.a
 
-    def integrals(tau_values: np.ndarray) -> np.ndarray:
-        tau_values = np.asarray(tau_values, dtype=float)
-        rows = np.atleast_2d(tau_values)
-        c, mu, s0 = random_stats(rows, comparison)
+    def integrals(stats: tuple) -> np.ndarray:
+        c, mu, s0 = (np.atleast_2d(v) for v in stats)
+        n_owners = mu.shape[1]
         terms = _conjugate_terms((0.0, mu, s0), m)
         # each row's lower lambda limit (:class:`_Mixing`) for its owners'
         # largest D**2 and r, floored so that an overflow still gives a
@@ -495,7 +528,7 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
 
         def logf(grp, u):
             lam = np.exp(u)[..., None]
-            out = np.empty(u.shape + (rows.shape[1],))
+            out = np.empty(u.shape + (n_owners,))
             # a few rows at a time, so V + w needs no second block-sized array
             step = max(1, _CHUNK_CELLS // out[0].size)
             for i in range(0, u.shape[0], step):
@@ -505,8 +538,8 @@ def _mixture_integrals(g: PriorSpec, comparison: Comparison, rel_tol: float):
             out += (mix.log_norm - a * (np.expm1(u) - u))[..., None]
             return out
 
-        return (log_quad_batch(logf, bounds, n_owners=rows.shape[1], seeds=mix.seeds, rel_tol=rel_tol)
-                - 0.5 * c).reshape(tau_values.shape)
+        return (log_quad_batch(logf, bounds, n_owners=n_owners, seeds=mix.seeds, rel_tol=rel_tol)
+                - 0.5 * c).reshape(np.shape(stats[0]))
 
     return integrals
 
@@ -547,7 +580,8 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
     xs = np.asarray(xs, dtype=float)
     if parameter == "delta":
         return _tau_part(model.tau_prior, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
-    return _delta_part(model.delta_prior, comparison, rel_tol * 0.1)(xs) + model.tau_prior.log_pdf(xs)
+    delta_part = _delta_part(model.delta_prior, rel_tol * 0.1)
+    return delta_part(random_stats(xs, comparison)) + model.tau_prior.log_pdf(xs)
 
 
 def _distinct_rows(x: np.ndarray) -> tuple:

@@ -22,6 +22,7 @@ from bmameta import (
     loglik_random,
     posterior_summary,
 )
+from bmameta.core import random_stats
 from conftest import make_comparison
 
 POINT0 = PriorSpec.point(0.0)
@@ -396,7 +397,7 @@ class TestConjugateDeltaPart:
     def test_closed_form_matches_mpmath(self, g, k, se_range, rng):
         c = make_comparison(rng, k, se_range=se_range)
         tau = np.array([0.0, 1e-3, 0.1, 1.0, 100.0])
-        closed = marginal._delta_part(g, c, 1e-13)(tau)
+        closed = marginal._delta_part(g, 1e-13)(random_stats(tau, c))
         ref = mp_delta_part(c, g, tau)
         assert np.all(np.abs(closed - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), closed - ref
 
@@ -416,7 +417,7 @@ class TestScaleMixtureDeltaPart:
     def test_mixture_matches_mpmath(self, g, k, se_range, rng):
         c = make_comparison(rng, k, se_range=se_range)
         tau = np.array([0.0, 1e-3, 0.1, 1.0, 100.0])
-        mixture = marginal._delta_part(g, c, 1e-13)(tau)
+        mixture = marginal._delta_part(g, 1e-13)(random_stats(tau, c))
         ref = mp_delta_part(c, g, tau)
         assert np.all(np.abs(mixture - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), mixture - ref
 
@@ -440,11 +441,11 @@ class TestScaleMixtureDeltaPart:
         tau = scale * np.array([0.0, 1e-2, 1.0, 1e2, 1e4])
         for dist in (0.0, 1.0, 30.0, 1e3, 1e4):
             c = Comparison((Study(loc + dist * scale, 1e-3 * scale),))
-            base = marginal._delta_part(g, c, 1e-12)(tau)
+            base = marginal._delta_part(g, 1e-12)(random_stats(tau, c))
             monkeypatch.setattr(marginal, "_MIX_TAIL", 1e-40)
             marginal._mixing.cache_clear()
             try:
-                wide = marginal._delta_part(g, c, 1e-12)(tau)
+                wide = marginal._delta_part(g, 1e-12)(random_stats(tau, c))
             finally:
                 monkeypatch.undo()
                 marginal._mixing.cache_clear()
@@ -584,6 +585,39 @@ class TestSharedTauPartition:
             models = [h1r(g, h) for h in cands.tau_priors]
             for model, value in zip(models, marginal.log_marginals(models, c)):
                 assert value == log_marginal(model, c), (g, model.tau_prior)
+
+    DELTAS = [POINT0, PriorSpec.normal(0.0, 0.56), T_POOLED, PriorSpec.cauchy(0.0, 0.7071),
+              PriorSpec.uniform(-1.0, 1.0), PriorSpec.halfnormal(0.57)]
+    TAUS = [POINT0, PriorSpec.point(0.2), IG_POOLED, PriorSpec.halfnormal(0.57),
+            PriorSpec.uniform(0.0, 2.0)]
+
+    def _mixed(self):
+        return [ModelSpec(f"m{i}", g, h) for i, (g, h) in
+                enumerate((g, h) for g in self.DELTAS for h in self.TAUS)]
+
+    @pytest.mark.parametrize("k", [1, 4, 25])
+    def test_one_call_matches_one_delta_prior_at_a_time_bitwise(self, k, rng):
+        # the merged outer integral gives each (delta, tau) pair its own
+        # group, so no log-ML depends on the other delta priors of the call
+        c = make_comparison(rng, k)
+        models = self._mixed()
+        got = marginal.log_marginals(models, c)
+        for g in self.DELTAS:
+            idx = [i for i, m in enumerate(models) if m.delta_prior == g]
+            alone = marginal.log_marginals([models[i] for i in idx], c)
+            assert np.array_equal(got[idx], alone), g
+        assert np.array_equal(got, [log_marginal(m, c) for m in models])
+
+    def test_member_order_does_not_change_values(self, rng):
+        c = make_comparison(rng, 6)
+        models = self._mixed()
+        got = marginal.log_marginals(models, c)
+        order = np.random.default_rng(3).permutation(len(models))
+        shuffled = marginal.log_marginals([models[i] for i in order], c)
+        assert np.array_equal(shuffled, got[order])
+        # a repeated member is one group, with the same value
+        twice = marginal.log_marginals(models + models[:3], c)
+        assert np.array_equal(twice, np.concatenate([got, got[:3]]))
 
     def test_distinct_rows_keep_rows_with_shared_endpoints_apart(self):
         t = np.tile(np.linspace(0.1, 0.9, 15), (4, 1))

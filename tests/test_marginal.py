@@ -452,6 +452,35 @@ class TestScaleMixtureDeltaPart:
             assert np.all(np.abs(base - wide) <= 1e-14 * np.maximum(1.0, np.abs(wide))), (dist, base - wide)
 
 
+    def test_lambda_rows_start_at_their_converged_partition(self, monkeypatch):
+        # 7 quantile seeds plus the midpoints between them and the row's
+        # bounds: a lambda row converges on its 16 seeded intervals, where
+        # the 7 seeds alone evaluated about 21 (8, then a round of bisection)
+        rng = np.random.default_rng(40)
+        comparisons = [make_comparison(rng, int(k), delta=float(rng.normal(0.0, 0.4)),
+                                       tau=float(rng.uniform(0.0, 0.4)), se_range=(0.05, 0.4))
+                       for k in rng.integers(2, 40, 40)]
+        real = marginal.log_quad_batch
+        counts = {"rows": 0, "intervals": 0}
+
+        def counting(log_f, bounds, **kwargs):
+            if kwargs.get("n_owners", 1) == 1:  # the outer tau integral
+                return real(log_f, bounds, **kwargs)
+            counts["rows"] += np.shape(bounds)[0]
+
+            def f(grp, u):
+                counts["intervals"] += u.shape[0]
+                return log_f(grp, u)
+
+            return real(f, bounds, **kwargs)
+
+        monkeypatch.setattr(marginal, "log_quad_batch", counting)
+        for c in comparisons:
+            assert math.isfinite(log_marginal(h1r(T_POOLED, IG_POOLED), c))
+        assert counts["rows"] > 0
+        assert counts["intervals"] / counts["rows"] <= 16.0, counts
+
+
 def _count_quadratures(monkeypatch):
     """(groups, owners per group) of every ``log_quad_batch`` call
     ``marginal`` makes."""

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# (tau x study) terms per pass of random_stats: 2 MB temporaries
+_STATS_CELLS = 1 << 18
 
 
 def smd_from_raw(n1, mean1, sd1, n2, mean2, sd2):
@@ -184,13 +186,23 @@ def random_stats(tau, comparison: Comparison) -> tuple:
     Each statistic has the shape of ``tau``; ``loglik_random(delta, tau,
     comparison)`` equals ``loglik_from_stats(random_stats(tau, comparison),
     delta)`` bit for bit, so callers that meet one ``tau`` with many
-    ``delta`` values can compute these once and reuse them.
+    ``delta`` values can compute these once and reuse them.  The (tau x
+    study) terms are formed _STATS_CELLS at a time: each value's
+    statistics are reduced over its own studies, so they have the same
+    bits in any batch, and the temporaries stay cache-sized however many
+    tau values come in.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise DomainError("tau must be non-negative")
     y, se = comparison._canonical
-    return _normal_stats(y, se**2 + (tau * tau)[..., None])
+    sq = (tau * tau)[..., None]
+    step = max(1, _STATS_CELLS // y.size)
+    if tau.size <= step:
+        return _normal_stats(y, se**2 + sq)
+    sq = sq.reshape(-1, 1)
+    parts = [_normal_stats(y, se**2 + sq[i:i + step]) for i in range(0, sq.shape[0], step)]
+    return tuple(np.concatenate(v).reshape(tau.shape) for v in zip(*parts))
 
 
 def loglik_fixed(delta, comparison: Comparison):

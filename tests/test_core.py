@@ -13,6 +13,7 @@ from bmameta import (
     loglik_random,
     smd_from_raw,
 )
+from bmameta import core
 from bmameta.core import loglik_from_stats, random_stats
 
 
@@ -187,3 +188,19 @@ class TestLikelihoodStatistics:
         for d in delta[:, 0]:
             assert np.array_equal(loglik_from_stats(stats, d), self.direct(d, tau[2], c))
         assert np.array_equal(loglik_fixed(delta, c), self.direct(delta, np.zeros(1), c))
+
+    @pytest.mark.parametrize("k", [1, 9, 200])
+    def test_statistics_of_a_large_batch_match_each_value_alone_bitwise(self, k, rng):
+        # a batch past core._STATS_CELLS (tau x study) terms is reduced in
+        # passes; every value keeps the bits of a call of its own
+        c = Comparison(tuple(
+            Study(float(y), float(s))
+            for y, s in zip(rng.normal(0.3, 0.5, k), rng.uniform(0.01, 0.4, k))
+        ))
+        tau = rng.uniform(0.0, 1.5, (core._STATS_CELLS // (15 * k) + 3, 15))
+        batch = random_stats(tau, c)
+        for i, j in [(0, 0), (tau.shape[0] // 2, 7), (tau.shape[0] - 1, 14)]:
+            alone = random_stats(tau[i, j], c)
+            assert all(b[i, j] == a for b, a in zip(batch, alone)), (i, j)
+        rows = random_stats(tau[-2:], c)
+        assert all(np.array_equal(b[-2:], r) for b, r in zip(batch, rows))

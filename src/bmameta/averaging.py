@@ -48,6 +48,7 @@ __all__ = [
     "log_posteriors",
     "inclusion_bf",
     "log_inclusion_bf",
+    "log_inclusion_bfs",
     "sequential_update",
     "mixture_summary",
 ]
@@ -211,20 +212,30 @@ def log_inclusion_bf(ensemble: ModelEnsemble, log_weights, in_indices) -> float:
     exception.  The value stays finite where the Bayes factor itself
     overflows.
     """
-    log_weights = np.asarray(log_weights, dtype=float)
-    in_mask = np.zeros(log_weights.size, dtype=bool)
+    return float(log_inclusion_bfs(ensemble, [log_weights], in_indices)[0])
+
+
+def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.ndarray:
+    """:func:`log_inclusion_bf` of each row of ``log_weights`` (rows x
+    members), with the ensemble's log prior odds computed once."""
+    log_weights = np.atleast_2d(np.asarray(log_weights, dtype=float))
+    in_mask = np.zeros(log_weights.shape[1], dtype=bool)
     in_mask[list(in_indices)] = True
     if not np.any(in_mask) or np.all(in_mask):
         raise ParameterError("partition must be nonempty on both sides")
-    log_in, log_out = logsumexp(log_weights[in_mask]), logsumexp(log_weights[~in_mask])
-    if not np.isfinite(log_out):
-        log_odds_post = math.inf
-    elif not np.isfinite(log_in):
-        log_odds_post = -math.inf
-    else:
-        log_odds_post = float(log_in - log_out)
     log_prior = np.log(ensemble.prior_probs)
-    return log_odds_post - float(logsumexp(log_prior[in_mask]) - logsumexp(log_prior[~in_mask]))
+    log_odds_prior = float(logsumexp(log_prior[in_mask]) - logsumexp(log_prior[~in_mask]))
+    out = np.empty(log_weights.shape[0])
+    for row, w in enumerate(log_weights):
+        log_in, log_out = logsumexp(w[in_mask]), logsumexp(w[~in_mask])
+        if not np.isfinite(log_out):
+            log_odds_post = math.inf
+        elif not np.isfinite(log_in):
+            log_odds_post = -math.inf
+        else:
+            log_odds_post = float(log_in - log_out)
+        out[row] = log_odds_post - log_odds_prior
+    return out
 
 
 def inclusion_bf(ensemble: ModelEnsemble, posterior_probs, in_indices) -> float:

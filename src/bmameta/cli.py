@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from contextlib import contextmanager
 from typing import Optional
@@ -246,6 +247,24 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _write_all(outputs: dict) -> None:
+    """Write each ``{path: text}`` item, all or none: every path is opened
+    before any is written, and if one cannot be opened the files opened
+    before it are removed."""
+    opened = []
+    try:
+        for path in outputs:
+            opened.append(open(path, "w"))
+    except OSError:
+        for fh in opened:
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for fh, text in zip(opened, outputs.values()):
+        with fh:
+            fh.write(text)
+
+
 def cmd_analyze(args) -> int:
     studies = read_analysis_csv(args.input, _parse_map(args.map))
     delta_prior, tau_prior, subfield, matched = _resolve_priors(args)
@@ -264,20 +283,24 @@ def cmd_analyze(args) -> int:
         "model_priors": list(model_priors),
         "tol": args.tol,
     }
-    # the plot goes first, so a forest path that cannot be written leaves no report
+    report = analysis_report(result, studies=studies, config=config, sequential=sequential)
+    outputs = {}
     if args.forest:
-        svg = forest_svg(
+        outputs[args.forest] = forest_svg(
             [(s.label or f"Study {i + 1}", s.effect, s.se) for i, s in enumerate(studies)],
             fixed=result.delta_fixed,
             random=result.delta_random,
             averaged=result.averaged_delta,
             title=f"Forest plot ({comparison.k} studies)",
         )
-        with open(args.forest, "w") as fh:
-            fh.write(svg)
+    text = dumps(report) + "\n"
+    if args.out:
+        outputs[args.out] = text
+    _write_all(outputs)
+    if args.forest:
         log.info("wrote forest plot to %s", args.forest)
-    report = analysis_report(result, studies=studies, config=config, sequential=sequential)
-    _emit(dumps(report) + "\n", args.out)
+    if not args.out:
+        sys.stdout.write(text)
     return 0
 
 

@@ -22,7 +22,8 @@ A group's posterior is the sum of its columns.  Groups are ranked per
 comparison (descending, stable ties by group order) and tallied across
 the corpus.  :func:`corpus_inclusion_summary` reports the four-type
 ensemble's inclusion Bayes factors instead, one
-:func:`~bmameta.averaging.log_inclusion_bf` call per matrix row.
+:func:`~bmameta.averaging.log_inclusion_bfs` call per side over the
+matrix rows.
 Comparisons that fail to evaluate are recorded, logged and excluded,
 and the run aborts if more than ``max_failure_fraction`` of them fail.
 
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, log_inclusion_bf
+from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, log_inclusion_bfs
 from .averaging import evaluate  # noqa: F401 - unused here, but bench/tracing.py wraps this name
 from .averaging import log_posteriors, member_log_marginals
 from .core import Comparison
@@ -269,9 +270,9 @@ def corpus_inclusion_summary(
     ensemble = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
     ids, logml, counts = _evaluate_corpus(corpus, ensemble, **options)
     log_unnorm, _ = log_posteriors(ensemble, logml)
-    log_eff = tuple(log_inclusion_bf(ensemble, w, ensemble.effect_indices) for w in log_unnorm)
+    log_eff = tuple(log_inclusion_bfs(ensemble, log_unnorm, ensemble.effect_indices).tolist())
     log_het = tuple(
-        log_inclusion_bf(ensemble, w, ensemble.heterogeneity_indices) for w in log_unnorm
+        log_inclusion_bfs(ensemble, log_unnorm, ensemble.heterogeneity_indices).tolist()
     )
     eff_for = sum(1 for v in log_eff if v > 0)
     het_for = sum(1 for v in log_het if v > 0)

@@ -23,6 +23,7 @@ from bmameta import (
     posterior_summary,
     sequential_update,
 )
+from bmameta import averaging
 from conftest import make_comparison
 
 POINT0 = PriorSpec.point(0.0)
@@ -122,6 +123,20 @@ class TestInclusionBf:
         assert log_inclusion_bf(ens, [0.0, -2000.0], [1]) == -2000.0
         assert log_inclusion_bf(ens, [0.0, -np.inf], [0]) == math.inf
         assert math.isinf(inclusion_bf(ens, [1.0, 5e-324], [0]))
+
+    def test_rows_share_one_prior_odds_and_keep_their_bits(self, monkeypatch):
+        ens = four_model_ensemble()
+        rows = np.random.default_rng(5).normal(0.0, 30.0, (6, 4))
+        rows[1, [1, 3]] = -np.inf
+        rows[2, [0, 2]] = -np.inf
+        want = [log_inclusion_bf(ens, w, [1, 3]) for w in rows]
+        calls = []
+        real = averaging.logsumexp
+        monkeypatch.setattr(averaging, "logsumexp", lambda a: calls.append(1) or real(a))
+        got = averaging.log_inclusion_bfs(ens, rows, [1, 3])
+        assert got.tolist() == want
+        # two per row for the posterior odds, two in all for the prior odds
+        assert len(calls) == 2 * len(rows) + 2
 
     def test_empty_partition_rejected(self):
         ens = four_model_ensemble()

@@ -432,6 +432,12 @@ class TestFileErrors:
         assert "Is a directory" in _one_error(caplog)
         assert not out.exists()
 
+    def test_report_directory_writes_no_forest(self, five_study_csv, tmp_path, caplog):
+        svg = tmp_path / "f.svg"
+        assert main(["analyze", five_study_csv, "--forest", str(svg), "--out", str(tmp_path)]) == 2
+        assert "Is a directory" in _one_error(caplog)
+        assert not svg.exists()
+
     def test_candidates_is_a_directory(self, corpus_csv, tmp_path, caplog):
         assert main(["rank", corpus_csv, "--candidates", str(tmp_path)]) == 2
         assert "Is a directory" in _one_error(caplog)

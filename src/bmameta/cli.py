@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from typing import Optional
@@ -248,21 +249,33 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _write_all(outputs: dict) -> None:
-    """Write each ``{path: text}`` item, all or none: every path is opened
-    before any is written, and if one cannot be opened the files opened
-    before it are removed."""
-    opened = []
+    """Write each ``{path: text}`` item, all or none.
+
+    Every path is opened before any is written: a missing path is created,
+    an existing one is opened for appending, which leaves it as it is.  If
+    a path cannot be opened or a write fails, the files this call created
+    are removed; a path that existed before is never removed.  An existing
+    regular file is emptied just before its text is written.
+    """
+    handles, created = {}, []
     try:
         for path in outputs:
-            opened.append(open(path, "w"))
+            try:
+                handles[path] = open(path, "x")
+                created.append(path)
+            except FileExistsError:
+                handles[path] = open(path, "a")
+        for path, text in outputs.items():
+            with handles.pop(path) as fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(text)
     except OSError:
-        for fh in opened:
+        for fh in handles.values():
             fh.close()
-            os.remove(fh.name)
+        for path in created:
+            os.remove(path)
         raise
-    for fh, text in zip(opened, outputs.values()):
-        with fh:
-            fh.write(text)
 
 
 def cmd_analyze(args) -> int:

@@ -196,12 +196,9 @@ def random_stats(tau, comparison: Comparison) -> tuple:
     if np.any(tau < 0):
         raise DomainError("tau must be non-negative")
     y, se = comparison._canonical
-    sq = (tau * tau)[..., None]
+    sq = (tau * tau).reshape(-1, 1)
     step = max(1, _STATS_CELLS // y.size)
-    if tau.size <= step:
-        return _normal_stats(y, se**2 + sq)
-    sq = sq.reshape(-1, 1)
-    parts = [_normal_stats(y, se**2 + sq[i:i + step]) for i in range(0, sq.shape[0], step)]
+    parts = [_normal_stats(y, se**2 + sq[i:i + step]) for i in range(0, max(1, sq.shape[0]), step)]
     return tuple(np.concatenate(v).reshape(tau.shape) for v in zip(*parts))
 
 

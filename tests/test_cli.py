@@ -438,6 +438,34 @@ class TestFileErrors:
         assert "Is a directory" in _one_error(caplog)
         assert not svg.exists()
 
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_existing_forest_is_kept_when_report_cannot_be_opened(self, five_study_csv, tmp_path, kind,
+                                                                  caplog):
+        target = write(tmp_path / "old.svg", "old plot")
+        svg = tmp_path / "link.svg" if kind == "symlink" else tmp_path / "old.svg"
+        if kind == "symlink":
+            svg.symlink_to(target)
+        assert main(["analyze", five_study_csv, "--forest", str(svg), "--out", str(tmp_path)]) == 2
+        assert "Is a directory" in _one_error(caplog)
+        assert svg.is_symlink() == (kind == "symlink")
+        assert svg.read_text() == "old plot"
+
+    def test_existing_outputs_are_replaced(self, five_study_csv, tmp_path):
+        fresh = [tmp_path / "new.json", tmp_path / "new.svg"]
+        old = [write(tmp_path / "old.json", "x" * 100_000), write(tmp_path / "old.svg", "x" * 100_000)]
+        for out, svg in (fresh, old):
+            assert main(["analyze", five_study_csv, "--out", str(out), "--forest", str(svg)]) == 0
+        for path, ref in zip(old, fresh):
+            assert open(path).read() == ref.read_text()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_removes_the_files_it_created(self, five_study_csv, tmp_path, caplog):
+        svg = tmp_path / "f.svg"
+        assert main(["analyze", five_study_csv, "--forest", str(svg), "--out", "/dev/full"]) == 2
+        assert "No space left on device" in _one_error(caplog)
+        assert not svg.exists()
+        assert os.path.exists("/dev/full")
+
     def test_candidates_is_a_directory(self, corpus_csv, tmp_path, caplog):
         assert main(["rank", corpus_csv, "--candidates", str(tmp_path)]) == 2
         assert "Is a directory" in _one_error(caplog)

@@ -356,6 +356,34 @@ class TestTinyStandardErrors:
         for member in members:
             assert math.isfinite(log_marginal(member.model, c)), member.model.name
 
+    @pytest.mark.parametrize("spread", [620.0, 630.0])
+    def test_delta_priors_sharing_one_cap_need_less_than_a_quarter(self, spread, monkeypatch):
+        # The four delta priors of the candidate set share one outer tau
+        # call and its 40000-cell cap.  On ±spread over 200 studies, the
+        # hardest inputs found that converge (at ±640 the Cauchy prior fails
+        # alone), all of them together stay under a quarter of that cap.
+        c = Comparison(tuple(Study(y, 0.01) for y in [spread] * 100 + [-spread] * 100))
+        cand = general_candidate_set()
+        models = [m.model for m in build_standard_ensemble(cand.delta_priors, cand.tau_priors).members
+                  if m.model.tau_prior.family != "point"]
+        real = marginal.log_quad_batch
+        outer_rows = []
+
+        def recording(log_f, bounds, **kwargs):
+            if kwargs.get("n_owners", 1) != 1:  # an inner delta integral
+                return real(log_f, bounds, **kwargs)
+
+            def f(grp, t):
+                outer_rows.append(t.shape[0])
+                return log_f(grp, t)
+
+            return real(f, bounds, **kwargs)
+
+        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        assert len({m.delta_prior for m in models}) == 4
+        assert np.all(np.isfinite(marginal.log_marginals(models, c)))
+        assert sum(outer_rows) < 40000 / 4
+
 
 class TestLikelihoodConstantOutsideIntegrand:
     """The inner delta integrand leaves out the likelihood's constant -c/2,

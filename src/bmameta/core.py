@@ -154,10 +154,13 @@ def _normal_stats(y: np.ndarray, variances) -> tuple:
     inv = 1.0 / variances
     log_det = np.sum(np.log(variances), axis=-1)
     s0 = np.sum(inv, axis=-1)
-    mu = np.sum(inv * y, axis=-1) / s0
-    r = y - mu[..., None]
     k = y.shape[-1]
-    return k * _LOG_2PI + log_det + np.sum(inv * r * r, axis=-1), mu, s0
+    # effects near the float range overflow mu, and residuals past ~1e154
+    # standard errors overflow c: either way c is inf, a zero likelihood
+    with np.errstate(over="ignore"):
+        mu = np.sum(inv * y, axis=-1) / s0
+        r = y - mu[..., None]
+        return k * _LOG_2PI + log_det + np.sum(inv * r * r, axis=-1), mu, s0
 
 
 def loglik_from_stats(stats: tuple, delta) -> np.ndarray:
@@ -174,9 +177,10 @@ def loglik_from_stats(stats: tuple, delta) -> np.ndarray:
     c, mu, s0 = stats
     # formed in one array, in the order of -0.5 * (c + s0 * (delta - mu) ** 2)
     out = np.asarray(np.subtract(delta, mu, dtype=float))
-    np.square(out, out=out)
-    np.multiply(s0, out, out=out)
-    np.add(c, out, out=out)
+    with np.errstate(over="ignore"):  # an overflow is a zero likelihood
+        np.square(out, out=out)
+        np.multiply(s0, out, out=out)
+        np.add(c, out, out=out)
     return np.multiply(-0.5, out, out=out)
 
 

@@ -3,8 +3,10 @@
 Marginal likelihoods are integrals of ``exp(log_likelihood + log_prior)``
 whose integrands underflow double precision by hundreds of orders of
 magnitude, so all accumulation here happens in log space: every interval
-stores the log of its Kronrod-15 estimate and the log of the |K15 - G7|
-error bracket, and totals are combined with log-sum-exp.
+stores the log of its Kronrod-21 estimate and the log of the |K21 - G10|
+error bracket, and totals are combined with log-sum-exp.  The rule is
+QUADPACK's ``qk21`` pair (Piessens et al. 1983), the finite-range rule of
+R's ``integrate``: 21 Kronrod nodes, 10 of them the Gauss-10 nodes.
 
 The integrator is *batched*: many independent integrals run at once,
 and every refinement round evaluates the integrand for all pending
@@ -31,10 +33,10 @@ Fresh multi-MB arrays are costly here for more than their arithmetic:
 the allocator returns freed ones to the kernel, and each reuse then
 faults every 4 KB page in again.
 
-Because the integrands are positive, |K15 - G7| is a conservative bound:
-it is the error of the *Gauss* rule while the returned value comes from
-the much more accurate Kronrod extension.  Narrow peaks that could hide
-between the 15 initial nodes must be covered by caller-supplied seed
+Because the integrands are positive, |K21 - G10| is a conservative
+bound: it is the error of the *Gauss* rule while the returned value comes
+from the much more accurate Kronrod extension.  Narrow peaks that could
+hide between the 21 initial nodes must be covered by caller-supplied seed
 split points (likelihood-informed in practice).
 """
 
@@ -55,34 +57,41 @@ _MAX_ROUNDS = 64
 _BLOCK_CELLS = 1 << 19
 _MAX_CELLS = 1 << 21
 
-# Kronrod-15 nodes on [-1, 1] (ascending) with the embedded Gauss-7 rule
-# on the odd-indexed nodes.  Values are the standard QUADPACK constants.
+# QUADPACK's qk21 pair (Piessens et al. 1983): Kronrod-21 nodes on [-1, 1]
+# (ascending) with the embedded Gauss-10 rule on the odd-indexed nodes,
+# to 17 digits.  K21 is exact for polynomials up to degree 31, G10 up to 19.
 _NODES = np.array([
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
-    -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
-    -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
-    0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
-    0.9491079123427585, 0.9914553711208126,
+    -0.99565716302580809, -0.97390652851717174, -0.93015749135570824,
+    -0.86506336668898454, -0.78081772658641690, -0.67940956829902444,
+    -0.56275713466860466, -0.43339539412924721, -0.29439286270146020,
+    -0.14887433898163122, 0.0, 0.14887433898163122, 0.29439286270146020,
+    0.43339539412924721, 0.56275713466860466, 0.67940956829902444,
+    0.78081772658641690, 0.86506336668898454, 0.93015749135570824,
+    0.97390652851717174, 0.99565716302580809,
 ])
 _WEIGHTS_K = np.array([
-    0.02293532201052922, 0.06309209262997855, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
-    0.1903505780647854, 0.1690047266392679, 0.1406532597155259,
-    0.1047900103222502, 0.06309209262997855, 0.02293532201052922,
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+    0.075039674810919957, 0.093125454583697601, 0.10938715880229764,
+    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+    0.14773910490133849, 0.14944555400291690, 0.14773910490133849,
+    0.14277593857706009, 0.13470921731147334, 0.12349197626206584,
+    0.10938715880229764, 0.093125454583697601, 0.075039674810919957,
+    0.054755896574351995, 0.032558162307964725, 0.011694638867371874,
 ])
-_WEIGHTS_G = np.zeros(15)
+_WEIGHTS_G = np.zeros(_NODES.size)
 _WEIGHTS_G[1::2] = [
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
-    0.1294849661688697,
+    0.066671344308688138, 0.14945134915058059, 0.21908636251598204,
+    0.26926671930999635, 0.29552422471475287, 0.29552422471475287,
+    0.26926671930999635, 0.21908636251598204, 0.14945134915058059,
+    0.066671344308688138,
 ]
 
 
 def _kronrod(lf: np.ndarray, half: np.ndarray):
-    """log of the Kronrod-15 estimate and of |K15 - G7| per interval and
-    owner, from log integrand values ``lf`` of shape (intervals, 15,
-    owners) and the intervals' half widths.  ``lf`` is overwritten.
+    """log of the Kronrod-21 estimate and of the |K21 - G10| bracket per
+    interval and owner, from log integrand values ``lf`` of shape
+    (intervals, 21, owners) and the intervals' half widths.  ``lf`` is
+    overwritten.
 
     The rule sums run node by node with plain ufuncs, so an interval's
     bits do not depend on the intervals evaluated with it (a matrix
@@ -97,10 +106,10 @@ def _kronrod(lf: np.ndarray, half: np.ndarray):
     np.exp(scaled, out=scaled)
     term = np.empty_like(shift)
     sum_k = _WEIGHTS_K[0] * scaled[:, 0]
-    for j in range(1, 15):
+    for j in range(1, _NODES.size):
         sum_k += np.multiply(_WEIGHTS_K[j], scaled[:, j], out=term)
     sum_g = _WEIGHTS_G[1] * scaled[:, 1]
-    for j in range(3, 15, 2):
+    for j in range(3, _NODES.size, 2):
         sum_g += np.multiply(_WEIGHTS_G[j], scaled[:, j], out=term)
     with np.errstate(divide="ignore"):
         log_half = np.log(half)[:, None]
@@ -147,7 +156,7 @@ def _eval_cells(log_f, a: np.ndarray, b: np.ndarray, groups: np.ndarray, n_owner
     place, unless ``log_f`` returns a read-only or non-float64 array,
     which is copied first."""
     terms = np.empty((a.size, 2, n_owners))
-    step = max(1, _BLOCK_CELLS // (15 * max(n_owners, 1)))
+    step = max(1, _BLOCK_CELLS // (_NODES.size * max(n_owners, 1)))
     for i in range(0, a.size, step):
         block = slice(i, i + step)
         half = 0.5 * (b[block] - a[block])
@@ -174,13 +183,13 @@ def log_quad_batch(
     ----------
     log_f:
         Vectorized callable ``log_f(group_ids, x)`` where ``group_ids``
-        has shape (m, 1) and ``x`` shape (m, 15); returns the log
-        integrand of every owner of the row's group, shape (m, 15,
-        n_owners).  Must tolerate -inf results.  The integrator consumes
-        the returned array and may overwrite it, so return a new array,
-        not one kept elsewhere; a read-only array (such as a
-        ``np.broadcast_to`` view) or one of another dtype is copied
-        first.
+        has shape (m, 1) and ``x`` shape (m, 21), the Kronrod-21 nodes
+        of the row's interval; returns the log integrand of every owner
+        of the row's group, shape (m, 21, n_owners).  Must tolerate -inf
+        results.  The integrator consumes the returned array and may
+        overwrite it, so return a new array, not one kept elsewhere; a
+        read-only array (such as a ``np.broadcast_to`` view) or one of
+        another dtype is copied first.
     bounds:
         Array of shape (n_groups, 2) with each group's integration limits.
         Each group refines a partition of its own, so its results do not
@@ -200,12 +209,14 @@ def log_quad_batch(
     Array of shape (n_groups, n_owners) with the log integrals (-inf where
     the integrand vanishes everywhere).
 
-    An interval of a group is bisected when any unconverged owner of the
-    group needs it split.  A converged owner's total is frozen; a group
-    whose owners have all converged leaves the working arrays.  The stored
-    (interval x owner) cells, counting finished groups, are capped at
-    ``max(40000, 64 n_groups) n_owners`` and at most _MAX_CELLS; the cap is
-    checked before each evaluation.
+    Each interval is integrated by the Kronrod-21 rule, and an owner has
+    converged when its summed |K21 - G10| brackets are within ``rel_tol``
+    of its total.  An interval of a group is bisected when any unconverged
+    owner of the group needs it split.  A converged owner's total is
+    frozen; a group whose owners have all converged leaves the working
+    arrays.  The stored (interval x owner) cells, counting finished groups,
+    are capped at ``max(40000, 64 n_groups) n_owners`` and at most
+    _MAX_CELLS; the cap is checked before each evaluation.
     """
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
     n_groups = bounds.shape[0]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -107,6 +108,32 @@ class TestAnalyze:
     def test_nonpositive_se_rejected(self, tmp_path):
         csv = write(tmp_path / "se.csv", "effect,se\n0.5,0.0\n")
         assert main(["analyze", csv]) == 2
+
+    @pytest.mark.parametrize("magnitude", ["1e160", "1e200"])
+    def test_effects_that_overflow_the_likelihood_end_in_one_error(self, tmp_path, magnitude, capsys, caplog):
+        # the likelihood's squares overflow to inf, a zero likelihood under
+        # every model; numpy's own overflow warnings stay off stderr
+        csv = write(tmp_path / "huge.csv", f"effect,se\n{magnitude},1\n-{magnitude},1\n{magnitude},1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", csv])
+        assert code in (2, 3)
+        assert _one_error(caplog) == "every model has zero marginal likelihood"
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_summary_far_from_the_marginal_likelihood_is_a_warning(self, tmp_path, capsys, caplog):
+        # at +-1e100 the tau grid's normalization exceeds the marginal
+        # likelihood by more than exp(709): reported, not an OverflowError
+        csv = write(tmp_path / "far.csv", "effect,se\n1e100,1\n-1e100,1\n1e100,1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", csv]) == 0
+        assert any("grid normalization differs from the marginal likelihood by inf" in r.getMessage()
+                   for r in caplog.records if r.levelname == "WARNING")
+        assert "Traceback" not in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 2

@@ -481,20 +481,23 @@ class TestScaleMixtureDeltaPart:
 
 
     def test_lambda_rows_start_at_their_converged_partition(self, monkeypatch):
-        # 7 quantile seeds plus the midpoints between them and the row's
-        # bounds: a lambda row converges on its 16 seeded intervals, where
-        # the 7 seeds alone evaluated about 21 (8, then a round of bisection)
+        # the 7 quantile seeds alone: a lambda row converges on the at most
+        # 8 intervals they make with its bounds, with no bisection round;
+        # midpoint seeds, or a bracket weaker than G10, evaluate more
         rng = np.random.default_rng(40)
         comparisons = [make_comparison(rng, int(k), delta=float(rng.normal(0.0, 0.4)),
                                        tau=float(rng.uniform(0.0, 0.4)), se_range=(0.05, 0.4))
                        for k in rng.integers(2, 40, 40)]
         real = marginal.log_quad_batch
-        counts = {"rows": 0, "intervals": 0}
+        counts = {"rows": 0, "intervals": 0, "seeded": 0}
 
         def counting(log_f, bounds, **kwargs):
             if kwargs.get("n_owners", 1) == 1:  # the outer tau integral
                 return real(log_f, bounds, **kwargs)
+            seeds = np.clip(np.atleast_2d(kwargs["seeds"]), bounds[:, :1], bounds[:, 1:])
+            pts = np.sort(np.concatenate([bounds, seeds], axis=1), axis=1)
             counts["rows"] += np.shape(bounds)[0]
+            counts["seeded"] += int(np.count_nonzero(np.diff(pts, axis=1) > 0))
 
             def f(grp, u):
                 counts["intervals"] += u.shape[0]
@@ -506,7 +509,7 @@ class TestScaleMixtureDeltaPart:
         for c in comparisons:
             assert math.isfinite(log_marginal(h1r(T_POOLED, IG_POOLED), c))
         assert counts["rows"] > 0
-        assert counts["intervals"] / counts["rows"] <= 16.0, counts
+        assert counts["intervals"] == counts["seeded"] <= 8 * counts["rows"], counts
 
 
 def _count_quadratures(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def test_gamma_density_normalizes():
 
 
 def test_polynomial_exact():
-    # integral of x^4 on [0, 2] = 32/5; Gauss-7 is exact for degree 13
+    # integral of x^4 on [0, 2] = 32/5; Gauss-10 is exact for degree 19
     logf = lambda x: np.where(x > 0, 4.0 * np.log(np.maximum(x, 1e-300)), -np.inf)
     assert log_quad(logf, 0.0, 2.0) == pytest.approx(math.log(32.0 / 5.0), abs=1e-12)
 
@@ -43,6 +44,100 @@ def test_narrow_peak_needs_seeds():
     seeds = mu + sd * np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0])
     got = log_quad(logf, 0.0, 1.0, seeds=seeds)
     assert got == pytest.approx(0.0, abs=1e-8)
+
+
+def _moment(d):
+    """integral of x**d over [-1, 1], as an exact fraction."""
+    return Fraction(2, d + 1) if d % 2 == 0 else Fraction(0)
+
+
+def _legendre(n):
+    """Coefficients of the Legendre polynomial P_n, lowest degree first."""
+    p0, p1 = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        nxt = [Fraction(0)] * (k + 2)
+        for i, c in enumerate(p1):
+            nxt[i + 1] += Fraction(2 * k + 1, k + 1) * c
+        for i, c in enumerate(p0):
+            nxt[i] -= Fraction(k, k + 1) * c
+        p0, p1 = p1, nxt
+    return p1
+
+
+def _stieltjes(n):
+    """Coefficients of the Stieltjes polynomial E_{n+1} of P_n (n even),
+    lowest degree first: monic, odd, and orthogonal to x**k P_n for
+    k = 0..n, from the exact moment equations."""
+    p = _legendre(n)
+    odd = list(range(1, n + 1, 2))
+
+    def dot(e, k):
+        return sum(c * _moment(i + e + k) for i, c in enumerate(p))
+
+    rows = [[dot(e, k) for e in odd] + [-dot(n + 1, k)] for k in odd]
+    for i in range(len(odd)):  # Gauss-Jordan on fractions
+        j = next(r for r in range(i, len(odd)) if rows[r][i] != 0)
+        rows[i], rows[j] = rows[j], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(len(odd)):
+            if r != i:
+                rows[r] = [v - rows[r][i] * w for v, w in zip(rows[r], rows[i])]
+    coeffs = [Fraction(0)] * (n + 2)
+    coeffs[n + 1] = Fraction(1)
+    for e, row in zip(odd, rows):
+        coeffs[e] = row[-1]
+    return coeffs
+
+
+def test_rule_table_is_qk21_to_one_ulp():
+    # K21/G10 recomputed at 50 digits: the Gauss nodes are the zeros of
+    # P_10, the Kronrod nodes those of P_10 and of its Stieltjes polynomial
+    # E_11, and each rule's weights solve its moment equations
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        def zeros(coeffs):
+            roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)],
+                                 maxsteps=500, extraprec=500)
+            return sorted(mp.re(r) for r in roots)
+
+        def weights(x):
+            v = mp.matrix([[xi ** d for xi in x] for d in range(len(x))])
+            m = mp.matrix([mp.mpf(_moment(d).numerator) / _moment(d).denominator for d in range(len(x))])
+            return list(mp.lu_solve(v, m))
+
+        gauss = zeros(_legendre(10))
+        kronrod = sorted(gauss + zeros(_stieltjes(10)))
+        want = {"nodes": kronrod, "kronrod": weights(kronrod), "gauss": weights(gauss)}
+        for d in range(34):
+            exact = mp.mpf(_moment(d).numerator) / _moment(d).denominator
+            k21 = mp.fsum(w * x ** d for w, x in zip(want["kronrod"], kronrod))
+            g10 = mp.fsum(w * x ** d for w, x in zip(want["gauss"], gauss))
+            # odd degrees integrate to 0 by symmetry
+            assert (abs(k21 - exact) < mp.mpf(10) ** -40) == (d <= 31 or d % 2 == 1), d
+            assert (abs(g10 - exact) < mp.mpf(10) ** -40) == (d <= 19 or d % 2 == 1), d
+        want = {k: np.array([float(v) for v in vals]) for k, vals in want.items()}
+    got = {"nodes": quadrature._NODES, "kronrod": quadrature._WEIGHTS_K, "gauss": quadrature._WEIGHTS_G[1::2]}
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        assert np.all(np.abs(got[key] - want[key]) <= np.spacing(np.abs(want[key]))), key
+    assert np.array_equal(quadrature._NODES[1::2], want["nodes"][1::2])
+    assert np.all(quadrature._WEIGHTS_G[::2] == 0.0)
+
+
+def test_rule_table_integrates_polynomials_to_its_degree():
+    # in double precision, K21 is exact to rounding up to degree 31 and
+    # G10 up to 19, and neither is one degree further
+    x, wk, wg = quadrature._NODES, quadrature._WEIGHTS_K, quadrature._WEIGHTS_G
+    assert x.size == 21 and np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert math.fsum(wk) == 2.0 and math.fsum(wg) == 2.0
+    for d in range(34):
+        exact = float(_moment(d))
+        for w, degree in ((wk, 31), (wg, 19)):
+            err = abs(math.fsum(w * x ** d) - exact)
+            if d <= degree:
+                assert err <= 1e-15 * max(exact, 1.0), (d, degree, err)
+            elif d % 2 == 0:
+                assert err > 1e-12 * exact, (d, degree, err)
 
 
 def _normals(mus, sds):
@@ -249,11 +344,12 @@ def _kronrod_allocating(lf, half):
     shift = np.where(np.isfinite(peak), peak, 0.0)
     scaled = lf - shift[:, None]
     np.exp(scaled, out=scaled)
+    n = quadrature._NODES.size
     sum_k = quadrature._WEIGHTS_K[0] * scaled[:, 0]
-    for j in range(1, 15):
+    for j in range(1, n):
         sum_k += quadrature._WEIGHTS_K[j] * scaled[:, j]
     sum_g = quadrature._WEIGHTS_G[1] * scaled[:, 1]
-    for j in range(3, 15, 2):
+    for j in range(3, n, 2):
         sum_g += quadrature._WEIGHTS_G[j] * scaled[:, j]
     with np.errstate(divide="ignore"):
         log_half = np.log(half)[:, None]
@@ -278,10 +374,10 @@ def _group_logsumexp_allocating(values, sizes):
 
 
 def _awkward_cells(rng, m, owners):
-    """log integrand values of shape (m, 15, owners) on very different
+    """log integrand values of shape (m, nodes, owners) on very different
     scales, with an interval that vanishes for every owner, owners that
     vanish on one interval, and cells at +inf, NaN and -inf."""
-    lf = rng.normal(0.0, 3.0, (m, 15, owners)) + rng.normal(0.0, 300.0, (m, 1, owners))
+    lf = rng.normal(0.0, 3.0, (m, quadrature._NODES.size, owners)) + rng.normal(0.0, 300.0, (m, 1, owners))
     lf[0] = -np.inf
     lf[1, :, ::3] = -np.inf
     lf[2, 4, ::5] = np.inf
@@ -460,8 +556,9 @@ def test_shared_cell_cap_raises_before_evaluating(monkeypatch):
     with pytest.raises(ConvergenceError, match="cap"):
         log_quad_batch(refuse, SHARED_BOUNDS, n_owners=10**9, seeds=SHARED_SEEDS)
 
-    # a narrow peak that needs many rounds: no evaluation passes the cap
-    mu, sd = 0.3, 1e-6
+    # a narrow peak that needs many rounds: no evaluation passes the cap;
+    # seeded 80 widths apart, it needs several rounds of the 21-point rule
+    mu, sd = 0.3, 1e-7
     evaluated = []
 
     def peak(_grp, x):
@@ -469,7 +566,7 @@ def test_shared_cell_cap_raises_before_evaluating(monkeypatch):
         z = (x - mu) / sd
         return np.repeat((-0.5 * z * z)[..., None], 4, axis=-1)
 
-    seeds = mu + sd * np.array([-8.0, 0.0, 8.0])
+    seeds = mu + sd * np.array([-80.0, 0.0, 80.0])
     def stored():  # a split keeps both children in place of their parent
         return evaluated[0] + sum(evaluated[1:]) // 2
 

@@ -16,7 +16,7 @@ from .averaging import (
     build_standard_ensemble,
     evaluate,
     inclusion_bf,
-    log_inclusion_bf,
+    log_inclusion_bfs,
     mixture_summary,
     sequential_update,
 )
@@ -81,7 +81,7 @@ __all__ = [
     "ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary",
     # averaging
     "MODEL_TYPES", "EnsembleMember", "ModelEnsemble", "BmaResult",
-    "build_standard_ensemble", "evaluate", "inclusion_bf", "log_inclusion_bf",
+    "build_standard_ensemble", "evaluate", "inclusion_bf", "log_inclusion_bfs",
     "sequential_update",
     "mixture_summary",
     # reml

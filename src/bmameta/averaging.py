@@ -9,16 +9,19 @@ bipartition of the ensemble; the two canonical ones contrast the models
 with a free effect against the point-null models, and the free-
 heterogeneity models against the fixed ones.
 
+Every result comes from one (rows x members) matrix of log marginal
+likelihoods: one row for :func:`evaluate`, one per study prefix for
+:func:`sequential_update`.
+
 Model-averaged effect summaries follow the convention of averaging
 *conditional on effect presence*: the mixture runs over the free-effect
 models with their posterior probabilities renormalized within that set.
-A spike-included (unconditional) average is available behind a flag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +32,6 @@ from .errors import DegenerateEvidenceError, ParameterError
 from .marginal import (
     ModelSpec,
     PosteriorSummary,
-    grid_cdf,
     log_marginal,  # noqa: F401 - unused here, but bench/tracing.py wraps this name
     log_marginals,
     posterior_summary,
@@ -47,7 +49,6 @@ __all__ = [
     "member_log_marginals",
     "log_posteriors",
     "inclusion_bf",
-    "log_inclusion_bf",
     "log_inclusion_bfs",
     "sequential_update",
     "mixture_summary",
@@ -180,7 +181,6 @@ class BmaResult:
     delta_fixed: Optional[PosteriorSummary] = None
     delta_random: Optional[PosteriorSummary] = None
     averaged_tau: Optional[PosteriorSummary] = None
-    averaged_delta_unconditional: Optional[PosteriorSummary] = None
     member_delta: tuple = ()
     member_tau: tuple = ()
 
@@ -202,22 +202,17 @@ def _exp_bf(log_bf: Optional[float]) -> Optional[float]:
         return math.inf
 
 
-def log_inclusion_bf(ensemble: ModelEnsemble, log_weights, in_indices) -> float:
-    """Log Bayes factor for a bipartition: log posterior odds minus log prior odds.
+def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.ndarray:
+    """Log Bayes factor of a bipartition for each row of ``log_weights``
+    (rows x members): log posterior odds minus log prior odds.
 
-    ``log_weights`` are the members' log posterior weights up to a common
+    A row holds the members' log posterior weights up to a common
     constant, e.g. log prior plus log marginal likelihood, or the logs of
     posterior probabilities.  ``in_indices`` selects the numerator side.
-    A side without weight yields ``inf`` or ``-inf`` rather than an
-    exception.  The value stays finite where the Bayes factor itself
-    overflows.
+    The ensemble's log prior odds are computed once.  A side without
+    weight yields ``inf`` or ``-inf`` rather than an exception.  The
+    value stays finite where the Bayes factor itself overflows.
     """
-    return float(log_inclusion_bfs(ensemble, [log_weights], in_indices)[0])
-
-
-def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.ndarray:
-    """:func:`log_inclusion_bf` of each row of ``log_weights`` (rows x
-    members), with the ensemble's log prior odds computed once."""
     log_weights = np.atleast_2d(np.asarray(log_weights, dtype=float))
     in_mask = np.zeros(log_weights.shape[1], dtype=bool)
     in_mask[list(in_indices)] = True
@@ -241,13 +236,13 @@ def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.nd
 def inclusion_bf(ensemble: ModelEnsemble, posterior_probs, in_indices) -> float:
     """Bayes factor for a bipartition, from posterior model probabilities.
 
-    The exponential of :func:`log_inclusion_bf`.  A zero denominator, or
+    The exponential of :func:`log_inclusion_bfs`.  A zero denominator, or
     a factor beyond the float range, yields ``inf`` (check with
     ``math.isinf``) rather than an exception.
     """
     with np.errstate(divide="ignore"):
         log_post = np.log(np.asarray(posterior_probs, dtype=float))
-    return _exp_bf(log_inclusion_bf(ensemble, log_post, in_indices))
+    return _exp_bf(float(log_inclusion_bfs(ensemble, log_post, in_indices)[0]))
 
 
 def mixture_summary(summaries: Sequence[PosteriorSummary], weights) -> PosteriorSummary:
@@ -261,41 +256,6 @@ def mixture_summary(summaries: Sequence[PosteriorSummary], weights) -> Posterior
     for s, w in zip(summaries, weights):
         pdf += w * np.interp(x, s.grid_x, s.grid_pdf, left=0.0, right=0.0)
     return summarize_grid(x, pdf)
-
-
-def _mixture_with_spikes(
-    summaries: Sequence[PosteriorSummary],
-    weights,
-    spike_values,
-    spike_weights,
-) -> PosteriorSummary:
-    """Mixture summary including point masses; no density grid is attached."""
-    weights = np.asarray(weights, dtype=float)
-    spike_values = np.asarray(spike_values, dtype=float)
-    spike_weights = np.asarray(spike_weights, dtype=float)
-    mean = float(np.sum(weights * [s.mean for s in summaries]) + np.sum(spike_weights * spike_values))
-    second = float(
-        np.sum(weights * [s.sd**2 + s.mean**2 for s in summaries])
-        + np.sum(spike_weights * spike_values**2)
-    )
-    var = max(second - mean * mean, 0.0)
-
-    x = np.unique(np.concatenate([spike_values] + [s.grid_x for s in summaries]))
-    cdf = np.zeros_like(x)
-    for s, w in zip(summaries, weights):
-        cdf += w * np.interp(x, s.grid_x, grid_cdf(s.grid_x, s.grid_pdf), left=0.0, right=1.0)
-    for v, w in zip(spike_values, spike_weights):
-        cdf += w * (x >= v)
-
-    def invert(q):
-        idx = int(np.searchsorted(cdf, q, side="left"))
-        return float(x[min(idx, x.size - 1)])
-
-    return PosteriorSummary(
-        mean=mean, median=invert(0.5), sd=math.sqrt(var),
-        ci_lower=invert(0.025), ci_upper=invert(0.975),
-        grid_x=None, grid_pdf=None,
-    )
 
 
 def member_log_marginals(
@@ -322,13 +282,59 @@ def _group_weights(log_post: np.ndarray, indices) -> np.ndarray:
     return np.exp(sub - logsumexp(sub))
 
 
+def _results(ensemble: ModelEnsemble, logml: np.ndarray) -> tuple:
+    """(One :class:`BmaResult`, without posterior summaries, per row of the
+    (rows x members) log-marginal matrix ``logml``; the rows' log posterior
+    probabilities).
+
+    Each side of the effect and heterogeneity partitions gets its log
+    inclusion Bayes factor and posterior probability, or ``None`` twice
+    when the ensemble has no member, or only members, on that side.
+    """
+    log_unnorm, log_post = log_posteriors(ensemble, logml)
+    posterior = np.exp(log_post)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bf = np.exp(logml[:, :, None] - logml[:, None, :])
+    n = logml.shape[1]
+    bf[:, np.arange(n), np.arange(n)] = 1.0
+
+    def inclusion(in_idx):
+        """(log BF, posterior probability) of a side, per row."""
+        if not in_idx or len(in_idx) == n:
+            return [(None, None)] * len(logml)
+        log_bf = log_inclusion_bfs(ensemble, log_unnorm, in_idx).tolist()
+        # log-sum-exp rounding can put a sure side a few ulps above one
+        post = [min(float(np.exp(logsumexp(row[list(in_idx)]))), 1.0) for row in log_post]
+        return list(zip(log_bf, post))
+
+    effect = inclusion(ensemble.effect_indices)
+    het = inclusion(ensemble.heterogeneity_indices)
+    models = [m.model for m in ensemble.members]
+    return [
+        BmaResult(
+            member_names=tuple(m.name for m in models),
+            model_types=tuple(m.model_type for m in models),
+            prior_probs=ensemble.prior_probs,
+            log_marginals=logml[r],
+            posterior_probs=posterior[r],
+            bf_matrix=bf[r],
+            incl_log_bf_effect=effect[r][0],
+            incl_posterior_prob_effect=effect[r][1],
+            incl_log_bf_heterogeneity=het[r][0],
+            incl_posterior_prob_heterogeneity=het[r][1],
+            member_delta=(None,) * n,
+            member_tau=(None,) * n,
+        )
+        for r in range(len(logml))
+    ], log_post
+
+
 def evaluate(
     ensemble: ModelEnsemble,
     comparison: Comparison,
     *,
     rel_tol: float = 1e-9,
     summaries: bool = True,
-    include_null_average: bool = False,
 ) -> BmaResult:
     """Update the ensemble on one comparison.
 
@@ -339,87 +345,37 @@ def evaluate(
     and mixed into fixed/random/averaged effect summaries (conditional on
     effect presence) and an averaged heterogeneity summary.
     """
-    models = [m.model for m in ensemble.members]
     logml = member_log_marginals(ensemble, comparison, rel_tol=rel_tol)
-    log_unnorm, log_post = log_posteriors(ensemble, logml)
-    posterior = np.exp(log_post)
+    results, log_post = _results(ensemble, logml[None, :])
+    result, log_post = results[0], log_post[0]
+    if not summaries:
+        return result
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        bf_matrix = np.exp(logml[:, None] - logml[None, :])
-    np.fill_diagonal(bf_matrix, 1.0)
-
-    eff = list(ensemble.effect_indices)
-    het = list(ensemble.heterogeneity_indices)
-    n = len(models)
-
-    def _inclusion(in_idx):
-        """(log BF, posterior probability) of a side; Nones unless both sides have members."""
-        if not in_idx or len(in_idx) == n:
-            return None, None
-        # log-sum-exp rounding can put a sure side a few ulps above one
-        post = min(float(np.exp(logsumexp(log_post[in_idx]))), 1.0)
-        return log_inclusion_bf(ensemble, log_unnorm, in_idx), post
-
-    log_bf_effect, post_effect = _inclusion(eff)
-    log_bf_het, post_het = _inclusion(het)
-
-    member_delta: list = [None] * n
-    member_tau: list = [None] * n
-    delta_fixed = delta_random = averaged_delta = averaged_tau = None
-    averaged_unconditional = None
-    if summaries:
-        for i, model in enumerate(models):
-            if model.delta_free:
-                member_delta[i] = posterior_summary(
-                    model, comparison, "delta", rel_tol=rel_tol, _log_ml=logml[i]
-                )
-            if model.tau_free:
-                member_tau[i] = posterior_summary(
-                    model, comparison, "tau", rel_tol=rel_tol, _log_ml=logml[i]
-                )
-        fixed_idx = [i for i in eff if not models[i].tau_free]
-        random_idx = [i for i in eff if models[i].tau_free]
-        if fixed_idx:
-            delta_fixed = mixture_summary(
-                [member_delta[i] for i in fixed_idx], _group_weights(log_post, fixed_idx)
+    models = [m.model for m in ensemble.members]
+    member_delta: list = [None] * len(models)
+    member_tau: list = [None] * len(models)
+    for i, model in enumerate(models):
+        if model.delta_free:
+            member_delta[i] = posterior_summary(
+                model, comparison, "delta", rel_tol=rel_tol, _log_ml=logml[i]
             )
-        if random_idx:
-            delta_random = mixture_summary(
-                [member_delta[i] for i in random_idx], _group_weights(log_post, random_idx)
-            )
-        if eff:
-            averaged_delta = mixture_summary(
-                [member_delta[i] for i in eff], _group_weights(log_post, eff)
-            )
-        if het:
-            averaged_tau = mixture_summary(
-                [member_tau[i] for i in het], _group_weights(log_post, het)
-            )
-        if include_null_average and eff:
-            null_idx = [i for i in range(n) if i not in set(eff)]
-            averaged_unconditional = _mixture_with_spikes(
-                [member_delta[i] for i in eff],
-                posterior[eff],
-                [models[i].delta_prior.params[0] for i in null_idx],
-                posterior[null_idx],
+        if model.tau_free:
+            member_tau[i] = posterior_summary(
+                model, comparison, "tau", rel_tol=rel_tol, _log_ml=logml[i]
             )
 
-    return BmaResult(
-        member_names=tuple(m.name for m in models),
-        model_types=tuple(m.model_type for m in models),
-        prior_probs=ensemble.prior_probs,
-        log_marginals=logml,
-        posterior_probs=posterior,
-        bf_matrix=bf_matrix,
-        incl_log_bf_effect=log_bf_effect,
-        incl_posterior_prob_effect=post_effect,
-        incl_log_bf_heterogeneity=log_bf_het,
-        incl_posterior_prob_heterogeneity=post_het,
-        averaged_delta=averaged_delta,
-        delta_fixed=delta_fixed,
-        delta_random=delta_random,
-        averaged_tau=averaged_tau,
-        averaged_delta_unconditional=averaged_unconditional,
+    def averaged(summaries, indices):
+        if not indices:
+            return None
+        return mixture_summary([summaries[i] for i in indices], _group_weights(log_post, indices))
+
+    eff = ensemble.effect_indices
+    return replace(
+        result,
+        averaged_delta=averaged(member_delta, eff),
+        delta_fixed=averaged(member_delta, [i for i in eff if not models[i].tau_free]),
+        delta_random=averaged(member_delta, [i for i in eff if models[i].tau_free]),
+        averaged_tau=averaged(member_tau, ensemble.heterogeneity_indices),
         member_delta=tuple(member_delta),
         member_tau=tuple(member_tau),
     )
@@ -435,8 +391,9 @@ def sequential_update(
     """Re-evaluate the ensemble on growing study prefixes.
 
     ``order`` must be a permutation of the study indices; the default is
-    input order.  Element ``t`` is the batch result, without posterior
-    summaries, for the first ``t+1`` studies, so the final element
+    input order.  Element ``t`` is the result, without posterior
+    summaries, for the first ``t+1`` studies: bit for bit
+    ``evaluate(ensemble, prefix, summaries=False)``, so the final element
     matches a full batch evaluation.
     """
     k = comparison.k
@@ -446,7 +403,8 @@ def sequential_update(
         order = [int(i) for i in order]
         if sorted(order) != list(range(k)):
             raise ParameterError("order must be a permutation of the study indices")
-    return [
-        evaluate(ensemble, comparison.subset(order[:t]), rel_tol=rel_tol, summaries=False)
+    logml = np.array([
+        member_log_marginals(ensemble, comparison.subset(order[:t]), rel_tol=rel_tol)
         for t in range(1, k + 1)
-    ]
+    ])
+    return _results(ensemble, logml)[0]

@@ -240,23 +240,20 @@ _min_training_studies = _checked(int, lambda v: v >= 2, "at least 2")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_all(text: str, out: Optional[str], files: Optional[dict] = None) -> None:
+    """Write ``text`` to the path ``out``, or to stdout without one, and
+    each ``{path: text}`` item of ``files``.
 
-
-def _write_all(outputs: dict) -> None:
-    """Write each ``{path: text}`` item, all or none.
-
-    Every path is opened before any is written: a missing path is created,
-    an existing one is opened for appending, which leaves it as it is.  If
-    a path cannot be opened or a write fails, the files this call created
-    are removed; a path that existed before is never removed.  An existing
-    regular file is emptied just before its text is written.
+    The files are written all or none, stdout last.  Every path is opened
+    before any is written: a missing path is created, an existing one is
+    opened for appending, which leaves it as it is.  If a path cannot be
+    opened or a write fails, the files this call created are removed; a
+    path that existed before is never removed.  An existing regular file
+    is emptied just before its text is written.
     """
+    outputs = dict(files or {})
+    if out:
+        outputs[out] = text
     handles, created = {}, []
     try:
         for path in outputs:
@@ -265,17 +262,19 @@ def _write_all(outputs: dict) -> None:
                 created.append(path)
             except FileExistsError:
                 handles[path] = open(path, "a")
-        for path, text in outputs.items():
+        for path, body in outputs.items():
             with handles.pop(path) as fh:
                 if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     fh.truncate(0)
-                fh.write(text)
+                fh.write(body)
     except OSError:
         for fh in handles.values():
             fh.close()
         for path in created:
             os.remove(path)
         raise
+    if not out:
+        sys.stdout.write(text)
 
 
 def cmd_analyze(args) -> int:
@@ -297,23 +296,18 @@ def cmd_analyze(args) -> int:
         "tol": args.tol,
     }
     report = analysis_report(result, studies=studies, config=config, sequential=sequential)
-    outputs = {}
+    files = {}
     if args.forest:
-        outputs[args.forest] = forest_svg(
+        files[args.forest] = forest_svg(
             [(s.label or f"Study {i + 1}", s.effect, s.se) for i, s in enumerate(studies)],
             fixed=result.delta_fixed,
             random=result.delta_random,
             averaged=result.averaged_delta,
             title=f"Forest plot ({comparison.k} studies)",
         )
-    text = dumps(report) + "\n"
-    if args.out:
-        outputs[args.out] = text
-    _write_all(outputs)
+    _write_all(dumps(report) + "\n", args.out, files)
     if args.forest:
         log.info("wrote forest plot to %s", args.forest)
-    if not args.out:
-        sys.stdout.write(text)
     return 0
 
 
@@ -326,7 +320,7 @@ def cmd_fit_priors(args) -> int:
         non_estimable_counts=non_estimable,
     )
     candidates = fit_candidates(estimates, provenance)
-    _emit(dumps(candidates.to_dict()) + "\n", args.out)
+    _write_all(dumps(candidates.to_dict()) + "\n", args.out)
     return 0
 
 
@@ -347,7 +341,7 @@ def cmd_rank(args) -> int:
         table = average_parameter_priors(comparisons, candidates, **kwargs)
     else:
         table = corpus_inclusion_summary(comparisons, candidates, **kwargs)
-    _emit(dumps(table.to_dict()) + "\n", args.out)
+    _write_all(dumps(table.to_dict()) + "\n", args.out)
     return 0
 
 
@@ -362,7 +356,7 @@ def cmd_catalog(args) -> int:
         hit = catalog.lookup(args.topic)
         payload = dict(hit.entry.to_dict())
         payload["matched"] = hit.matched
-    _emit(dumps(payload) + "\n", args.out)
+    _write_all(dumps(payload) + "\n", args.out)
     return 0
 
 

@@ -40,6 +40,12 @@ from .errors import InsufficientDataError
 __all__ = ["RemlFit", "reml_fit", "reml_fits", "restricted_loglik"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Width of the golden-section bracket at which a fit stops.
+_TOL = 1e-8
+#: Points of each comparison's coarse scan over [0, tau_max].
+_SCAN_POINTS = 256
+#: Golden-section steps after which a fit stops unconverged.
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -112,13 +118,7 @@ class _Corpus:
         return out
 
 
-def reml_fits(
-    comparisons: Sequence[Comparison],
-    *,
-    tol: float = 1e-8,
-    scan_points: int = 256,
-    max_iter: int = 200,
-) -> list:
+def reml_fits(comparisons: Sequence[Comparison]) -> list:
     """REML estimates of the mean effect and heterogeneity of each comparison.
 
     Returns one :class:`RemlFit` per comparison, in input order; each equals
@@ -133,15 +133,15 @@ def reml_fits(
     n = corpus.size
     every = np.ones(n, dtype=bool)
 
-    # Coarse scan, one comparison at a time: a (scan_points, k) evaluation.
+    # Coarse scan, one comparison at a time: a (_SCAN_POINTS, k) evaluation.
     lo = np.empty(n)
     hi = np.empty(n)
     for i, (y, se) in enumerate(canonical):
         tau_max = 10.0 * float(np.max(np.abs(y - np.median(y)))) + float(np.max(se))
-        grid = np.linspace(0.0, tau_max, scan_points)
+        grid = np.linspace(0.0, tau_max, _SCAN_POINTS)
         best = int(np.argmax(_loglik(grid, y, se**2)))
         lo[i] = grid[max(best - 1, 0)]
-        hi[i] = grid[min(best + 1, scan_points - 1)]
+        hi[i] = grid[min(best + 1, _SCAN_POINTS - 1)]
 
     # Golden-section refinement on each bracketing interval.  A step keeps
     # [a, d] where f(c) >= f(d) ("left") and [c, b] otherwise, reuses the
@@ -152,7 +152,7 @@ def reml_fits(
     fc = corpus.evaluate(_loglik, c, every)
     fd = corpus.evaluate(_loglik, d, every)
     iterations = np.zeros(n, dtype=int)
-    running = ((b - a) > tol) & (iterations < max_iter)
+    running = ((b - a) > _TOL) & (iterations < _MAX_ITER)
     while running.any():
         left = running & (fc >= fd)
         right = running & ~(fc >= fd)
@@ -168,7 +168,7 @@ def reml_fits(
             np.where(right, f_new, np.where(left, fc, fd)),
         )
         iterations += running
-        running = ((b - a) > tol) & (iterations < max_iter)
+        running = ((b - a) > _TOL) & (iterations < _MAX_ITER)
     tau_hat = 0.5 * (a + b)
 
     # Near the optimum the log likelihood is flat to float noise, which
@@ -212,22 +212,16 @@ def reml_fits(
                 delta_hat=float(np.sum(w * y) / np.sum(w)),
                 tau_hat=float(t),
                 se_delta=float(1.0 / math.sqrt(np.sum(w))),
-                converged=bool(its < max_iter),
+                converged=bool(its < _MAX_ITER),
                 iterations=int(its),
             )
         )
     return fits
 
 
-def reml_fit(
-    comparison: Comparison,
-    *,
-    tol: float = 1e-8,
-    scan_points: int = 256,
-    max_iter: int = 200,
-) -> RemlFit:
+def reml_fit(comparison: Comparison) -> RemlFit:
     """REML estimate of the mean effect and heterogeneity of a comparison.
 
     Requires at least two studies.  Same as ``reml_fits([comparison])[0]``.
     """
-    return reml_fits([comparison], tol=tol, scan_points=scan_points, max_iter=max_iter)[0]
+    return reml_fits([comparison])[0]

@@ -81,6 +81,21 @@ def _bf_entry(value: Optional[float]) -> tuple:
     return value, False
 
 
+def _inclusion_dict(result: BmaResult) -> dict:
+    """Each side's inclusion Bayes factor, its infinite flag and its
+    posterior probability."""
+    eff_bf, eff_inf = _bf_entry(result.incl_bf_effect)
+    het_bf, het_inf = _bf_entry(result.incl_bf_heterogeneity)
+    return {
+        "effect_bf": eff_bf,
+        "effect_bf_infinite": eff_inf,
+        "effect_posterior_prob": result.incl_posterior_prob_effect,
+        "heterogeneity_bf": het_bf,
+        "heterogeneity_bf_infinite": het_inf,
+        "heterogeneity_posterior_prob": result.incl_posterior_prob_heterogeneity,
+    }
+
+
 def analysis_report(
     result: BmaResult,
     *,
@@ -89,8 +104,6 @@ def analysis_report(
     sequential=None,
 ) -> dict:
     """Assemble the full analysis report dictionary for one comparison."""
-    eff_bf, eff_inf = _bf_entry(result.incl_bf_effect)
-    het_bf, het_inf = _bf_entry(result.incl_bf_heterogeneity)
     n = len(result.member_names)
     logml = result.log_marginals
     report = {
@@ -117,14 +130,7 @@ def analysis_report(
         "log_bf_matrix": [
             [float(logml[i] - logml[j]) for j in range(n)] for i in range(n)
         ],
-        "inclusion": {
-            "effect_bf": eff_bf,
-            "effect_bf_infinite": eff_inf,
-            "effect_posterior_prob": result.incl_posterior_prob_effect,
-            "heterogeneity_bf": het_bf,
-            "heterogeneity_bf_infinite": het_inf,
-            "heterogeneity_posterior_prob": result.incl_posterior_prob_heterogeneity,
-        },
+        "inclusion": _inclusion_dict(result),
         "estimates": {
             "averaged_delta": summary_dict(result.averaged_delta),
             "delta_fixed": summary_dict(result.delta_fixed),
@@ -137,8 +143,7 @@ def analysis_report(
             {
                 "n_studies": t + 1,
                 "posterior_probs": [float(p) for p in r.posterior_probs],
-                "effect_bf": _bf_entry(r.incl_bf_effect)[0],
-                "heterogeneity_bf": _bf_entry(r.incl_bf_heterogeneity)[0],
+                **_inclusion_dict(r),
             }
             for t, r in enumerate(sequential)
         ]

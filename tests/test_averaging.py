@@ -17,7 +17,7 @@ from bmameta import (
     evaluate,
     general_candidate_set,
     inclusion_bf,
-    log_inclusion_bf,
+    log_inclusion_bfs,
     log_marginal,
     mixture_summary,
     posterior_summary,
@@ -119,9 +119,9 @@ class TestInclusionBf:
             EnsembleMember(ModelSpec("a", T_POOLED, POINT0), 0.5),
             EnsembleMember(ModelSpec("b", POINT0, POINT0), 0.5),
         ))
-        assert log_inclusion_bf(ens, [0.0, -2000.0], [0]) == 2000.0
-        assert log_inclusion_bf(ens, [0.0, -2000.0], [1]) == -2000.0
-        assert log_inclusion_bf(ens, [0.0, -np.inf], [0]) == math.inf
+        rows = [[0.0, -2000.0], [0.0, -np.inf]]
+        assert log_inclusion_bfs(ens, rows, [0]).tolist() == [2000.0, math.inf]
+        assert log_inclusion_bfs(ens, rows[:1], [1]).tolist() == [-2000.0]
         assert math.isinf(inclusion_bf(ens, [1.0, 5e-324], [0]))
 
     def test_rows_share_one_prior_odds_and_keep_their_bits(self, monkeypatch):
@@ -129,11 +129,11 @@ class TestInclusionBf:
         rows = np.random.default_rng(5).normal(0.0, 30.0, (6, 4))
         rows[1, [1, 3]] = -np.inf
         rows[2, [0, 2]] = -np.inf
-        want = [log_inclusion_bf(ens, w, [1, 3]) for w in rows]
+        want = [float(log_inclusion_bfs(ens, [w], [1, 3])[0]) for w in rows]
         calls = []
         real = averaging.logsumexp
         monkeypatch.setattr(averaging, "logsumexp", lambda a: calls.append(1) or real(a))
-        got = averaging.log_inclusion_bfs(ens, rows, [1, 3])
+        got = log_inclusion_bfs(ens, rows, [1, 3])
         assert got.tolist() == want
         # two per row for the posterior odds, two in all for the prior odds
         assert len(calls) == 2 * len(rows) + 2
@@ -231,14 +231,6 @@ class TestEvaluate:
         lo = min(res.delta_fixed.mean, res.delta_random.mean)
         hi = max(res.delta_fixed.mean, res.delta_random.mean)
         assert lo - 1e-9 <= res.averaged_delta.mean <= hi + 1e-9
-
-    def test_unconditional_average_shrinks_toward_null(self, rng):
-        comp = make_comparison(rng, 3, delta=0.4, tau=0.1)
-        res = evaluate(four_model_ensemble(), comp, include_null_average=True)
-        uncond = res.averaged_delta_unconditional
-        assert uncond is not None
-        p_eff = res.incl_posterior_prob_effect
-        assert uncond.mean == pytest.approx(res.averaged_delta.mean * p_eff, rel=1e-6)
 
     def test_member_summaries_equal_standalone_ones(self, rng):
         # evaluate hands its log marginals to the summaries; nothing may move
@@ -356,6 +348,33 @@ class TestSequential:
         fwd = sequential_update(ens, comp)
         rev = sequential_update(ens, comp, order=list(range(comp.k))[::-1])
         np.testing.assert_array_equal(fwd[-1].posterior_probs, rev[-1].posterior_probs)
+
+    def test_every_prefix_equals_its_batch_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        ens = four_model_ensemble()
+        for _ in range(20):
+            comp = make_comparison(rng, int(rng.integers(1, 9)))
+            order = rng.permutation(comp.k)
+            for t, got in enumerate(sequential_update(ens, comp, order=order), start=1):
+                want = evaluate(ens, comp.subset(order[:t]), summaries=False)
+                for field in ("posterior_probs", "log_marginals", "bf_matrix"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
+                for field in ("incl_log_bf_effect", "incl_log_bf_heterogeneity",
+                              "incl_posterior_prob_effect", "incl_posterior_prob_heterogeneity"):
+                    assert getattr(got, field) == getattr(want, field)
+
+    def test_one_posterior_pass_and_no_evaluate_call(self, rng, monkeypatch):
+        calls = []
+        real = averaging.log_posteriors
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(averaging, "log_posteriors", counted)
+        monkeypatch.setattr(averaging, "evaluate", lambda *a, **kw: pytest.fail("evaluate called"))
+        seq = sequential_update(four_model_ensemble(), make_comparison(rng, 6))
+        assert len(seq) == 6 and len(calls) == 1
 
     def test_invalid_order_rejected(self, rng):
         comp = make_comparison(rng, 3)

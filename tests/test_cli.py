@@ -226,6 +226,23 @@ class TestAnalyze:
         batch = [m["posterior_prob"] for m in report["models"]]
         assert final == pytest.approx(batch, abs=1e-6)
 
+    def test_sequential_flags_infinite_bayes_factors(self, tmp_path):
+        # the effect log BF of the longer prefixes exceeds the float range
+        rng = np.random.default_rng(3)
+        rows = "".join(f"{1 + 1e-8 * float(z)!r},1e-08\n" for z in rng.normal(size=45))
+        csv = write(tmp_path / "tight.csv", "effect,se\n" + rows)
+        out = tmp_path / "r.json"
+        assert main(["analyze", csv, "--sequential", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        entries = report["sequential"]
+        assert list(entries[-1])[2:] == list(report["inclusion"])
+        assert {k: entries[-1][k] for k in report["inclusion"]} == report["inclusion"]
+        infinite = [e["effect_bf_infinite"] for e in entries]
+        assert infinite[0] is False and infinite[-1] is True
+        for entry, flag in zip(entries, infinite):
+            assert (entry["effect_bf"] is None) == flag
+            assert entry["effect_posterior_prob"] <= 1.0
+
     def test_determinism_byte_identical(self, five_study_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["analyze", five_study_csv, "--out", str(a)]) == 0
@@ -243,6 +260,13 @@ class TestAnalyze:
         text = svg_path.read_text()
         for needle in ("Alpha", "Epsilon", "Fixed", "Random", "Averaged"):
             assert needle in text
+
+    def test_forest_without_out_prints_the_report(self, five_study_csv, tmp_path, capsys):
+        svg_path = tmp_path / "forest.svg"
+        assert main(["analyze", five_study_csv, "--forest", str(svg_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [m["name"] for m in report["models"]][0] == "fixed_H0"
+        assert ET.fromstring(svg_path.read_text()).tag.endswith("svg")
 
     def test_unknown_subfield_warns_and_uses_pooled(self, five_study_csv, tmp_path, caplog):
         out = tmp_path / "r.json"
@@ -492,6 +516,10 @@ class TestFileErrors:
         assert "No space left on device" in _one_error(caplog)
         assert not svg.exists()
         assert os.path.exists("/dev/full")
+
+    def test_rank_output_is_a_directory(self, corpus_csv, cand_json, tmp_path, caplog):
+        assert main(["rank", corpus_csv, "--candidates", cand_json, "--out", str(tmp_path)]) == 2
+        assert "Is a directory" in _one_error(caplog)
 
     def test_candidates_is_a_directory(self, corpus_csv, tmp_path, caplog):
         assert main(["rank", corpus_csv, "--candidates", str(tmp_path)]) == 2

@@ -13,6 +13,7 @@ from bmameta import (
     reml_fits,
     restricted_loglik,
 )
+from bmameta import reml
 from conftest import make_comparison
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -192,9 +193,10 @@ def test_batch_equals_scalar_oracle(corpus, oracle_runs):
     assert len({c.k for c in corpus}) == 199
 
 
-def test_batch_equals_scalar_oracle_when_iterations_run_out(corpus):
+def test_batch_equals_scalar_oracle_when_iterations_run_out(corpus, monkeypatch):
     sample = corpus[::7]
-    got = reml_fits(sample, max_iter=10)
+    monkeypatch.setattr(reml, "_MAX_ITER", 10)
+    got = reml_fits(sample)
     assert got == [_oracle(c, max_iter=10)[0] for c in sample]
     assert not any(fit.converged for fit in got)
     assert {fit.iterations for fit in got} == {10}

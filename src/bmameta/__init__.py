@@ -22,7 +22,6 @@ from .averaging import (
 )
 from .core import (
     Comparison,
-    RawSummaries,
     Study,
     loglik_fixed,
     loglik_random,
@@ -74,7 +73,7 @@ __all__ = [
     # priors
     "PriorSpec", "fit_mle", "parse_prior", "FAMILIES", "FITTABLE_FAMILIES",
     # core
-    "Study", "RawSummaries", "Comparison", "smd_from_raw", "loglik_fixed", "loglik_random",
+    "Study", "Comparison", "smd_from_raw", "loglik_fixed", "loglik_random",
     # quadrature
     "log_quad", "log_quad_batch",
     # marginal

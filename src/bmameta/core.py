@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DegenerateDataError, DomainError
 
 __all__ = [
-    "RawSummaries",
     "Study",
     "Comparison",
     "smd_from_raw",
@@ -58,33 +57,12 @@ def smd_from_raw(n1, mean1, sd1, n2, mean2, sd2):
 
 
 @dataclass(frozen=True)
-class RawSummaries:
-    """Per-arm sample size, mean and SD for a two-arm study."""
-
-    n1: float
-    mean1: float
-    sd1: float
-    n2: float
-    mean2: float
-    sd2: float
-
-    def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise DomainError("both arms need n >= 2")
-        if self.sd1 < 0 or self.sd2 < 0:
-            raise DomainError("arm standard deviations must be non-negative")
-        if self.sd1 == 0 and self.sd2 == 0:
-            raise DegenerateDataError("both arms have zero variance")
-
-
-@dataclass(frozen=True)
 class Study:
     """One study's effect size (SMD) and standard error."""
 
     effect: float
     se: float
     label: str = ""
-    raw: Optional[RawSummaries] = None
 
     def __post_init__(self):
         if not math.isfinite(self.effect):
@@ -95,7 +73,7 @@ class Study:
     @staticmethod
     def from_raw(n1, mean1, sd1, n2, mean2, sd2, label: str = "") -> "Study":
         effect, se = smd_from_raw(n1, mean1, sd1, n2, mean2, sd2)
-        return Study(effect, se, label, RawSummaries(n1, mean1, sd1, n2, mean2, sd2))
+        return Study(effect, se, label)
 
 
 @dataclass(frozen=True)
@@ -153,7 +131,11 @@ def _normal_stats(y: np.ndarray, variances) -> tuple:
     """
     inv = 1.0 / variances
     log_det = np.sum(np.log(variances), axis=-1)
+    # every variance infinite (tau past ~1.3e154): log_det and so c are
+    # inf, a zero likelihood; S0 = 1 stands in for its 0, so mu is 0 and no
+    # consumer forms inf - inf from log S0 or 1 / S0
     s0 = np.sum(inv, axis=-1)
+    s0 = np.where(s0 > 0.0, s0, 1.0)
     k = y.shape[-1]
     # effects near the float range overflow mu, and residuals past ~1e154
     # standard errors overflow c: either way c is inf, a zero likelihood
@@ -200,7 +182,8 @@ def random_stats(tau, comparison: Comparison) -> tuple:
     if np.any(tau < 0):
         raise DomainError("tau must be non-negative")
     y, se = comparison._canonical
-    sq = (tau * tau).reshape(-1, 1)
+    with np.errstate(over="ignore"):  # an infinite tau**2 is a zero likelihood
+        sq = (tau * tau).reshape(-1, 1)
     step = max(1, _STATS_CELLS // y.size)
     parts = [_normal_stats(y, se**2 + sq[i:i + step]) for i in range(0, max(1, sq.shape[0]), step)]
     return tuple(np.concatenate(v).reshape(tau.shape) for v in zip(*parts))

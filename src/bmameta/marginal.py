@@ -123,6 +123,9 @@ _TINY = np.finfo(float).tiny
 # (node x owner) cells of the t mixture integrand formed at a time: its
 # V + w scratch stays far below the integrator's block size
 _CHUNK_CELLS = 1 << 16
+# Points of a posterior summary's first grid; a grid whose normalization
+# misses the marginal likelihood by more than 1e-6 is doubled once.
+_GRID_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -246,9 +249,10 @@ def _weighted_mean_se(comparison: Comparison) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _tau_lattice(prior: PriorSpec) -> np.ndarray:
-    """The powers of 4 inside the prior's bounds, from 1e-12 up."""
+    """The powers of 4 inside the prior's bounds, from 1e-12 up, or from
+    1e-12 times the upper bound for a prior that lies below 1."""
     lo, hi = _prior_bounds(prior)
-    lo = max(lo, 1e-12)
+    lo = max(lo, min(1e-12, 1e-12 * hi))
     lattice = 4.0 ** np.arange(math.floor(math.log(lo, 4.0)), math.ceil(math.log(hi, 4.0)) + 1)
     lattice = lattice[(lattice >= lo) & (lattice <= hi)]
     lattice.flags.writeable = False
@@ -553,7 +557,9 @@ def _mixture_integrals(g: PriorSpec, rel_tol: float):
             for i in range(0, u.shape[0], step):
                 chunk = slice(i, i + step)
                 row = grp[chunk, 0]
-                _conjugate_finish(tuple(v[row, None] for v in terms), s * s / lam[chunk], out[chunk])
+                with np.errstate(over="ignore"):  # an infinite prior variance: zero density
+                    w = s * s / lam[chunk]
+                _conjugate_finish(tuple(v[row, None] for v in terms), w, out[chunk])
             out += (mix.log_norm - a * (np.expm1(u) - u))[..., None]
             return out
 
@@ -682,7 +688,6 @@ def posterior_summary(
     comparison: Comparison,
     parameter: str = "delta",
     *,
-    grid_points: int = 2048,
     rel_tol: float = 1e-9,
     _log_ml: Optional[float] = None,
 ) -> PosteriorSummary:
@@ -709,7 +714,7 @@ def posterior_summary(
     left, right = _mass_region(model, comparison, parameter, prior, rel_tol)
     logml = log_marginal(model, comparison, rel_tol=rel_tol) if _log_ml is None else _log_ml
 
-    n = grid_points
+    n = _GRID_POINTS
     for _ in range(2):
         grid = np.linspace(left, right, n)
         logpost = _log_posterior_on(model, comparison, parameter, grid, rel_tol)

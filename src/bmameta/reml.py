@@ -11,13 +11,13 @@ maximized over ``tau in [0, tau_max]``.
 
 :func:`reml_fits` fits a whole corpus in lockstep.  Each comparison gets
 its own coarse 256-point scan, which guards against the rare multi-modal
-profile.  Golden-section refinement of the scan bracket, then a sign
-bisection of the analytic score, run over all comparisons together; each
-keeps its own bracket, branch and stopping test, and a step evaluates
-only the comparisons still running.  Two guards end the fit: the
-bisection root replaces the golden-section estimate only if it is no
-worse, and an explicit endpoint comparison lets the estimate land
-exactly on the tau = 0 boundary.
+profile, and starts from the scan's best point.  Where the analytic score
+changes sign across the best scan cell, a sign bisection of the score runs
+over all such comparisons together; each keeps its own bracket and
+stopping test, and a step evaluates only the comparisons still running.
+Two guards end the fit: the bisection root replaces the scan's best point
+only if it is no worse, and an explicit endpoint comparison lets the
+estimate land exactly on the tau = 0 boundary.
 
 Comparisons are evaluated in groups of equal study count k, one
 ``(n_k, k)`` array of canonical ``(y, se^2)`` rows per group, never
@@ -39,13 +39,8 @@ from .errors import InsufficientDataError
 
 __all__ = ["RemlFit", "reml_fit", "reml_fits", "restricted_loglik"]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: Width of the golden-section bracket at which a fit stops.
-_TOL = 1e-8
 #: Points of each comparison's coarse scan over [0, tau_max].
 _SCAN_POINTS = 256
-#: Golden-section steps after which a fit stops unconverged.
-_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,6 @@ class RemlFit:
     delta_hat: float
     tau_hat: float
     se_delta: float
-    converged: bool
-    iterations: int
 
 
 def _loglik(tau, y, v):
@@ -134,49 +127,22 @@ def reml_fits(comparisons: Sequence[Comparison]) -> list:
     every = np.ones(n, dtype=bool)
 
     # Coarse scan, one comparison at a time: a (_SCAN_POINTS, k) evaluation.
+    # The scan's best point is the estimate unless the bisection improves it.
     lo = np.empty(n)
     hi = np.empty(n)
+    tau_hat = np.empty(n)
     for i, (y, se) in enumerate(canonical):
         tau_max = 10.0 * float(np.max(np.abs(y - np.median(y)))) + float(np.max(se))
         grid = np.linspace(0.0, tau_max, _SCAN_POINTS)
         best = int(np.argmax(_loglik(grid, y, se**2)))
         lo[i] = grid[max(best - 1, 0)]
         hi[i] = grid[min(best + 1, _SCAN_POINTS - 1)]
+        tau_hat[i] = grid[best]
 
-    # Golden-section refinement on each bracketing interval.  A step keeps
-    # [a, d] where f(c) >= f(d) ("left") and [c, b] otherwise, reuses the
-    # surviving interior point and evaluates one new one.
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = corpus.evaluate(_loglik, c, every)
-    fd = corpus.evaluate(_loglik, d, every)
-    iterations = np.zeros(n, dtype=int)
-    running = ((b - a) > _TOL) & (iterations < _MAX_ITER)
-    while running.any():
-        left = running & (fc >= fd)
-        right = running & ~(fc >= fd)
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        c, d = (
-            np.where(left, b - _GOLDEN * (b - a), np.where(right, d, c)),
-            np.where(right, a + _GOLDEN * (b - a), np.where(left, c, d)),
-        )
-        f_new = corpus.evaluate(_loglik, np.where(left, c, d), running)
-        fc, fd = (
-            np.where(left, f_new, np.where(right, fd, fc)),
-            np.where(right, f_new, np.where(left, fc, fd)),
-        )
-        iterations += running
-        running = ((b - a) > _TOL) & (iterations < _MAX_ITER)
-    tau_hat = 0.5 * (a + b)
-
-    # Near the optimum the log likelihood is flat to float noise, which
-    # caps golden-section reproducibility around 1e-8.  When the analytic
-    # score changes sign across the scan cell, a sign bisection pins the
-    # interior root down to machine precision (translation equivariance
-    # needs this); golden section remains the fallback for boundary and
-    # non-straddling cases.
+    # Near the optimum the log likelihood is flat to float noise, so when
+    # the analytic score changes sign across the scan cell, a sign bisection
+    # pins the interior root down to machine precision (translation
+    # equivariance needs this).
     s_lo, s_hi = lo, hi
     straddle = corpus.evaluate(_score, s_lo, every) > 0.0
     straddle &= corpus.evaluate(_score, s_hi, straddle) < 0.0
@@ -205,15 +171,13 @@ def reml_fits(comparisons: Sequence[Comparison]) -> list:
     tau_hat = np.where(boundary, 0.0, tau_hat)
 
     fits = []
-    for (y, se), t, its in zip(canonical, tau_hat, iterations):
+    for (y, se), t in zip(canonical, tau_hat):
         w = 1.0 / (se**2 + t**2)
         fits.append(
             RemlFit(
                 delta_hat=float(np.sum(w * y) / np.sum(w)),
                 tau_hat=float(t),
                 se_delta=float(1.0 / math.sqrt(np.sum(w))),
-                converged=bool(its < _MAX_ITER),
-                iterations=int(its),
             )
         )
     return fits

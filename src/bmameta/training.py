@@ -50,6 +50,7 @@ class TrainingProvenance:
     dropped_non_estimable: int
     retained_comparisons: int
     retained_studies: int
+    #: Always 0, as every REML fit ends; kept for ``CandidatePriorSet.from_dict``'s exact key set.
     reml_non_converged: int
     n_delta_estimates: int
     n_tau_estimates: int
@@ -164,7 +165,6 @@ def prepare_training(
 
     fits = reml_fits(retained)
     pairs = [(fit.delta_hat, fit.tau_hat) for fit in fits]
-    non_converged = sum(not fit.converged for fit in fits)
 
     deltas = tuple(d for d, _ in pairs)
     taus = tuple(t for _, t in pairs if t >= tau_floor)
@@ -176,7 +176,7 @@ def prepare_training(
         dropped_non_estimable=dropped_non_estimable,
         retained_comparisons=len(retained),
         retained_studies=sum(c.k for c in retained),
-        reml_non_converged=non_converged,
+        reml_non_converged=0,
         n_delta_estimates=len(deltas),
         n_tau_estimates=len(taus),
         n_tau_below_floor=len(pairs) - len(taus),

@@ -135,6 +135,28 @@ class TestAnalyze:
         assert "Traceback" not in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("scale", [1e-18, 1e151])
+    def test_bayes_factors_do_not_depend_on_the_scale(self, tmp_path, scale, capsys):
+        # effects, se and both prior scales times `scale`: below 1e-12 the
+        # tau prior needs lattice points under that floor, and at 1e151 its
+        # upper quantiles square past the float range
+        def run(c):
+            csv = write(tmp_path / f"scaled{c:g}.csv", "effect,se\n" + "".join(
+                f"{y * c:.16e},{s * c:.16e}\n" for y, s in ((0.12, 0.21), (0.031, 0.15), (0.05, 0.33))))
+            out = tmp_path / f"scaled{c:g}.json"
+            assert main(["analyze", csv, "--delta-prior", f"t(0.0,{0.43 * c:.16e},5.0)",
+                         "--tau-prior", f"invgamma(1.71,{0.4 * c:.16e})", "--out", str(out)]) == 0
+            return json.loads(out.read_text())["inclusion"]
+
+        unit = run(1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scaled = run(scale)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        for key in ("effect_bf", "heterogeneity_bf"):
+            assert scaled[key] == pytest.approx(unit[key], rel=1e-12)
+
     def test_missing_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 2
 

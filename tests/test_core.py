@@ -54,7 +54,8 @@ class TestSmdFromRaw:
 
     def test_study_from_raw_carries_summaries(self):
         s = Study.from_raw(10, 1.0, 1.0, 10, 0.0, 1.0, label="x")
-        assert s.raw is not None and s.label == "x"
+        assert (s.effect, s.se) == smd_from_raw(10, 1.0, 1.0, 10, 0.0, 1.0)
+        assert s.label == "x"
         assert s.effect == pytest.approx(1.0)
 
 

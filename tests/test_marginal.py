@@ -729,14 +729,15 @@ class TestPosteriorSummary:
             assert np.all(ps.grid_pdf >= 0)
             assert ps.ci_lower <= ps.median <= ps.ci_upper
 
-    def test_normalization_mismatch_is_logged(self, rng, caplog):
+    def test_normalization_mismatch_is_logged(self, rng, caplog, monkeypatch):
         c = make_comparison(rng, 4)
         model = h1r(T_POOLED, IG_POOLED)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
             fine = posterior_summary(model, c, "tau")
         assert not caplog.records
+        monkeypatch.setattr(marginal, "_GRID_POINTS", 128)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
-            coarse = posterior_summary(model, c, "tau", grid_points=128)
+            coarse = posterior_summary(model, c, "tau")
         # the summary is still returned, on the doubled grid
         assert coarse.grid_x.size == 256
         assert abs(coarse.mean - fine.mean) < 0.1

@@ -11,7 +11,8 @@ heterogeneity models against the fixed ones.
 
 Every result comes from one (rows x members) matrix of log marginal
 likelihoods: one row for :func:`evaluate`, one per study prefix for
-:func:`sequential_update`.
+:func:`sequential_update`, whose prefixes run as chunks of one corpus
+pass (:func:`chunk_member_log_marginals`).
 
 Model-averaged effect summaries follow the convention of averaging
 *conditional on effect presence*: the mixture runs over the free-effect
@@ -28,12 +29,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import Comparison
-from .errors import DegenerateEvidenceError, ParameterError
+from .errors import BmaMetaError, DegenerateEvidenceError, ParameterError
 from .marginal import (
     ModelSpec,
     PosteriorSummary,
+    chunk_log_marginals,
+    chunk_size,
     log_marginal,  # noqa: F401 - unused here, but bench/tracing.py wraps this name
-    log_marginals,
     posterior_summary,
     summarize_grid,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "build_standard_ensemble",
     "evaluate",
     "member_log_marginals",
+    "chunk_member_log_marginals",
     "log_posteriors",
     "inclusion_bf",
     "log_inclusion_bfs",
@@ -261,13 +264,37 @@ def mixture_summary(summaries: Sequence[PosteriorSummary], weights) -> Posterior
 def member_log_marginals(
     ensemble: ModelEnsemble, comparison: Comparison, *, rel_tol: float = 1e-9
 ) -> np.ndarray:
-    """The members' log marginal likelihoods on ``comparison``; a
-    :class:`DegenerateEvidenceError` when every one of them is zero."""
+    """The members' log marginal likelihoods on ``comparison``, the chunk
+    of one of :func:`chunk_member_log_marginals`; its error is raised."""
+    (out,) = chunk_member_log_marginals(ensemble, [comparison], rel_tol=rel_tol)
+    if isinstance(out, BmaMetaError):
+        raise out
+    return out
+
+
+def chunk_member_log_marginals(
+    ensemble: ModelEnsemble, comparisons: Sequence[Comparison], *, rel_tol: float = 1e-9
+) -> list:
+    """Per comparison, its members' log marginal likelihoods or the package
+    error (:class:`BmaMetaError`) that fails it, from one
+    :func:`~bmameta.marginal.chunk_log_marginals` pass over the chunk.
+
+    A chunk that raises is rerun one comparison at a time, so each failure
+    is the one that comparison raises alone, and the others keep their
+    rows: a row does not depend on its chunk.  A row with no finite entry
+    is a :class:`DegenerateEvidenceError`.
+    """
     models = [m.model for m in ensemble.members]
-    logml = log_marginals(models, comparison, rel_tol=rel_tol)
-    if not np.any(np.isfinite(logml)):
-        raise DegenerateEvidenceError("every model has zero marginal likelihood")
-    return logml
+    try:
+        rows = chunk_log_marginals(models, comparisons, rel_tol=rel_tol)
+    except BmaMetaError as exc:
+        if len(comparisons) == 1:
+            return [exc]
+        return [out for c in comparisons
+                for out in chunk_member_log_marginals(ensemble, [c], rel_tol=rel_tol)]
+    return [row if np.any(np.isfinite(row))
+            else DegenerateEvidenceError("every model has zero marginal likelihood")
+            for row in rows]
 
 
 def log_posteriors(ensemble: ModelEnsemble, logml: np.ndarray) -> tuple:
@@ -394,7 +421,10 @@ def sequential_update(
     input order.  Element ``t`` is the result, without posterior
     summaries, for the first ``t+1`` studies: bit for bit
     ``evaluate(ensemble, prefix, summaries=False)``, so the final element
-    matches a full batch evaluation.
+    matches a full batch evaluation.  The prefixes are the comparisons of
+    chunked passes (:func:`chunk_member_log_marginals`, in chunks of
+    :func:`~bmameta.marginal.chunk_size`); the first prefix that fails
+    raises its error.
     """
     k = comparison.k
     if order is None:
@@ -403,8 +433,12 @@ def sequential_update(
         order = [int(i) for i in order]
         if sorted(order) != list(range(k)):
             raise ParameterError("order must be a permutation of the study indices")
-    logml = np.array([
-        member_log_marginals(ensemble, comparison.subset(order[:t]), rel_tol=rel_tol)
-        for t in range(1, k + 1)
-    ])
-    return _results(ensemble, logml)[0]
+    prefixes = [comparison.subset(order[:t]) for t in range(1, k + 1)]
+    size = chunk_size([m.model for m in ensemble.members])
+    rows = []
+    for i in range(0, k, size):
+        for out in chunk_member_log_marginals(ensemble, prefixes[i:i + size], rel_tol=rel_tol):
+            if isinstance(out, BmaMetaError):
+                raise out
+            rows.append(out)
+    return _results(ensemble, np.array(rows))[0]

@@ -182,10 +182,11 @@ def random_stats(tau, comparison: Comparison) -> tuple:
     if np.any(tau < 0):
         raise DomainError("tau must be non-negative")
     y, se = comparison._canonical
-    with np.errstate(over="ignore"):  # an infinite tau**2 is a zero likelihood
+    with np.errstate(over="ignore"):  # an infinite tau**2 or se**2 is a zero likelihood
         sq = (tau * tau).reshape(-1, 1)
+        se2 = se * se
     step = max(1, _STATS_CELLS // y.size)
-    parts = [_normal_stats(y, se**2 + sq[i:i + step]) for i in range(0, max(1, sq.shape[0]), step)]
+    parts = [_normal_stats(y, se2 + sq[i:i + step]) for i in range(0, max(1, sq.shape[0]), step)]
     return tuple(np.concatenate(v).reshape(tau.shape) for v in zip(*parts))
 
 
@@ -195,7 +196,9 @@ def loglik_fixed(delta, comparison: Comparison):
     ``delta`` may be a scalar or an array; the result has its shape.
     """
     y, se = comparison._canonical
-    out = loglik_from_stats(_normal_stats(y, se**2), delta)
+    with np.errstate(over="ignore"):  # an infinite se**2 is a zero likelihood
+        se2 = se * se
+    out = loglik_from_stats(_normal_stats(y, se2), delta)
     return float(out) if out.ndim == 0 else out
 
 

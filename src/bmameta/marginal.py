@@ -13,19 +13,25 @@ prior at many tau values, the tau part (:func:`_tau_part`) the same with
 the roles swapped; a point prior makes a part the likelihood itself.  A
 log marginal evaluates the delta part at a point tau or integrates it
 against a free tau prior, and that outer integrand is also the tau
-posterior's kernel.  Every integral runs through the log-space adaptive
-Gauss-Kronrod integrator :func:`bmameta.quadrature.log_quad_batch`,
-whose groups each refine a partition of their own, shared by the owners
-of the group.
+posterior's kernel.  Every integral but the t prior's accepted Gauss-Laguerre lambda rows
+runs through the log-space adaptive Gauss-Kronrod integrator
+:func:`bmameta.quadrature.log_quad_batch`, whose groups each refine a
+partition of their own, shared by the owners of the group.
 
 The delta part does not depend on the tau prior, and every part is a
-function of the likelihood's tau statistics, so :func:`log_marginals`
-integrates all its free-tau models in one outer tau integral, one group
-per (delta prior, tau prior) pair.  Its integrand computes the tau
-statistics once per distinct tau interval of all its rows
-(:func:`_distinct_rows`), each delta prior's part once per interval its
-groups need, and adds each group's tau prior density.
-:func:`log_marginal` is the one-model case of the same routine.
+function of the likelihood's tau statistics, so
+:func:`chunk_log_marginals` integrates all its free-tau models on a chunk
+of comparisons in one outer tau integral, one group per (comparison,
+delta prior, tau prior) triple, each seeded at the shared tau lattice and
+its comparison's data scales.  Its integrand computes the tau statistics
+once per distinct (comparison, tau interval) of its rows
+(:func:`_distinct_rows`), each delta prior's part once for the whole
+chunk on the intervals its groups need, and adds each group's tau prior
+density.  So a t prior's lambda rows of every comparison of the chunk go
+through one call of its rules.  A row does not depend on its chunk:
+:func:`log_marginals` is the one-comparison case, bit for bit its row,
+and :func:`log_marginal` the one-model case of that.  :func:`chunk_size`
+sizes chunks from the models alone.
 
 At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau))
 times exp(-c(tau) / 2), with V = 1 / S0 (see
@@ -41,20 +47,25 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
 * t(m, s, nu): a gamma scale mixture of normals, t_nu(m, s) = integral
   of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate nu / 2) d lambda, so the
   delta part is the log integral of exp(conj(s**2 / lambda)) against that
-  gamma density.  It runs over u = log(lambda), seeded at the logs of
-  seven mixing-prior quantiles (:class:`_Mixing`), whose log density is
-  written K(nu / 2) - (nu / 2) (expm1(u) - u) so that a large nu cancels
-  no terms of size nu.  On data within a few prior scales of the
-  location, a row converges on the 8 intervals those seeds make, with no
-  bisection round.  The narrow likelihood peak in delta is integrated in
-  closed form, so delta has no bounds and the integrand is smooth in u.
-  The only cut is in lambda: the lower limit, set from the data's
-  distance to the prior's location and the likelihood's variance, drops
-  at most 1e-16 of the integral, the upper limit 1e-30 of the mixing
-  prior's mass.  The tau values of
-  one call are the owners of one group and share its u range and
-  partition; in the outer tau integral each tau interval is a group of
-  its own.
+  gamma density (:func:`_mixture_integrals`).  The tau values of one call
+  are the owners of one lambda row; in the outer tau integral each tau
+  interval is a row of its own.  A row whose owners all have V / s**2
+  below 0.3 takes a generalized Gauss-Laguerre rule with weight
+  lambda**(a - 1/2) e**(-b lambda), a = nu / 2, whose rate b = a +
+  (mu - m)**2 / (2 (V + s**2)) follows the data (:func:`_laguerre`, by
+  Golub & Welsch 1969).  It is evaluated densely at 12 and 18 nodes and
+  accepted when the two agree within the inner tolerance; any other row
+  falls back to the adaptive integral over u = log(lambda), seeded at the
+  logs of seven mixing-prior quantiles (:class:`_Mixing`), whose log
+  density is written K(nu / 2) - (nu / 2) (expm1(u) - u) so that a large
+  nu cancels no terms of size nu.  On data within a few prior scales of
+  the location, such a row converges on the 8 intervals those seeds make,
+  with no bisection round.  The narrow likelihood peak in delta is
+  integrated in closed form, so delta has no bounds and the integrand is
+  smooth in lambda.  The adaptive path's only cut is in lambda: the lower
+  limit, set from the data's distance to the prior's location and the
+  likelihood's variance, drops at most 1e-16 of the integral, the upper
+  limit 1e-30 of the mixing prior's mass.
 * uniform(a, b) and halfnormal(s): the likelihood's normal shape cut to
   an interval, closed (:func:`_uniform`, :func:`_halfnormal`) in a log
   difference of normal CDFs formed away from mu (:func:`_log_ndtr_diff`).
@@ -73,7 +84,7 @@ to the nodes; no inner node meets the study axis.  The prior constants
 
 The tau integrals keep all prior mass up to 1e-12 per tail and are
 seeded at the powers of 4 inside those bounds (computed once per prior)
-and at eight data scales (computed once per :func:`log_marginals` call).
+and at eight data scales (computed once per comparison of a call).
 Neither depends on the prior's shape, so the groups of one outer
 integral split their common range at the same points and share those
 intervals; a standalone call integrates over the same partition.
@@ -105,7 +116,7 @@ from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
 
 from .core import Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
-from .priors import _LOG_2PI, PriorSpec, _gammaln_k
+from .priors import _LOG_2PI, PriorSpec, _gammaln_half_step, _gammaln_k
 from .quadrature import _NODES, _WEIGHTS_K, log_quad_batch
 
 __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
@@ -123,6 +134,12 @@ _TINY = np.finfo(float).tiny
 # (node x owner) cells of the t mixture integrand formed at a time: its
 # V + w scratch stays far below the integrator's block size
 _CHUNK_CELLS = 1 << 16
+# A t lambda row whose owners all have V / s**2 below _LAGUERRE_R takes the
+# Gauss-Laguerre rules of these node counts (:func:`_mixture_integrals`).
+_LAGUERRE_R = 0.3
+_LAGUERRE_NODES = (12, 18)
+# First-pass outer tau intervals of one chunk of comparisons (:func:`chunk_size`)
+_CHUNK_INTERVALS = 2048
 # Points of a posterior summary's first grid; a grid whose normalization
 # misses the marginal likelihood by more than 1e-6 is doubled once.
 _GRID_POINTS = 2048
@@ -197,9 +214,13 @@ class _Mixing:
     gammaln(a) (:func:`bmameta.priors._gammaln_k`).  Written so, no term of
     size a cancels: the density peaks at u = 0 with value K(a) ~
     log(a / 2 pi) / 2.
-    ``upper`` is the log of the upper lambda limit and ``seeds`` the logs
-    of the mixing prior's quantiles at _MIX_SEED_LEVELS.  A lambda row
-    (:func:`_mixture_integrals`) is seeded at these alone, clipped into
+    These fields serve the adaptive path of :func:`_mixture_integrals`,
+    which takes every lambda row the Gauss-Laguerre rules
+    (:func:`_laguerre`) do not: rows with a likelihood variance of 0.3
+    prior variances or more, and rows whose 12- and 18-node values
+    disagree.  ``upper`` is the log of the upper lambda limit and
+    ``seeds`` the logs of the mixing prior's quantiles at
+    _MIX_SEED_LEVELS.  Such a row is seeded at these alone, clipped into
     its own range.  The integrand is smooth in u, and on the 8 intervals
     the 7 seeds make with the row's bounds the Kronrod-21 rule is exact to
     rounding and its Gauss-10 bracket is below the inner tolerance: for
@@ -308,76 +329,135 @@ def log_marginals(
     *,
     rel_tol: float = 1e-9,
 ) -> np.ndarray:
-    """Log marginal likelihoods of several models on one comparison.
+    """Log marginal likelihoods of several models on one comparison: the
+    one-comparison case of :func:`chunk_log_marginals`, bit for bit its row.
+    Arguments are those of :func:`log_marginal`.
+    """
+    return chunk_log_marginals(models, [comparison], rel_tol=rel_tol)[0]
+
+
+def chunk_log_marginals(
+    models: Sequence[ModelSpec],
+    comparisons: Sequence[Comparison],
+    *,
+    rel_tol: float = 1e-9,
+) -> np.ndarray:
+    """Log marginal likelihoods of several models on a chunk of comparisons,
+    shape (comparisons, models).
 
     A point tau evaluates the model's delta part (:func:`_delta_part`)
-    there, from one :func:`~bmameta.core.random_stats` call for all the
-    point tau values of the call.  The free-tau models are the groups of
-    one outer tau integral (:func:`_free_tau_log_marginals`), one group per
-    distinct (delta prior, tau prior) pair.  Each group refines a
-    partition of its own, so its log-ML does not depend on the other
-    models; but the groups share the integrator's cell cap,
-    ``max(40000, 64 n_groups)`` intervals, so a call whose groups together
-    refine past it fails where one model alone might not.  Arguments are
-    those of :func:`log_marginal`.
+    there, from one :func:`~bmameta.core.random_stats` call per comparison
+    for all the point tau values of the call, and one delta part call per
+    model for the whole chunk.  The free-tau models are the groups of one
+    outer tau integral (:func:`_free_tau_log_marginals`), one group per
+    (comparison, delta prior, tau prior) triple.  Each group refines a
+    partition of its own, so a row does not depend on the other
+    comparisons or models: it equals, bit for bit, the row of a chunk of
+    one.  But the groups share the integrator's cell cap,
+    ``max(40000, 64 n_groups)`` intervals, so a chunk whose groups
+    together refine past it fails where one comparison alone might not;
+    callers rerun a failed chunk one comparison at a time
+    (:func:`chunk_size` keeps chunks far below the cap).
     """
-    out = np.empty(len(models))
+    out = np.empty((len(comparisons), len(models)))
     point = [i for i, model in enumerate(models) if not model.tau_free]
     if point:
         values, row = np.unique([models[i].tau_prior.params[0] for i in point], return_inverse=True)
-        stats = random_stats(values[:, None], comparison)
+        # a row per comparison, a column per point tau value
+        stats = tuple(np.stack(v) for v in zip(*(random_stats(values, c) for c in comparisons)))
         for i, j in zip(point, row):
             part = _delta_part(models[i].delta_prior, rel_tol)
-            out[i] = part(tuple(v[j:j + 1] for v in stats))[0, 0]
+            out[:, i] = part(tuple(v[:, j:j + 1] for v in stats))[:, 0]
     free = [i for i, model in enumerate(models) if model.tau_free]
     if free:
-        out[free] = _free_tau_log_marginals([models[i] for i in free], comparison, rel_tol)
-    nan = np.flatnonzero(np.isnan(out))
+        out[:, free] = _free_tau_log_marginals([models[i] for i in free], comparisons, rel_tol)
+    nan = np.argwhere(np.isnan(out))
     if nan.size:
-        raise DomainError(f"marginal likelihood of model {models[nan[0]].name!r} is not a number")
+        raise DomainError(f"marginal likelihood of model {models[nan[0, 1]].name!r} is not a number")
     return out
 
 
-def _free_tau_log_marginals(models, comparison, rel_tol):
-    """Log marginals of free-tau ``models`` from one outer ``log_quad_batch``
-    with one group of one owner per distinct (delta prior, tau prior) pair.
+def chunk_size(models: Sequence[ModelSpec]) -> int:
+    """Comparisons per chunk of :func:`chunk_log_marginals` for ``models``.
 
-    Every group gets the seeds of all the tau priors and the data scales.
-    Clipped to a prior's bounds, another prior's lattice points either fall
-    on those bounds or are its own lattice points, so each group refines
-    the partition, and gets the total, of a single-model call.
+    As many comparisons as keep the first pass of a chunk's outer tau
+    integral within _CHUNK_INTERVALS intervals, counted as the free-tau
+    (delta prior, tau prior) pairs times the intervals that the tau
+    priors' joint lattice and the eight data scales make; at least one.
+    The count depends on the models alone, never on the data.
 
-    An integrand call computes the tau statistics once per distinct tau
-    interval of its rows (:func:`_distinct_rows`), whatever the groups; each
-    delta prior's part then reads those of the intervals its groups need,
-    and each group adds its tau prior's density.
+    A chunk saves the per-call cost of the integrators and of the lambda
+    rules once per comparison; its memory grows with its size, mostly in
+    the lambda rows of its first outer pass.  At 2048 intervals the
+    20-member candidate ensemble runs in chunks of 2 and its 12
+    ``random_H1`` members in chunks of 3.  On a seeded five-comparison
+    ``rank`` sweep that is about as fast as one chunk of all five, and
+    the process peaks about 2 MB above the per-comparison passes, where
+    one chunk of all five peaks 4 MB above; chunks of 2 throughout were
+    slower.
+    """
+    pairs = {(m.delta_prior, m.tau_prior) for m in models if m.tau_free}
+    lattice = set().union(*(_tau_lattice(h).tolist() for _, h in pairs))
+    return max(1, _CHUNK_INTERVALS // max(1, len(pairs) * (len(lattice) + 9)))
+
+
+def _free_tau_log_marginals(models, comparisons, rel_tol):
+    """Log marginals of free-tau ``models`` on each of ``comparisons``, shape
+    (comparisons, models), from one outer ``log_quad_batch`` with one group
+    of one owner per (comparison, delta prior, tau prior) triple, in
+    comparison-major order.
+
+    Every group gets the seeds of all the tau priors and its comparison's
+    data scales.  Clipped to a prior's bounds, another prior's lattice
+    points either fall on those bounds or are its own lattice points, so
+    each group refines the partition, and gets the total, of a
+    single-model, single-comparison call.
+
+    An integrand call computes the tau statistics once per distinct
+    (comparison, tau interval) of its rows (:func:`_distinct_rows`),
+    whatever the groups; each delta prior's part then reads those its
+    groups need, in one call for the whole chunk, and each group adds its
+    tau prior's density.
     """
     pairs = _first_seen((m.delta_prior, m.tau_prior) for m in models)
     deltas = _first_seen(g for g, _ in pairs)
     taus = _first_seen(h for _, h in pairs)
     parts = [_delta_part(g, rel_tol * 0.1) for g in deltas]
-    delta_of = np.array([deltas[g] for g, _ in pairs])
-    tau_of = np.array([taus[h] for _, h in pairs])
-    bounds = np.array([_prior_bounds(h) for _, h in pairs])
-    seeds = np.concatenate([_tau_lattice(h) for h in taus] + [_tau_data_scales(comparison)])
+    n = len(comparisons)
+    comp_of = np.repeat(np.arange(n), len(pairs))
+    delta_of = np.tile([deltas[g] for g, _ in pairs], n)
+    tau_of = np.tile([taus[h] for _, h in pairs], n)
+    bounds = np.tile([_prior_bounds(h) for _, h in pairs], (n, 1))
+    lattice = np.concatenate([_tau_lattice(h) for h in taus])
+    seeds = np.stack([np.concatenate([lattice, _tau_data_scales(c)]) for c in comparisons])[comp_of]
 
     def logf(grp, t):
         grp = grp[:, 0]
-        first, inverse = _distinct_rows(t)
-        stats = random_stats(t[first], comparison)
+        comp = comp_of[grp]
+        # each row's index into the stacked statistics of the distinct
+        # (comparison, interval) rows
+        index = np.empty(grp.size, dtype=np.intp)
+        stats, n_distinct = [], 0
+        for j in np.unique(comp):
+            rows = np.flatnonzero(comp == j)
+            first, inverse = _distinct_rows(t[rows])
+            index[rows] = n_distinct + inverse
+            n_distinct += first.size
+            stats.append(random_stats(t[rows[first]], comparisons[j]))
+        stats = tuple(np.concatenate(v) for v in zip(*stats))
         out = np.empty(t.shape)
         for j, part in enumerate(parts):
             rows = delta_of[grp] == j
             if rows.any():
-                need, back = np.unique(inverse[rows], return_inverse=True)
+                need, back = np.unique(index[rows], return_inverse=True)
                 out[rows] = part(tuple(v[need] for v in stats))[back]
         for j, h in enumerate(taus):
             rows = tau_of[grp] == j
             out[rows] += h.log_pdf(t[rows])
         return out[..., None]
 
-    values = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)[:, 0]
-    return values[[pairs[m.delta_prior, m.tau_prior] for m in models]]
+    values = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)[:, 0].reshape(n, len(pairs))
+    return values[:, [pairs[m.delta_prior, m.tau_prior] for m in models]]
 
 
 def _first_seen(keys) -> dict:
@@ -509,37 +589,92 @@ def _log_ndtr_diff(lo, hi) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _laguerre(alpha: float) -> tuple:
+    """The generalized Gauss-Laguerre rules with weight t**alpha e**-t, of
+    _LAGUERRE_NODES nodes each, concatenated: ``(nodes, log weights)``,
+    the weights normalized to sum to 1 per rule.
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix of the Laguerre polynomials, diagonal 2j + alpha + 1 and
+    off-diagonal sqrt(j (j + alpha)), and each normalized weight is the
+    square of the first component of its eigenvector.  The matrix is
+    shifted by alpha + 1, the weight's mean, before ``eigh``, so the
+    eigenvectors keep their digits at large alpha (nu up to 1e5 and more),
+    where ``scipy.special.roots_genlaguerre``'s weights are NaN.
+    """
+    nodes, log_weights = [], []
+    for n in _LAGUERRE_NODES:
+        j = np.arange(1.0, n)
+        off = np.sqrt(j * (j + alpha))
+        shift, vectors = np.linalg.eigh(np.diag(2.0 * np.arange(n)) + np.diag(off, 1) + np.diag(off, -1))
+        nodes.append((alpha + 1.0) + shift)
+        log_weights.append(2.0 * np.log(np.abs(vectors[0])))
+    out = (np.concatenate(nodes), np.concatenate(log_weights))
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
 def _mixture_integrals(g: PriorSpec, rel_tol: float):
     """``integrals(stats)``: the delta part of a t prior ``g`` at the tau
     values whose ``stats = (c, mu, S0)`` are given, as log of the integral
-    over u = log(lambda) of ``_conjugate`` at prior variance s**2 / lambda
-    times the gamma mixing density (:class:`_Mixing`).
+    over lambda of ``_conjugate`` at prior variance s**2 / lambda times the
+    gamma mixing density (:class:`_Mixing`).
 
-    The tau values are the owners of one
-    :func:`~bmameta.quadrature.log_quad_batch` group and share its u range,
-    seeds and partition.  The seeds are the mixing prior's seven quantile
-    seeds alone: the intervals they make already meet the tolerance under
-    the integrator's |K21 - G10| bracket (:class:`_Mixing`), so midpoints
-    between them would only double the cells.  The lower lambda limit is
-    set for the owners' largest distance from the prior's location and
-    largest likelihood variance, both in prior scales.  The rows of 2-D
-    statistics are groups of their own: a row's range and results then do
-    not depend on the other rows, so a tau interval of an outer integral
-    gets the same bits in any batch.  The narrow likelihood peak in delta
-    is integrated in closed form, so the integrand is smooth in u and
-    delta has no bounds.  ``-c / 2`` is added
-    after the integral, so no node carries its rounding.  The lambda-free
-    terms (:func:`_conjugate_terms`) are computed once per owner tau, so a
-    cell costs one log and one division (:func:`_conjugate_finish`).
+    The rows of 2-D statistics are the lambda rows; a row's result does not
+    depend on the other rows, so a tau interval of an outer integral gets
+    the same bits in any batch.  Each row is integrated by one of two
+    rules:
+
+    * A row whose owners all have r = V / s**2 below _LAGUERRE_R, with
+      V = 1 / S0, takes the generalized Gauss-Laguerre rules of
+      :func:`_laguerre`.  With x = mu - m, a = nu / 2 and D**2 = x**2 / s**2,
+      the integrand is lambda**(a - 1/2) e**(-b lambda) times
+      (1 + r lambda)**-1/2 exp(q r lambda (lambda - 1) / (1 + r lambda)),
+      with the rate b = a + q and q = D**2 / (2 (1 + r)).  The rate follows
+      the data, so what remains is constant at r = 0 and smooth in lambda
+      for small r.  Each owner's value comes from the rules of 12 and 18
+      nodes (_LAGUERRE_NODES), evaluated densely; the row is accepted when
+      every owner's two values agree within ``rel_tol``, and then gives the
+      18-node value.  A value that is not finite never agrees, so such a
+      row falls back.  Against 30-digit mpmath (tests/test_marginal.py)
+      the accepted values are within 1e-12 for nu = 1 to 1e5, x from 0.1
+      to 300 prior scales and V up to 0.04.
+      The gate and node counts come from the lambda rows of a seeded
+      ``rank`` sweep (the 20-member candidate ensemble, 1002 rows): 598
+      rows pass the gate and 594 of them are accepted.  Raising the gate
+      to r = 1, or dropping it, sends 28 or 404 more rows through the
+      rules and accepts none of them, because at larger r the factor in
+      lambda is far from a low-degree polynomial (at V = 4, 64 nodes still
+      miss by 1e-6 to 1e-3).  8 and 12 nodes accept 546 rows; 16 and 24
+      accept all 598 but cost more cells than the 4 rows they add save.
+    * Every other row is one group of the adaptive
+      :func:`~bmameta.quadrature.log_quad_batch` over u = log(lambda), its
+      owners the row's tau values sharing its u range, seeds and
+      partition.  The seeds are the mixing prior's seven quantile seeds
+      alone: the intervals they make already meet the tolerance under the
+      integrator's |K21 - G10| bracket (:class:`_Mixing`), so midpoints
+      between them would only double the cells.  The lower lambda limit is
+      set for the owners' largest distance from the prior's location and
+      largest likelihood variance, both in prior scales.
+
+    The narrow likelihood peak in delta is integrated in closed form, so
+    the integrand is smooth in lambda and delta has no bounds.  ``-c / 2``
+    is added after the integral, so no node carries its rounding.  The
+    lambda-free terms (:func:`_conjugate_terms`) are computed once per
+    owner tau, so an adaptive cell costs one log and one division
+    (:func:`_conjugate_finish`).
     """
     m, s = g.params[:2]
     mix = _mixing(g)
     a = mix.a
+    # log of a**a / Gamma(a) * Gamma(a + 1/2) / a**(a + 1/2) / s, the
+    # Laguerre value's constant at r = 0 and D = 0
+    log_scale = _gammaln_half_step(a) - 0.5 * math.log(a) - math.log(s)
 
-    def integrals(stats: tuple) -> np.ndarray:
-        c, mu, s0 = (np.atleast_2d(v) for v in stats)
-        n_owners = mu.shape[1]
-        terms = _conjugate_terms((0.0, mu, s0), m)
+    def adaptive(terms):
+        n_owners = terms[1].shape[1]
         # each row's lower lambda limit (:class:`_Mixing`) for its owners'
         # largest D**2 and r, floored so that an overflow still gives a
         # finite log
@@ -563,8 +698,56 @@ def _mixture_integrals(g: PriorSpec, rel_tol: float):
             out += (mix.log_norm - a * (np.expm1(u) - u))[..., None]
             return out
 
-        return (log_quad_batch(logf, bounds, n_owners=n_owners, seeds=mix.seeds, rel_tol=rel_tol)
-                - 0.5 * c).reshape(np.shape(stats[0]))
+        return log_quad_batch(logf, bounds, n_owners=n_owners, seeds=mix.seeds, rel_tol=rel_tol)
+
+    def laguerre(terms):
+        """(18-node values, whether the row is accepted) of the rows' owners."""
+        nodes, log_w = _laguerre(a - 0.5)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = terms[1] / (s * s)
+            q = 0.5 * (terms[2] / (s * s)) / (1.0 + r)
+            base = log_scale - 0.5 * terms[0] - (a + 0.5) * np.log1p(q / a)
+        out = np.empty(r.shape + (2,))
+        step = max(1, _CHUNK_CELLS // (nodes.size * r.shape[1]))
+        for i in range(0, r.shape[0], step):
+            rows = slice(i, i + step)
+            ri, qi = r[rows, :, None], q[rows, :, None]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                lam = nodes / (a + qi)
+                rl = ri * lam
+                # log weight - log(1 + r lambda) / 2 + q r lambda (lambda - 1) / (1 + r lambda),
+                # formed in place
+                f = np.log1p(rl)
+                f *= -0.5
+                f += log_w
+                lam -= 1.0
+                lam *= rl
+                lam *= qi
+                lam /= 1.0 + rl
+                f += lam
+                # each rule's log-sum-exp over its nodes
+                for k, part in enumerate((slice(0, _LAGUERRE_NODES[0]), slice(_LAGUERRE_NODES[0], None))):
+                    peak = np.max(f[..., part], axis=-1)
+                    out[rows, :, k] = np.log(np.sum(np.exp(f[..., part] - peak[..., None]), axis=-1)) + peak
+        with np.errstate(invalid="ignore"):
+            ok = np.all(np.abs(out[..., 1] - out[..., 0]) <= rel_tol, axis=1)
+        return base + out[..., 1], ok
+
+    def integrals(stats: tuple) -> np.ndarray:
+        c, mu, s0 = (np.atleast_2d(v) for v in stats)
+        terms = _conjugate_terms((0.0, mu, s0), m)
+        out = np.empty(mu.shape)
+        # the rows the gate sends to the Laguerre rules; those accepted stay True
+        dense = np.all(terms[1] < _LAGUERRE_R * (s * s), axis=1)
+        if dense.any():
+            values, ok = laguerre(tuple(v[dense] for v in terms))
+            rows = np.flatnonzero(dense)[ok]
+            out[rows] = values[ok]
+            dense[dense] = ok
+        rest = ~dense
+        if rest.any():
+            out[rest] = adaptive(tuple(v[rest] for v in terms))
+        return (out - 0.5 * c).reshape(np.shape(stats[0]))
 
     return integrals
 

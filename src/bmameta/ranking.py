@@ -44,9 +44,10 @@ import numpy as np
 
 from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, log_inclusion_bfs
 from .averaging import evaluate  # noqa: F401 - unused here, but bench/tracing.py wraps this name
-from .averaging import log_posteriors, member_log_marginals
+from .averaging import chunk_member_log_marginals, log_posteriors
 from .core import Comparison
 from .errors import BmaMetaError, CorpusEvaluationError
+from .marginal import chunk_size
 from .training import CandidatePriorSet
 
 __all__ = [
@@ -101,13 +102,10 @@ class InclusionSummary:
         return asdict(self)
 
 
-def _eval_one(args):
-    """One comparison's member log marginals; a package error is returned, not raised."""
-    ensemble, comparison, rel_tol = args
-    try:
-        return member_log_marginals(ensemble, comparison, rel_tol=rel_tol)
-    except BmaMetaError as exc:
-        return exc
+def _eval_chunk(args):
+    """One chunk's member log marginals or package errors, per comparison."""
+    ensemble, chunk, rel_tol = args
+    return chunk_member_log_marginals(ensemble, chunk, rel_tol=rel_tol)
 
 
 def _evaluate_corpus(
@@ -123,19 +121,26 @@ def _evaluate_corpus(
 
     The counts are the ``n_evaluated``, ``n_failed``, ``n_skipped_small``
     and ``failed_ids`` fields of :class:`RankingTable` and
-    :class:`InclusionSummary`.  ``workers > 1`` evaluates in a process
-    pool of at most one worker per comparison.  Any package
-    error (:class:`BmaMetaError`) fails only its own comparison; each
-    failure is logged at WARNING with the comparison id, the exception
-    class and its message.
+    :class:`InclusionSummary`.  The comparisons are evaluated in chunks of
+    :func:`~bmameta.marginal.chunk_size`, each one pass of
+    :func:`~bmameta.averaging.chunk_member_log_marginals`; ``workers > 1``
+    cuts them into at least ``workers`` chunks where there are enough
+    comparisons, and evaluates the chunks in a process pool of at most one
+    worker per chunk.  A row does not depend on its chunk, so the results
+    do not depend on ``workers``.  Any package error (:class:`BmaMetaError`)
+    fails only its own comparison; each failure is logged at WARNING with
+    the comparison id, the exception class and its message.
     """
     usable = [c for c in corpus if c.k >= min_studies]
-    tasks = [(ensemble, c, rel_tol) for c in usable]
+    size = chunk_size([m.model for m in ensemble.members])
+    if workers > 1:
+        size = max(1, min(size, -(-len(usable) // workers)))
+    tasks = [(ensemble, usable[i:i + size], rel_tol) for i in range(0, len(usable), size)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(_eval_one, tasks))
+            outcomes = [out for chunk in pool.map(_eval_chunk, tasks) for out in chunk]
     else:
-        outcomes = map(_eval_one, tasks)
+        outcomes = [out for task in tasks for out in _eval_chunk(task)]
     ids: list = []
     rows: list = []
     failed: list = []

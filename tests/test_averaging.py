@@ -305,8 +305,8 @@ class TestDegenerateEvidence:
         from bmameta import DegenerateEvidenceError
 
         comp = make_comparison(rng, 2)
-        monkeypatch.setattr(averaging, "log_marginals",
-                            lambda models, c, rel_tol: np.full(len(models), -np.inf))
+        monkeypatch.setattr(averaging, "chunk_log_marginals",
+                            lambda models, cs, rel_tol: np.full((len(cs), len(models)), -np.inf))
         with pytest.raises(DegenerateEvidenceError):
             averaging.evaluate(four_model_ensemble(), comp, summaries=False)
 

@@ -109,6 +109,26 @@ class TestAnalyze:
         csv = write(tmp_path / "se.csv", "effect,se\n0.5,0.0\n")
         assert main(["analyze", csv]) == 2
 
+    def test_standard_errors_that_overflow_their_square_raise_no_warning(self, tmp_path, capsys,
+                                                                       caplog):
+        # se**2 overflows at se ~1e160: formed under np.errstate, an
+        # infinite variance is a zero likelihood, with no numpy warning
+        csv = write(tmp_path / "bigse.csv", "effect,se\n0.1,1e160\n0.2,2e160\n0,1.5e160\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", csv, "--subfield", "Oral Health"])
+        assert code == 3
+        assert _one_error(caplog) == "every model has zero marginal likelihood"
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (scale-free numerics): se**2 overflows "
+                       "although each log-likelihood, about -1100, is representable")
+    def test_standard_errors_that_overflow_their_square_still_have_evidence(self, tmp_path):
+        csv = write(tmp_path / "bigse.csv", "effect,se\n0.1,1e160\n0.2,2e160\n0,1.5e160\n")
+        assert main(["analyze", csv, "--subfield", "Oral Health"]) == 0
+
     @pytest.mark.parametrize("magnitude", ["1e160", "1e200"])
     def test_effects_that_overflow_the_likelihood_end_in_one_error(self, tmp_path, magnitude, capsys, caplog):
         # the likelihood's squares overflow to inf, a zero likelihood under
@@ -447,10 +467,34 @@ class TestRank:
             "tau_priors": ["halfnormal(0.57)"],
         }))
         evaluated = []
-        monkeypatch.setattr(averaging, "log_marginals", lambda *a, **k: evaluated.append(a))
+        monkeypatch.setattr(averaging, "chunk_log_marginals", lambda *a, **k: evaluated.append(a))
         assert main(["rank", corpus_csv, "--candidates", str(path), "--mode", mode]) == 2
         assert evaluated == []
         assert "got invgamma(1.26,0.24)" in caplog.text
+
+    @pytest.mark.parametrize("mode", ["configs", "parameter-priors"])
+    def test_threads_match_serial_across_other_chunk_boundaries(self, corpus_csv, cand_json,
+                                                                tmp_path, mode):
+        # one comparison more than a chunk holds: serially a full chunk and
+        # a chunk of one, with two threads two chunks of about half
+        from bmameta import build_standard_ensemble, general_candidate_set, marginal
+        cand = general_candidate_set()
+        ensemble = build_standard_ensemble(cand.delta_priors, cand.tau_priors,
+                                           include_types=("random_H1",))
+        size = marginal.chunk_size([m.model for m in ensemble.members])
+        n = size + 1
+        assert size >= 2 and -(-n // 2) != size
+        with open(corpus_csv) as fh:
+            lines = fh.read().splitlines()
+        keep = {f"C{c:02d}" for c in range(n)}
+        csv = write(tmp_path / "few.csv", "\n".join(
+            [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[0] in keep]) + "\n")
+        a, b = tmp_path / "serial.json", tmp_path / "threads.json"
+        base = ["rank", csv, "--candidates", cand_json, "--mode", mode]
+        assert main(base + ["--out", str(a)]) == 0
+        assert main(base + ["--threads", "2", "--out", str(b)]) == 0
+        assert json.loads(a.read_text())["n_evaluated"] == n
+        assert a.read_bytes() == b.read_bytes()
 
     def test_threads_flag_matches_serial(self, corpus_csv, cand_json, tmp_path):
         a, b = tmp_path / "t1.json", tmp_path / "t2.json"

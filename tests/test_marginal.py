@@ -512,6 +512,89 @@ class TestScaleMixtureDeltaPart:
         assert counts["intervals"] == counts["seeded"] <= 8 * counts["rows"], counts
 
 
+def mp_lambda_row(g, x, v):
+    """The t delta part of :func:`marginal._mixture_integrals` for one owner
+    with c = 0, mu - m = x and V = v, by 30-digit mpmath over u = log(lambda)
+    inside the adaptive row's own bounds, the range split at the
+    integrand's peak and at 2, 8 and 32 of its widths on either side."""
+    mp = pytest.importorskip("mpmath")
+    mix = marginal._mixing(g)
+    a, s = mix.a, g.params[1]
+    r, d2 = v / (s * s), x * x / (s * s)
+    cut = mix.cut / (a + 0.5 * d2) / (1.0 + r * (a + 0.5) / a) ** (1.0 / (2.0 * a + 1.0))
+    lo, hi = math.log(max(cut, marginal._TINY)), mix.upper
+    with mp.workdps(30):
+        A, S2, X2, V = mp.mpf(a), mp.mpf(s) ** 2, mp.mpf(x) ** 2, mp.mpf(v)
+        log_norm = A * mp.log(A) - A - mp.loggamma(A)
+
+        def log_f(u):
+            w = S2 * mp.exp(-u)
+            return -(mp.log(1 / V) + mp.log(V + w) + X2 / (V + w)) / 2 + log_norm - A * (mp.expm1(u) - u)
+
+        us = np.linspace(lo, hi, 4001)
+        w = s * s * np.exp(-us)
+        approx = -0.5 * (np.log(v + w) + x * x / (v + w)) - a * (np.expm1(us) - us)
+        peak = mp.findroot(lambda u: mp.diff(log_f, u), mp.mpf(us[np.argmax(approx)]))
+        width = 1 / mp.sqrt(-mp.diff(log_f, peak, 2))
+        pts = sorted([mp.mpf(lo), peak, mp.mpf(hi)]
+                     + [peak + k * width for k in (-32, -8, -2, 2, 8, 32) if lo < peak + k * width < hi])
+        top = log_f(peak)
+        return float(top + mp.log(mp.quad(lambda u: mp.exp(log_f(u) - top), pts)))
+
+
+class TestLaguerreLambdaRows:
+    """A lambda row whose owners all have V / s**2 < 0.3 is integrated by
+    the 12- and 18-node generalized Gauss-Laguerre rules; it is accepted when
+    the two agree, and falls back to the adaptive path otherwise."""
+
+    @staticmethod
+    def _row(g, x, v, monkeypatch):
+        """(value, accepted) of one one-owner row at the inner tolerance."""
+        calls = _count_quadratures(monkeypatch)
+        stats = (np.zeros((1, 1)), np.full((1, 1), x), np.full((1, 1), 1.0 / v))
+        value = float(marginal._delta_part(g, 1e-10)(stats)[0, 0])
+        monkeypatch.undo()
+        return value, not calls
+
+    def test_rows_match_mpmath(self, monkeypatch):
+        accepted = 0
+        for nu in (1.0, 3.0, 5.0, 30.0, 1000.0, 1e5):
+            g = PriorSpec.t(0.0, 0.43, nu)
+            for x in (0.1, 3.0, 30.0, 300.0):
+                for v in (1e-4, 1e-2, 0.04):
+                    got, ok = self._row(g, x, v, monkeypatch)
+                    ref = mp_lambda_row(g, x, v)
+                    assert not math.isnan(got), (nu, x, v)
+                    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (nu, x, v, ok, got, ref)
+                    accepted += ok
+        # the check accepts all but a few rows of this grid; the rest fall back
+        assert accepted >= 60, accepted
+
+    @pytest.mark.parametrize("x, v", [(1e160, 1e-4), (1e300, 1e-2), (0.3, 1e-300), (1e10, 0.29)])
+    def test_far_or_overflowing_rows_are_never_nan(self, x, v, monkeypatch):
+        for nu in (1.0, 5.0, 1e5):
+            got, _ = self._row(PriorSpec.t(0.0, 0.43, nu), x, v, monkeypatch)
+            assert not math.isnan(got), (nu, x, v)
+
+    @pytest.mark.parametrize("alpha", [-0.4995, 0.0, 2.0, 14.5])
+    def test_rule_matches_scipy_where_scipy_is_finite(self, alpha):
+        from scipy.special import gammaln, roots_genlaguerre
+        nodes, log_w = marginal._laguerre(alpha)
+        start = 0
+        for n in marginal._LAGUERRE_NODES:
+            want_x, want_w = roots_genlaguerre(n, alpha)
+            got_x, got_w = nodes[start:start + n], log_w[start:start + n]
+            assert np.allclose(got_x, want_x, rtol=1e-12, atol=0)
+            assert np.allclose(got_w, np.log(want_w) - gammaln(alpha + 1.0), rtol=0, atol=1e-9)
+            assert abs(np.logaddexp.reduce(got_w)) <= 1e-14
+            start += n
+
+    def test_rows_with_large_variance_take_the_adaptive_path(self, monkeypatch):
+        # V / s**2 = 0.33: the gate sends the row to the adaptive integral
+        _, ok = self._row(T_POOLED, 0.1, 0.33 * 0.43**2, monkeypatch)
+        assert not ok
+
+
 def _count_quadratures(monkeypatch):
     """(groups, owners per group) of every ``log_quad_batch`` call
     ``marginal`` makes."""
@@ -687,6 +770,50 @@ class TestSharedTauPartition:
         assert first.size == 4
         first, inverse = marginal._distinct_rows(t[[0, 2, 3]])
         assert first.size == 1 and np.array_equal(inverse, [0, 0, 0])
+
+
+class TestCorpusChunks:
+    """A chunk of comparisons is one outer tau integral with a group per
+    (comparison, delta prior, tau prior); each row equals its comparison's
+    own call bit for bit."""
+
+    @staticmethod
+    def _models():
+        cand = general_candidate_set()
+        members = build_standard_ensemble(cand.delta_priors, cand.tau_priors).members
+        return [m.model for m in members] + [h1r(T_POOLED, IG_POOLED), h1f(T_POOLED)]
+
+    def test_chunk_rows_equal_one_comparison_calls_bitwise(self):
+        # repeated and distinct k, k = 1 among them
+        rng = np.random.default_rng(12)
+        corpus = [make_comparison(rng, k, delta=float(rng.normal(0.0, 0.5)), tau=float(rng.uniform(0.0, 0.5)),
+                                  se_range=(0.05, 0.4)) for k in (3, 7, 3, 12, 1, 7, 30, 3)]
+        models = self._models()
+        got = marginal.chunk_log_marginals(models, corpus)
+        want = np.array([marginal.log_marginals(models, c) for c in corpus])
+        assert np.array_equal(got, want)
+
+    def test_first_outer_pass_of_a_chunk_stays_within_its_budget(self, monkeypatch):
+        models = self._models()
+        rng = np.random.default_rng(13)
+        corpus = [make_comparison(rng, 5) for _ in range(marginal.chunk_size(models))]
+        real = marginal.log_quad_batch
+        first = []
+
+        def recording(log_f, bounds, **kwargs):
+            if kwargs.get("n_owners", 1) != 1:  # a lambda row integral
+                return real(log_f, bounds, **kwargs)
+
+            def f(grp, t):
+                if not first:
+                    first.append(t.shape[0])
+                return log_f(grp, t)
+
+            return real(f, bounds, **kwargs)
+
+        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        marginal.chunk_log_marginals(models, corpus)
+        assert len(corpus) >= 2 and 0 < first[0] <= marginal._CHUNK_INTERVALS
 
 
 class TestPosteriorSummary:

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from bmameta import averaging, ranking
+from bmameta import averaging, marginal, ranking
 from bmameta import (
     ConvergenceError,
     CorpusEvaluationError,
@@ -239,14 +239,14 @@ class TestFailureHandling:
         assert table.n_evaluated == 1
 
     def test_failure_reason_logged(self, small_corpus, candidates, monkeypatch, caplog):
-        real = averaging.log_marginals
+        real = averaging.chunk_log_marginals
 
-        def flaky(models, comparison, **kwargs):
-            if comparison.id == "c2":
+        def flaky(models, comparisons, **kwargs):
+            if any(c.id == "c2" for c in comparisons):
                 raise ConvergenceError("planted failure", bracket=(0.0, 1.0))
-            return real(models, comparison, **kwargs)
+            return real(models, comparisons, **kwargs)
 
-        monkeypatch.setattr(averaging, "log_marginals", flaky)
+        monkeypatch.setattr(averaging, "chunk_log_marginals", flaky)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
             table = rank_configurations(small_corpus, candidates, max_failure_fraction=0.5)
         assert table.failed_ids == ("c2",)
@@ -255,16 +255,41 @@ class TestFailureHandling:
             "comparison c2 failed: ConvergenceError: planted failure"
         ]
 
+    def test_planted_failure_inside_a_chunk_fails_only_its_comparison(self, small_corpus, candidates,
+                                                                       monkeypatch, caplog):
+        # c2 shares its chunk with another comparison; its statistics raise
+        # inside the chunked pass, the chunk is rerun one comparison at a
+        # time, and only c2 fails, with the other rows unchanged
+        ensemble = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
+        assert marginal.chunk_size([m.model for m in ensemble.members]) >= 2
+        _, want, _ = ranking._evaluate_corpus(small_corpus, ensemble)
+        real = marginal.random_stats
+
+        def planted(tau, comparison):
+            if comparison.id == "c2":
+                raise ConvergenceError("planted failure", bracket=(0.0, 1.0))
+            return real(tau, comparison)
+
+        monkeypatch.setattr(marginal, "random_stats", planted)
+        with caplog.at_level(logging.WARNING, logger="bmameta"):
+            ids, got, counts = ranking._evaluate_corpus(small_corpus, ensemble, max_failure_fraction=0.5)
+        assert counts["n_failed"] == 1 and counts["failed_ids"] == ("c2",)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["comparison c2 failed: ConvergenceError: planted failure"]
+        keep = [i for i, c in enumerate(small_corpus) if c.id != "c2"]
+        assert ids == tuple(small_corpus[i].id for i in keep)
+        assert np.array_equal(got, want[keep])
+
     def test_input_side_error_fails_one_comparison(self, small_corpus, candidates,
                                                     monkeypatch, caplog):
-        real = averaging.log_marginals
+        real = averaging.chunk_log_marginals
 
-        def nan_marginal(models, comparison, **kwargs):
-            if comparison.id == "c3":
+        def nan_marginal(models, comparisons, **kwargs):
+            if any(c.id == "c3" for c in comparisons):
                 raise DomainError("marginal likelihood of model 'm' is not a number")
-            return real(models, comparison, **kwargs)
+            return real(models, comparisons, **kwargs)
 
-        monkeypatch.setattr(averaging, "log_marginals", nan_marginal)
+        monkeypatch.setattr(averaging, "chunk_log_marginals", nan_marginal)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
             table = rank_configurations(small_corpus, candidates, max_failure_fraction=0.5)
         assert table.n_failed == 1
@@ -277,14 +302,14 @@ class TestFailureHandling:
 
     def test_all_zero_evidence_fails_one_comparison(self, small_corpus, candidates,
                                                      monkeypatch, caplog):
-        real = averaging.log_marginals
+        real = averaging.chunk_log_marginals
 
-        def zero_evidence(models, comparison, **kwargs):
-            if comparison.id == "c4":
-                return np.full(len(models), -np.inf)
-            return real(models, comparison, **kwargs)
+        def zero_evidence(models, comparisons, **kwargs):
+            out = real(models, comparisons, **kwargs)
+            out[[c.id == "c4" for c in comparisons]] = -np.inf
+            return out
 
-        monkeypatch.setattr(averaging, "log_marginals", zero_evidence)
+        monkeypatch.setattr(averaging, "chunk_log_marginals", zero_evidence)
         with caplog.at_level(logging.WARNING, logger="bmameta"):
             table = average_model_types(small_corpus, candidates, max_failure_fraction=0.5)
         assert table.n_failed == 1

@@ -12,7 +12,8 @@ heterogeneity models against the fixed ones.
 Every result comes from one (rows x members) matrix of log marginal
 likelihoods: one row for :func:`evaluate`, one per study prefix for
 :func:`sequential_update`, whose prefixes run as chunks of one corpus
-pass (:func:`chunk_member_log_marginals`).
+pass (:func:`chunk_member_log_marginals`).  Each reduction over members
+runs on the whole matrix at once, and each row keeps the bits it has alone.
 
 Model-averaged effect summaries follow the convention of averaging
 *conditional on effect presence*: the mixture runs over the free-effect
@@ -167,7 +168,8 @@ class BmaResult:
 
     Inclusion Bayes factors are held as logs (``None`` when the ensemble
     has no model on one side); ``incl_bf_*`` are their exponentials,
-    ``inf`` once a factor exceeds the float range.
+    ``inf`` once a factor exceeds the float range.  The pairwise
+    ``log_bf_matrix`` and ``bf_matrix`` derive from ``log_marginals``.
     """
 
     member_names: tuple
@@ -175,7 +177,6 @@ class BmaResult:
     prior_probs: np.ndarray
     log_marginals: np.ndarray
     posterior_probs: np.ndarray
-    bf_matrix: np.ndarray
     incl_log_bf_effect: Optional[float]
     incl_posterior_prob_effect: Optional[float]
     incl_log_bf_heterogeneity: Optional[float]
@@ -186,6 +187,20 @@ class BmaResult:
     averaged_tau: Optional[PosteriorSummary] = None
     member_delta: tuple = ()
     member_tau: tuple = ()
+
+    @property
+    def log_bf_matrix(self) -> np.ndarray:
+        """``log_marginals[i] - log_marginals[j]`` at ``[i, j]``."""
+        with np.errstate(invalid="ignore"):  # nan between two zero likelihoods
+            return self.log_marginals[:, None] - self.log_marginals[None, :]
+
+    @property
+    def bf_matrix(self) -> np.ndarray:
+        """Pairwise Bayes factors: 1 on the diagonal, ``inf`` past the float range."""
+        with np.errstate(over="ignore"):
+            bf = np.exp(self.log_bf_matrix)
+        np.fill_diagonal(bf, 1.0)
+        return bf
 
     @property
     def incl_bf_effect(self) -> Optional[float]:
@@ -212,7 +227,8 @@ def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.nd
     A row holds the members' log posterior weights up to a common
     constant, e.g. log prior plus log marginal likelihood, or the logs of
     posterior probabilities.  ``in_indices`` selects the numerator side.
-    The ensemble's log prior odds are computed once.  A side without
+    The ensemble's log prior odds are computed once, and each side's
+    posterior weight in one reduction over all rows.  A side without
     weight yields ``inf`` or ``-inf`` rather than an exception.  The
     value stays finite where the Bayes factor itself overflows.
     """
@@ -223,17 +239,19 @@ def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.nd
         raise ParameterError("partition must be nonempty on both sides")
     log_prior = np.log(ensemble.prior_probs)
     log_odds_prior = float(logsumexp(log_prior[in_mask]) - logsumexp(log_prior[~in_mask]))
-    out = np.empty(log_weights.shape[0])
-    for row, w in enumerate(log_weights):
-        log_in, log_out = logsumexp(w[in_mask]), logsumexp(w[~in_mask])
-        if not np.isfinite(log_out):
-            log_odds_post = math.inf
-        elif not np.isfinite(log_in):
-            log_odds_post = -math.inf
-        else:
-            log_odds_post = float(log_in - log_out)
-        out[row] = log_odds_post - log_odds_prior
-    return out
+    log_in = _row_logsumexp(log_weights[:, in_mask])
+    log_out = _row_logsumexp(log_weights[:, ~in_mask])
+    with np.errstate(invalid="ignore"):  # inf - inf where neither side has weight
+        log_odds_post = np.where(~np.isfinite(log_out), math.inf,
+                                 np.where(~np.isfinite(log_in), -math.inf, log_in - log_out))
+    return log_odds_post - log_odds_prior
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of ``a``.  A column selection is not
+    C-contiguous, and numpy sums it in another order than a lone row: the
+    contiguous copy gives each row the bits it has when reduced alone."""
+    return logsumexp(np.ascontiguousarray(a), axis=1)
 
 
 def inclusion_bf(ensemble: ModelEnsemble, posterior_probs, in_indices) -> float:
@@ -320,22 +338,19 @@ def _results(ensemble: ModelEnsemble, logml: np.ndarray) -> tuple:
     """
     log_unnorm, log_post = log_posteriors(ensemble, logml)
     posterior = np.exp(log_post)
-    with np.errstate(invalid="ignore", over="ignore"):
-        bf = np.exp(logml[:, :, None] - logml[:, None, :])
-    n = logml.shape[1]
-    bf[:, np.arange(n), np.arange(n)] = 1.0
+    n_rows, n = logml.shape
 
     def inclusion(in_idx):
-        """(log BF, posterior probability) of a side, per row."""
+        """(log BFs, posterior probabilities) of a side, one per row."""
         if not in_idx or len(in_idx) == n:
-            return [(None, None)] * len(logml)
-        log_bf = log_inclusion_bfs(ensemble, log_unnorm, in_idx).tolist()
+            return [None] * n_rows, [None] * n_rows
+        log_bf = log_inclusion_bfs(ensemble, log_unnorm, in_idx)
         # log-sum-exp rounding can put a sure side a few ulps above one
-        post = [min(float(np.exp(logsumexp(row[list(in_idx)]))), 1.0) for row in log_post]
-        return list(zip(log_bf, post))
+        post = np.minimum(np.exp(_row_logsumexp(log_post[:, list(in_idx)])), 1.0)
+        return log_bf.tolist(), post.tolist()
 
-    effect = inclusion(ensemble.effect_indices)
-    het = inclusion(ensemble.heterogeneity_indices)
+    eff_bf, eff_post = inclusion(ensemble.effect_indices)
+    het_bf, het_post = inclusion(ensemble.heterogeneity_indices)
     models = [m.model for m in ensemble.members]
     return [
         BmaResult(
@@ -344,15 +359,14 @@ def _results(ensemble: ModelEnsemble, logml: np.ndarray) -> tuple:
             prior_probs=ensemble.prior_probs,
             log_marginals=logml[r],
             posterior_probs=posterior[r],
-            bf_matrix=bf[r],
-            incl_log_bf_effect=effect[r][0],
-            incl_posterior_prob_effect=effect[r][1],
-            incl_log_bf_heterogeneity=het[r][0],
-            incl_posterior_prob_heterogeneity=het[r][1],
+            incl_log_bf_effect=eff_bf[r],
+            incl_posterior_prob_effect=eff_post[r],
+            incl_log_bf_heterogeneity=het_bf[r],
+            incl_posterior_prob_heterogeneity=het_post[r],
             member_delta=(None,) * n,
             member_tau=(None,) * n,
         )
-        for r in range(len(logml))
+        for r in range(n_rows)
     ], log_post
 
 

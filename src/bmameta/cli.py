@@ -154,7 +154,6 @@ def read_corpus_csv(path: str, mapping: dict) -> tuple:
         mode = _detect_mode(reader.fieldnames, mapping)
         groups: dict = {}
         non_estimable: dict = {}
-        subfields: dict = {}
         order: list = []
         for i, row in enumerate(reader):
             line = i + 2
@@ -165,7 +164,6 @@ def read_corpus_csv(path: str, mapping: dict) -> tuple:
                 groups[cid] = []
                 non_estimable[cid] = 0
                 order.append(cid)
-                subfields[cid] = _cell(row, "subfield", mapping)
             study = _study_from_row(row, mapping, line, mode)
             if study is None:
                 non_estimable[cid] += 1
@@ -174,9 +172,7 @@ def read_corpus_csv(path: str, mapping: dict) -> tuple:
     if not order:
         raise ParseError("no data rows in CSV", line=1)
     comparisons = [
-        Comparison(tuple(groups[cid]), id=cid, subfield=subfields[cid])
-        for cid in order
-        if groups[cid]
+        Comparison(tuple(groups[cid]), id=cid) for cid in order if groups[cid]
     ]
     return comparisons, non_estimable
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class Comparison:
 
     studies: tuple = field(default_factory=tuple)
     id: str = ""
-    subfield: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "studies", tuple(self.studies))
@@ -112,7 +111,7 @@ class Comparison:
         return self.effects[idx], self.std_errors[idx]
 
     def subset(self, indices: Sequence[int]) -> "Comparison":
-        return Comparison(tuple(self.studies[i] for i in indices), self.id, self.subfield)
+        return Comparison(tuple(self.studies[i] for i in indices), self.id)
 
 
 def _normal_stats(y: np.ndarray, variances) -> tuple:
@@ -195,11 +194,7 @@ def loglik_fixed(delta, comparison: Comparison):
 
     ``delta`` may be a scalar or an array; the result has its shape.
     """
-    y, se = comparison._canonical
-    with np.errstate(over="ignore"):  # an infinite se**2 is a zero likelihood
-        se2 = se * se
-    out = loglik_from_stats(_normal_stats(y, se2), delta)
-    return float(out) if out.ndim == 0 else out
+    return loglik_random(delta, 0.0, comparison)
 
 
 def loglik_random(delta, tau, comparison: Comparison):

@@ -22,8 +22,8 @@ A group's posterior is the sum of its columns.  Groups are ranked per
 comparison (descending, stable ties by group order) and tallied across
 the corpus.  :func:`corpus_inclusion_summary` reports the four-type
 ensemble's inclusion Bayes factors instead, one
-:func:`~bmameta.averaging.log_inclusion_bfs` call per side over the
-matrix rows.
+:func:`~bmameta.averaging.log_inclusion_bfs` call per side over the whole
+matrix.
 Comparisons that fail to evaluate are recorded, logged and excluded,
 and the run aborts if more than ``max_failure_fraction`` of them fail.
 
@@ -176,16 +176,12 @@ def _tally(posteriors: np.ndarray, groups: Sequence[tuple], kind: str) -> list:
     summed = np.stack([posteriors[:, cols].sum(axis=1) for _, cols, _ in groups], axis=1)
     n_groups = len(groups)
     counts = np.zeros((n_groups, n_groups), dtype=int)
-    for row in summed:
-        order = np.argsort(-row, kind="stable")
-        for rank, idx in enumerate(order):
-            counts[idx, rank] += 1
-    if len(summed):
-        # summing each column in sorted order makes the average exactly
-        # independent of corpus ordering
-        avg = np.sort(summed, axis=0).mean(axis=0)
-    else:
-        avg = np.zeros(n_groups)
+    # order[r, rank] is the group at that rank in comparison r
+    order = np.argsort(-summed, axis=1, kind="stable")
+    np.add.at(counts, (order, np.arange(n_groups)), 1)
+    # summing each column in sorted order makes the average exactly
+    # independent of corpus ordering
+    avg = np.sort(summed, axis=0).sum(axis=0) / max(len(summed), 1)
     return [
         RankingRow(
             label=label,
@@ -275,16 +271,14 @@ def corpus_inclusion_summary(
     ensemble = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
     ids, logml, counts = _evaluate_corpus(corpus, ensemble, **options)
     log_unnorm, _ = log_posteriors(ensemble, logml)
-    log_eff = tuple(log_inclusion_bfs(ensemble, log_unnorm, ensemble.effect_indices).tolist())
-    log_het = tuple(
-        log_inclusion_bfs(ensemble, log_unnorm, ensemble.heterogeneity_indices).tolist()
-    )
-    eff_for = sum(1 for v in log_eff if v > 0)
-    het_for = sum(1 for v in log_het if v > 0)
+    log_eff = log_inclusion_bfs(ensemble, log_unnorm, ensemble.effect_indices)
+    log_het = log_inclusion_bfs(ensemble, log_unnorm, ensemble.heterogeneity_indices)
+    eff_for = int(np.count_nonzero(log_eff > 0))
+    het_for = int(np.count_nonzero(log_het > 0))
     return InclusionSummary(
         ids=ids,
-        log_bf_effect=log_eff,
-        log_bf_heterogeneity=log_het,
+        log_bf_effect=tuple(log_eff.tolist()),
+        log_bf_heterogeneity=tuple(log_het.tolist()),
         effect_evidence_for=eff_for,
         effect_evidence_against=len(ids) - eff_for,
         heterogeneity_evidence_for=het_for,

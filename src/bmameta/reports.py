@@ -105,7 +105,6 @@ def analysis_report(
 ) -> dict:
     """Assemble the full analysis report dictionary for one comparison."""
     n = len(result.member_names)
-    logml = result.log_marginals
     report = {
         "input": {
             "n_studies": len(studies),
@@ -119,17 +118,15 @@ def analysis_report(
                 "name": result.member_names[i],
                 "model_type": result.model_types[i],
                 "prior_prob": float(result.prior_probs[i]),
-                "log_marginal": float(logml[i]),
+                "log_marginal": float(result.log_marginals[i]),
                 "posterior_prob": float(result.posterior_probs[i]),
                 "delta": summary_dict(result.member_delta[i]) if result.member_delta else None,
                 "tau": summary_dict(result.member_tau[i]) if result.member_tau else None,
             }
             for i in range(n)
         ],
-        "bf_matrix": [[float(result.bf_matrix[i, j]) for j in range(n)] for i in range(n)],
-        "log_bf_matrix": [
-            [float(logml[i] - logml[j]) for j in range(n)] for i in range(n)
-        ],
+        "bf_matrix": result.bf_matrix.tolist(),
+        "log_bf_matrix": result.log_bf_matrix.tolist(),
         "inclusion": _inclusion_dict(result),
         "estimates": {
             "averaged_delta": summary_dict(result.averaged_delta),

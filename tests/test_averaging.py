@@ -132,11 +132,12 @@ class TestInclusionBf:
         want = [float(log_inclusion_bfs(ens, [w], [1, 3])[0]) for w in rows]
         calls = []
         real = averaging.logsumexp
-        monkeypatch.setattr(averaging, "logsumexp", lambda a: calls.append(1) or real(a))
+        monkeypatch.setattr(averaging, "logsumexp",
+                            lambda a, **kw: calls.append(1) or real(a, **kw))
         got = log_inclusion_bfs(ens, rows, [1, 3])
         assert got.tolist() == want
-        # two per row for the posterior odds, two in all for the prior odds
-        assert len(calls) == 2 * len(rows) + 2
+        # one over all rows per side for the posterior odds, two for the prior odds
+        assert len(calls) == 4
 
     def test_empty_partition_rejected(self):
         ens = four_model_ensemble()
@@ -166,6 +167,57 @@ class TestInclusionBf:
         mask[in_idx] = True
         want = (post[mask].sum() / post[~mask].sum()) / (prior[mask].sum() / prior[~mask].sum())
         assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestWholeMatrix:
+    """The evidence of a (rows x members) matrix is, row by row, bit for
+    bit what that row gives alone, in any order and any batching."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        cand = general_candidate_set()
+        ens = build_standard_ensemble(cand.delta_priors, cand.tau_priors)
+        logml = np.random.default_rng(2000).normal(-40.0, 6.0, (2000, len(ens.members)))
+        eff = list(ens.effect_indices)
+        rest = [i for i in range(len(ens.members)) if i not in eff]
+        logml[3, eff] = -np.inf  # the effect side has no weight
+        logml[4, rest] = -np.inf  # the other side has none
+        logml[5] = -37.25  # every member equal
+        logml[6, :4] = logml[6, 4]  # a tie at the top
+        return ens, logml
+
+    @staticmethod
+    def outputs(ens, logml):
+        """Per row: log BFs and posterior probabilities of both sides, the
+        BF matrix and the posteriors, as one array of bit patterns."""
+        log_unnorm = averaging.log_posteriors(ens, logml)[0]
+        results, log_post = averaging._results(ens, logml)
+        incl = [[r.incl_log_bf_effect, r.incl_posterior_prob_effect,
+                 r.incl_log_bf_heterogeneity, r.incl_posterior_prob_heterogeneity]
+                for r in results]
+        return np.concatenate([
+            log_inclusion_bfs(ens, log_unnorm, ens.effect_indices)[:, None],
+            log_inclusion_bfs(ens, log_unnorm, ens.heterogeneity_indices)[:, None],
+            np.array(incl, dtype=float),
+            np.array([r.bf_matrix.ravel() for r in results]),
+            np.array([r.posterior_probs for r in results]),
+            log_post,
+        ], axis=1).view(np.uint64)
+
+    def test_rows_equal_their_one_row_calls(self, case):
+        ens, logml = case
+        whole = self.outputs(ens, logml)
+        for r in [3, 4, 5, 6] + list(range(0, 2000, 97)):
+            assert np.array_equal(whole[r], self.outputs(ens, logml[r:r + 1])[0])
+        assert np.isposinf(whole[4, 0].view(float)) and np.isneginf(whole[3, 0].view(float))
+
+    def test_permuting_or_batching_rows_moves_no_bit(self, case):
+        ens, logml = case
+        whole = self.outputs(ens, logml)
+        perm = np.random.default_rng(3).permutation(len(logml))
+        assert np.array_equal(self.outputs(ens, logml[perm]), whole[perm])
+        batches = [self.outputs(ens, logml[i:i + 333]) for i in range(0, len(logml), 333)]
+        assert np.array_equal(np.concatenate(batches), whole)
 
 
 class TestEvaluate:

@@ -418,6 +418,21 @@ class TestRank:
         assert summary["effect_evidence_for"] + summary["effect_evidence_against"] \
             == summary["n_evaluated"]
 
+    def test_subfield_column_is_ignored(self, corpus_csv, cand_json, tmp_path):
+        with open(corpus_csv) as fh:
+            header, *rows = fh.read().splitlines()
+        topics = ["Oral Health", "", "Urology"]
+        with_col = write(tmp_path / "with_subfield.csv", "\n".join(
+            [header.replace("comparison_id,", "comparison_id,subfield,")]
+            + [r.replace(",", f",{topics[i % 3]},", 1) for i, r in enumerate(rows)]) + "\n")
+        for mode in ("configs", "model-types", "parameter-priors", "inclusion"):
+            a, b = tmp_path / f"{mode}.a.json", tmp_path / f"{mode}.b.json"
+            assert main(["rank", corpus_csv, "--candidates", cand_json,
+                         "--mode", mode, "--out", str(a)]) == 0
+            assert main(["rank", with_col, "--candidates", cand_json,
+                         "--mode", mode, "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+
     def test_parameter_priors_mode(self, corpus_csv, cand_json, tmp_path):
         out = tmp_path / "pp.json"
         assert main(["rank", corpus_csv, "--candidates", cand_json,

@@ -122,6 +122,26 @@ class TestModesGroupTheSameColumns:
         assert params.failed_ids == configs.failed_ids
 
 
+class TestTally:
+    def test_exact_ties_match_a_per_row_stable_argsort(self):
+        # multiples of 1/4 sum exactly, so group posteriors tie often
+        posteriors = np.random.default_rng(17).integers(0, 3, (500, 6)) / 4.0
+        posteriors[0] = [0.5, 0.25, 0.25, 0.5, 0.25, 0.25]  # all four groups tie
+        groups = [("a", [0], 0.2), ("b", [1, 2], 0.3), ("c", [3], 0.1), ("d", [4, 5], 0.4)]
+        want = np.zeros((4, 4), dtype=int)
+        n_tied = 0
+        for row in posteriors:
+            summed = np.array([row[cols].sum() for _, cols, _ in groups])
+            n_tied += len(np.unique(summed)) < len(summed)
+            for rank, idx in enumerate(np.argsort(-summed, kind="stable")):
+                want[idx, rank] += 1
+        assert n_tied > 100
+        rows = ranking._tally(posteriors, groups, "g")
+        assert [r.rank_counts for r in rows] == [tuple(w) for w in want.tolist()]
+        only_tie = ranking._tally(posteriors[:1], groups, "g")
+        assert [r.rank_counts for r in only_tie] == [tuple(w) for w in np.eye(4, dtype=int).tolist()]
+
+
 class TestParameterPriorSelfConsistency:
     def test_generating_priors_rank_top(self, candidates):
         from bmameta import PriorSpec

@@ -10,10 +10,11 @@ with a free effect against the point-null models, and the free-
 heterogeneity models against the fixed ones.
 
 Every result comes from one (rows x members) matrix of log marginal
-likelihoods: one row for :func:`evaluate`, one per study prefix for
-:func:`sequential_update`, whose prefixes run as chunks of one corpus
-pass (:func:`chunk_member_log_marginals`).  Each reduction over members
-runs on the whole matrix at once, and each row keeps the bits it has alone.
+likelihoods, whose rows come from :func:`corpus_log_marginals`: one row
+for :func:`evaluate`, one per study prefix for :func:`sequential_update`,
+one per comparison for the corpus rankings of :mod:`bmameta.ranking`.
+Each reduction over members runs on the whole matrix at once, and each
+row keeps the bits it has alone.
 
 Model-averaged effect summaries follow the convention of averaging
 *conditional on effect presence*: the mixture runs over the free-effect
@@ -23,8 +24,10 @@ models with their posterior probabilities renormalized within that set.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -49,8 +52,7 @@ __all__ = [
     "BmaResult",
     "build_standard_ensemble",
     "evaluate",
-    "member_log_marginals",
-    "chunk_member_log_marginals",
+    "corpus_log_marginals",
     "log_posteriors",
     "inclusion_bf",
     "log_inclusion_bfs",
@@ -107,25 +109,18 @@ def build_standard_ensemble(
     tau_priors: Sequence[PriorSpec],
     *,
     type_probs: Sequence[float] = (0.25, 0.25, 0.25, 0.25),
-    include_types: Sequence[str] = MODEL_TYPES,
 ) -> ModelEnsemble:
     """Cross free/null assumptions with candidate priors into an ensemble.
 
     Each model type gets its ``type_probs`` share, spread evenly over the
     type's prior configurations (so 3 delta priors and 4 tau priors
-    produce weights 1/4, 1/12, 1/16, 1/48).  Restricting
-    ``include_types`` renormalizes over the kept types; with
-    ``include_types=("random_H1",)`` every free-effect/free-tau
-    configuration gets equal weight.  Members are ordered by model type,
-    then delta-major within ``random_H1``.
+    produce weights 1/4, 1/12, 1/16, 1/48).  Members are ordered by model
+    type, then delta-major within ``random_H1``.
     """
     delta_priors = list(delta_priors)
     tau_priors = list(tau_priors)
     if not delta_priors or not tau_priors:
         raise ParameterError("need at least one delta prior and one tau prior")
-    unknown = set(include_types) - set(MODEL_TYPES)
-    if unknown:
-        raise ParameterError(f"unknown model types {sorted(unknown)!r}")
     type_probs = np.asarray(type_probs, dtype=float)
     if type_probs.shape != (4,) or np.any(type_probs <= 0):
         raise ParameterError("type_probs must be four positive values")
@@ -139,14 +134,9 @@ def build_standard_ensemble(
         "random_H0": [(point0, t) for t in tau_priors],
         "random_H1": [(d, t) for d in delta_priors for t in tau_priors],
     }
-    kept = [t for t in MODEL_TYPES if t in set(include_types)]
-    shares = {t: p for t, p in zip(MODEL_TYPES, type_probs)}
-    # renormalize only when types were actually excluded, so a full
-    # ensemble passes the caller's probabilities through untouched
-    norm = sum(shares[t] for t in kept) if len(kept) < 4 else 1.0
     members = []
-    for t in kept:
-        per = shares[t] / norm / len(configs[t])
+    for t, share in zip(MODEL_TYPES, type_probs):
+        per = share / len(configs[t])
         for d, tau in configs[t]:
             members.append(EnsembleMember(ModelSpec(_member_name(t, d, tau, configs), d, tau), per))
     return ModelEnsemble(tuple(members))
@@ -279,37 +269,53 @@ def mixture_summary(summaries: Sequence[PosteriorSummary], weights) -> Posterior
     return summarize_grid(x, pdf)
 
 
-def member_log_marginals(
-    ensemble: ModelEnsemble, comparison: Comparison, *, rel_tol: float = 1e-9
-) -> np.ndarray:
-    """The members' log marginal likelihoods on ``comparison``, the chunk
-    of one of :func:`chunk_member_log_marginals`; its error is raised."""
-    (out,) = chunk_member_log_marginals(ensemble, [comparison], rel_tol=rel_tol)
-    if isinstance(out, BmaMetaError):
-        raise out
-    return out
+def corpus_log_marginals(
+    ensemble: ModelEnsemble,
+    comparisons: Sequence[Comparison],
+    *,
+    rel_tol: float = 1e-9,
+    workers: int = 1,
+) -> Iterator:
+    """Yield, per comparison in order, its members' log marginal likelihoods
+    or the package error (:class:`BmaMetaError`) that fails it.
+
+    The comparisons run in chunks of :func:`~bmameta.marginal.chunk_size`,
+    each one :func:`~bmameta.marginal.chunk_log_marginals` pass.  Serially
+    a chunk is evaluated only when its first row is asked for, so a caller
+    that stops early evaluates no later chunk.  ``workers > 1`` cuts the
+    comparisons into at least ``workers`` chunks where there are enough of
+    them, and evaluates the chunks in a process pool of at most one worker
+    per chunk.  A row does not depend on its chunk, so the output does not
+    depend on ``workers``.
+    """
+    models = [m.model for m in ensemble.members]
+    size = chunk_size(models)
+    if workers > 1:
+        size = max(1, min(size, -(-len(comparisons) // workers)))
+    chunks = [comparisons[i:i + size] for i in range(0, len(comparisons), size)]
+    run_chunk = partial(_chunk_outcomes, models, rel_tol=rel_tol)
+    if workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            for outcomes in pool.map(run_chunk, chunks):
+                yield from outcomes
+    else:
+        for chunk in chunks:
+            yield from run_chunk(chunk)
 
 
-def chunk_member_log_marginals(
-    ensemble: ModelEnsemble, comparisons: Sequence[Comparison], *, rel_tol: float = 1e-9
-) -> list:
-    """Per comparison, its members' log marginal likelihoods or the package
-    error (:class:`BmaMetaError`) that fails it, from one
-    :func:`~bmameta.marginal.chunk_log_marginals` pass over the chunk.
+def _chunk_outcomes(models: list, chunk: list, *, rel_tol: float) -> list:
+    """One chunk's outcomes for :func:`corpus_log_marginals`.
 
     A chunk that raises is rerun one comparison at a time, so each failure
     is the one that comparison raises alone, and the others keep their
-    rows: a row does not depend on its chunk.  A row with no finite entry
-    is a :class:`DegenerateEvidenceError`.
+    rows.  A row with no finite entry is a :class:`DegenerateEvidenceError`.
     """
-    models = [m.model for m in ensemble.members]
     try:
-        rows = chunk_log_marginals(models, comparisons, rel_tol=rel_tol)
+        rows = chunk_log_marginals(models, chunk, rel_tol=rel_tol)
     except BmaMetaError as exc:
-        if len(comparisons) == 1:
+        if len(chunk) == 1:
             return [exc]
-        return [out for c in comparisons
-                for out in chunk_member_log_marginals(ensemble, [c], rel_tol=rel_tol)]
+        return [out for c in chunk for out in _chunk_outcomes(models, [c], rel_tol=rel_tol)]
     return [row if np.any(np.isfinite(row))
             else DegenerateEvidenceError("every model has zero marginal likelihood")
             for row in rows]
@@ -386,7 +392,9 @@ def evaluate(
     and mixed into fixed/random/averaged effect summaries (conditional on
     effect presence) and an averaged heterogeneity summary.
     """
-    logml = member_log_marginals(ensemble, comparison, rel_tol=rel_tol)
+    (logml,) = corpus_log_marginals(ensemble, [comparison], rel_tol=rel_tol)
+    if isinstance(logml, BmaMetaError):
+        raise logml
     results, log_post = _results(ensemble, logml[None, :])
     result, log_post = results[0], log_post[0]
     if not summaries:
@@ -436,9 +444,8 @@ def sequential_update(
     summaries, for the first ``t+1`` studies: bit for bit
     ``evaluate(ensemble, prefix, summaries=False)``, so the final element
     matches a full batch evaluation.  The prefixes are the comparisons of
-    chunked passes (:func:`chunk_member_log_marginals`, in chunks of
-    :func:`~bmameta.marginal.chunk_size`); the first prefix that fails
-    raises its error.
+    one :func:`corpus_log_marginals` pass; the first prefix that fails
+    raises its error, and no later chunk of prefixes is evaluated.
     """
     k = comparison.k
     if order is None:
@@ -448,11 +455,9 @@ def sequential_update(
         if sorted(order) != list(range(k)):
             raise ParameterError("order must be a permutation of the study indices")
     prefixes = [comparison.subset(order[:t]) for t in range(1, k + 1)]
-    size = chunk_size([m.model for m in ensemble.members])
     rows = []
-    for i in range(0, k, size):
-        for out in chunk_member_log_marginals(ensemble, prefixes[i:i + size], rel_tol=rel_tol):
-            if isinstance(out, BmaMetaError):
-                raise out
-            rows.append(out)
+    for out in corpus_log_marginals(ensemble, prefixes, rel_tol=rel_tol):
+        if isinstance(out, BmaMetaError):
+            raise out
+        rows.append(out)
     return _results(ensemble, np.array(rows))[0]

@@ -28,10 +28,12 @@ once per distinct (comparison, tau interval) of its rows
 (:func:`_distinct_rows`), each delta prior's part once for the whole
 chunk on the intervals its groups need, and adds each group's tau prior
 density.  So a t prior's lambda rows of every comparison of the chunk go
-through one call of its rules.  A row does not depend on its chunk:
-:func:`log_marginals` is the one-comparison case, bit for bit its row,
-and :func:`log_marginal` the one-model case of that.  :func:`chunk_size`
-sizes chunks from the models alone.
+through one call of its rules.  A row does not depend on its chunk: a
+chunk of one comparison gives, bit for bit, that comparison's row, and
+:func:`log_marginal` is the case of one model and one comparison.
+:func:`chunk_size` sizes chunks from the models alone; the corpus passes
+of :func:`bmameta.averaging.corpus_log_marginals` are the only callers
+that cut chunks.
 
 At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau))
 times exp(-c(tau) / 2), with V = 1 / S0 (see
@@ -316,24 +318,11 @@ def log_marginal(
 ) -> float:
     """Log of the marginal likelihood of ``comparison`` under ``model``.
 
-    The one-model case of :func:`log_marginals`.  ``rel_tol`` is the
-    relative tolerance on the integral, i.e. the absolute tolerance on
-    the returned log value.
+    The one-model, one-comparison case of :func:`chunk_log_marginals`.
+    ``rel_tol`` is the relative tolerance on the integral, i.e. the
+    absolute tolerance on the returned log value.
     """
-    return float(log_marginals([model], comparison, rel_tol=rel_tol)[0])
-
-
-def log_marginals(
-    models: Sequence[ModelSpec],
-    comparison: Comparison,
-    *,
-    rel_tol: float = 1e-9,
-) -> np.ndarray:
-    """Log marginal likelihoods of several models on one comparison: the
-    one-comparison case of :func:`chunk_log_marginals`, bit for bit its row.
-    Arguments are those of :func:`log_marginal`.
-    """
-    return chunk_log_marginals(models, [comparison], rel_tol=rel_tol)[0]
+    return float(chunk_log_marginals([model], [comparison], rel_tol=rel_tol)[0, 0])
 
 
 def chunk_log_marginals(

@@ -3,14 +3,15 @@ inclusion-Bayes-factor summaries.
 
 Each mode builds an ensemble from a candidate prior set and computes one
 (comparisons x members) matrix of log marginal likelihoods, a row per
-comparison.  One log-sum-exp along the member axis turns the whole
+comparison, from one :func:`~bmameta.averaging.corpus_log_marginals`
+pass.  One log-sum-exp along the member axis turns the whole
 matrix into posterior model probabilities, and every ranking mode is a
 tally over groups of its columns:
 
 * :func:`rank_configurations` uses the ``random_H1`` ensemble (the
-  free-effect/free-heterogeneity configurations at equal prior
-  probability, 12 for the standard 3 x 4 candidate set), one column per
-  group;
+  four-type ensemble's free-effect/free-heterogeneity members at equal
+  prior probability, 12 for the standard 3 x 4 candidate set), one
+  column per group;
 * :func:`average_model_types` uses the four-type ensemble (each model
   type at probability 1/4, spread evenly over its configurations), one
   group per model type;
@@ -36,18 +37,16 @@ fewer studies are skipped, default 3), ``workers`` (processes, default
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .averaging import MODEL_TYPES, ModelEnsemble, build_standard_ensemble, log_inclusion_bfs
 from .averaging import evaluate  # noqa: F401 - unused here, but bench/tracing.py wraps this name
-from .averaging import chunk_member_log_marginals, log_posteriors
+from .averaging import corpus_log_marginals, log_posteriors
 from .core import Comparison
 from .errors import BmaMetaError, CorpusEvaluationError
-from .marginal import chunk_size
 from .training import CandidatePriorSet
 
 __all__ = [
@@ -102,12 +101,6 @@ class InclusionSummary:
         return asdict(self)
 
 
-def _eval_chunk(args):
-    """One chunk's member log marginals or package errors, per comparison."""
-    ensemble, chunk, rel_tol = args
-    return chunk_member_log_marginals(ensemble, chunk, rel_tol=rel_tol)
-
-
 def _evaluate_corpus(
     corpus: Sequence[Comparison],
     ensemble: ModelEnsemble,
@@ -121,30 +114,19 @@ def _evaluate_corpus(
 
     The counts are the ``n_evaluated``, ``n_failed``, ``n_skipped_small``
     and ``failed_ids`` fields of :class:`RankingTable` and
-    :class:`InclusionSummary`.  The comparisons are evaluated in chunks of
-    :func:`~bmameta.marginal.chunk_size`, each one pass of
-    :func:`~bmameta.averaging.chunk_member_log_marginals`; ``workers > 1``
-    cuts them into at least ``workers`` chunks where there are enough
-    comparisons, and evaluates the chunks in a process pool of at most one
-    worker per chunk.  A row does not depend on its chunk, so the results
-    do not depend on ``workers``.  Any package error (:class:`BmaMetaError`)
-    fails only its own comparison; each failure is logged at WARNING with
-    the comparison id, the exception class and its message.
+    :class:`InclusionSummary`.  The comparisons with at least
+    ``min_studies`` studies are one
+    :func:`~bmameta.averaging.corpus_log_marginals` pass over ``workers``
+    processes.  Any package error (:class:`BmaMetaError`) fails only its
+    own comparison; each failure is logged at WARNING with the comparison
+    id, the exception class and its message.
     """
     usable = [c for c in corpus if c.k >= min_studies]
-    size = chunk_size([m.model for m in ensemble.members])
-    if workers > 1:
-        size = max(1, min(size, -(-len(usable) // workers)))
-    tasks = [(ensemble, usable[i:i + size], rel_tol) for i in range(0, len(usable), size)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = [out for chunk in pool.map(_eval_chunk, tasks) for out in chunk]
-    else:
-        outcomes = [out for task in tasks for out in _eval_chunk(task)]
+    outcomes = corpus_log_marginals(ensemble, usable, rel_tol=rel_tol, workers=workers)
     ids: list = []
     rows: list = []
     failed: list = []
-    for c, out in zip(usable, outcomes):
+    for c, out in zip(usable, outcomes, strict=True):
         if isinstance(out, BmaMetaError):
             failed.append(c.id)
             log.warning("comparison %s failed: %s: %s", c.id, type(out).__name__, out)
@@ -203,9 +185,10 @@ def _rank_groups(corpus, ensemble: ModelEnsemble, partitions, options) -> Rankin
 
 
 def _h1r_ensemble(candidates: CandidatePriorSet) -> ModelEnsemble:
-    return build_standard_ensemble(
-        candidates.delta_priors, candidates.tau_priors, include_types=("random_H1",),
-    )
+    """The standard ensemble's ``random_H1`` members at equal prior probability."""
+    full = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
+    members = [m for m in full.members if m.model.model_type == "random_H1"]
+    return ModelEnsemble(tuple(replace(m, prior_prob=1.0 / len(members)) for m in members))
 
 
 def rank_configurations(

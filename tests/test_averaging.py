@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bmameta import (
     BmaMetaError,
     Comparison,
+    ConvergenceError,
     EnsembleMember,
     ModelEnsemble,
     ModelSpec,
@@ -23,7 +24,8 @@ from bmameta import (
     posterior_summary,
     sequential_update,
 )
-from bmameta import averaging
+from bmameta import averaging, marginal
+from bmameta.ranking import _h1r_ensemble
 from conftest import make_comparison
 
 POINT0 = PriorSpec.point(0.0)
@@ -56,18 +58,16 @@ class TestBuildStandardEnsemble:
 
     def test_flat_restricted_to_h1r(self):
         cand = general_candidate_set()
-        ens = build_standard_ensemble(
-            cand.delta_priors, cand.tau_priors, include_types=("random_H1",),
-        )
+        ens = _h1r_ensemble(cand)
+        full = build_standard_ensemble(cand.delta_priors, cand.tau_priors)
         assert len(ens.members) == 12
-        assert all(m.prior_prob == pytest.approx(1.0 / 12.0, abs=1e-15) for m in ens.members)
-        assert all(m.model.model_type == "random_H1" for m in ens.members)
+        assert all(m.prior_prob == 1.0 / 12.0 for m in ens.members)
+        assert [m.model for m in ens.members] == [
+            m.model for m in full.members if m.model.model_type == "random_H1"]
 
     def test_member_order_is_delta_major(self):
         cand = general_candidate_set()
-        ens = build_standard_ensemble(
-            cand.delta_priors, cand.tau_priors, include_types=("random_H1",),
-        )
+        ens = _h1r_ensemble(cand)
         for i, m in enumerate(ens.members):
             assert m.model.delta_prior == cand.delta_priors[i // 4]
             assert m.model.tau_prior == cand.tau_priors[i % 4]
@@ -432,3 +432,26 @@ class TestSequential:
         comp = make_comparison(rng, 3)
         with pytest.raises(ParameterError):
             sequential_update(four_model_ensemble(), comp, order=[0, 0, 1])
+
+    def test_failing_prefix_raises_before_any_later_chunk(self, rng, monkeypatch):
+        # the prefixes run in three chunks; the first prefix of the second
+        # fails, so the second is rerun one prefix at a time and the third
+        # is never evaluated
+        ens = four_model_ensemble()
+        size = marginal.chunk_size([m.model for m in ens.members])
+        assert size >= 2
+        planted = ConvergenceError("planted failure", bracket=(0.0, 1.0))
+        chunks = []
+
+        def fake(models, comparisons, **kwargs):
+            chunks.append([c.k for c in comparisons])
+            if any(c.k == size + 1 for c in comparisons):
+                raise planted
+            return np.zeros((len(comparisons), len(models)))
+
+        monkeypatch.setattr(averaging, "chunk_log_marginals", fake)
+        with pytest.raises(ConvergenceError) as exc:
+            sequential_update(ens, make_comparison(rng, 3 * size))
+        assert exc.value is planted
+        second = list(range(size + 1, 2 * size + 1))
+        assert chunks == [list(range(1, size + 1)), second] + [[k] for k in second]

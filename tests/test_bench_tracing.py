@@ -32,7 +32,7 @@ def _sites(tracing):
 def test_traced_log_marginals_record_nested_quadratures(tracing, rng):
     model = ModelSpec("random_H1", PriorSpec.t(0.0, 0.43, 5.0), PriorSpec.invgamma(1.71, 0.40))
     c = make_comparison(rng, 6)
-    untraced = marginal.log_marginals([model], c)
+    untraced = marginal.chunk_log_marginals([model], [c])[0]
 
     originals = []
     for owner, attr in _sites(tracing):
@@ -43,7 +43,7 @@ def test_traced_log_marginals_record_nested_quadratures(tracing, rng):
     try:
         for (owner, attr), original in zip(_sites(tracing), originals):
             assert getattr(owner, attr) is not original, (owner, attr)
-        traced = marginal.log_marginals([model], c)
+        traced = marginal.chunk_log_marginals([model], [c])[0]
     finally:
         tracer.uninstall()
     for (owner, attr), original in zip(_sites(tracing), originals):

@@ -492,10 +492,9 @@ class TestRank:
                                                                 tmp_path, mode):
         # one comparison more than a chunk holds: serially a full chunk and
         # a chunk of one, with two threads two chunks of about half
-        from bmameta import build_standard_ensemble, general_candidate_set, marginal
-        cand = general_candidate_set()
-        ensemble = build_standard_ensemble(cand.delta_priors, cand.tau_priors,
-                                           include_types=("random_H1",))
+        from bmameta import general_candidate_set, marginal
+        from bmameta.ranking import _h1r_ensemble
+        ensemble = _h1r_ensemble(general_candidate_set())
         size = marginal.chunk_size([m.model for m in ensemble.members])
         n = size + 1
         assert size >= 2 and -(-n // 2) != size

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from bmameta import Comparison, ModelSpec, PriorSpec, Study
-from bmameta.marginal import log_marginals
+from bmameta.marginal import chunk_log_marginals
 
 EFFECTS = (0.12, 0.031, 0.05)
 SES = (0.21, 0.15, 0.33)
@@ -34,8 +34,8 @@ def _comparison(c):
 
 @pytest.mark.parametrize("c", [1e-58, 1e-18, 1e-10])
 def test_log_marginals_shift_by_k_log_c(c):
-    unit = log_marginals(_models(1.0), _comparison(1.0))
-    scaled = log_marginals(_models(c), _comparison(c))
+    unit = chunk_log_marginals(_models(1.0), [_comparison(1.0)])[0]
+    scaled = chunk_log_marginals(_models(c), [_comparison(c)])[0]
     for a, b in zip(unit, scaled):
         want = a - len(EFFECTS) * math.log(c)
         assert abs(b - want) <= 1e-12 * max(1.0, abs(want))

@@ -1,11 +1,16 @@
-"""Which scipy submodules the CLI loads.
+"""What the package's modules import.
 
 ``scipy.stats`` takes about 1.4 s to import, and ``scipy.optimize`` about
 0.4 s.  The package needs neither to analyze or rank; only ``fit-priors``
 loads ``scipy.optimize``.  Each check runs in a fresh interpreter, since
 the test process has imported both already.
+
+Every name a module imports is used there or exported, except the names
+``bench/tracing.py`` patches on that module, which are marked as such.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 SCRIPT = """
 import json, sys
@@ -66,3 +72,40 @@ def test_scipy_stats_never_loaded_and_optimize_only_by_fit_priors(tmp_path):
     for step in ("import", "analyze", "rank"):
         assert steps[step] == {"scipy.stats": False, "scipy.optimize": False}, step
     assert steps["fit-priors"] == {"scipy.stats": False, "scipy.optimize": True}
+
+
+def _unused_imports(source: str) -> list:
+    """(name, line) of each name the module imports but neither uses nor
+    lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported += [((a.asname or a.name).split(".")[0], a.lineno) for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [(name, line) for name, line in imported if name not in used]
+
+
+def test_every_import_is_used_or_exported(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    patched = {(owner.__name__, attr) for owner, attr, _ in tracing._SITES}
+    unused, exempt = [], []
+    for path in sorted((SRC / "bmameta").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        for name, line in _unused_imports(source):
+            text = lines[line - 1]
+            marked = "# noqa: F401" in text and "bench/tracing.py" in text
+            (exempt if marked else unused).append((f"bmameta.{path.stem}", name))
+    assert unused == []
+    # each marked import is a name the tracer really patches
+    assert exempt and set(exempt) <= patched

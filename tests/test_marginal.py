@@ -381,7 +381,7 @@ class TestTinyStandardErrors:
 
         monkeypatch.setattr(marginal, "log_quad_batch", recording)
         assert len({m.delta_prior for m in models}) == 4
-        assert np.all(np.isfinite(marginal.log_marginals(models, c)))
+        assert np.all(np.isfinite(marginal.chunk_log_marginals(models, [c])[0]))
         assert sum(outer_rows) < 40000 / 4
 
 
@@ -707,7 +707,7 @@ class TestSharedTauPartition:
             return real(f, bounds, **kwargs)
 
         monkeypatch.setattr(marginal, "log_quad_batch", recording)
-        got = marginal.log_marginals(models, c)
+        got = marginal.chunk_log_marginals(models, [c])[0]
         rows = np.concatenate(outer_rows)
         assert np.unique(rows, axis=0).shape[0] < 0.8 * rows.shape[0]
         monkeypatch.setattr(marginal, "log_quad_batch", real)
@@ -726,7 +726,7 @@ class TestSharedTauPartition:
         cands = general_candidate_set()
         for g in [T_POOLED] + [p for p in cands.delta_priors if p.family == "t"]:
             models = [h1r(g, h) for h in cands.tau_priors]
-            for model, value in zip(models, marginal.log_marginals(models, c)):
+            for model, value in zip(models, marginal.chunk_log_marginals(models, [c])[0]):
                 assert value == log_marginal(model, c), (g, model.tau_prior)
 
     DELTAS = [POINT0, PriorSpec.normal(0.0, 0.56), T_POOLED, PriorSpec.cauchy(0.0, 0.7071),
@@ -744,22 +744,22 @@ class TestSharedTauPartition:
         # group, so no log-ML depends on the other delta priors of the call
         c = make_comparison(rng, k)
         models = self._mixed()
-        got = marginal.log_marginals(models, c)
+        got = marginal.chunk_log_marginals(models, [c])[0]
         for g in self.DELTAS:
             idx = [i for i, m in enumerate(models) if m.delta_prior == g]
-            alone = marginal.log_marginals([models[i] for i in idx], c)
+            alone = marginal.chunk_log_marginals([models[i] for i in idx], [c])[0]
             assert np.array_equal(got[idx], alone), g
         assert np.array_equal(got, [log_marginal(m, c) for m in models])
 
     def test_member_order_does_not_change_values(self, rng):
         c = make_comparison(rng, 6)
         models = self._mixed()
-        got = marginal.log_marginals(models, c)
+        got = marginal.chunk_log_marginals(models, [c])[0]
         order = np.random.default_rng(3).permutation(len(models))
-        shuffled = marginal.log_marginals([models[i] for i in order], c)
+        shuffled = marginal.chunk_log_marginals([models[i] for i in order], [c])[0]
         assert np.array_equal(shuffled, got[order])
         # a repeated member is one group, with the same value
-        twice = marginal.log_marginals(models + models[:3], c)
+        twice = marginal.chunk_log_marginals(models + models[:3], [c])[0]
         assert np.array_equal(twice, np.concatenate([got, got[:3]]))
 
     def test_distinct_rows_keep_rows_with_shared_endpoints_apart(self):
@@ -790,7 +790,7 @@ class TestCorpusChunks:
                                   se_range=(0.05, 0.4)) for k in (3, 7, 3, 12, 1, 7, 30, 3)]
         models = self._models()
         got = marginal.chunk_log_marginals(models, corpus)
-        want = np.array([marginal.log_marginals(models, c) for c in corpus])
+        want = np.array([marginal.chunk_log_marginals(models, [c])[0] for c in corpus])
         assert np.array_equal(got, want)
 
     def test_first_outer_pass_of_a_chunk_stays_within_its_budget(self, monkeypatch):

@@ -167,9 +167,7 @@ class TestParameterPriorSelfConsistency:
 class TestWithinH1rConsistency:
     def test_relative_posteriors_match_across_modes(self, candidates, rng):
         comp = make_comparison(rng, 5, delta=0.5, tau=0.3)
-        flat = build_standard_ensemble(
-            candidates.delta_priors, candidates.tau_priors, include_types=("random_H1",),
-        )
+        flat = ranking._h1r_ensemble(candidates)
         full = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
         p_flat = evaluate(flat, comp, summaries=False).posterior_probs
         res_full = evaluate(full, comp, summaries=False)
@@ -196,9 +194,7 @@ class TestMatchesEvaluate:
         monkeypatch.setattr(ranking, "_tally", recording)
         rank_configurations(small_corpus, candidates)
         average_model_types(small_corpus, candidates)
-        h1r = build_standard_ensemble(
-            candidates.delta_priors, candidates.tau_priors, include_types=("random_H1",),
-        )
+        h1r = ranking._h1r_ensemble(candidates)
         full = build_standard_ensemble(candidates.delta_priors, candidates.tau_priors)
         for posteriors, ensemble in zip(seen, (h1r, full)):
             assert posteriors.shape == (len(small_corpus), len(ensemble.members))
@@ -372,7 +368,7 @@ class TestFailureHandling:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(ranking, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(averaging, "ProcessPoolExecutor", RecordingPool)
         corpus = [make_comparison(rng, 3, cid="a"), make_comparison(rng, 3, cid="b")]
         table = rank_configurations(corpus, candidates, workers=64)
         assert sizes == [2]

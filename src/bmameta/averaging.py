@@ -71,7 +71,7 @@ class EnsembleMember:
 
 @dataclass(frozen=True)
 class ModelEnsemble:
-    """A weighted collection of models; prior probabilities sum to one."""
+    """A weighted collection of models; prior probabilities sum to one, within 1e-9."""
 
     members: tuple
 
@@ -82,7 +82,7 @@ class ModelEnsemble:
         probs = np.array([m.prior_prob for m in self.members])
         if np.any(probs <= 0):
             raise ParameterError("all prior model probabilities must be > 0")
-        if abs(float(np.sum(probs)) - 1.0) > 1e-12:
+        if abs(float(np.sum(probs)) - 1.0) > 1e-9:
             raise ParameterError(
                 f"prior model probabilities must sum to 1, got {float(np.sum(probs))!r}"
             )
@@ -124,8 +124,6 @@ def build_standard_ensemble(
     type_probs = np.asarray(type_probs, dtype=float)
     if type_probs.shape != (4,) or np.any(type_probs <= 0):
         raise ParameterError("type_probs must be four positive values")
-    if abs(float(np.sum(type_probs)) - 1.0) > 1e-9:
-        raise ParameterError("type_probs must sum to 1")
 
     point0 = PriorSpec.point(0.0)
     configs = {

@@ -209,8 +209,6 @@ def _parse_model_priors(text: str) -> tuple:
     probs = tuple(_parse_real(p.strip(), "model-priors", 0) for p in parts)
     if any(p <= 0 for p in probs):
         raise ParseError("model prior probabilities must be positive")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise ParseError(f"model prior probabilities must sum to 1, got {sum(probs)!r}")
     return probs
 
 

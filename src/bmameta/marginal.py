@@ -111,7 +111,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
@@ -264,12 +264,6 @@ def _mixing(g: PriorSpec) -> _Mixing:
     return _Mixing(a, _gammaln_k(a), float(gammaincinv(a + 0.5, _MIX_TAIL)), math.log(hi), seeds)
 
 
-def _weighted_mean_se(comparison: Comparison) -> tuple:
-    y, se = comparison._canonical
-    w = 1.0 / se**2
-    return float(np.sum(w * y) / np.sum(w)), float(1.0 / math.sqrt(np.sum(w)))
-
-
 @lru_cache(maxsize=1024)
 def _tau_lattice(prior: PriorSpec) -> np.ndarray:
     """The powers of 4 inside the prior's bounds, from 1e-12 up, or from
@@ -299,15 +293,15 @@ def _tau_data_scales(comparison: Comparison) -> np.ndarray:
     ])
 
 
-def _tau_seeds(prior: PriorSpec, comparison: Comparison) -> np.ndarray:
-    """Outer tau split points: the powers of 4 inside the prior's bounds
-    (:func:`_tau_lattice`) and eight data scales (:func:`_tau_data_scales`).
+def _tau_seeds(priors: Iterable[PriorSpec], comparison: Comparison) -> np.ndarray:
+    """Outer tau split points: the powers of 4 inside each prior's bounds
+    (:func:`_tau_lattice`), then eight data scales (:func:`_tau_data_scales`).
 
-    Neither depends on the prior's shape, so tau priors whose bounds
+    Neither depends on a prior's shape, so tau priors whose bounds
     overlap split the overlap at the same points, and the groups of one
     outer integral share those intervals.
     """
-    return np.concatenate([_tau_lattice(prior), _tau_data_scales(comparison)])
+    return np.concatenate([_tau_lattice(h) for h in priors] + [_tau_data_scales(comparison)])
 
 
 def log_marginal(
@@ -417,8 +411,7 @@ def _free_tau_log_marginals(models, comparisons, rel_tol):
     delta_of = np.tile([deltas[g] for g, _ in pairs], n)
     tau_of = np.tile([taus[h] for _, h in pairs], n)
     bounds = np.tile([_prior_bounds(h) for _, h in pairs], (n, 1))
-    lattice = np.concatenate([_tau_lattice(h) for h in taus])
-    seeds = np.stack([np.concatenate([lattice, _tau_data_scales(c)]) for c in comparisons])[comp_of]
+    seeds = np.stack([_tau_seeds(taus, c) for c in comparisons])[comp_of]
 
     def logf(grp, t):
         grp = grp[:, 0]
@@ -753,7 +746,7 @@ def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
     if h.is_point:
         return lambda d: loglik_random(d, h.params[0], comparison)
     bounds = np.array([_prior_bounds(h)])
-    seeds = _tau_seeds(h, comparison)
+    seeds = _tau_seeds([h], comparison)
 
     def integrals(delta_values: np.ndarray) -> np.ndarray:
         def logf(_grp, t):
@@ -831,7 +824,8 @@ def _mass_region(model, comparison, parameter, prior, rel_tol):
     """
     lo, hi = _prior_bounds(prior)
     probe = [_prior_probe(prior)]
-    wm, wse = _weighted_mean_se(comparison)
+    _, wm, s0 = random_stats(0.0, comparison)  # the fixed-effect estimate and precision
+    wse = 1.0 / math.sqrt(s0)
     if parameter == "delta":
         probe.append(wm + wse * np.linspace(-12.0, 12.0, 49))
     else:

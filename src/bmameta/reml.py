@@ -7,7 +7,12 @@ when building empirical priors.  The restricted log likelihood
                       + sum(w_i (y_i - delta_hat(tau))^2) ]
 
 with ``w_i = 1/(se_i^2 + tau^2)`` and ``delta_hat`` the weighted mean is
-maximized over ``tau in [0, tau_max]``.
+maximized over ``tau in [0, tau_max]``.  Up to the constant
+(k - 1)/2 log(2 pi) it is the log evidence of a flat prior on delta,
+(log(2 pi) - c - log S0)/2 in the ``(c, mu, S0)`` that
+:func:`bmameta.core._normal_stats` forms for every marginal likelihood.
+REML reads its objective from there, and its final ``delta_hat = mu`` and
+``se_delta = 1/sqrt(S0)`` too; the score is its only statistic of its own.
 
 :func:`reml_fits` fits a whole corpus in lockstep.  Each comparison gets
 its own coarse 256-point scan, which guards against the rare multi-modal
@@ -34,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Comparison
-from .errors import InsufficientDataError
+from .core import _LOG_2PI, Comparison, _normal_stats
+from .errors import DomainError, InsufficientDataError
 
 __all__ = ["RemlFit", "reml_fit", "reml_fits", "restricted_loglik"]
 
@@ -51,17 +56,16 @@ class RemlFit:
 
 
 def _loglik(tau, y, v):
-    """Restricted log likelihood at ``tau`` for canonical rows ``y``, ``v = se**2``.
+    """The restricted log likelihood less k/2 log(2 pi) at ``tau``, for
+    canonical rows ``y`` and ``v = se**2``: -(c + log S0)/2 of
+    :func:`~bmameta.core._normal_stats`, the flat-delta log evidence less
+    log(2 pi)/2.
 
     ``y`` and ``v`` have shape ``(k,)`` or ``tau.shape + (k,)``; the result
     has the shape of ``tau``.
     """
-    variances = v + (tau * tau)[..., None]
-    w = 1.0 / variances
-    sw = w.sum(axis=-1)
-    delta = (w * y).sum(axis=-1) / sw
-    q = (w * (y - delta[..., None]) ** 2).sum(axis=-1)
-    return -0.5 * (np.log(variances).sum(axis=-1) + np.log(sw) + q)
+    c, _, s0 = _normal_stats(y, v + (tau * tau)[..., None])
+    return -0.5 * (c + np.log(s0))
 
 
 def _score(tau, y, v):
@@ -80,7 +84,7 @@ def _score(tau, y, v):
 def restricted_loglik(tau, comparison: Comparison):
     """Restricted log likelihood at ``tau`` (scalar or array)."""
     y, se = comparison._canonical
-    out = _loglik(np.asarray(tau, dtype=float), y, se**2)
+    out = _loglik(np.asarray(tau, dtype=float), y, se**2) + 0.5 * y.size * _LOG_2PI
     return float(out) if out.ndim == 0 else out
 
 
@@ -117,14 +121,13 @@ def reml_fits(comparisons: Sequence[Comparison]) -> list:
     Returns one :class:`RemlFit` per comparison, in input order; each equals
     the fit of that comparison alone.  Every comparison needs at least two
     studies.  ``tau_hat`` may be exactly 0; any small-heterogeneity
-    exclusion rule belongs downstream.
+    exclusion rule belongs downstream.  A comparison whose largest se**2
+    plus the scan's end squared overflows is a DomainError.
     """
     if any(c.k < 2 for c in comparisons):
         raise InsufficientDataError("REML needs at least two studies")
     canonical = [c._canonical for c in comparisons]
-    corpus = _Corpus(canonical)
-    n = corpus.size
-    every = np.ones(n, dtype=bool)
+    n = len(canonical)
 
     # Coarse scan, one comparison at a time: a (_SCAN_POINTS, k) evaluation.
     # The scan's best point is the estimate unless the bisection improves it.
@@ -132,12 +135,21 @@ def reml_fits(comparisons: Sequence[Comparison]) -> list:
     hi = np.empty(n)
     tau_hat = np.empty(n)
     for i, (y, se) in enumerate(canonical):
-        tau_max = 10.0 * float(np.max(np.abs(y - np.median(y)))) + float(np.max(se))
+        se_max = float(np.max(se))
+        with np.errstate(over="ignore"):  # an infinite spread fails the check below
+            tau_max = 10.0 * float(np.max(np.abs(y - np.median(y)))) + se_max
+        # no variance of the fit exceeds this one
+        if math.isinf(se_max * se_max + tau_max * tau_max):
+            raise DomainError(f"comparison {comparisons[i].id!r}: se**2 + tau**2 overflows at its "
+                              f"largest se {se_max!r} and REML's scan end {tau_max!r}")
         grid = np.linspace(0.0, tau_max, _SCAN_POINTS)
         best = int(np.argmax(_loglik(grid, y, se**2)))
         lo[i] = grid[max(best - 1, 0)]
         hi[i] = grid[min(best + 1, _SCAN_POINTS - 1)]
         tau_hat[i] = grid[best]
+
+    corpus = _Corpus(canonical)
+    every = np.ones(n, dtype=bool)
 
     # Near the optimum the log likelihood is flat to float noise, so when
     # the analytic score changes sign across the scan cell, a sign bisection
@@ -170,17 +182,13 @@ def reml_fits(comparisons: Sequence[Comparison]) -> list:
     )
     tau_hat = np.where(boundary, 0.0, tau_hat)
 
-    fits = []
-    for (y, se), t in zip(canonical, tau_hat):
-        w = 1.0 / (se**2 + t**2)
-        fits.append(
-            RemlFit(
-                delta_hat=float(np.sum(w * y) / np.sum(w)),
-                tau_hat=float(t),
-                se_delta=float(1.0 / math.sqrt(np.sum(w))),
-            )
-        )
-    return fits
+    # mu and S0 per group at tau_hat**2, a scalar power as the fit has always
+    # formed it (one ulp off tau_hat * tau_hat for some tau)
+    t2 = np.array([t**2 for t in tau_hat])
+    mu, s0 = np.empty(n), np.empty(n)
+    for rows, y, v in corpus.groups:
+        _, mu[rows], s0[rows] = _normal_stats(y, v + t2[rows, None])
+    return [RemlFit(float(d), float(t), 1.0 / math.sqrt(s)) for d, t, s in zip(mu, tau_hat, s0)]
 
 
 def reml_fit(comparison: Comparison) -> RemlFit:

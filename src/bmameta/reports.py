@@ -120,8 +120,8 @@ def analysis_report(
                 "prior_prob": float(result.prior_probs[i]),
                 "log_marginal": float(result.log_marginals[i]),
                 "posterior_prob": float(result.posterior_probs[i]),
-                "delta": summary_dict(result.member_delta[i]) if result.member_delta else None,
-                "tau": summary_dict(result.member_tau[i]) if result.member_tau else None,
+                "delta": summary_dict(result.member_delta[i]),
+                "tau": summary_dict(result.member_tau[i]),
             }
             for i in range(n)
         ],

@@ -1,15 +1,20 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bmameta
+from bmameta import parse_prior
 from bmameta.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def write(path, text):
@@ -217,6 +222,19 @@ class TestAnalyze:
         assert report["config"]["delta_prior"] == "normal(0.0,0.56)"
         assert [m["prior_prob"] for m in report["models"]] == [0.4, 0.1, 0.4, 0.1]
 
+    def test_model_priors_the_parser_accepts_build_their_ensemble(self, five_study_csv, tmp_path,
+                                                                  caplog):
+        # ModelEnsemble holds the one sum check; 1 + 5e-10 is within its 1e-9
+        out = tmp_path / "r.json"
+        assert main(["analyze", five_study_csv, "--model-priors", "0.25,0.25,0.25,0.2500000005",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["model_priors"] == [0.25, 0.25, 0.25, 0.2500000005]
+        assert [m["prior_prob"] for m in report["models"]] == [0.25, 0.25, 0.25, 0.2500000005]
+        assert sum(m["posterior_prob"] for m in report["models"]) == pytest.approx(1.0, abs=1e-12)
+        assert main(["analyze", five_study_csv, "--model-priors", "0.25,0.25,0.25,0.250000002"]) == 2
+        assert _one_error(caplog) == "prior model probabilities must sum to 1, got 1.000000002"
+
     def test_bad_prior_string_is_input_error(self, five_study_csv):
         assert main(["analyze", five_study_csv, "--delta-prior", "normal(0,0.5)"]) == 2
 
@@ -386,6 +404,67 @@ class TestFitPriors:
 
     def test_min_studies_of_two_is_accepted(self, corpus_csv, tmp_path):
         assert main(["fit-priors", corpus_csv, "--min-studies", "2", "--out", str(tmp_path / "c.json")]) == 0
+
+    @pytest.mark.parametrize("column, value", [
+        ("se", "largest se 1e+160 "),
+        ("effect", "REML's scan end 1e+161"),
+    ])
+    def test_value_whose_square_overflows_is_one_error(self, corpus_csv, tmp_path, column, value,
+                                                       capsys, caplog):
+        # every REML variance is se**2 + tau**2 with tau at most the scan's
+        # end; past ~1.3e154 that overflows, so the comparison cannot be fitted
+        lines = Path(corpus_csv).read_text().splitlines()
+        cid, y, se = lines[1].split(",")
+        lines[1] = f"{cid},1e160,{se}" if column == "effect" else f"{cid},{y},1e160"
+        csv = write(tmp_path / "big.csv", "\n".join(lines) + "\n")
+        out = tmp_path / "cand.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit-priors", csv, "--out", str(out)])
+        assert code == 2
+        error = _one_error(caplog)
+        assert error.startswith("comparison 'C00': se**2 + tau**2 overflows at its largest se ")
+        assert value in error
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (scale-free numerics): at 1e-300 se**2 "
+                       "underflows to 0, so REML's weights are infinite")
+    def test_fit_at_the_float_floor_is_the_unit_fit_scaled(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's seed-1 corpus, and that corpus with every effect and
+        # se times 1e-300 fitted with the tau floor times 1e-300
+        monkeypatch.syspath_prepend(str(BENCH))
+        op = importlib.import_module("workloads").fit_op(np.random.default_rng(1), str(tmp_path))
+        assert main(list(op.argv)) == 0
+        unit = json.loads(Path(op.out).read_text())
+        lines = Path(op.argv[1]).read_text().splitlines()
+        scaled = [lines[0]] + [
+            row if row.endswith(",,") else
+            ",".join([row.split(",")[0]] + [repr(float(v) * 1e-300) for v in row.split(",")[1:]])
+            for row in lines[1:]
+        ]
+        csv = write(tmp_path / "tiny.csv", "\n".join(scaled) + "\n")
+        out = tmp_path / "tiny.json"
+        argv = ["fit-priors", csv, *op.argv[2:-2], "--tau-floor", "1e-302", "--out", str(out)]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        tiny = json.loads(out.read_text())
+        # the indices of each fitted family's location and scale parameters
+        scales = {"normal": (0, 1), "t": (0, 1), "halfnormal": (0,), "invgamma": (1,), "gamma": (1,)}
+        for key in ("delta_priors", "tau_priors"):
+            # the first prior of each list is a fixed default, never fitted
+            for a, b in zip(unit[key][1:], tiny[key][1:]):
+                a, b = parse_prior(a), parse_prior(b)
+                assert a.family == b.family
+                want = [v * 1e-300 if i in scales[a.family] else v for i, v in enumerate(a.params)]
+                assert b.params == pytest.approx(want, rel=1e-9, abs=0.0), (a, b)
 
 
 class TestRank:

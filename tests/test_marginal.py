@@ -683,11 +683,11 @@ class TestTruncatedNormalDeltaParts:
 class TestSharedTauPartition:
     def test_tau_seeds_are_a_lattice_shared_by_all_priors(self, rng):
         c = make_comparison(rng, 5)
-        assert np.array_equal(marginal._tau_seeds(PriorSpec.uniform(0.5, 2.0), c)[:-8], [1.0])
+        assert np.array_equal(marginal._tau_seeds([PriorSpec.uniform(0.5, 2.0)], c)[:-8], [1.0])
         for h in general_candidate_set().tau_priors:
             lo, hi = marginal._prior_bounds(h)
             want = [4.0 ** j for j in range(-30, 30) if max(lo, 1e-12) <= 4.0 ** j <= hi]
-            assert np.array_equal(marginal._tau_seeds(h, c)[:-8], want), h
+            assert np.array_equal(marginal._tau_seeds([h], c)[:-8], want), h
 
     def test_owners_of_one_delta_prior_share_tau_intervals(self, rng, monkeypatch):
         c = make_comparison(rng, 8)

@@ -1,0 +1,89 @@
+"""Work-count budgets: the quadrature cells and likelihood elements that a
+seeded ``rank`` sweep and a seeded ``analyze`` cost may not grow.
+
+Times on a small shared host are too noisy to gate on, but work counts
+are deterministic.  The counters sit outside the program: they replace
+the module-level names ``marginal.log_quad_batch`` and
+``marginal.random_stats`` and count
+
+* outer tau cells and adaptive lambda cells: rows x 21 Kronrod nodes x
+  owners, read from the ``x`` each integrand receives.  An integrand of
+  the t prior's lambda integral (``_mixture_integrals``) counts as lambda,
+  every other as tau.  The Gauss-Laguerre lambda rows call no
+  module-level name and are not counted;
+* ``random_stats`` elements: tau values x studies.
+
+Each count must stay at most its budget, so a change that refines more,
+sends more lambda rows to the adaptive rule or recomputes statistics
+fails here before it shows in a benchmark.  Lower a budget when a change
+saves work.  The inputs are the benchmark's own generators
+(``bench/workloads.py``) at seed 1.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bmameta import marginal
+from bmameta.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: The seed-1 counts, measured with the code this file was last changed
+#: with.  The analyze ``stats_elements`` is 4 x 4 studies above the 61,508
+#: of the code before: each of its four posterior summaries now reads the
+#: fixed-effect estimate from one ``random_stats(0.0, comparison)`` call.
+BUDGETS = {
+    "rank": {"tau_cells": 163_380, "lambda_cells": 1_435_896, "stats_elements": 449_780},
+    "analyze": {"tau_cells": 1_896_300, "lambda_cells": 1_150_464, "stats_elements": 61_524},
+}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """The work counts of everything run after the fixture is set up."""
+    out = dict.fromkeys(("tau_cells", "lambda_cells", "stats_elements"), 0)
+    real_quad, real_stats = marginal.log_quad_batch, marginal.random_stats
+
+    def log_quad_batch(log_f, bounds, *, n_owners=1, **kwargs):
+        key = "lambda_cells" if "_mixture_integrals" in log_f.__qualname__ else "tau_cells"
+
+        def counted(grp, x):
+            out[key] += x.size * n_owners
+            return log_f(grp, x)
+
+        return real_quad(counted, bounds, n_owners=n_owners, **kwargs)
+
+    def random_stats(tau, comparison):
+        out["stats_elements"] += np.size(tau) * comparison.k
+        return real_stats(tau, comparison)
+
+    monkeypatch.setattr(marginal, "log_quad_batch", log_quad_batch)
+    monkeypatch.setattr(marginal, "random_stats", random_stats)
+    return out
+
+
+def _within_budget(counts: dict, budget: dict) -> None:
+    assert all(v > 0 for v in counts.values()), counts  # every counter still sees its work
+    over = {k: (v, budget[k]) for k, v in counts.items() if v > budget[k]}
+    assert not over, f"work above budget (count, budget): {over}"
+
+
+def test_rank_sweep_within_budget(workloads, counts, tmp_path):
+    for op in workloads.rank_ops(np.random.default_rng(1), str(tmp_path)):
+        assert main(list(op.argv)) == 0
+    _within_budget(counts, BUDGETS["rank"])
+
+
+def test_analyze_within_budget(workloads, counts, tmp_path):
+    op = workloads.analyze_ops(np.random.default_rng(1), str(tmp_path))[0]
+    assert main(list(op.argv)) == 0
+    _within_budget(counts, BUDGETS["analyze"])

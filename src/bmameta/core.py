@@ -105,10 +105,18 @@ class Comparison:
         """(effects, std errors) sorted by (se, effect).
 
         Every likelihood reduction runs in this order, which makes all
-        downstream numbers bit-identical under study permutation.
+        downstream numbers bit-identical under study permutation.  A
+        comparison whose total precision sum(1 / se**2), the S0 of every
+        fixed-effect likelihood, overflows (from se ~1e-154 down, where se**2
+        turns subnormal and then 0) is a DomainError.
         """
         idx = np.lexsort((self.effects, self.std_errors))
-        return self.effects[idx], self.std_errors[idx]
+        y, se = self.effects[idx], self.std_errors[idx]
+        with np.errstate(divide="ignore", over="ignore"):
+            if np.isinf(np.sum(1.0 / (se * se))):
+                raise DomainError(f"comparison {self.id!r}: its precision sum(1/se**2) overflows at its "
+                                  f"smallest se {float(se[0])!r}")
+        return y, se
 
     def subset(self, indices: Sequence[int]) -> "Comparison":
         return Comparison(tuple(self.studies[i] for i in indices), self.id)

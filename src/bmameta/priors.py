@@ -13,6 +13,11 @@ uniform or halfnormal (:class:`bmameta.marginal.ModelSpec`).
 The half-normal with parameter ``sd`` is the zero-truncated normal with
 that standard deviation.  The inverse-gamma scale ``b`` follows the
 convention ``pdf(x) ~ x**(-shape-1) * exp(-b/x)``.
+
+:func:`fit_mle` fits a family by one Nelder-Mead run from every parameter
+at 1, on the sample divided by a power of two that brings its largest
+magnitude into [1, 2); the fitted scale is multiplied back.  So a fit in
+any units is the unit-scale fit, and the start needs no moment heuristic.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import (
@@ -270,7 +275,17 @@ class PriorSpec:
             loc, s, df = p
             z = (x - loc) / s
             const = _gammaln_half_step(df / 2.0) - 0.5 * math.log(df * math.pi) - math.log(s)
-            out = const - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+            with np.errstate(over="ignore"):
+                q = z * z / df
+            log1p_q = np.log1p(q)
+            far = np.isinf(q)
+            if np.any(far):
+                # past |z| ~ 1e154 sqrt(df) the quotient overflows, but
+                # log1p(z^2 / df) = 2 log|z| - log df + log1p(df / z^2) is in range
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    wide = 2.0 * np.log(np.abs(z)) - math.log(df) + np.log1p(df / (z * z))
+                log1p_q = np.where(far, wide, log1p_q)
+            out = const - 0.5 * (df + 1.0) * log1p_q
         elif f == "gamma":
             k, theta = p
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -404,7 +419,9 @@ def parse_prior(text: str) -> PriorSpec:
 # --------------------------------------------------------------------------
 
 
-def _check_fit_data(family: str, data: np.ndarray) -> None:
+def _unit_sample(family: str, data: np.ndarray) -> tuple:
+    """``(data / c, c)`` for c the largest power of two not above the
+    data's largest magnitude, once the data are checked to suit ``family``."""
     if data.size == 0:
         raise DegenerateDataError("cannot fit a distribution to an empty sample")
     if not np.all(np.isfinite(data)):
@@ -413,70 +430,21 @@ def _check_fit_data(family: str, data: np.ndarray) -> None:
         raise DomainError(f"{family} requires strictly positive data")
     if family == "halfnormal" and np.any(data < 0):
         raise DomainError("halfnormal requires non-negative data")
-    if np.var(data) == 0.0:
+    c = math.ldexp(1.0, math.frexp(float(np.max(np.abs(data))))[1] - 1)
+    unit = data / c
+    if np.var(unit) == 0.0:
         raise DegenerateDataError("fit data has zero variance")
+    return unit, c
 
 
-def _nelder_mead(neg_ll, starts: Sequence[np.ndarray]) -> np.ndarray:
-    from scipy import optimize  # only fitting needs it; importing it costs ~0.4 s
-
-    best = None
-    for x0 in starts:
-        res = optimize.minimize(
-            neg_ll,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 8000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return best.x
-
-
-def _rms_starts(data: np.ndarray) -> list:
-    # a zero-centred scale: the root mean square, perturbed
-    x0 = np.array([math.log(math.sqrt(float(np.mean(data**2))))])
-    return [x0, x0 + math.log(1.5), x0 - math.log(1.8)]
-
-
-def _t_starts(data: np.ndarray) -> list:
-    # a robust scale (MAD, floored at a quarter of the sd) at df 5, 2 and 30
-    mad = float(np.median(np.abs(data - np.median(data)))) * 1.4826
-    scale0 = max(mad, 0.25 * math.sqrt(float(np.var(data))), 1e-8)
-    return [np.array([math.log(scale0), math.log(df0)]) for df0 in (5.0, 2.0, 30.0)]
-
-
-def _gamma_starts(data: np.ndarray) -> list:
-    mean, var = float(np.mean(data)), float(np.var(data))
-    shape_mom, scale_mom = mean * mean / var, var / mean
-    # Log-moment initial guess (method of Ye & Chen style closed form).
-    s = math.log(mean) - float(np.mean(np.log(data)))
-    shape_log = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s) if s > 0 else shape_mom
-    return [
-        np.array([math.log(shape_mom), math.log(scale_mom)]),
-        np.array([math.log(shape_log), math.log(mean / shape_log)]),
-        np.array([math.log(shape_mom * 1.6), math.log(scale_mom / 1.6)]),
-    ]
-
-
-def _invgamma_starts(data: np.ndarray) -> list:
-    mean = float(np.mean(data))
-    a0 = mean * mean / float(np.var(data)) + 2.0
-    b0 = mean * (a0 - 1.0)
-    return [
-        np.array([math.log(a0), math.log(b0)]),
-        np.array([math.log(a0 * 1.7), math.log(b0 * 1.7)]),
-        np.array([math.log(max(a0 / 1.7, 0.2)), math.log(b0 / 1.7)]),
-    ]
-
-
-#: family -> (prior from its positive parameters, data -> starts as log parameters)
+#: family -> (number of positive parameters fitted, (c, *parameters) -> the
+#: prior for data c times those the parameters were fitted to)
 _FITS = {
-    "normal": (lambda sd: PriorSpec.normal(0.0, sd), _rms_starts),
-    "t": (lambda scale, df: PriorSpec.t(0.0, scale, df), _t_starts),
-    "halfnormal": (PriorSpec.halfnormal, _rms_starts),
-    "gamma": (PriorSpec.gamma, _gamma_starts),
-    "invgamma": (PriorSpec.invgamma, _invgamma_starts),
+    "normal": (1, lambda c, sd: PriorSpec.normal(0.0, sd * c)),
+    "t": (2, lambda c, scale, df: PriorSpec.t(0.0, scale * c, df)),
+    "halfnormal": (1, lambda c, sd: PriorSpec.halfnormal(sd * c)),
+    "gamma": (2, lambda c, shape, scale: PriorSpec.gamma(shape, scale * c)),
+    "invgamma": (2, lambda c, shape, scale: PriorSpec.invgamma(shape, scale * c)),
 }
 
 #: Families accepted by :func:`fit_mle`.
@@ -491,19 +459,38 @@ def fit_mle(family: str, data) -> PriorSpec:
     effect-size priors are built, and only the scale (and the t's df) is
     fitted.
 
-    Optimization is Nelder-Mead on the log of the positive parameters,
-    restarted from three moment-based initial guesses.
+    The fit runs on the unit-scale sample, the data divided by c, the
+    largest power of two not above their largest magnitude, and multiplies
+    the fitted scale by c.  Dividing by a power of two is exact, so the
+    same sample in other units gets the same shape and df bit for bit, and
+    the same scale in those units.  Optimization is one Nelder-Mead run on
+    the log of the positive parameters, started with every parameter at 1;
+    where a parameter's exponential leaves (0, inf) the negative
+    log-likelihood is inf.  A sample whose unit-scale log-likelihood is
+    not finite at that start, which happens only when its values span
+    more than the float range allows, is a DomainError.
     """
     if family not in _FITS:
         raise UnsupportedOperationError(f"family {family!r} is not fittable")
-    prior, starts = _FITS[family]
+    n_params, prior = _FITS[family]
     data = np.asarray(data, dtype=float).ravel()
-    _check_fit_data(family, data)
-
-    def spec(theta) -> PriorSpec:
-        return prior(*(math.exp(v) for v in theta))
+    unit, c = _unit_sample(family, data)
 
     def neg_ll(theta):
-        return -float(np.sum(spec(theta).log_pdf(data)))
+        # a parameter or density out of range is a zero likelihood
+        with np.errstate(over="ignore"):
+            params = np.exp(theta)
+            if not np.all((params > 0.0) & (params < math.inf)):
+                return math.inf
+            return -float(np.sum(prior(1.0, *params).log_pdf(unit)))
 
-    return spec(_nelder_mead(neg_ll, starts(data)))
+    start = np.zeros(n_params)
+    if not math.isfinite(neg_ll(start)):
+        low, high = float(np.min(np.abs(data))), float(np.max(np.abs(data)))
+        raise DomainError(f"cannot fit {family}: the sample's magnitudes, {low!r} to {high!r}, "
+                          "span more than the float range allows")
+    from scipy import optimize  # only fitting needs it; importing it costs ~0.4 s
+
+    res = optimize.minimize(neg_ll, start, method="Nelder-Mead",
+                            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 8000})
+    return prior(c, *np.exp(res.x))

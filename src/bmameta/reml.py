@@ -154,13 +154,14 @@ def reml_fits(comparisons: Sequence[Comparison]) -> list:
     # Near the optimum the log likelihood is flat to float noise, so when
     # the analytic score changes sign across the scan cell, a sign bisection
     # pins the interior root down to machine precision (translation
-    # equivariance needs this).
+    # equivariance needs this).  The stopping width is relative to the
+    # bracket, so the fit of data times a power of two is the fit times it.
     s_lo, s_hi = lo, hi
     straddle = corpus.evaluate(_score, s_lo, every) > 0.0
     straddle &= corpus.evaluate(_score, s_hi, straddle) < 0.0
 
     def bisecting():
-        return straddle & ((s_hi - s_lo) > 1e-15 * np.maximum(s_hi, 1.0))
+        return straddle & ((s_hi - s_lo) > 1e-15 * s_hi)
 
     running = bisecting()
     while running.any():
@@ -182,12 +183,12 @@ def reml_fits(comparisons: Sequence[Comparison]) -> list:
     )
     tau_hat = np.where(boundary, 0.0, tau_hat)
 
-    # mu and S0 per group at tau_hat**2, a scalar power as the fit has always
-    # formed it (one ulp off tau_hat * tau_hat for some tau)
-    t2 = np.array([t**2 for t in tau_hat])
+    # mu and S0 per group at tau_hat * tau_hat, the tau**2 of the scan and
+    # the bisection, which scales exactly with the data
     mu, s0 = np.empty(n), np.empty(n)
     for rows, y, v in corpus.groups:
-        _, mu[rows], s0[rows] = _normal_stats(y, v + t2[rows, None])
+        t = tau_hat[rows, None]
+        _, mu[rows], s0[rows] = _normal_stats(y, v + t * t)
     return [RemlFit(float(d), float(t), 1.0 / math.sqrt(s)) for d, t, s in zip(mu, tau_hat, s0)]
 
 

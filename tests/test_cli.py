@@ -134,6 +134,25 @@ class TestAnalyze:
         csv = write(tmp_path / "bigse.csv", "effect,se\n0.1,1e160\n0.2,2e160\n0,1.5e160\n")
         assert main(["analyze", csv, "--subfield", "Oral Health"]) == 0
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 6e-155])
+    def test_standard_errors_whose_precision_overflows_are_one_error(self, tmp_path, scale, capsys,
+                                                                     caplog):
+        # sum(1/se**2) overflows: at 1e-300 se**2 is 0, at 1e-160 it is
+        # subnormal, and at 6e-155 each term is finite but their sum is not;
+        # checked once per comparison, before any likelihood
+        rows = ((1.2, 2.1), (0.31, 1.5), (0.5, 3.3))
+        csv = write(tmp_path / "tiny.csv", "effect,se\n" + "".join(
+            f"{y * scale!r},{se * scale!r}\n" for y, se in rows))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", csv, "--subfield", "Oral Health"])
+        assert code == 2
+        assert _one_error(caplog) == (f"comparison {csv!r}: its precision sum(1/se**2) overflows at its "
+                                      f"smallest se {1.5 * scale!r}")
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("magnitude", ["1e160", "1e200"])
     def test_effects_that_overflow_the_likelihood_end_in_one_error(self, tmp_path, magnitude, capsys, caplog):
         # the likelihood's squares overflow to inf, a zero likelihood under
@@ -430,11 +449,33 @@ class TestFitPriors:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (scale-free numerics): at 1e-300 se**2 "
-                       "underflows to 0, so REML's weights are infinite")
-    def test_fit_at_the_float_floor_is_the_unit_fit_scaled(self, tmp_path, capsys, monkeypatch):
-        # the benchmark's seed-1 corpus, and that corpus with every effect and
-        # se times 1e-300 fitted with the tau floor times 1e-300
+    def test_one_effect_far_above_the_rest_fits_without_a_warning(self, tmp_path, capsys):
+        # c0's REML estimates are ~1e152, some 150 orders of magnitude above
+        # the others: the raw-scale gamma fit's log scale passed 709, an
+        # OverflowError, and the t density's z**2/df overflowed
+        rng = np.random.default_rng(3)
+        rows = []
+        for c in range(3):
+            for i in range(10):
+                effect = 1e153 if (c, i) == (0, 0) else rng.normal(0.2, 0.3)
+                se = rng.uniform(0.1, 0.4)
+                rows.append(f"c{c},{effect!r},{se!r}")
+        csv = write(tmp_path / "far.csv", "comparison_id,effect,se\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "cand.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit-priors", csv, "--min-studies", "5", "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert json.loads(out.read_text())["provenance"]["retained_comparisons"] == 3
+
+    @staticmethod
+    def _unit_and_scaled_fits(tmp_path, capsys, monkeypatch, factor, tau_floor):
+        """The fits of the benchmark's seed-1 corpus, and of that corpus with
+        every effect and se times ``factor`` and ``--tau-floor tau_floor``;
+        the scaled run must exit 0 without a RuntimeWarning."""
         monkeypatch.syspath_prepend(str(BENCH))
         op = importlib.import_module("workloads").fit_op(np.random.default_rng(1), str(tmp_path))
         assert main(list(op.argv)) == 0
@@ -442,12 +483,12 @@ class TestFitPriors:
         lines = Path(op.argv[1]).read_text().splitlines()
         scaled = [lines[0]] + [
             row if row.endswith(",,") else
-            ",".join([row.split(",")[0]] + [repr(float(v) * 1e-300) for v in row.split(",")[1:]])
+            ",".join([row.split(",")[0]] + [repr(float(v) * factor) for v in row.split(",")[1:]])
             for row in lines[1:]
         ]
-        csv = write(tmp_path / "tiny.csv", "\n".join(scaled) + "\n")
-        out = tmp_path / "tiny.json"
-        argv = ["fit-priors", csv, *op.argv[2:-2], "--tau-floor", "1e-302", "--out", str(out)]
+        csv = write(tmp_path / "scaled.csv", "\n".join(scaled) + "\n")
+        out = tmp_path / "scaled.json"
+        argv = ["fit-priors", csv, *op.argv[2:-2], "--tau-floor", tau_floor, "--out", str(out)]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -455,15 +496,37 @@ class TestFitPriors:
         assert code == 0
         assert "RuntimeWarning" not in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        tiny = json.loads(out.read_text())
-        # the indices of each fitted family's location and scale parameters
-        scales = {"normal": (0, 1), "t": (0, 1), "halfnormal": (0,), "invgamma": (1,), "gamma": (1,)}
+        return unit, json.loads(out.read_text())
+
+    #: the indices of each fitted family's location and scale parameters
+    SCALES = {"normal": (0, 1), "t": (0, 1), "halfnormal": (0,), "invgamma": (1,), "gamma": (1,)}
+
+    def test_fit_times_a_power_of_two_is_the_unit_fit_times_it(self, tmp_path, capsys, monkeypatch):
+        # REML's bisection width and fit_mle's unit scale are both relative,
+        # so scaling by 2**-160 commutes exactly with every fit
+        factor = 2.0**-160
+        unit, scaled = self._unit_and_scaled_fits(tmp_path, capsys, monkeypatch, factor,
+                                                  repr(0.01 * factor))
+        for key in ("delta_priors", "tau_priors"):
+            # the first prior of each list is a fixed default, never fitted
+            for a, b in zip(unit[key][1:], scaled[key][1:]):
+                a, b = parse_prior(a), parse_prior(b)
+                assert a.family == b.family
+                assert b.params == tuple(v * factor if i in self.SCALES[a.family] else v
+                                         for i, v in enumerate(a.params)), (a, b)
+        assert {**scaled["provenance"], "tau_floor": 0.01} == unit["provenance"]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (scale-free numerics): at 1e-300 se**2 "
+                       "underflows to 0, so REML's weights are infinite")
+    def test_fit_at_the_float_floor_is_the_unit_fit_scaled(self, tmp_path, capsys, monkeypatch):
+        # the corpus times 1e-300, fitted with the tau floor times 1e-300
+        unit, tiny = self._unit_and_scaled_fits(tmp_path, capsys, monkeypatch, 1e-300, "1e-302")
         for key in ("delta_priors", "tau_priors"):
             # the first prior of each list is a fixed default, never fitted
             for a, b in zip(unit[key][1:], tiny[key][1:]):
                 a, b = parse_prior(a), parse_prior(b)
                 assert a.family == b.family
-                want = [v * 1e-300 if i in scales[a.family] else v for i, v in enumerate(a.params)]
+                want = [v * 1e-300 if i in self.SCALES[a.family] else v for i, v in enumerate(a.params)]
                 assert b.params == pytest.approx(want, rel=1e-9, abs=0.0), (a, b)
 
 

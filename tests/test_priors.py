@@ -117,6 +117,21 @@ class TestLogPdf:
                     for x in xs]
         assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want))), got - want
 
+    @pytest.mark.parametrize("nu", [0.01, 3.0, 1e6])
+    def test_t_density_past_the_overflow_of_z_squared_matches_mpmath(self, nu):
+        # z * z / nu overflows from |z| ~ 1.3e154 sqrt(nu); below that the
+        # direct form is kept (the second point is below it)
+        mp = pytest.importorskip("mpmath")
+        loc, scale = 0.1, 0.5
+        xs = np.array([-1e300, 1e150 * math.sqrt(nu), 1e155 * math.sqrt(nu), 1e200])
+        got = PriorSpec.t(loc, scale, nu).log_pdf(xs)
+        with mp.workdps(40):
+            n, s = mp.mpf(nu), mp.mpf(scale)
+            const = mp.loggamma((n + 1) / 2) - mp.loggamma(n / 2) - mp.log(n * mp.pi) / 2 - mp.log(s)
+            want = [float(const - (n + 1) / 2 * mp.log1p(((mp.mpf(x) - mp.mpf(loc)) / s) ** 2 / n))
+                    for x in xs]
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want)), got - want
+
     @pytest.mark.parametrize("nu", [1.0, 3.0, 5.0, 19.0])
     def test_t_density_below_the_series_keeps_the_direct_form(self, nu):
         from scipy.special import gammaln
@@ -348,6 +363,25 @@ class TestFitMle:
                 )
                 best_grid = max(best_grid, ll)
         assert ll_fit >= best_grid - 1e-9
+
+    @pytest.mark.parametrize("family", priors.FITTABLE_FAMILIES)
+    @pytest.mark.parametrize("factor", [2.0**-900, 2.0**-3, 2.0**800], ids=["2^-900", "2^-3", "2^800"])
+    def test_fit_of_data_times_a_power_of_two_is_the_fit_times_it(self, family, factor):
+        # the fit runs on the data over a power of two, so its only scale is
+        # the data's: shapes and df are the same bits, scales times factor
+        rng = np.random.default_rng(105)
+        data = np.abs(PriorSpec.t(0.0, 0.33, 3.0).sample(rng, 200))
+        unit, scaled = fit_mle(family, data), fit_mle(family, data * factor)
+        scale_at = {"normal": 1, "t": 1, "halfnormal": 0, "gamma": 1, "invgamma": 1}[family]
+        assert scaled.params == tuple(v * factor if i == scale_at else v
+                                      for i, v in enumerate(unit.params))
+
+    def test_sample_beyond_the_float_range_is_a_domain_error(self):
+        # over its largest value the smallest is 0, so the gamma and
+        # inverse-gamma log-likelihoods are not finite at any parameters
+        for family in ("gamma", "invgamma"):
+            with pytest.raises(DomainError, match="span more than the float range"):
+                fit_mle(family, [1e300, 0.5, 1e-300])
 
     def test_out_of_support(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from bmameta import (
     reml_fits,
     restricted_loglik,
 )
+from bmameta.cli import read_corpus_csv
 from conftest import make_comparison
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -66,7 +71,7 @@ def _oracle(comparison, golden=False):
     straddle = bool(score(lo) > 0.0 > score(hi))
     if straddle:
         s_lo, s_hi = lo, hi
-        while (s_hi - s_lo) > 1e-15 * max(1.0, s_hi):
+        while (s_hi - s_lo) > 1e-15 * s_hi:
             mid = 0.5 * (s_lo + s_hi)
             s_lo, s_hi = (mid, s_hi) if score(mid) > 0.0 else (s_lo, mid)
         candidate = 0.5 * (s_lo + s_hi)
@@ -74,7 +79,7 @@ def _oracle(comparison, golden=False):
             tau_hat = candidate
     if loglik(np.asarray(0.0)) >= loglik(np.asarray(tau_hat)) - 1e-9:
         tau_hat = 0.0
-    w = 1.0 / (v + tau_hat**2)
+    w = 1.0 / (v + tau_hat * tau_hat)
     fit = RemlFit(
         delta_hat=float(np.sum(w * y) / np.sum(w)),
         tau_hat=float(tau_hat),
@@ -218,3 +223,17 @@ def test_prepare_training_pairs_unchanged(corpus, oracle_runs):
 def test_batch_with_a_single_study_comparison_raises(corpus):
     with pytest.raises(InsufficientDataError):
         reml_fits(corpus[:3] + [Comparison((Study(0.1, 0.2),))])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fits_of_data_times_a_power_of_two_are_the_fits_times_it(seed, tmp_path, monkeypatch):
+    # the bisection stops at a width relative to its bracket and the final
+    # tau**2 is tau * tau, so every step scales exactly with the data
+    monkeypatch.syspath_prepend(str(BENCH))
+    op = importlib.import_module("workloads").fit_op(np.random.default_rng(seed), str(tmp_path))
+    comparisons, _ = read_corpus_csv(op.argv[1], {})
+    f = 2.0**-160
+    scaled = [Comparison(tuple(Study(s.effect * f, s.se * f) for s in c.studies), c.id)
+              for c in comparisons]
+    assert reml_fits(scaled) == [RemlFit(r.delta_hat * f, r.tau_hat * f, r.se_delta * f)
+                                 for r in reml_fits(comparisons)]

@@ -15,7 +15,6 @@ from .averaging import (
     ModelEnsemble,
     build_standard_ensemble,
     evaluate,
-    inclusion_bf,
     log_inclusion_bfs,
     mixture_summary,
     sequential_update,
@@ -23,7 +22,6 @@ from .averaging import (
 from .core import (
     Comparison,
     Study,
-    loglik_fixed,
     loglik_random,
     smd_from_raw,
 )
@@ -45,7 +43,7 @@ from .errors import (
 from .forest import forest_svg
 from .marginal import ModelSpec, PosteriorSummary, log_marginal, posterior_summary
 from .priors import FAMILIES, FITTABLE_FAMILIES, PriorSpec, fit_mle, parse_prior
-from .quadrature import log_quad, log_quad_batch
+from .quadrature import log_quad_batch
 from .ranking import (
     InclusionSummary,
     RankingRow,
@@ -73,14 +71,14 @@ __all__ = [
     # priors
     "PriorSpec", "fit_mle", "parse_prior", "FAMILIES", "FITTABLE_FAMILIES",
     # core
-    "Study", "Comparison", "smd_from_raw", "loglik_fixed", "loglik_random",
+    "Study", "Comparison", "smd_from_raw", "loglik_random",
     # quadrature
-    "log_quad", "log_quad_batch",
+    "log_quad_batch",
     # marginal
     "ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary",
     # averaging
     "MODEL_TYPES", "EnsembleMember", "ModelEnsemble", "BmaResult",
-    "build_standard_ensemble", "evaluate", "inclusion_bf", "log_inclusion_bfs",
+    "build_standard_ensemble", "evaluate", "log_inclusion_bfs",
     "sequential_update",
     "mixture_summary",
     # reml

@@ -54,7 +54,6 @@ __all__ = [
     "evaluate",
     "corpus_log_marginals",
     "log_posteriors",
-    "inclusion_bf",
     "log_inclusion_bfs",
     "sequential_update",
     "mixture_summary",
@@ -242,18 +241,6 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     return logsumexp(np.ascontiguousarray(a), axis=1)
 
 
-def inclusion_bf(ensemble: ModelEnsemble, posterior_probs, in_indices) -> float:
-    """Bayes factor for a bipartition, from posterior model probabilities.
-
-    The exponential of :func:`log_inclusion_bfs`.  A zero denominator, or
-    a factor beyond the float range, yields ``inf`` (check with
-    ``math.isinf``) rather than an exception.
-    """
-    with np.errstate(divide="ignore"):
-        log_post = np.log(np.asarray(posterior_probs, dtype=float))
-    return _exp_bf(float(log_inclusion_bfs(ensemble, log_post, in_indices)[0]))
-
-
 def mixture_summary(summaries: Sequence[PosteriorSummary], weights) -> PosteriorSummary:
     """Posterior summary of a weighted mixture, on the combined grid."""
     weights = np.asarray(weights, dtype=float)
@@ -431,28 +418,20 @@ def evaluate(
 def sequential_update(
     ensemble: ModelEnsemble,
     comparison: Comparison,
-    order: Optional[Sequence[int]] = None,
     *,
     rel_tol: float = 1e-9,
 ) -> list:
-    """Re-evaluate the ensemble on growing study prefixes.
+    """Re-evaluate the ensemble on growing study prefixes, in input order.
 
-    ``order`` must be a permutation of the study indices; the default is
-    input order.  Element ``t`` is the result, without posterior
-    summaries, for the first ``t+1`` studies: bit for bit
-    ``evaluate(ensemble, prefix, summaries=False)``, so the final element
-    matches a full batch evaluation.  The prefixes are the comparisons of
-    one :func:`corpus_log_marginals` pass; the first prefix that fails
-    raises its error, and no later chunk of prefixes is evaluated.
+    Element ``t`` is the result, without posterior summaries, for the
+    first ``t+1`` studies: bit for bit ``evaluate(ensemble, prefix,
+    summaries=False)``, so the final element matches a full batch
+    evaluation.  For another order, pass ``comparison.subset(order)``.
+    The prefixes are the comparisons of one :func:`corpus_log_marginals`
+    pass; the first prefix that fails raises its error, and no later chunk
+    of prefixes is evaluated.
     """
-    k = comparison.k
-    if order is None:
-        order = list(range(k))
-    else:
-        order = [int(i) for i in order]
-        if sorted(order) != list(range(k)):
-            raise ParameterError("order must be a permutation of the study indices")
-    prefixes = [comparison.subset(order[:t]) for t in range(1, k + 1)]
+    prefixes = [comparison.subset(range(t)) for t in range(1, comparison.k + 1)]
     rows = []
     for out in corpus_log_marginals(ensemble, prefixes, rel_tol=rel_tol):
         if isinstance(out, BmaMetaError):

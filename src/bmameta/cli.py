@@ -23,7 +23,7 @@ from typing import Optional
 from . import catalog
 from .averaging import build_standard_ensemble, evaluate, sequential_update
 from .core import Comparison, Study, smd_from_raw
-from .errors import BmaMetaError, InputError, ParseError
+from .errors import BmaMetaError, InputError, ParameterError, ParseError
 from .forest import forest_svg
 from .priors import parse_prior
 from .ranking import (
@@ -272,6 +272,8 @@ def _write_all(text: str, out: Optional[str], files: Optional[dict] = None) -> N
 
 
 def cmd_analyze(args) -> int:
+    if args.out and args.forest and os.path.realpath(args.out) == os.path.realpath(args.forest):
+        raise ParameterError(f"--out and --forest name the same file {args.forest!r}")
     studies = read_analysis_csv(args.input, _parse_map(args.map))
     delta_prior, tau_prior, subfield, matched = _resolve_priors(args)
     model_priors = _parse_model_priors(args.model_priors)

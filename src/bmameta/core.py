@@ -25,7 +25,6 @@ __all__ = [
     "Study",
     "Comparison",
     "smd_from_raw",
-    "loglik_fixed",
     "loglik_random",
 ]
 
@@ -69,11 +68,6 @@ class Study:
             raise DomainError(f"study effect must be finite, got {self.effect!r}")
         if not (math.isfinite(self.se) and self.se > 0):
             raise DomainError(f"study standard error must be finite and > 0, got {self.se!r}")
-
-    @staticmethod
-    def from_raw(n1, mean1, sd1, n2, mean2, sd2, label: str = "") -> "Study":
-        effect, se = smd_from_raw(n1, mean1, sd1, n2, mean2, sd2)
-        return Study(effect, se, label)
 
 
 @dataclass(frozen=True)
@@ -195,14 +189,6 @@ def random_stats(tau, comparison: Comparison) -> tuple:
     step = max(1, _STATS_CELLS // y.size)
     parts = [_normal_stats(y, se2 + sq[i:i + step]) for i in range(0, max(1, sq.shape[0]), step)]
     return tuple(np.concatenate(v).reshape(tau.shape) for v in zip(*parts))
-
-
-def loglik_fixed(delta, comparison: Comparison):
-    """Log likelihood of a common effect ``delta`` (tau = 0).
-
-    ``delta`` may be a scalar or an array; the result has its shape.
-    """
-    return loglik_random(delta, 0.0, comparison)
 
 
 def loglik_random(delta, tau, comparison: Comparison):

@@ -116,9 +116,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
 
-from .core import Comparison, loglik_from_stats, loglik_random, random_stats
+from .core import _LOG_2PI, Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
-from .priors import _LOG_2PI, PriorSpec, _gammaln_half_step, _gammaln_k
+from .priors import PriorSpec, _gammaln_half_step, _gammaln_k
 from .quadrature import _NODES, _WEIGHTS_K, log_quad_batch
 
 __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
@@ -789,13 +789,17 @@ def _distinct_rows(x: np.ndarray) -> tuple:
     return first, inverse
 
 
-def _log_trapz(log_y: np.ndarray, x: np.ndarray) -> float:
-    h = np.diff(x)
-    w = np.zeros_like(x)
+def _trapz_weights(h: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights of the nodes of a grid with spacings ``h``."""
+    w = np.zeros(h.size + 1)
     w[:-1] += 0.5 * h
     w[1:] += 0.5 * h
+    return w
+
+
+def _log_trapz(log_y: np.ndarray, x: np.ndarray) -> float:
     with np.errstate(divide="ignore"):
-        vals = log_y + np.log(w)
+        vals = log_y + np.log(_trapz_weights(np.diff(x)))
     m = np.max(vals)
     if not np.isfinite(m):
         return -np.inf
@@ -900,25 +904,19 @@ def posterior_summary(
 
 
 def summarize_grid(x: np.ndarray, pdf: np.ndarray) -> PosteriorSummary:
-    """Moments and central-interval quantiles of a density known on a grid."""
+    """Moments and central-interval quantiles of a density known on a grid;
+    the quantiles interpolate its cumulative-trapezoid CDF."""
     h = np.diff(x)
-    w = np.zeros_like(x)
-    w[:-1] += 0.5 * h
-    w[1:] += 0.5 * h
+    w = _trapz_weights(h)
     mass = float(np.sum(w * pdf))
     pdf = pdf / mass
     mean = float(np.sum(w * pdf * x))
     var = float(np.sum(w * pdf * (x - mean) ** 2))
-    q = np.interp([0.025, 0.5, 0.975], grid_cdf(x, pdf), x)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (pdf[:-1] + pdf[1:]))])
+    q = np.interp([0.025, 0.5, 0.975], cdf / cdf[-1], x)
     return PosteriorSummary(
         mean=mean, median=float(q[1]), sd=math.sqrt(max(var, 0.0)),
         ci_lower=float(q[0]), ci_upper=float(q[2]),
         grid_x=x, grid_pdf=pdf,
     )
 
-
-def grid_cdf(x: np.ndarray, pdf: np.ndarray) -> np.ndarray:
-    """Cumulative-trapezoid CDF of a density on a grid, scaled to end at 1."""
-    h = np.diff(x)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (pdf[:-1] + pdf[1:]))])
-    return cdf / cdf[-1]

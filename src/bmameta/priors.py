@@ -41,6 +41,7 @@ from scipy.special import (
     stdtrit,
 )
 
+from .core import _LOG_2PI
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -51,7 +52,6 @@ from .errors import (
 
 __all__ = ["PriorSpec", "fit_mle", "parse_prior", "FAMILIES", "FITTABLE_FAMILIES"]
 
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # K(a) from Stirling's series from this a up: its first omitted term,
 # 1/(156 a**13), is below 1e-15 there.

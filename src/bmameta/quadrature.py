@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["log_quad", "log_quad_batch"]
+__all__ = ["log_quad_batch"]
 
 _MAX_ROUNDS = 64
 # integrand values per evaluation block (4 MB of doubles) and the cap on
@@ -298,26 +298,3 @@ def _not_converged(how: str, total, err, live, group_ids) -> ConvergenceError:
         f"quadrature failed to converge {how} (worst owner {col} of group {group_ids[row]})",
         bracket=(float(total[worst]), float(err[worst])),
     )
-
-
-
-def log_quad(
-    log_f: Callable[[np.ndarray], np.ndarray],
-    lower: float,
-    upper: float,
-    *,
-    seeds: Optional[np.ndarray] = None,
-    rel_tol: float = 1e-9,
-) -> float:
-    """Single-integral convenience wrapper around :func:`log_quad_batch`.
-
-    ``log_f`` receives plain arrays of abscissae; its result is consumed
-    as in :func:`log_quad_batch`.
-    """
-    result = log_quad_batch(
-        lambda _grp, x: log_f(x)[..., None],
-        np.array([[lower, upper]]),
-        seeds=seeds,
-        rel_tol=rel_tol,
-    )
-    return float(result[0, 0])

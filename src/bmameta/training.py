@@ -4,8 +4,8 @@ The training procedure drops comparisons that are too small or contain
 non-estimable studies, re-estimates the survivors with REML, and fits
 candidate prior families to the resulting estimate lists.  Effect
 estimates from every retained comparison feed the effect-size priors;
-heterogeneity estimates below ``tau_floor`` are treated as fixed-effect
-cases and excluded from the heterogeneity priors only.
+heterogeneity estimates of 0 or below ``tau_floor`` are treated as
+fixed-effect cases and excluded from the heterogeneity priors only.
 
 The candidate layout is fixed: two default uninformed priors (a Cauchy
 with scale 1/sqrt(2) for the effect, a uniform on [0, 1] for the
@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 from .core import Comparison
-from .errors import EmptyTrainingError, ParameterError, ParseError
+from .errors import EmptyTrainingError, InsufficientDataError, ParameterError, ParseError
 from .priors import PriorSpec, fit_mle
 from .reml import (
     reml_fit,  # noqa: F401 - unused here, but bench/tracing.py wraps this name
@@ -136,8 +136,11 @@ def prepare_training(
     ``non_estimable_counts`` maps comparison ids to the number of studies
     that could not be parsed from the source file; any comparison with
     one or more is dropped (its unparsed studies still count toward the
-    ``min_studies`` threshold).  Returns ``(TrainingEstimates,
-    TrainingProvenance)``.
+    ``min_studies`` threshold).  A REML estimate tau_hat feeds the
+    heterogeneity list only if it is above 0 and at least ``tau_floor``:
+    REML puts tau_hat at exactly 0 for a homogeneous comparison, the
+    fixed-effect case, so even a floor of 0 drops it.  Returns
+    ``(TrainingEstimates, TrainingProvenance)``.
     """
     if min_studies < 2:
         raise ParameterError("min_studies must be at least 2")
@@ -167,7 +170,7 @@ def prepare_training(
     pairs = [(fit.delta_hat, fit.tau_hat) for fit in fits]
 
     deltas = tuple(d for d, _ in pairs)
-    taus = tuple(t for _, t in pairs if t >= tau_floor)
+    taus = tuple(t for _, t in pairs if t > 0.0 and t >= tau_floor)
     estimates = TrainingEstimates(pairs=tuple(pairs), deltas=deltas, taus=taus)
     provenance = TrainingProvenance(
         input_comparisons=input_comparisons,
@@ -194,11 +197,21 @@ def fit_candidates(
 
     Effect-size priors: the fixed Cauchy default plus zero-centered
     normal and Student-t fits.  Heterogeneity priors: the fixed uniform
-    default plus half-normal, inverse-gamma and gamma fits.  Fit errors
-    (degenerate or out-of-support data) propagate unchanged.
+    default plus half-normal, inverse-gamma and gamma fits, on the
+    heterogeneity estimates :func:`prepare_training` kept (above 0 and at
+    least the floor).  If it kept none, the error is an
+    :class:`InsufficientDataError` that gives the counts.  Other fit
+    errors (degenerate or out-of-support data) propagate unchanged.
     """
     deltas = list(estimates.deltas)
     taus = list(estimates.taus)
+    if not taus:
+        floor = "" if provenance is None else f" {provenance.tau_floor!r}"
+        zeros = sum(1 for _, t in estimates.pairs if t == 0.0)
+        raise InsufficientDataError(
+            f"all {len(estimates.pairs)} heterogeneity estimates fall below the tau floor{floor}"
+            f" or are 0 ({zeros} are 0): no heterogeneity prior can be fitted"
+        )
     delta_priors = (
         DEFAULT_DELTA_PRIOR,
         fit_mle("normal", deltas),

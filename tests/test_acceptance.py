@@ -94,7 +94,7 @@ def test_criterion_2_marginal_monte_carlo_oracle():
                                tau=float(rng.uniform(0.05, 0.5)), cid=f"mc{i}")
         # H0f: closed form
         h0f = bm.ModelSpec("fixed_H0", POINT0, POINT0)
-        closed = bm.loglik_fixed(0.0, comp)
+        closed = bm.loglik_random(0.0, 0.0, comp)
         ok &= abs(bm.log_marginal(h0f, comp) - closed) <= 1e-12
         for name, model in models.items():
             quad = bm.log_marginal(model, comp)

@@ -347,6 +347,20 @@ class TestAnalyze:
         assert [m["name"] for m in report["models"]][0] == "fixed_H0"
         assert ET.fromstring(svg_path.read_text()).tag.endswith("svg")
 
+    @pytest.mark.parametrize("forest", ["r.out", "sub/../r.out", "{tmp}/r.out"])
+    def test_report_and_forest_at_one_path_is_one_error(self, five_study_csv, tmp_path, monkeypatch,
+                                                        caplog, forest):
+        # one file cannot hold both the report and the plot, however the
+        # path is spelled; nothing is computed or written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.setattr("bmameta.cli.evaluate", lambda *a, **kw: pytest.fail("evaluate called"))
+        forest = forest.format(tmp=tmp_path)
+        assert main(["analyze", five_study_csv, "--out", "r.out", "--forest", forest]) == 2
+        assert _one_error(caplog) == f"--out and --forest name the same file {forest!r}"
+        assert not (tmp_path / "r.out").exists()
+        assert "wrote forest plot" not in caplog.text
+
     def test_unknown_subfield_warns_and_uses_pooled(self, five_study_csv, tmp_path, caplog):
         out = tmp_path / "r.json"
         assert main(["analyze", five_study_csv, "--subfield", "Astral Projection",
@@ -472,12 +486,39 @@ class TestFitPriors:
         assert json.loads(out.read_text())["provenance"]["retained_comparisons"] == 3
 
     @staticmethod
-    def _unit_and_scaled_fits(tmp_path, capsys, monkeypatch, factor, tau_floor):
+    def _bench_fit_op(tmp_path, monkeypatch):
+        """The benchmark's seed-1 fit-priors call, its corpus written."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        return importlib.import_module("workloads").fit_op(np.random.default_rng(1), str(tmp_path))
+
+    def test_tau_floor_zero_drops_the_homogeneous_comparisons(self, tmp_path, monkeypatch):
+        # REML puts tau_hat at exactly 0 for 7 of the corpus's 244 retained
+        # comparisons, which no inverse-gamma fit admits: a floor of 0 drops them
+        op = self._bench_fit_op(tmp_path, monkeypatch)
+        assert main(list(op.argv)) == 0
+        default = json.loads(Path(op.out).read_text())
+        out = tmp_path / "floor0.json"
+        assert main(["fit-priors", *op.argv[1:-2], "--tau-floor", "0", "--out", str(out)]) == 0
+        floor0 = json.loads(out.read_text())
+        assert default["provenance"]["retained_comparisons"] == 244
+        assert floor0["provenance"]["n_tau_estimates"] == default["provenance"]["n_tau_estimates"] == 237
+        assert floor0["provenance"]["n_tau_below_floor"] == 7
+        assert {**floor0, "provenance": {**floor0["provenance"], "tau_floor": 0.01}} == default
+
+    def test_no_tau_estimate_above_the_floor_is_one_error(self, tmp_path, monkeypatch, caplog):
+        op = self._bench_fit_op(tmp_path, monkeypatch)
+        out = tmp_path / "high.json"
+        assert main(["fit-priors", *op.argv[1:-2], "--tau-floor", "1e9", "--out", str(out)]) == 2
+        assert _one_error(caplog) == ("all 244 heterogeneity estimates fall below the tau floor 1000000000.0 "
+                                      "or are 0 (7 are 0): no heterogeneity prior can be fitted")
+        assert not out.exists()
+
+    @classmethod
+    def _unit_and_scaled_fits(cls, tmp_path, capsys, monkeypatch, factor, tau_floor):
         """The fits of the benchmark's seed-1 corpus, and of that corpus with
         every effect and se times ``factor`` and ``--tau-floor tau_floor``;
         the scaled run must exit 0 without a RuntimeWarning."""
-        monkeypatch.syspath_prepend(str(BENCH))
-        op = importlib.import_module("workloads").fit_op(np.random.default_rng(1), str(tmp_path))
+        op = cls._bench_fit_op(tmp_path, monkeypatch)
         assert main(list(op.argv)) == 0
         unit = json.loads(Path(op.out).read_text())
         lines = Path(op.argv[1]).read_text().splitlines()

@@ -9,7 +9,6 @@ from bmameta import (
     DegenerateDataError,
     DomainError,
     Study,
-    loglik_fixed,
     loglik_random,
     smd_from_raw,
 )
@@ -52,12 +51,6 @@ class TestSmdFromRaw:
         assert d_ab == pytest.approx(-d_ba, abs=1e-12)
         assert se_ab == pytest.approx(se_ba, rel=1e-12)
 
-    def test_study_from_raw_carries_summaries(self):
-        s = Study.from_raw(10, 1.0, 1.0, 10, 0.0, 1.0, label="x")
-        assert (s.effect, s.se) == smd_from_raw(10, 1.0, 1.0, 10, 0.0, 1.0)
-        assert s.label == "x"
-        assert s.effect == pytest.approx(1.0)
-
 
 class TestValidation:
     def test_se_positive(self):
@@ -72,14 +65,16 @@ class TestValidation:
 
 
 class TestLoglikFixed:
+    """The fixed-effect likelihood: ``loglik_random`` at tau = 0."""
+
     def test_standard_normal_at_zero(self):
         c = Comparison((Study(0.0, 1.0),))
-        assert loglik_fixed(0.0, c) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
+        assert loglik_random(0.0, 0.0, c) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
 
     def test_two_identical_studies_double(self):
         one = Comparison((Study(0.4, 0.7),))
         two = Comparison((Study(0.4, 0.7), Study(0.4, 0.7)))
-        assert loglik_fixed(0.1, two) == loglik_fixed(0.1, one) * 2.0
+        assert loglik_random(0.1, 0.0, two) == loglik_random(0.1, 0.0, one) * 2.0
 
     def test_five_study_term_by_term_oracle(self, rng):
         y = rng.normal(0.2, 0.5, 5)
@@ -90,7 +85,7 @@ class TestLoglikFixed:
             -0.5 * ((yi - delta) ** 2 / si**2 + math.log(2 * math.pi * si**2))
             for yi, si in zip(y, se)
         )
-        assert loglik_fixed(delta, c) == pytest.approx(oracle, abs=1e-12)
+        assert loglik_random(delta, 0.0, c) == pytest.approx(oracle, abs=1e-12)
 
     def test_maximized_at_weighted_mean(self, rng):
         y = rng.normal(0.1, 0.4, 6)
@@ -103,7 +98,7 @@ class TestLoglikFixed:
         a, b = -5.0, 5.0
         cc, dd = b - phi * (b - a), a + phi * (b - a)
         while b - a > 1e-12:
-            if loglik_fixed(cc, c) >= loglik_fixed(dd, c):
+            if loglik_random(cc, 0.0, c) >= loglik_random(dd, 0.0, c):
                 b, dd = dd, cc
                 cc = b - phi * (b - a)
             else:
@@ -113,13 +108,6 @@ class TestLoglikFixed:
 
 
 class TestLoglikRandom:
-    def test_tau_zero_equals_fixed(self, rng):
-        y = rng.normal(0, 1, 4)
-        se = rng.uniform(0.2, 1.0, 4)
-        c = Comparison(tuple(Study(float(a), float(b)) for a, b in zip(y, se)))
-        for delta in (-1.2, 0.0, 0.8):
-            assert loglik_random(delta, 0.0, c) == loglik_fixed(delta, c)
-
     def test_one_study_closed_form(self):
         c = Comparison((Study(0.0, 1.0),))
         assert loglik_random(0.0, 1.0, c) == pytest.approx(-0.5 * math.log(4 * math.pi), abs=1e-14)
@@ -188,7 +176,7 @@ class TestLikelihoodStatistics:
         stats = random_stats(tau[2], c)
         for d in delta[:, 0]:
             assert np.array_equal(loglik_from_stats(stats, d), self.direct(d, tau[2], c))
-        assert np.array_equal(loglik_fixed(delta, c), self.direct(delta, np.zeros(1), c))
+        assert np.array_equal(loglik_random(delta, 0.0, c), self.direct(delta, np.zeros(1), c))
 
     @pytest.mark.parametrize("k", [1, 9, 200])
     def test_statistics_of_a_large_batch_match_each_value_alone_bitwise(self, k, rng):

@@ -18,7 +18,6 @@ from bmameta import (
     build_standard_ensemble,
     general_candidate_set,
     log_marginal,
-    loglik_fixed,
     loglik_random,
     posterior_summary,
 )
@@ -88,7 +87,7 @@ class TestLogMarginal:
         c = make_comparison(rng, 4)
         with_point = ModelSpec("h1f_at_0", PriorSpec.point(0.0), POINT0)
         assert log_marginal(with_point, c) == log_marginal(h0f(), c)
-        assert log_marginal(with_point, c) == loglik_fixed(0.0, c)
+        assert log_marginal(with_point, c) == loglik_random(0.0, 0.0, c)
 
     def test_study_order_invariance_exact(self, rng):
         c = make_comparison(rng, 5)

@@ -5,19 +5,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bmameta import ConvergenceError, log_quad, log_quad_batch
+from bmameta import ConvergenceError, log_quad_batch
 from bmameta import quadrature
+
+
+def one_integral(logf, lower, upper, **kwargs):
+    """log_quad_batch on one group of one owner, for an integrand of x alone."""
+    return float(log_quad_batch(lambda _grp, x: logf(x)[..., None], [[lower, upper]], **kwargs)[0, 0])
 
 
 def test_standard_normal_integrates_to_one():
     logf = lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi)
-    assert log_quad(logf, -9.0, 9.0) == pytest.approx(0.0, abs=1e-9)
+    assert one_integral(logf, -9.0, 9.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_scaled_integrand_shifts_log_value():
     offset = -5000.0  # far below exp underflow
     logf = lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi) + offset
-    assert log_quad(logf, -9.0, 9.0) == pytest.approx(offset, abs=1e-9)
+    assert one_integral(logf, -9.0, 9.0) == pytest.approx(offset, abs=1e-9)
 
 
 def test_gamma_density_normalizes():
@@ -28,13 +33,13 @@ def test_gamma_density_normalizes():
         with np.errstate(divide="ignore"):
             return np.where(x > 0, (shape - 1) * np.log(x) - x / scale + const, -np.inf)
 
-    assert log_quad(logf, 0.0, 40.0) == pytest.approx(0.0, abs=1e-9)
+    assert one_integral(logf, 0.0, 40.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_polynomial_exact():
     # integral of x^4 on [0, 2] = 32/5; Gauss-10 is exact for degree 19
     logf = lambda x: np.where(x > 0, 4.0 * np.log(np.maximum(x, 1e-300)), -np.inf)
-    assert log_quad(logf, 0.0, 2.0) == pytest.approx(math.log(32.0 / 5.0), abs=1e-12)
+    assert one_integral(logf, 0.0, 2.0) == pytest.approx(math.log(32.0 / 5.0), abs=1e-12)
 
 
 def test_narrow_peak_needs_seeds():
@@ -42,7 +47,7 @@ def test_narrow_peak_needs_seeds():
     mu, sd = 0.3, 1e-5
     logf = lambda x: -0.5 * ((x - mu) / sd) ** 2 - math.log(sd * math.sqrt(2 * math.pi))
     seeds = mu + sd * np.array([-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0])
-    got = log_quad(logf, 0.0, 1.0, seeds=seeds)
+    got = one_integral(logf, 0.0, 1.0, seeds=seeds)
     assert got == pytest.approx(0.0, abs=1e-8)
 
 
@@ -291,14 +296,14 @@ def test_empty_group_rejected():
 
 def test_tighter_tolerance_stability():
     logf = lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi)
-    base = log_quad(logf, -9.0, 9.0)
-    refined = log_quad(logf, -9.0, 9.0, rel_tol=1e-11)
+    base = one_integral(logf, -9.0, 9.0)
+    refined = one_integral(logf, -9.0, 9.0, rel_tol=1e-11)
     assert abs(base - refined) < 1e-9
 
 
 def test_vanishing_integrand_returns_neg_inf():
     logf = lambda x: np.full_like(x, -np.inf)
-    assert log_quad(logf, 0.0, 1.0) == -math.inf
+    assert one_integral(logf, 0.0, 1.0) == -math.inf
 
 
 def test_convergence_error_carries_bracket():
@@ -309,13 +314,13 @@ def test_convergence_error_carries_bracket():
         return np.log(1.5 + np.sin(1.0 / np.maximum(np.abs(x), 1e-12)))
 
     with pytest.raises(ConvergenceError) as err:
-        log_quad(logf, -1.0, 1.0, rel_tol=1e-13)
+        one_integral(logf, -1.0, 1.0, rel_tol=1e-13)
     assert len(err.value.bracket) == 2
 
 
 def test_zero_width_bounds_rejected():
     with pytest.raises(ConvergenceError):
-        log_quad(lambda x: np.zeros_like(x), 1.0, 1.0)
+        one_integral(lambda x: np.zeros_like(x), 1.0, 1.0)
 
 
 def test_group_logsumexp_segments_do_not_depend_on_each_other():
@@ -434,13 +439,13 @@ def test_integrands_the_rule_may_not_write_are_copied():
         kept[out.tobytes()] = out
         return out
 
-    want = log_quad(normal, -9.0, 9.0)
-    assert log_quad(read_only, -9.0, 9.0) == want
+    want = one_integral(normal, -9.0, 9.0)
+    assert one_integral(read_only, -9.0, 9.0) == want
     assert all(out.tobytes() == key for key, out in kept.items())
     shared = log_quad_batch(lambda grp, x: np.broadcast_to(normal(x)[..., None], x.shape + (3,)),
                             [(-9.0, 9.0)], n_owners=3)
     assert np.all(shared == want)
-    assert log_quad(lambda x: np.zeros(x.shape, dtype=np.int64), 0.0, 2.0) == pytest.approx(math.log(2.0),
+    assert one_integral(lambda x: np.zeros(x.shape, dtype=np.int64), 0.0, 2.0) == pytest.approx(math.log(2.0),
                                                                                               abs=1e-15)
 
 
@@ -480,7 +485,7 @@ def test_shared_partition_matches_single_owner_calls():
     got = log_quad_batch(_stack(owners), SHARED_BOUNDS, n_owners=len(owners), seeds=SHARED_SEEDS, rel_tol=1e-10)
     assert got.shape == (1, len(owners))
     for j, f in enumerate(owners):
-        alone = log_quad(f, *SHARED_BOUNDS[0], seeds=SHARED_SEEDS, rel_tol=1e-10)
+        alone = one_integral(f, *SHARED_BOUNDS[0], seeds=SHARED_SEEDS, rel_tol=1e-10)
         assert abs(got[0, j] - alone) <= 1e-13, (j, got[0, j] - alone)
 
 

@@ -2,9 +2,10 @@
 
 Input is CSV (either ``effect,se[,label]`` columns or raw two-arm
 summaries ``n1,m1,sd1,n2,m2,sd2[,label]``; corpus files add a
-``comparison_id`` column).  Output is deterministic JSON on stdout or
-``--out``, with logs on stderr only.  Exit codes: 0 success, 2 input
-error, 3 computational error.
+``comparison_id`` column); an error in it names the file's own line.
+Output is deterministic JSON on stdout or ``--out``, with logs on stderr
+only; no ``--out`` or ``--forest`` may name an input or another output.
+Exit codes: 0 success, 2 input error, 3 computational error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 import stat
 import sys
-from contextlib import contextmanager
 from typing import Optional
 
 from . import catalog
@@ -54,15 +54,6 @@ def _parse_map(text: Optional[str]) -> dict:
     return mapping
 
 
-def _cell(row: dict, name: str, mapping: dict) -> Optional[str]:
-    col = mapping.get(name, name)
-    value = row.get(col)
-    if value is None:
-        return None
-    value = value.strip()
-    return value if value else None
-
-
 def _parse_real(token: str, name: str, line: int) -> float:
     try:
         value = float(token)
@@ -73,50 +64,62 @@ def _parse_real(token: str, name: str, line: int) -> float:
     return value
 
 
-def _study_from_row(row: dict, mapping: dict, line: int, mode: str) -> Optional[Study]:
-    """Build a study from one CSV row; None marks a non-estimable row.
+def _rows(path: str, mapping: dict, id_column: Optional[str] = None):
+    """Yield ``(line, id, study)`` per record of the UTF-8 CSV ``path``.
 
-    ``mode`` is "effect" or "raw".  Blank required cells mean the study
-    is non-estimable; non-blank garbage is a parse error.
+    The header fixes each cell's index once per file: the effect/se
+    layout if ``mapping`` finds both columns, else the raw one, then the
+    label and, given ``id_column``, the id column, which must exist.  As
+    in ``csv.DictReader``, blank records are skipped, missing trailing
+    cells are blank, extra cells are ignored and the last of two equal
+    header names wins; cells are stripped.  ``line`` is the file line
+    the record ends on, ``id`` is None without ``id_column``, and
+    ``study`` is None when a required cell is blank.  Garbage cells, a
+    blank id, undecodable bytes and malformed CSV are a ParseError.
     """
-    label = _cell(row, "label", mapping) or ""
-    names = _EFFECT_COLS if mode == "effect" else _RAW_COLS
-    cells = [_cell(row, name, mapping) for name in names]
-    if any(c is None for c in cells):
-        return None
-    values = [_parse_real(c, name, line) for c, name in zip(cells, names)]
-    try:
-        if mode == "effect":
-            return Study(values[0], values[1], label)
-        effect, se = smd_from_raw(*values)
-        return Study(effect, se, label)
-    except InputError as exc:
-        raise ParseError(str(exc), line) from exc
-
-
-def _detect_mode(fieldnames, mapping: dict) -> str:
-    cols = set(fieldnames)
-    if all(mapping.get(n, n) in cols for n in _EFFECT_COLS):
-        return "effect"
-    if all(mapping.get(n, n) in cols for n in _RAW_COLS):
-        return "raw"
-    raise ParseError(
-        "need either effect/se columns or raw n1,m1,sd1,n2,m2,sd2 columns "
-        f"(have: {sorted(cols)}); use --map to rename",
-        line=1,
-    )
-
-
-@contextmanager
-def _csv_reader(path: str):
-    """A ``csv.DictReader`` over the UTF-8 file ``path``, which must have a
-    header row; undecodable bytes and malformed CSV are a ParseError."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ParseError("empty CSV: no header row", line=1)
-            yield reader
+            at = {name: i for i, name in enumerate(header)}
+            if id_column is not None:
+                id_column = mapping.get(id_column, id_column)
+                if id_column not in at:
+                    raise ParseError(f"missing {id_column!r} column", line=1)
+                id_at = at[id_column]
+            for names in (_EFFECT_COLS, _RAW_COLS):
+                cols = [at.get(mapping.get(n, n)) for n in names]
+                if None not in cols:
+                    break
+            else:
+                raise ParseError(
+                    "need either effect/se columns or raw n1,m1,sd1,n2,m2,sd2 columns "
+                    f"(have: {sorted(at)}); use --map to rename",
+                    line=1,
+                )
+            label_at = at.get(mapping.get("label", "label"))
+            for row in reader:
+                if not row:
+                    continue
+                line, n = reader.line_num, len(row)
+                cid = None
+                if id_column is not None:
+                    cid = row[id_at].strip() if id_at < n else ""
+                    if not cid:
+                        raise ParseError("blank comparison_id", line)
+                cells = [row[i].strip() if i < n else "" for i in cols]
+                if not all(cells):
+                    yield line, cid, None
+                    continue
+                values = [_parse_real(c, name, line) for c, name in zip(cells, names)]
+                label = row[label_at].strip() if label_at is not None and label_at < n else ""
+                try:
+                    study = Study(*(values if names is _EFFECT_COLS else smd_from_raw(*values)), label)
+                except InputError as exc:
+                    raise ParseError(str(exc), line) from exc
+                yield line, cid, study
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
         except csv.Error as exc:
@@ -125,15 +128,11 @@ def _csv_reader(path: str):
 
 def read_analysis_csv(path: str, mapping: dict) -> list:
     """Read a single-comparison CSV; every row must be estimable."""
-    with _csv_reader(path) as reader:
-        mode = _detect_mode(reader.fieldnames, mapping)
-        studies = []
-        for i, row in enumerate(reader):
-            line = i + 2
-            study = _study_from_row(row, mapping, line, mode)
-            if study is None:
-                raise ParseError("missing effect/se value", line)
-            studies.append(study)
+    studies = []
+    for line, _, study in _rows(path, mapping):
+        if study is None:
+            raise ParseError("missing effect/se value", line)
+        studies.append(study)
     if not studies:
         raise ParseError("no data rows in CSV", line=1)
     return studies
@@ -147,34 +146,14 @@ def read_corpus_csv(path: str, mapping: dict) -> tuple:
     a comparison whose rows are all blank is dropped at parse time (it
     could never survive the non-estimable filter anyway).
     """
-    with _csv_reader(path) as reader:
-        id_col = mapping.get("comparison_id", "comparison_id")
-        if id_col not in reader.fieldnames:
-            raise ParseError(f"missing {id_col!r} column", line=1)
-        mode = _detect_mode(reader.fieldnames, mapping)
-        groups: dict = {}
-        non_estimable: dict = {}
-        order: list = []
-        for i, row in enumerate(reader):
-            line = i + 2
-            cid = (row.get(id_col) or "").strip()
-            if not cid:
-                raise ParseError("blank comparison_id", line)
-            if cid not in groups:
-                groups[cid] = []
-                non_estimable[cid] = 0
-                order.append(cid)
-            study = _study_from_row(row, mapping, line, mode)
-            if study is None:
-                non_estimable[cid] += 1
-            else:
-                groups[cid].append(study)
-    if not order:
+    groups: dict = {}
+    for _, cid, study in _rows(path, mapping, "comparison_id"):
+        groups.setdefault(cid, []).append(study)
+    if not groups:
         raise ParseError("no data rows in CSV", line=1)
-    comparisons = [
-        Comparison(tuple(groups[cid]), id=cid) for cid in order if groups[cid]
-    ]
-    return comparisons, non_estimable
+    studies = {cid: tuple(s for s in rows if s is not None) for cid, rows in groups.items()}
+    comparisons = [Comparison(s, id=cid) for cid, s in studies.items() if s]
+    return comparisons, {cid: len(rows) - len(studies[cid]) for cid, rows in groups.items()}
 
 
 def read_candidates(path: str) -> CandidatePriorSet:
@@ -271,9 +250,23 @@ def _write_all(text: str, out: Optional[str], files: Optional[dict] = None) -> N
         sys.stdout.write(text)
 
 
+def _refuse_clashes(inputs: dict, outputs: dict) -> None:
+    """Raise ParameterError if an output path names an input or another
+    output, compared after ``os.path.realpath``.
+
+    Both map an argument's name to its path; an unset output is skipped.
+    """
+    seen = {os.path.realpath(path): name for name, path in inputs.items()}
+    for name, path in outputs.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ParameterError(f"{seen[real]} and {name} name the same file {path!r}")
+            seen[real] = name
+
+
 def cmd_analyze(args) -> int:
-    if args.out and args.forest and os.path.realpath(args.out) == os.path.realpath(args.forest):
-        raise ParameterError(f"--out and --forest name the same file {args.forest!r}")
+    _refuse_clashes({"the input": args.input}, {"--out": args.out, "--forest": args.forest})
     studies = read_analysis_csv(args.input, _parse_map(args.map))
     delta_prior, tau_prior, subfield, matched = _resolve_priors(args)
     model_priors = _parse_model_priors(args.model_priors)
@@ -308,6 +301,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fit_priors(args) -> int:
+    _refuse_clashes({"the corpus": args.corpus}, {"--out": args.out})
     comparisons, non_estimable = read_corpus_csv(args.corpus, _parse_map(args.map))
     estimates, provenance = prepare_training(
         comparisons,
@@ -321,6 +315,7 @@ def cmd_fit_priors(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    _refuse_clashes({"the corpus": args.corpus, "--candidates": args.candidates}, {"--out": args.out})
     comparisons, _ = read_corpus_csv(args.corpus, _parse_map(args.map))
     candidates = read_candidates(args.candidates)
     kwargs = dict(

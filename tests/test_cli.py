@@ -361,6 +361,33 @@ class TestAnalyze:
         assert not (tmp_path / "r.out").exists()
         assert "wrote forest plot" not in caplog.text
 
+    @pytest.mark.parametrize("option, path", [
+        ("--forest", "s.csv"), ("--out", "./s.csv"), ("--forest", "{tmp}/sub/../s.csv"),
+    ])
+    def test_output_naming_the_input_is_one_error(self, five_study_csv, tmp_path, monkeypatch, caplog,
+                                                   option, path):
+        # the input is neither read nor overwritten, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        Path(five_study_csv).rename(tmp_path / "s.csv")
+        before = (tmp_path / "s.csv").read_bytes()
+        monkeypatch.setattr("bmameta.cli.read_analysis_csv", lambda *a: pytest.fail("input read"))
+        path = path.format(tmp=tmp_path)
+        other = ["--out", "r.json"] if option == "--forest" else ["--forest", "f.svg"]
+        assert main(["analyze", "s.csv", option, path, *other]) == 2
+        assert _one_error(caplog) == f"the input and {option} name the same file {path!r}"
+        assert (tmp_path / "s.csv").read_bytes() == before
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "f.svg").exists()
+
+    @pytest.mark.parametrize("text", [
+        "effect,se\n0.1,0.2\n\n0.3,abc\n",
+        'effect,se,label\n0.1,0.2,"two\nlines"\n0.3,abc,x\n',
+    ], ids=["blank-line", "quoted-newline"])
+    def test_error_names_the_file_line(self, tmp_path, caplog, text):
+        csv = write(tmp_path / "bad.csv", text)
+        assert main(["analyze", csv]) == 2
+        assert _one_error(caplog) == "line 4: column 'se': cannot parse 'abc' as a number"
+
     def test_unknown_subfield_warns_and_uses_pooled(self, five_study_csv, tmp_path, caplog):
         out = tmp_path / "r.json"
         assert main(["analyze", five_study_csv, "--subfield", "Astral Projection",
@@ -419,6 +446,27 @@ class TestFitPriors:
     def test_missing_comparison_id(self, tmp_path):
         csv = write(tmp_path / "noid.csv", "effect,se\n0.1,0.2\n")
         assert main(["fit-priors", csv]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "comparison_id,effect,se\nA,0.1,0.2\n\nA,0.3,abc\n",
+        'comparison_id,effect,se,label\nA,0.1,0.2,"two\nlines"\nA,0.3,abc,x\n',
+    ], ids=["blank-line", "quoted-newline"])
+    def test_error_names_the_file_line(self, tmp_path, caplog, text):
+        csv = write(tmp_path / "bad.csv", text)
+        assert main(["fit-priors", csv]) == 2
+        assert _one_error(caplog) == "line 4: column 'se': cannot parse 'abc' as a number"
+
+    @pytest.mark.parametrize("out", ["c.csv", "./c.csv", "{tmp}/sub/../c.csv"])
+    def test_output_naming_the_corpus_is_one_error(self, corpus_csv, tmp_path, monkeypatch, caplog, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        Path(corpus_csv).rename(tmp_path / "c.csv")
+        before = (tmp_path / "c.csv").read_bytes()
+        monkeypatch.setattr("bmameta.cli.read_corpus_csv", lambda *a: pytest.fail("corpus read"))
+        out = out.format(tmp=tmp_path)
+        assert main(["fit-priors", "c.csv", "--out", out]) == 2
+        assert _one_error(caplog) == f"the corpus and --out name the same file {out!r}"
+        assert (tmp_path / "c.csv").read_bytes() == before
 
     @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
     def test_tau_floor_out_of_range_is_usage_error(self, corpus_csv, floor, capsys):
@@ -579,6 +627,21 @@ class TestRank:
         path = tmp_path / "cand.json"
         path.write_text(dumps(general_candidate_set().to_dict()) + "\n")
         return str(path)
+
+    @pytest.mark.parametrize("name, out", [
+        ("the corpus", "corpus.csv"), ("the corpus", "sub/../corpus.csv"),
+        ("--candidates", "cand.json"), ("--candidates", "{tmp}/cand.json"),
+    ])
+    def test_output_naming_an_input_is_one_error(self, corpus_csv, cand_json, tmp_path, monkeypatch,
+                                                 caplog, name, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        before = {p: Path(p).read_bytes() for p in (corpus_csv, cand_json)}
+        monkeypatch.setattr("bmameta.cli.read_corpus_csv", lambda *a: pytest.fail("corpus read"))
+        out = out.format(tmp=tmp_path)
+        assert main(["rank", "corpus.csv", "--candidates", "cand.json", "--out", out]) == 2
+        assert _one_error(caplog) == f"{name} and --out name the same file {out!r}"
+        assert {p: Path(p).read_bytes() for p in before} == before
 
     def test_modes_and_determinism(self, corpus_csv, cand_json, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -40,14 +40,22 @@ def smd_from_raw(n1, mean1, sd1, n2, mean2, sd2):
     var(d) = (n1 + n2) / (n1 * n2) + d**2 / (2 * (n1 + n2)).
 
     This is plain Cohen's d with the standard large-sample variance; no
-    small-sample (Hedges-type) bias correction is applied.
+    small-sample (Hedges-type) bias correction is applied.  Where a
+    weighted square of an arm's sd overflows (an sd past ~1.3e154), the
+    pooled SD is formed from the sds divided by the larger one.
     """
     if n1 < 2 or n2 < 2:
         raise DomainError(f"both arms need n >= 2, got n1={n1}, n2={n2}")
     if sd1 < 0 or sd2 < 0:
         raise DomainError("arm standard deviations must be non-negative")
     df = n1 + n2 - 2
-    pooled = math.sqrt(((n1 - 1) * sd1**2 + (n2 - 1) * sd2**2) / df)
+    try:
+        pooled = math.sqrt(((n1 - 1) * sd1**2 + (n2 - 1) * sd2**2) / df)
+    except OverflowError:  # float ** raises where * gives inf
+        pooled = math.inf
+    scale = max(sd1, sd2)
+    if pooled == math.inf and scale < math.inf:
+        pooled = scale * math.sqrt(((n1 - 1) * (sd1 / scale) ** 2 + (n2 - 1) * (sd2 / scale) ** 2) / df)
     if pooled == 0.0:
         raise DegenerateDataError("both arms have zero variance; SMD undefined")
     d = (mean1 - mean2) / pooled

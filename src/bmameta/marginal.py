@@ -13,10 +13,11 @@ prior at many tau values, the tau part (:func:`_tau_part`) the same with
 the roles swapped; a point prior makes a part the likelihood itself.  A
 log marginal evaluates the delta part at a point tau or integrates it
 against a free tau prior, and that outer integrand is also the tau
-posterior's kernel.  Every integral but the t prior's accepted Gauss-Laguerre lambda rows
-runs through the log-space adaptive Gauss-Kronrod integrator
-:func:`bmameta.quadrature.log_quad_batch`, whose groups each refine a
-partition of their own, shared by the owners of the group.
+posterior's kernel.  Every integral but the t prior's accepted
+Gauss-Laguerre lambda rows and the delta-posterior pass's accepted
+tanh-sinh sums runs through the log-space adaptive Gauss-Kronrod
+integrator :func:`bmameta.quadrature.log_quad_batch`, whose groups each
+refine a partition of their own, shared by the owners of the group.
 
 The delta part does not depend on the tau prior, and every part is a
 function of the likelihood's tau statistics, so
@@ -84,10 +85,10 @@ inner integral are computed once per owner tau and broadcast or gathered
 to the nodes; no inner node meets the study axis.  The prior constants
 (bounds, mixing limits and seeds) are computed once per distinct prior.
 
-The tau integrals keep all prior mass up to 1e-12 per tail and are
-seeded at the powers of 4 inside those bounds (computed once per prior)
-and at eight data scales (computed once per comparison of a call).
-Neither depends on the prior's shape, so the groups of one outer
+The adaptive tau integrals keep all prior mass up to 1e-12 per tail and
+are seeded at the powers of 4 inside those bounds (computed once per
+prior) and at eight data scales (computed once per comparison of a
+call).  Neither depends on the prior's shape, so the groups of one outer
 integral split their common range at the same points and share those
 intervals; a standalone call integrates over the same partition.
 
@@ -96,13 +97,22 @@ squares of the variances se**2 + tau**2) are computed once per tau node
 of an integrand call (:func:`bmameta.core.random_stats`), and every delta
 part reads them: the parts take these statistics, not tau values, so the
 point-tau models of a call share one such computation and the outer
-integrand one per distinct interval.  In the tau part at a free tau (the
-delta-posterior pass) every delta value has the same tau range and
-seeds, so all of them are owners of one group and share its partition:
-an interval is evaluated once for all owners, the tau-only terms of its
-nodes are broadcast against every delta, and only the O(1) quadratic
-form in delta is formed per (delta, tau) cell, in place in the one
-array the integrand returns (:func:`bmameta.core.loglik_from_stats`).
+integrand one per distinct interval.
+
+The tau part at a free tau (the delta-posterior pass, :func:`_tau_part`)
+integrates in p = H(tau), the tau prior's CDF, where the integrand is the
+likelihood alone, bounded on (0, 1).  It takes a fixed tanh-sinh rule
+(Takahasi & Mori 1974) of four nested levels, 63 to 505 nodes, whose tau
+nodes are prior quantiles cached per prior (:func:`_tau_rule`), so one
+``random_stats`` call serves every delta value.  Each node's tau-only
+terms, its log weight folded into c, are broadcast against every delta,
+and only the O(1) quadratic form in delta is formed per (node, delta)
+cell (:func:`_rule_sums`, :func:`bmameta.core.loglik_from_stats`).  A
+delta is accepted when two successive levels agree within the tolerance
+and the rule's two dropped end pieces are within it of the total
+(Bailey, Jeyabalan & Li 2005).  If any delta is not, the call takes the
+adaptive path (:func:`_tau_kronrod`), where all deltas are owners of one
+group and share its partition, with the bits it has on its own.
 """
 
 from __future__ import annotations
@@ -119,7 +129,7 @@ from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
 from .core import _LOG_2PI, Comparison, loglik_from_stats, loglik_random, random_stats
 from .errors import DomainError, ParameterError, UnsupportedOperationError
 from .priors import PriorSpec, _gammaln_half_step, _gammaln_k
-from .quadrature import _NODES, _WEIGHTS_K, log_quad_batch
+from .quadrature import _BLOCK_CELLS, _NODES, _WEIGHTS_K, log_quad_batch
 
 __all__ = ["ModelSpec", "PosteriorSummary", "log_marginal", "posterior_summary"]
 
@@ -142,6 +152,12 @@ _LAGUERRE_R = 0.3
 _LAGUERRE_NODES = (12, 18)
 # First-pass outer tau intervals of one chunk of comparisons (:func:`chunk_size`)
 _CHUNK_INTERVALS = 2048
+# The delta-posterior pass's tanh-sinh rule (:func:`_tau_rule`): its nested
+# steps in t, the end of its t range, and where each level's nodes end in
+# the rule's arrays, whose two end nodes come first
+_RULE_STEPS = (0.1, 0.05, 0.025, 0.0125)
+_RULE_END = 3.15
+_RULE_CUTS = (2, 65, 129, 255, 507)
 # Points of a posterior summary's first grid; a grid whose normalization
 # misses the marginal likelihood by more than 1e-6 is doubled once.
 _GRID_POINTS = 2048
@@ -734,30 +750,145 @@ def _mixture_integrals(g: PriorSpec, rel_tol: float):
     return integrals
 
 
+@lru_cache(maxsize=1024)
+def _tau_rule(h: PriorSpec) -> tuple:
+    """The tanh-sinh rule of the delta-posterior pass in p = H(tau), the
+    CDF of the tau prior ``h``: ``(tau nodes, log weights)``.
+
+    The substitution p = 1 / (1 + exp(-2 u)), u = (pi / 2) sinh(t), maps t
+    in R onto (0, 1) with dp / dt = pi cosh(t) p (1 - p) (Takahasi & Mori
+    1974).  Its nodes are t = j _RULE_STEPS[-1] over [-_RULE_END, _RULE_END]
+    (j = -252 to 252), in order of level: the 63 nodes of step 0.1 first,
+    then the 64, 126 and 252 that steps 0.05, 0.025 and 0.0125 add, so each
+    level's sum continues the one before it (_RULE_CUTS).  The log weight
+    is log(dp / dt) at the node; the caller multiplies each level's sum by
+    its step.  In front come the two end nodes again, t = -_RULE_END and
+    +_RULE_END, each weighted by the prior mass beyond it, log p of the
+    first and log(1 - p) of the last: their sum is the rule's dropped end
+    pieces.
+
+    tau = H^-1(p) is the prior's quantile at p below 1/2 and its
+    upper-tail quantile at q = 1 - p = 1 / (1 + exp(2 u)) above it, so no
+    node rounds onto p = 1.  The smaller of p and q is formed as
+    1 / (1 + exp(2 |u|)), and is 1.2e-16 at the end nodes.
+    """
+    n, top = round(_RULE_END / _RULE_STEPS[-1]), 1 << (len(_RULE_STEPS) - 1)
+    j = np.arange(-n, n + 1)
+    # node j's level, the coarsest step that holds it, is log2(8 / gcd(j, 8))
+    level = np.log2(top // np.gcd(j, top))
+    j = np.concatenate([[-n, n], j[np.argsort(level, kind="stable")]])
+    t = j * _RULE_STEPS[-1]
+    two_u = np.pi * np.abs(np.sinh(t))
+    tail = 1.0 / (1.0 + np.exp(two_u))  # min(p, 1 - p)
+    log_tail = -np.logaddexp(0.0, two_u)
+    log_w = math.log(math.pi) + np.log(np.cosh(t)) + log_tail + np.log1p(-tail)
+    log_w[:2] = log_tail[:2]
+    tau = np.empty(t.size)
+    lower = t <= 0.0
+    tau[lower] = h.quantile(tail[lower])
+    tau[~lower] = h.upper_quantile(tail[~lower])
+    for v in (tau, log_w):
+        v.flags.writeable = False
+    return tau, log_w
+
+
+def _rule_sums(stats: tuple, log_w: np.ndarray, starts, delta_values: np.ndarray) -> np.ndarray:
+    """log of the sum over nodes j of w_j L(tau_j, delta) on each segment of
+    nodes beginning at ``starts``, for each delta: shape (segments, deltas).
+
+    ``stats`` are the nodes' :func:`~bmameta.core.random_stats` and
+    ``log_w`` their log weights.  Each weight is folded into its node's c,
+    so a (node x delta) cell is one :func:`~bmameta.core.loglik_from_stats`
+    term.  The deltas run in blocks of at most
+    :data:`~bmameta.quadrature._BLOCK_CELLS` cells, and each delta's terms
+    are summed after a shift by its largest, so no cell under- or
+    overflows; a delta's sums do not depend on the others in its block.
+    """
+    c, mu, s0 = stats
+    node_stats = ((c - 2.0 * log_w)[:, None], mu[:, None], s0[:, None])
+    out = np.empty((len(starts), delta_values.size))
+    step = max(1, _BLOCK_CELLS // log_w.size)
+    for i in range(0, delta_values.size, step):
+        block = slice(i, i + step)
+        f = loglik_from_stats(node_stats, delta_values[block])
+        peak = np.max(f, axis=0)
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        np.exp(np.subtract(f, shift, out=f), out=f)
+        with np.errstate(divide="ignore"):  # a delta whose terms all vanish: -inf
+            out[:, block] = np.log(np.add.reduceat(f, starts, axis=0)) + shift
+    return out
+
+
 def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
     """``f(delta_values)``: the log of the likelihood integrated over the tau
     prior ``h`` at each delta (the likelihood itself at a point tau).
 
-    A free tau runs one :func:`~bmameta.quadrature.log_quad_batch` group
-    with one owner per delta: every owner has the same tau range and seeds,
-    so they share one partition, and the integrand computes the tau-only
-    terms once per node and broadcasts them against all delta values.
+    A free tau is integrated in p = H(tau), the prior's CDF:
+    integral of h(tau) L(tau, delta) d tau = integral over (0, 1) of
+    L(H^-1(p), delta) dp, whose integrand is bounded, L(0, delta) at p = 0
+    and 0 as p -> 1, and which needs no prior density.  It takes the
+    nested tanh-sinh rule of :func:`_tau_rule`, with the tau statistics of
+    its nodes from one :func:`~bmameta.core.random_stats` call, and every
+    delta an owner of the rule's (node x delta) cells (:func:`_rule_sums`).
+    A delta is accepted when two successive levels agree within
+    ``rel_tol``: first levels 2 and 3 (253 nodes); the deltas that
+    disagree also take level 4's 252 nodes, and are accepted when levels
+    3 and 4 agree.  It must also pass the tail check: the two dropped end
+    pieces, p times L at the first node plus (1 - p) times L at the last,
+    are at most ``rel_tol`` of its value, which catches a tail cut that
+    the level check cannot see.  Accepted deltas take the finest level's
+    value.
+
+    If any delta is not accepted, the call takes the adaptive path
+    (:func:`_tau_kronrod`) for all of them, and returns its bits unchanged.
     """
     if h.is_point:
         return lambda d: loglik_random(d, h.params[0], comparison)
+    tau, log_w = _tau_rule(h)
+    stats = random_stats(tau, comparison)
+    coarse, fine = slice(0, _RULE_CUTS[-2]), slice(_RULE_CUTS[-2], None)
+    log_steps = np.log(_RULE_STEPS)
+
+    def integrals(delta_values: np.ndarray) -> np.ndarray:
+        parts = _rule_sums(tuple(v[coarse] for v in stats), log_w[coarse],
+                           (0,) + _RULE_CUTS[:-2], delta_values)
+        ends = parts[0]
+        # the log sums of levels 1 to 3, each times its step
+        levels = np.logaddexp.accumulate(parts[1:], axis=0) + log_steps[:3, None]
+        value = levels[2]
+        with np.errstate(invalid="ignore"):  # inf - inf never agrees
+            ok = np.abs(value - levels[1]) <= rel_tol
+            if not ok.all():
+                redo = ~ok
+                last = _rule_sums(tuple(v[fine] for v in stats), log_w[fine], (0,), delta_values[redo])[0]
+                finest = np.logaddexp(value[redo] - log_steps[2], last) + log_steps[3]
+                ok[redo] = np.abs(finest - value[redo]) <= rel_tol
+                value[redo] = finest
+            ok &= ends - value <= math.log(rel_tol)
+        if ok.all():
+            return value
+        return _tau_kronrod(h, comparison, rel_tol, delta_values)
+
+    return integrals
+
+
+def _tau_kronrod(h: PriorSpec, comparison: Comparison, rel_tol: float, delta_values: np.ndarray) -> np.ndarray:
+    """The adaptive path of :func:`_tau_part` at a free tau: one
+    :func:`~bmameta.quadrature.log_quad_batch` group over the prior's
+    bounds with one owner per delta.  Every owner has the same tau range
+    and seeds, so they share one partition, and the integrand computes the
+    tau-only terms once per node and broadcasts them against all delta
+    values."""
     bounds = np.array([_prior_bounds(h)])
     seeds = _tau_seeds([h], comparison)
 
-    def integrals(delta_values: np.ndarray) -> np.ndarray:
-        def logf(_grp, t):
-            stats = tuple(v[..., None] for v in random_stats(t, comparison))
-            out = loglik_from_stats(stats, delta_values)
-            out += h.log_pdf(t)[..., None]
-            return out
+    def logf(_grp, t):
+        stats = tuple(v[..., None] for v in random_stats(t, comparison))
+        out = loglik_from_stats(stats, delta_values)
+        out += h.log_pdf(t)[..., None]
+        return out
 
-        return log_quad_batch(logf, bounds, n_owners=delta_values.size, seeds=seeds, rel_tol=rel_tol)[0]
-
-    return integrals
+    return log_quad_batch(logf, bounds, n_owners=delta_values.size, seeds=seeds, rel_tol=rel_tol)[0]
 
 
 # --------------------------------------------------------------------------

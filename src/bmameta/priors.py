@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import (
@@ -159,19 +159,25 @@ class _Standard(NamedTuple):
     cdf: Callable  # (*shape, z) -> standard CDF inside the open support
     lower: float  # support of the standard form
     upper: float
+    isf: Optional[Callable] = None  # (*shape, q) -> standard upper-tail quantile
 
 
+# The heterogeneity families also carry their upper-tail quantile, the x
+# with 1 - F(x) = q, formed from q itself so that it keeps its digits where
+# 1 - q rounds to 1 (:meth:`PriorSpec.upper_quantile`).
 _STANDARD = {
-    "uniform": _Standard(lambda lo, hi: (lo, hi - lo, ()), lambda q: q, lambda z: z, 0.0, 1.0),
+    "uniform": _Standard(lambda lo, hi: (lo, hi - lo, ()), lambda q: q, lambda z: z, 0.0, 1.0,
+                         lambda q: 1.0 - q),
     "normal": _Standard(lambda m, s: (m, s, ()), ndtri, ndtr, -math.inf, math.inf),
     "halfnormal": _Standard(lambda s: (0.0, s, ()), lambda q: ndtri((1 + q) / 2.0),
-                            lambda z: erf(z / np.sqrt(2)), 0.0, math.inf),
+                            lambda z: erf(z / np.sqrt(2)), 0.0, math.inf, lambda q: -ndtri(q / 2.0)),
     "cauchy": _Standard(lambda m, s: (m, s, ()), _cauchy_ppf,
                         lambda z: np.arctan2(1, -z) / np.pi, -math.inf, math.inf),
     "t": _Standard(lambda m, s, df: (m, s, (df,)), _t_ppf, stdtr, -math.inf, math.inf),
-    "gamma": _Standard(lambda a, s: (0.0, s, (a,)), gammaincinv, gammainc, 0.0, math.inf),
+    "gamma": _Standard(lambda a, s: (0.0, s, (a,)), gammaincinv, gammainc, 0.0, math.inf, gammainccinv),
     "invgamma": _Standard(lambda a, s: (0.0, s, (a,)), lambda a, q: 1.0 / gammainccinv(a, q),
-                          lambda a, z: gammaincc(a, 1.0 / z), 0.0, math.inf),
+                          lambda a, z: gammaincc(a, 1.0 / z), 0.0, math.inf,
+                          lambda a, q: 1.0 / gammaincinv(a, q)),
 }
 
 
@@ -331,6 +337,23 @@ class PriorSpec:
         std = _STANDARD[self.family]
         loc, scale, shape = std.split(*self.params)
         val = std.ppf(*shape, p_arr) * scale + loc
+        return float(val) if np.ndim(val) == 0 else val
+
+    def upper_quantile(self, q):
+        """The value with upper-tail mass ``q`` in (0, 1): ``quantile(1 - q)``,
+        formed from ``q`` so that it keeps its digits where 1 - q rounds to 1.
+
+        Defined for the heterogeneity families: uniform, halfnormal, gamma
+        and invgamma.
+        """
+        std = _STANDARD.get(self.family)
+        if std is None or std.isf is None:
+            raise UnsupportedOperationError(f"upper_quantile is undefined for family {self.family!r}")
+        q_arr = np.asarray(q, dtype=float)
+        if np.any(~((q_arr > 0.0) & (q_arr < 1.0))):
+            raise ParameterError(f"upper-tail probability must lie in (0, 1), got {q!r}")
+        loc, scale, shape = std.split(*self.params)
+        val = std.isf(*shape, q_arr) * scale + loc
         return float(val) if np.ndim(val) == 0 else val
 
     def sample(self, rng: np.random.Generator, n: int):

@@ -227,6 +227,22 @@ class TestAnalyze:
         assert report["input"]["n_studies"] == 3
         assert all(s["se"] > 0 for s in report["input"]["studies"])
 
+    @pytest.mark.parametrize("sd1", ["1e200", "1.4e154", "1.3e154"])
+    def test_raw_arm_sd_whose_square_overflows_is_scaled(self, tmp_path, sd1, capsys):
+        # sd1**2 overflows (at 1.3e154 only 29 * sd1**2 does); the pooled
+        # SD is then formed from the sds over the larger one, not a traceback
+        mp = pytest.importorskip("mpmath")
+        csv = write(tmp_path / "raw.csv", f"n1,m1,sd1,n2,m2,sd2\n30,1,{sd1},30,0,1\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", csv, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        [study] = json.loads(out.read_text())["input"]["studies"]
+        with mp.workdps(40):
+            d = 1 / mp.sqrt((29 * mp.mpf(float(sd1)) ** 2 + 29) / 58)
+            se = mp.sqrt(mp.mpf(60) / 900 + d * d / 120)
+            assert abs(study["effect"] - d) <= 1e-15 * d
+            assert abs(study["se"] - se) <= 1e-15 * se
+
     def test_explicit_priors_and_model_priors(self, five_study_csv, tmp_path):
         out = tmp_path / "r.json"
         code = main([

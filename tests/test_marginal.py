@@ -893,10 +893,11 @@ class TestPosteriorSummary:
 
 
 class TestDeltaPosteriorIntegrand:
-    """The tau-inner integrand of the delta posterior is dense: every delta
-    owner shares one tau partition, and each node's tau-only terms are
-    broadcast against all delta values.  It must still equal the direct
-    likelihood plus the tau prior bit for bit."""
+    """The tau-inner integrand of the delta posterior's adaptive path (the
+    fallback of the tanh-sinh rule, called here directly) is dense: every
+    delta owner shares one tau partition, and each node's tau-only terms
+    are broadcast against all delta values.  It must still equal the
+    direct likelihood plus the tau prior bit for bit."""
 
     @pytest.mark.parametrize("k", [3, 12])
     def test_dense_integrand_matches_direct_likelihood(self, k, rng, monkeypatch):
@@ -915,7 +916,7 @@ class TestDeltaPosteriorIntegrand:
             return real(log_f_recorded, bounds, **kwargs)
 
         monkeypatch.setattr(marginal, "log_quad_batch", recording)
-        marginal._log_posterior_on(h1r(T_POOLED, IG_POOLED), c, "delta", xs, 1e-9)
+        marginal._tau_kronrod(IG_POOLED, c, 1e-10, xs)
 
         assert len(calls) >= 2, "the partition must be refined at least once"
         for t, out in calls:
@@ -923,3 +924,85 @@ class TestDeltaPosteriorIntegrand:
             for r in range(t.shape[0]):
                 want = loglik_random(xs[:, None], t[r], c) + IG_POOLED.log_pdf(t[r])
                 assert np.array_equal(out[r], want.T), t[r]
+
+
+def mp_log_tau_part(y, se, h, delta):
+    """log of the likelihood at ``delta`` integrated over the tau prior ``h``
+    by 30-digit mpmath over the prior's full support, split at the data's
+    and the delta's scales."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        d = PriorSpec.point(float(delta))
+
+        def log_f(t):
+            return _mp_log_inner(mp, y, se, d, t) + _mp_log_prior(mp, h, t)
+
+        lo, hi = h.support
+        dist = abs(float(delta) - float(np.mean(y)))
+        pts = {min(se) * k for k in (0.25, 1, 4)} | {(max(y) - min(y)) * k for k in (0.25, 1, 4)}
+        pts |= {dist * k for k in (0.25, 1, 4)} | {0.01, 0.1, 0.5, 2.0, 10.0}
+        pts = [mp.mpf(p) for p in sorted({p for p in pts if lo < p < hi})]
+        ref = max(log_f(p) for p in pts)
+        ends = [mp.mpf(lo), mp.inf if hi == math.inf else mp.mpf(hi)]
+        integral = mp.quad(lambda t: mp.exp(log_f(t) - ref), [ends[0]] + pts + [ends[1]])
+        return float(ref + mp.log(integral))
+
+
+class TestTauRule:
+    """The delta-posterior pass on the tanh-sinh rule in p = H(tau): its
+    accepted values against a full-support mpmath integral, and the
+    adaptive fallback's bits where the rule is rejected."""
+
+    @pytest.mark.parametrize("h", [IG_POOLED, PriorSpec.halfnormal(0.57), PriorSpec.gamma(1.59, 0.26),
+                                   PriorSpec.uniform(0.0, 1.0)], ids=str)
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_accepted_values_match_mpmath(self, k, h, rng, monkeypatch):
+        c = make_comparison(rng, k)
+        model = h1r(T_POOLED, h)
+        # the posterior's peak and the points where it falls to exp(-40) of it
+        left, right = marginal._mass_region(model, c, "delta", T_POOLED, 1e-9)
+        grid = np.linspace(left, right, 2001)
+        log_post = marginal._log_posterior_on(model, c, "delta", grid, 1e-9)
+        xs = np.array([left, grid[np.argmax(log_post)], right])
+
+        def rejected(*args):
+            raise AssertionError("the rule rejected the pass")
+
+        monkeypatch.setattr(marginal, "_tau_kronrod", rejected)
+        got = marginal._tau_part(h, c, 1e-10)(xs)
+        y, se = c._canonical
+        for x, value in zip(xs, got):
+            assert abs(value - mp_log_tau_part(tuple(y), tuple(se), h, x)) <= 1e-10, x
+
+    def test_rule_nodes_and_weights(self):
+        tau, log_w = marginal._tau_rule(IG_POOLED)
+        assert tau.size == log_w.size == marginal._RULE_CUTS[-1] == 2 + 505
+        # the levels' nodes: 63, 127, 253 and 505
+        assert np.subtract(marginal._RULE_CUTS[1:], 2).tolist() == [63, 127, 253, 505]
+        # each level's weights times its step sum to the prior's mass, 1,
+        # less the two end pieces
+        ends = np.exp(log_w[:2]).sum()
+        for cut, step in zip(marginal._RULE_CUTS[1:], marginal._RULE_STEPS):
+            assert abs(step * np.exp(log_w[2:cut]).sum() + ends - 1.0) < 1e-14
+        assert np.all(np.isfinite(tau)) and np.all(tau > 0)
+        assert tau[0] == tau.min() and tau[1] == tau.max()
+
+    def test_rejected_pass_returns_the_adaptive_bits(self, monkeypatch):
+        # twelve equal effects at se 0.02: the likelihood in tau is largest
+        # at 0, below the invgamma prior's 1.2e-16 quantile (tau ~ 0.01), the
+        # rule's first node.  Levels 3 and 4 agree within 1e-10, but the end
+        # piece there is 2.9e-10 of the total, and the rule's value is off
+        # by 1.9e-10 against mpmath over the full support: only the tail
+        # check rejects it
+        c = Comparison(tuple(Study(0.3, 0.02) for _ in range(12)))
+        xs = np.linspace(0.29, 0.31, 21)
+        real, calls = marginal._tau_kronrod, []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(marginal, "_tau_kronrod", recording)
+        got = marginal._tau_part(IG_POOLED, c, 1e-10)(xs)
+        assert len(calls) == 1, "the input must be rejected"
+        assert np.array_equal(got, real(IG_POOLED, c, 1e-10, xs))

@@ -241,6 +241,55 @@ class TestTQuantileFarTail:
         assert np.array_equal(PriorSpec.t(0.0, 1.0, df).quantile(levels), stats.t(df).ppf(levels))
 
 
+def _upper_quantile_mpmath(spec, q):
+    """The value with upper-tail mass q under ``spec``, to 30 digits: the
+    root in log x of log S(x) = log q, S the survival function."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        p, q = [mp.mpf(v) for v in spec.params], mp.mpf(q)
+        if spec.family == "uniform":
+            return float(p[0] + (p[1] - p[0]) * (1 - q))
+        survival = {
+            "halfnormal": lambda x: mp.erfc(x / p[0] / mp.sqrt(2)),
+            "gamma": lambda x: mp.gammainc(p[0], x / p[1], mp.inf, regularized=True),
+            "invgamma": lambda x: mp.gammainc(p[0], 0, p[1] / x, regularized=True),
+        }[spec.family]
+        start = mp.log(spec.upper_quantile(float(q)))
+        return float(mp.exp(mp.findroot(lambda lx: mp.log(survival(mp.exp(lx))) - mp.log(q), start)))
+
+
+class TestUpperQuantile:
+    """The upper-tail quantile of the heterogeneity families, formed from q
+    itself: the tanh-sinh rule's nodes above p = 1/2 come from it, down to
+    q ~ 1e-16, where quantile(1 - q) would round onto the support's end."""
+
+    LEVELS = tuple(10.0 ** -j for j in range(1, 17))
+
+    @pytest.mark.parametrize("spec", [
+        PriorSpec.uniform(0.0, 1.0), PriorSpec.uniform(0.5, 2.0), PriorSpec.halfnormal(0.57),
+        PriorSpec.gamma(1.59, 0.26), PriorSpec.gamma(0.5, 1.0), PriorSpec.invgamma(1.71, 0.4),
+        PriorSpec.invgamma(1.26, 0.24), PriorSpec.invgamma(0.3, 2.0),
+    ], ids=str)
+    def test_matches_mpmath(self, spec):
+        got = spec.upper_quantile(np.array(self.LEVELS))
+        for q, x in zip(self.LEVELS, got):
+            assert x == pytest.approx(_upper_quantile_mpmath(spec, q), rel=1e-13), q
+            assert spec.upper_quantile(q) == x
+
+    @pytest.mark.parametrize("spec", [PriorSpec.halfnormal(0.57), PriorSpec.gamma(1.59, 0.26),
+                                      PriorSpec.invgamma(1.71, 0.4)], ids=str)
+    def test_agrees_with_the_quantile_where_one_minus_q_is_exact(self, spec):
+        assert spec.upper_quantile(0.25) == pytest.approx(spec.quantile(0.75), rel=1e-14)
+
+    def test_undefined_for_effect_only_families_and_outside_the_unit_interval(self):
+        for spec in (PriorSpec.point(0.0), PriorSpec.normal(0.0, 1.0), PriorSpec.t(0.0, 0.43, 5.0)):
+            with pytest.raises(UnsupportedOperationError):
+                spec.upper_quantile(0.5)
+        for q in (0.0, 1.0, math.nan):
+            with pytest.raises(ParameterError):
+                PriorSpec.halfnormal(0.57).upper_quantile(q)
+
+
 class TestScipyStatsEquality:
     """Quantiles and CDFs from scipy.special equal scipy.stats bit for bit."""
 

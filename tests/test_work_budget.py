@@ -3,14 +3,16 @@ seeded ``rank`` sweep and a seeded ``analyze`` cost may not grow.
 
 Times on a small shared host are too noisy to gate on, but work counts
 are deterministic.  The counters sit outside the program: they replace
-the module-level names ``marginal.log_quad_batch`` and
-``marginal.random_stats`` and count
+the module-level names ``marginal.log_quad_batch``,
+``marginal._rule_sums`` and ``marginal.random_stats`` and count
 
 * outer tau cells and adaptive lambda cells: rows x 21 Kronrod nodes x
   owners, read from the ``x`` each integrand receives.  An integrand of
   the t prior's lambda integral (``_mixture_integrals``) counts as lambda,
   every other as tau.  The Gauss-Laguerre lambda rows call no
   module-level name and are not counted;
+* the tanh-sinh cells of the delta-posterior pass, nodes x deltas per
+  ``_rule_sums`` call, also as tau cells;
 * ``random_stats`` elements: tau values x studies.
 
 Each count must stay at most its budget, so a change that refines more,
@@ -32,12 +34,14 @@ from bmameta.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 #: The seed-1 counts, measured with the code this file was last changed
-#: with.  The analyze ``stats_elements`` is 4 x 4 studies above the 61,508
-#: of the code before: each of its four posterior summaries now reads the
-#: fixed-effect estimate from one ``random_stats(0.0, comparison)`` call.
+#: with.  The analyze budgets were lowered when the delta-posterior pass
+#: moved from the adaptive tau integral onto the tanh-sinh rule, whose
+#: cells count as tau cells: ``tau_cells`` from 1,896,300 to 611,817 and
+#: ``stats_elements`` from 61,524 to 60,216, measured on top of 30b03c8.
+#: The rank counts did not move.
 BUDGETS = {
     "rank": {"tau_cells": 163_380, "lambda_cells": 1_435_896, "stats_elements": 449_780},
-    "analyze": {"tau_cells": 1_896_300, "lambda_cells": 1_150_464, "stats_elements": 61_524},
+    "analyze": {"tau_cells": 611_817, "lambda_cells": 1_150_464, "stats_elements": 60_216},
 }
 
 
@@ -51,7 +55,7 @@ def workloads(monkeypatch):
 def counts(monkeypatch):
     """The work counts of everything run after the fixture is set up."""
     out = dict.fromkeys(("tau_cells", "lambda_cells", "stats_elements"), 0)
-    real_quad, real_stats = marginal.log_quad_batch, marginal.random_stats
+    real_quad, real_rule, real_stats = marginal.log_quad_batch, marginal._rule_sums, marginal.random_stats
 
     def log_quad_batch(log_f, bounds, *, n_owners=1, **kwargs):
         key = "lambda_cells" if "_mixture_integrals" in log_f.__qualname__ else "tau_cells"
@@ -62,11 +66,16 @@ def counts(monkeypatch):
 
         return real_quad(counted, bounds, n_owners=n_owners, **kwargs)
 
+    def rule_sums(stats, log_w, starts, delta_values):
+        out["tau_cells"] += np.size(log_w) * np.size(delta_values)
+        return real_rule(stats, log_w, starts, delta_values)
+
     def random_stats(tau, comparison):
         out["stats_elements"] += np.size(tau) * comparison.k
         return real_stats(tau, comparison)
 
     monkeypatch.setattr(marginal, "log_quad_batch", log_quad_batch)
+    monkeypatch.setattr(marginal, "_rule_sums", rule_sums)
     monkeypatch.setattr(marginal, "random_stats", random_stats)
     return out
 

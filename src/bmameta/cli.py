@@ -18,6 +18,7 @@ import math
 import os
 import stat
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import catalog
@@ -351,7 +352,10 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and ``rank`` sweeps call :func:`main` many times."""
     parser = argparse.ArgumentParser(
         prog="bmameta",
         description="Bayesian model-averaged meta-analysis for standardized mean differences",

@@ -13,6 +13,7 @@ families reduce to independent normal densities:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -40,9 +41,11 @@ def smd_from_raw(n1, mean1, sd1, n2, mean2, sd2):
     var(d) = (n1 + n2) / (n1 * n2) + d**2 / (2 * (n1 + n2)).
 
     This is plain Cohen's d with the standard large-sample variance; no
-    small-sample (Hedges-type) bias correction is applied.  Where a
-    weighted square of an arm's sd overflows (an sd past ~1.3e154), the
-    pooled SD is formed from the sds divided by the larger one.
+    small-sample (Hedges-type) bias correction is applied.  Where the
+    pooled variance overflows (an sd past ~1.3e154) or is subnormal or 0
+    (both sds below ~1e-154), the pooled SD is formed from the sds divided
+    by the larger one; wherever it is a normal float it is formed directly,
+    and an arm's subnormal square then adds at most 1.1e-16 of it.
     """
     if n1 < 2 or n2 < 2:
         raise DomainError(f"both arms need n >= 2, got n1={n1}, n2={n2}")
@@ -50,12 +53,14 @@ def smd_from_raw(n1, mean1, sd1, n2, mean2, sd2):
         raise DomainError("arm standard deviations must be non-negative")
     df = n1 + n2 - 2
     try:
-        pooled = math.sqrt(((n1 - 1) * sd1**2 + (n2 - 1) * sd2**2) / df)
+        squares = (n1 - 1) * sd1**2 + (n2 - 1) * sd2**2
     except OverflowError:  # float ** raises where * gives inf
-        pooled = math.inf
-    scale = max(sd1, sd2)
-    if pooled == math.inf and scale < math.inf:
+        squares = math.inf
+    scale, variance = max(sd1, sd2), squares / df
+    if 0.0 < scale < math.inf and not sys.float_info.min <= variance < math.inf:
         pooled = scale * math.sqrt(((n1 - 1) * (sd1 / scale) ** 2 + (n2 - 1) * (sd2 / scale) ** 2) / df)
+    else:
+        pooled = math.sqrt(variance)
     if pooled == 0.0:
         raise DegenerateDataError("both arms have zero variance; SMD undefined")
     d = (mean1 - mean2) / pooled

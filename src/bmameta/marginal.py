@@ -13,28 +13,34 @@ prior at many tau values, the tau part (:func:`_tau_part`) the same with
 the roles swapped; a point prior makes a part the likelihood itself.  A
 log marginal evaluates the delta part at a point tau or integrates it
 against a free tau prior, and that outer integrand is also the tau
-posterior's kernel.  Every integral but the t prior's accepted
-Gauss-Laguerre lambda rows and the delta-posterior pass's accepted
-tanh-sinh sums runs through the log-space adaptive Gauss-Kronrod
-integrator :func:`bmameta.quadrature.log_quad_batch`, whose groups each
-refine a partition of their own, shared by the owners of the group.
+posterior's kernel.  The free-tau log marginals and the delta-posterior
+pass take fixed rules over tau; the adaptive lambda rows of a t prior, the
+delta pass's fallback and the grid posteriors run through the log-space
+adaptive Gauss-Kronrod integrator :func:`bmameta.quadrature.log_quad_batch`.
 
-The delta part does not depend on the tau prior, and every part is a
-function of the likelihood's tau statistics, so
-:func:`chunk_log_marginals` integrates all its free-tau models on a chunk
-of comparisons in one outer tau integral, one group per (comparison,
-delta prior, tau prior) triple, each seeded at the shared tau lattice and
-its comparison's data scales.  Its integrand computes the tau statistics
-once per distinct (comparison, tau interval) of its rows
-(:func:`_distinct_rows`), each delta prior's part once for the whole
-chunk on the intervals its groups need, and adds each group's tau prior
-density.  So a t prior's lambda rows of every comparison of the chunk go
-through one call of its rules.  A row does not depend on its chunk: a
-chunk of one comparison gives, bit for bit, that comparison's row, and
-:func:`log_marginal` is the case of one model and one comparison.
-:func:`chunk_size` sizes chunks from the models alone; the corpus passes
-of :func:`bmameta.averaging.corpus_log_marginals` are the only callers
-that cut chunks.
+The free-tau log marginals (:func:`_free_tau_log_marginals`) integrate
+over the full support of the tau prior on one rule, with no cut: the
+exp-sinh rule for (0, inf) (Takahasi & Mori 1974) centred at the
+comparison's data scale, or, for a uniform tau prior, the tanh-sinh rule
+on its interval (:func:`_ml_nodes`).  Nested levels of 71 to 561 nodes,
+and 1121 in the second stage; a group is accepted when two successive
+levels agree and the rule's end pieces are within the tolerance (Bailey,
+Jeyabalan & Li 2005): the upper one, which the rule drops, and the error
+of the lower one, which it adds from the tau prior's CDF
+(:func:`_end_pieces`).  A group that the first stage does not accept is
+recentred on its own posterior (:func:`_rule_log_marginals`,
+:func:`_recentred`).
+The nodes do not depend on the prior, so :func:`chunk_log_marginals`
+computes the tau statistics once per comparison and node set, each delta
+prior's part once for the whole chunk, and each (comparison, delta prior,
+tau prior) group adds only its tau prior's log density and the log
+weights.  A group's nodes, skip set and sums depend on the group alone,
+so a row does not depend on its chunk: a chunk of one comparison gives,
+bit for bit, that comparison's row, and :func:`log_marginal` is the case
+of one model and one comparison.  :func:`chunk_size` sizes chunks from
+the models alone; the corpus passes of
+:func:`bmameta.averaging.corpus_log_marginals` are the only callers that
+cut chunks.
 
 At fixed tau the likelihood in delta is exactly N(mu(tau), V(tau))
 times exp(-c(tau) / 2), with V = 1 / S0 (see
@@ -50,10 +56,13 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
 * t(m, s, nu): a gamma scale mixture of normals, t_nu(m, s) = integral
   of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate nu / 2) d lambda, so the
   delta part is the log integral of exp(conj(s**2 / lambda)) against that
-  gamma density (:func:`_mixture_integrals`).  The tau values of one call
-  are the owners of one lambda row; in the outer tau integral each tau
-  interval is a row of its own.  A row whose owners all have V / s**2
-  below 0.3 takes a generalized Gauss-Laguerre rule with weight
+  gamma density (:class:`_Mixture`).  The tau values of one call are the
+  owners of one lambda row; on the free-tau rule each node takes the
+  Laguerre rules below on its own, and the nodes they leave form rows of
+  up to 16 nodes (:meth:`_Mixture.rule_values`), after a skip that needs
+  no lambda work, since the delta part is at most exp(-c / 2).  A row
+  whose owners all have V / s**2 below 0.3 takes a generalized
+  Gauss-Laguerre rule with weight
   lambda**(a - 1/2) e**(-b lambda), a = nu / 2, whose rate b = a +
   (mu - m)**2 / (2 (V + s**2)) follows the data (:func:`_laguerre`, by
   Golub & Welsch 1969).  It is evaluated densely at 12 and 18 nodes and
@@ -85,19 +94,18 @@ inner integral are computed once per owner tau and broadcast or gathered
 to the nodes; no inner node meets the study axis.  The prior constants
 (bounds, mixing limits and seeds) are computed once per distinct prior.
 
-The adaptive tau integrals keep all prior mass up to 1e-12 per tail and
-are seeded at the powers of 4 inside those bounds (computed once per
-prior) and at eight data scales (computed once per comparison of a
-call).  Neither depends on the prior's shape, so the groups of one outer
-integral split their common range at the same points and share those
-intervals; a standalone call integrates over the same partition.
+The adaptive tau integrals that remain, the delta pass's fallback and the
+grid posteriors, keep all prior mass up to 1e-12 per tail
+(:func:`_prior_bounds`).  The fallback is seeded at the powers of 4
+inside those bounds (computed once per prior) and at eight data scales
+(:func:`_tau_seeds`).
 
 The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
 squares of the variances se**2 + tau**2) are computed once per tau node
-of an integrand call (:func:`bmameta.core.random_stats`), and every delta
-part reads them: the parts take these statistics, not tau values, so the
-point-tau models of a call share one such computation and the outer
-integrand one per distinct interval.
+(:func:`bmameta.core.random_stats`), and every delta part reads them: the
+parts take these statistics, not tau values, so the point-tau models of
+a call share one such computation and the free-tau rule one per
+comparison and node set.
 
 The tau part at a free tau (the delta-posterior pass, :func:`_tau_part`)
 integrates in p = H(tau), the tau prior's CDF, where the integrand is the
@@ -127,7 +135,7 @@ import numpy as np
 from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
 
 from .core import _LOG_2PI, Comparison, loglik_from_stats, loglik_random, random_stats
-from .errors import DomainError, ParameterError, UnsupportedOperationError
+from .errors import ConvergenceError, DomainError, ParameterError, UnsupportedOperationError
 from .priors import PriorSpec, _gammaln_half_step, _gammaln_k
 from .quadrature import _BLOCK_CELLS, _NODES, _WEIGHTS_K, log_quad_batch
 
@@ -147,11 +155,26 @@ _TINY = np.finfo(float).tiny
 # V + w scratch stays far below the integrator's block size
 _CHUNK_CELLS = 1 << 16
 # A t lambda row whose owners all have V / s**2 below _LAGUERRE_R takes the
-# Gauss-Laguerre rules of these node counts (:func:`_mixture_integrals`).
+# Gauss-Laguerre rules of these node counts (:class:`_Mixture`).
 _LAGUERRE_R = 0.3
 _LAGUERRE_NODES = (12, 18)
-# First-pass outer tau intervals of one chunk of comparisons (:func:`chunk_size`)
-_CHUNK_INTERVALS = 2048
+# The free-tau log marginal's rule (:func:`_ml_nodes`): t runs over
+# [-_ML_END, _ML_END] at the steps _ML_STEPS, and each level's nodes end at
+# _ML_CUTS in the rule's arrays; stage one takes the first four levels.  A t
+# delta prior's lambda rows there are blocks of _ROW_NODES nodes consecutive
+# in t.
+_ML_END = 3.5
+_ML_STEPS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
+_ML_CUTS = (0, 71, 141, 281, 561, 1121)
+_ROW_NODES = 16
+# A t delta prior's node is skipped for a group where it can add at most
+# rel_tol _SKIP / 561 of the group's total (561 the nodes of stage one),
+# rel_tol the delta part's (a tenth of the log marginal's;
+# :meth:`_Mixture.rule_values`).
+_SKIP = 1e-3
+# (group x node) cells of the first rule pass of one chunk of comparisons
+# (:func:`chunk_size`)
+_CHUNK_RULE_CELLS = 1 << 15
 # The delta-posterior pass's tanh-sinh rule (:func:`_tau_rule`): its nested
 # steps in t, the end of its t range, and where each level's nodes end in
 # the rule's arrays, whose two end nodes come first
@@ -232,7 +255,7 @@ class _Mixing:
     gammaln(a) (:func:`bmameta.priors._gammaln_k`).  Written so, no term of
     size a cancels: the density peaks at u = 0 with value K(a) ~
     log(a / 2 pi) / 2.
-    These fields serve the adaptive path of :func:`_mixture_integrals`,
+    These fields serve the adaptive path of :class:`_Mixture`,
     which takes every lambda row the Gauss-Laguerre rules
     (:func:`_laguerre`) do not: rows with a likelihood variance of 0.3
     prior variances or more, and rows whose 12- and 18-node values
@@ -292,17 +315,26 @@ def _tau_lattice(prior: PriorSpec) -> np.ndarray:
     return lattice
 
 
+def _data_scale(comparison: Comparison) -> float:
+    """The effects' standard deviation, floored at a quarter of the smallest
+    se (the smallest se itself for one study): the centre of the free-tau
+    rule (:func:`_ml_nodes`) and the fifth of :func:`_tau_data_scales`."""
+    y, se = comparison._canonical
+    se_min = float(np.min(se))
+    with np.errstate(over="ignore"):  # an infinite scale gives a zero likelihood
+        sd_y = float(np.std(y)) if comparison.k > 1 else se_min
+    return max(sd_y, 0.25 * se_min)
+
+
 def _tau_data_scales(comparison: Comparison) -> np.ndarray:
     """Eight tau split points from the data: 1/4, 1/2 and 1 times the
-    smallest se, 1/2 to 4 times the effects' standard deviation (floored
-    at a quarter of the smallest se), and the effects' largest distance
-    from their median plus the smallest se."""
+    smallest se, 1/2 to 4 times :func:`_data_scale`, and the effects'
+    largest distance from their median plus the smallest se."""
     y, se = comparison._canonical
     se_min = float(np.min(se))
     with np.errstate(over="ignore"):  # an infinite scale is clipped to the prior's bounds
-        sd_y = float(np.std(y)) if comparison.k > 1 else se_min
         spread = float(np.max(np.abs(y - np.median(y)))) if comparison.k > 1 else se_min
-    scale = max(sd_y, 0.25 * se_min)
+    scale = _data_scale(comparison)
     return np.array([
         0.25 * se_min, 0.5 * se_min, se_min,
         0.5 * scale, scale, 2.0 * scale, 4.0 * scale, spread + se_min,
@@ -347,23 +379,22 @@ def chunk_log_marginals(
     A point tau evaluates the model's delta part (:func:`_delta_part`)
     there, from one :func:`~bmameta.core.random_stats` call per comparison
     for all the point tau values of the call, and one delta part call per
-    model for the whole chunk.  The free-tau models are the groups of one
-    outer tau integral (:func:`_free_tau_log_marginals`), one group per
-    (comparison, delta prior, tau prior) triple.  Each group refines a
-    partition of its own, so a row does not depend on the other
-    comparisons or models: it equals, bit for bit, the row of a chunk of
-    one.  But the groups share the integrator's cell cap,
-    ``max(40000, 64 n_groups)`` intervals, so a chunk whose groups
-    together refine past it fails where one comparison alone might not;
-    callers rerun a failed chunk one comparison at a time
-    (:func:`chunk_size` keeps chunks far below the cap).
+    model for the whole chunk.  The free-tau models are the groups of the
+    free-tau rule (:func:`_free_tau_log_marginals`), one group per
+    (comparison, delta prior, tau prior) triple.  A group's value depends
+    on the group alone, so a row does not depend on the other comparisons
+    or models: it equals, bit for bit, the row of a chunk of one.  But a
+    group the rule does not accept fails the whole chunk, and the t
+    priors' adaptive lambda rows of a chunk share the integrator's cell
+    cap, so a chunk can fail where one comparison alone would not; callers
+    rerun a failed chunk one comparison at a time.
     """
     out = np.empty((len(comparisons), len(models)))
     point = [i for i, model in enumerate(models) if not model.tau_free]
     if point:
         values, row = np.unique([models[i].tau_prior.params[0] for i in point], return_inverse=True)
         # a row per comparison, a column per point tau value
-        stats = tuple(np.stack(v) for v in zip(*(random_stats(values, c) for c in comparisons)))
+        stats = _stacked_stats([values] * len(comparisons), comparisons)
         for i, j in zip(point, row):
             part = _delta_part(models[i].delta_prior, rel_tol)
             out[:, i] = part(tuple(v[:, j:j + 1] for v in stats))[:, 0]
@@ -379,83 +410,352 @@ def chunk_log_marginals(
 def chunk_size(models: Sequence[ModelSpec]) -> int:
     """Comparisons per chunk of :func:`chunk_log_marginals` for ``models``.
 
-    As many comparisons as keep the first pass of a chunk's outer tau
-    integral within _CHUNK_INTERVALS intervals, counted as the free-tau
-    (delta prior, tau prior) pairs times the intervals that the tau
-    priors' joint lattice and the eight data scales make; at least one.
-    The count depends on the models alone, never on the data.
+    As many comparisons as keep a chunk's first pass of the free-tau rule
+    within _CHUNK_RULE_CELLS (group x node) cells, counted as the free-tau
+    (delta prior, tau prior) pairs times the rule's 281 nodes of levels 1
+    to 3; at least one.  The count depends on the models alone, never on
+    the data.
 
-    A chunk saves the per-call cost of the integrators and of the lambda
-    rules once per comparison; its memory grows with its size, mostly in
-    the lambda rows of its first outer pass.  At 2048 intervals the
-    20-member candidate ensemble runs in chunks of 2 and its 12
-    ``random_H1`` members in chunks of 3.  On a seeded five-comparison
-    ``rank`` sweep that is about as fast as one chunk of all five, and
-    the process peaks about 2 MB above the per-comparison passes, where
-    one chunk of all five peaks 4 MB above; chunks of 2 throughout were
-    slower.
+    A chunk saves the per-call cost of the rule, the delta parts and the
+    lambda rules once per comparison.  Its memory grows with its size, but
+    the rule's arrays are small: at 1 << 15 cells the 20-member candidate
+    ensemble runs in chunks of 7 and its 12 ``random_H1`` members in chunks
+    of 9, so a seeded five-comparison ``rank`` sweep is one chunk per mode.
     """
     pairs = {(m.delta_prior, m.tau_prior) for m in models if m.tau_free}
-    lattice = set().union(*(_tau_lattice(h).tolist() for _, h in pairs))
-    return max(1, _CHUNK_INTERVALS // max(1, len(pairs) * (len(lattice) + 9)))
+    return max(1, _CHUNK_RULE_CELLS // max(1, len(pairs) * _ML_CUTS[3]))
 
 
 def _free_tau_log_marginals(models, comparisons, rel_tol):
     """Log marginals of free-tau ``models`` on each of ``comparisons``, shape
-    (comparisons, models), from one outer ``log_quad_batch`` with one group
-    of one owner per (comparison, delta prior, tau prior) triple, in
-    comparison-major order.
+    (comparisons, models), on the free-tau rule (:func:`_rule_log_marginals`),
+    one group per (comparison, delta prior, tau prior) triple.
 
-    Every group gets the seeds of all the tau priors and its comparison's
-    data scales.  Clipped to a prior's bounds, another prior's lattice
-    points either fall on those bounds or are its own lattice points, so
-    each group refines the partition, and gets the total, of a
-    single-model, single-comparison call.
-
-    An integrand call computes the tau statistics once per distinct
-    (comparison, tau interval) of its rows (:func:`_distinct_rows`),
-    whatever the groups; each delta prior's part then reads those its
-    groups need, in one call for the whole chunk, and each group adds its
-    tau prior's density.
+    A uniform tau prior's nodes lie on its interval, the same for every
+    comparison; every other tau prior shares its comparison's nodes,
+    centred at the comparison's data scale (:func:`_data_scale`).  So one
+    node set serves all the non-uniform tau priors of a comparison, with
+    one delta part per delta prior.
     """
     pairs = _first_seen((m.delta_prior, m.tau_prior) for m in models)
     deltas = _first_seen(g for g, _ in pairs)
-    taus = _first_seen(h for _, h in pairs)
     parts = [_delta_part(g, rel_tol * 0.1) for g in deltas]
-    n = len(comparisons)
-    comp_of = np.repeat(np.arange(n), len(pairs))
-    delta_of = np.tile([deltas[g] for g, _ in pairs], n)
-    tau_of = np.tile([taus[h] for _, h in pairs], n)
-    bounds = np.tile([_prior_bounds(h) for _, h in pairs], (n, 1))
-    seeds = np.stack([_tau_seeds(taus, c) for c in comparisons])[comp_of]
+    out = np.empty((len(comparisons), len(pairs)))
+    centres = np.log([_data_scale(c) for c in comparisons])
+    node_set = lambda h: h if h.family == "uniform" else None
+    for key in _first_seen(node_set(h) for _, h in pairs):
+        cols = [j for j, (_, h) in enumerate(pairs) if node_set(h) == key]
+        members = [(deltas[g], h) for g, h in pairs if node_set(h) == key]
+        z0 = centres if key is None else np.zeros(len(comparisons))
+        out[:, cols] = _rule_log_marginals(key, z0, comparisons, members, parts, rel_tol)
+    return out[:, [pairs[m.delta_prior, m.tau_prior] for m in models]]
 
-    def logf(grp, t):
-        grp = grp[:, 0]
-        comp = comp_of[grp]
-        # each row's index into the stacked statistics of the distinct
-        # (comparison, interval) rows
-        index = np.empty(grp.size, dtype=np.intp)
-        stats, n_distinct = [], 0
-        for j in np.unique(comp):
-            rows = np.flatnonzero(comp == j)
-            first, inverse = _distinct_rows(t[rows])
-            index[rows] = n_distinct + inverse
-            n_distinct += first.size
-            stats.append(random_stats(t[rows[first]], comparisons[j]))
-        stats = tuple(np.concatenate(v) for v in zip(*stats))
-        out = np.empty(t.shape)
-        for j, part in enumerate(parts):
-            rows = delta_of[grp] == j
-            if rows.any():
-                need, back = np.unique(index[rows], return_inverse=True)
-                out[rows] = part(tuple(v[need] for v in stats))[back]
-        for j, h in enumerate(taus):
-            rows = tau_of[grp] == j
-            out[rows] += h.log_pdf(t[rows])
-        return out[..., None]
 
-    values = log_quad_batch(logf, bounds, seeds=seeds, rel_tol=rel_tol)[:, 0].reshape(n, len(pairs))
-    return values[:, [pairs[m.delta_prior, m.tau_prior] for m in models]]
+def _rule_log_marginals(key, z0, comparisons, members, parts, rel_tol) -> np.ndarray:
+    """Log marginals on one node set of the free-tau rule, shape
+    (comparisons, members); ``members`` are (delta part index, tau prior)
+    pairs, ``key`` the node set's uniform tau prior or None, and ``z0``
+    each comparison's centre in z (:func:`_ml_nodes`).
+
+    Stage one takes levels 1 to 3 (281 nodes) for every group.  Each
+    level's value includes the lower end piece L(tau_min) H(tau_min), with
+    H the tau prior's CDF and L the delta part, and a group is accepted when
+    levels 2 and 3 agree within ``rel_tol`` and the upper end piece
+    L(tau_max) (1 - H(tau_max)) plus the lower one's error are within
+    ``rel_tol`` of its value (:func:`_end_pieces`, :func:`_accepted`).  The
+    groups it does not accept add level 4's 280 nodes, from one more
+    ``random_stats`` call per comparison, and are accepted when levels 3
+    and 4 agree.  The rest go to
+    stage two (:func:`_recentred`).  Each group's nodes, skip set and sums
+    depend on the group alone, so its value has the same bits in any chunk
+    and beside any other models.
+    """
+    n, p = len(comparisons), len(members)
+    comp = np.repeat(np.arange(n), p)
+    delta_of = np.tile([g for g, _ in members], n)
+    z, tau, log_w = _ml_nodes(key, z0, np.ones(n), _ML_CUTS[4])
+    # (comparison, member)-major rows, as ``comp`` and ``delta_of``
+    log_b = np.stack([_log_weighted_prior(h, tau, log_w) for _, h in members], axis=1).reshape(n * p, -1)
+    log_ends = np.stack([_log_end_masses(h, tau) for _, h in members], axis=1).reshape(n * p, 2)
+    cut, order = _ML_CUTS[3], _ml_rule()[2]
+    stats = _stacked_stats(tau[:, :cut], comparisons)
+    f, e = _rule_terms(parts, stats, comp, delta_of, log_b[:, :cut], np.full(n * p, -np.inf), order[0])
+    sums = _level_sums(f, _ML_CUTS[:3])
+    low, ends = _end_pieces(f, e, log_ends, tau[:, :2][comp], _lower_end(key))
+    levels = _level_values(sums, f[:, 0], _ML_STEPS[:3], low)
+    value = levels[:, 2]
+    ok = _accepted(levels[:, 1], value, ends, rel_tol)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        need, back = np.unique(comp[redo], return_inverse=True)
+        stats = _stacked_stats(tau[need, cut:], [comparisons[i] for i in need])
+        f4, _ = _rule_terms(parts, stats, back, delta_of[redo], log_b[redo, cut:], sums[redo, 2], order[1])
+        finest = np.logaddexp(sums[redo, 2], _level_sums(f4, (0,))[:, 0])
+        finest = _level_values(finest[:, None], f[redo, 0], _ML_STEPS[3:4], low[redo])[:, 0]
+        ok[redo] = _accepted(value[redo], finest, ends[redo], rel_tol)
+        value[redo] = finest
+        again = ~ok[redo]
+        if again.any():
+            q = redo[again]
+            value[q] = _recentred(key, z[comp[q]], np.concatenate([f[q], f4[again]], axis=1), value[q],
+                                  e[q][:, [0, _ML_CUTS[1] - 1]], [comparisons[i] for i in comp[q]], delta_of[q],
+                                  [members[j % p][1] for j in q], parts, rel_tol)
+    return value.reshape(n, p)
+
+
+def _recentred(key, z, f, value, e_ends, comparisons, delta_of, taus, parts, rel_tol) -> np.ndarray:
+    """Stage two of the free-tau rule for the groups stage one rejects.
+
+    Each group's rule is recentred at the mean of z under its level-4
+    terms ``f`` (at nodes ``z``): the posterior mean of log tau, or of z
+    for a uniform tau prior.  Sigma is the largest of that posterior's sd;
+    the node spacing at its heaviest node, for a posterior narrower than
+    stage one's nodes; and the sigma whose range reaches the prior masses
+    beyond which stage one's end pieces (its delta parts ``e_ends`` at its
+    end nodes times those masses) fall to _SKIP ``rel_tol`` of its
+    ``value``.  The last is for a prior with mass near 0 that stage one
+    cannot reach: a gamma prior of shape below 1, whose mass there decays
+    only as tau**shape.  Three sds, which such a long tail inflates, left
+    the posterior's sharp side between the nodes for shapes up to 0.5 on
+    the seeded bench comparisons.  A wide reach in turn spaces the nodes
+    out at the posterior's sharp side, so stage two has a fifth level.
+
+    All five levels (1121 nodes) are taken at once, one ``random_stats``
+    call per group, and a group is accepted as in stage one when levels 2
+    and 3 agree, or else 3 and 4, or else 4 and 5; its value is the finer
+    of the first pair that agrees.  A group that is still not accepted
+    raises :class:`ConvergenceError` with the tolerance it reached.  On the
+    seeded bench comparisons gamma tau priors of shape 0.1 and above are
+    accepted, and about half of those of shape 0.05.
+    """
+    weight = np.exp(f - np.max(f, axis=1, keepdims=True))
+    weight /= np.sum(weight, axis=1, keepdims=True)
+    mean = np.sum(weight * z, axis=1)
+    sd = np.sqrt(np.sum(weight * (z - mean[:, None]) ** 2, axis=1))
+    # a posterior narrower than the nodes puts its weight on one node, whose
+    # spacing then stands in for sigma
+    u, log_du, orders = _ml_rule()
+    spacing = _ML_STEPS[3] * np.exp(log_du[np.argmax(f, axis=1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = rel_tol * _SKIP * np.exp(value[:, None] - e_ends)
+        reach = np.array([_z_of_masses(key, h, m) for h, m in zip(taus, masses)])
+        need = np.fmax(mean - reach[:, 0], reach[:, 1] - mean) / u.max()
+    _, tau, log_w = _ml_nodes(key, mean, np.fmax(np.fmax(sd, spacing), need), _ML_CUTS[5])
+    log_b = np.concatenate([_log_weighted_prior(h, tau[i:i + 1], log_w[i:i + 1]) for i, h in enumerate(taus)])
+    log_ends = np.concatenate([_log_end_masses(h, tau[i:i + 1]) for i, h in enumerate(taus)])
+    stats = _stacked_stats(tau, comparisons)
+    rows = np.arange(len(comparisons))
+    f, e = _rule_terms(parts, stats, rows, delta_of, log_b, np.full(rows.size, -np.inf), orders[2])
+    low, ends = _end_pieces(f, e, log_ends, tau[:, :2], _lower_end(key))
+    levels = _level_values(_level_sums(f, _ML_CUTS[:5]), f[:, 0], _ML_STEPS, low)
+    # the first of levels 3 to 5 that agrees with the level before it
+    ok = np.stack([_accepted(levels[:, j - 1], levels[:, j], ends, rel_tol) for j in (2, 3, 4)], axis=1)
+    if not np.all(ok.any(axis=1)):
+        i = int(np.flatnonzero(~ok.any(axis=1))[0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            reached = max(np.min(np.abs(np.diff(levels[i, 1:]))), math.exp(min(ends[i] - levels[i, 4], 709.0)))
+        raise ConvergenceError(
+            f"the tau rule reached a relative tolerance of {reached:.3g}, above {rel_tol:g}, "
+            f"under tau prior {taus[i]}", bracket=(float(levels[i, 4]), float(levels[i, 4] + math.log(reached))))
+    return levels[np.arange(levels.shape[0]), 2 + np.argmax(ok, axis=1)]
+
+
+@lru_cache(maxsize=2)
+def _level_order(n: int, levels: int) -> np.ndarray:
+    """The integers j = -n to n in order of level, for ``levels`` nested
+    levels: j is a node of the rule of step 2**(levels - 1) (level 1), then
+    of each half step down to 1, each level's new nodes in increasing j.
+    Node j's level, the coarsest step that holds it, is log2(top / gcd(j,
+    top)) with top = 2**(levels - 1)."""
+    top = 1 << (levels - 1)
+    j = np.arange(-n, n + 1)
+    level = np.log2(top // np.gcd(j, top))
+    j = j[np.argsort(level, kind="stable")]
+    j.flags.writeable = False
+    return j
+
+
+@lru_cache(maxsize=1)
+def _ml_rule() -> tuple:
+    """The free-tau rule's unit nodes: ``(u, log du/dt, orders)`` with
+    u = (pi / 2) sinh(t) at t = j _ML_STEPS[-1] over [-_ML_END, _ML_END]
+    in level order (:func:`_level_order`; levels end at _ML_CUTS), and the
+    orders in increasing t of the nodes of stage one's two passes and of
+    all the nodes.  Each node's t is the same float at every step that
+    holds it, since halving a step is exact."""
+    t = _level_order(round(_ML_END / _ML_STEPS[-1]), len(_ML_STEPS)) * _ML_STEPS[-1]
+    u = 0.5 * math.pi * np.sinh(t)
+    log_du = math.log(0.5 * math.pi) + np.log(np.cosh(t))
+    cut, end = _ML_CUTS[3:5]
+    orders = (np.argsort(t[:cut]), np.argsort(t[cut:end]), np.argsort(t))
+    for v in (u, log_du, *orders):
+        v.flags.writeable = False
+    return u, log_du, orders
+
+
+def _ml_nodes(key: Optional[PriorSpec], z0: np.ndarray, sigma: np.ndarray, nodes: int) -> tuple:
+    """``(z, tau, log_w)`` of the free-tau rule's first ``nodes`` nodes, a
+    row per entry of ``z0`` and ``sigma``: the nodes z = z0 + sigma u
+    (:func:`_ml_rule`), their tau and log(d tau / d t).
+
+    For ``key`` None tau = exp(z), the exp-sinh rule for (0, inf)
+    (Takahasi & Mori 1974); stage one centres it at the data scale s, so
+    tau = s exp((pi / 2) sinh t) runs from s 5e-12 to s 2e11.  For a
+    uniform(a, b) ``key`` tau = a + (b - a) p with p = 1 / (1 + exp(-2 z)),
+    the tanh-sinh rule on [a, b], and its distance to the nearer end is
+    formed as (b - a) / (1 + exp(2 |z|)), so no node rounds onto b.
+    """
+    u, log_du, _ = _ml_rule()
+    z = z0[:, None] + sigma[:, None] * u[:nodes]
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite centre: a zero likelihood
+        log_w = log_du[:nodes] + np.log(sigma)[:, None]
+        if key is None:
+            return z, np.exp(z), log_w + z
+        a, b = key.params
+        tail = 1.0 / (1.0 + np.exp(2.0 * np.abs(z)))
+        tau = np.where(z <= 0.0, a + (b - a) * tail, b - (b - a) * tail)
+        log_w += math.log(2.0 * (b - a)) - np.logaddexp(0.0, 2.0 * z) - np.logaddexp(0.0, -2.0 * z)
+    return z, tau, log_w
+
+
+def _z_of_masses(key: Optional[PriorSpec], h: PriorSpec, masses) -> tuple:
+    """The z (:func:`_ml_nodes`) below which the prior ``h`` has mass
+    ``masses[0]`` and above which it has ``masses[1]``; NaN for a mass
+    outside (0, 1) or a z out of range."""
+    out = []
+    for mass, lower in zip(masses, (True, False)):
+        if not 0.0 < mass < 1.0:
+            out.append(math.nan)
+        elif key is not None:  # uniform: H(tau) = p, and z is half its logit
+            out.append(0.5 * (math.log(mass) - math.log1p(-mass)) * (1.0 if lower else -1.0))
+        else:
+            tau = h.quantile(mass) if lower else h.upper_quantile(mass)
+            out.append(math.log(tau) if 0.0 < tau < math.inf else math.nan)
+    return tuple(out)
+
+
+def _log_weighted_prior(h: PriorSpec, tau: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """log h(tau) + log_w at the nodes, -inf at a node that is 0 or infinite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = h.log_pdf(tau) + log_w
+    return np.where((tau > 0.0) & (tau < np.inf), out, -np.inf)
+
+
+def _log_end_masses(h: PriorSpec, tau: np.ndarray) -> np.ndarray:
+    """log H(tau_min) and log(1 - H(tau_max)), a row per row of ``tau``,
+    at the rule's first and last node in t (t = -_ML_END and +_ML_END, the
+    first and last node of level 1)."""
+    mass = h.cdf(tau[:, [0, _ML_CUTS[1] - 1]])
+    with np.errstate(divide="ignore"):
+        return np.stack([np.log(mass[:, 0]), np.log1p(-mass[:, 1])], axis=1)
+
+
+def _lower_end(key: Optional[PriorSpec]) -> float:
+    """The lower end of the tau support of a node set (:func:`_ml_nodes`):
+    0, or a uniform ``key``'s lower bound."""
+    return 0.0 if key is None else key.params[0]
+
+
+def _end_pieces(f: np.ndarray, e: np.ndarray, log_ends: np.ndarray, tau: np.ndarray, lo: float) -> tuple:
+    """``(low, ends)``, the logs of each group's lower end piece and of what
+    bounds the error its end pieces leave, from its terms ``f`` and delta
+    parts (or their bounds) ``e`` at the nodes, :func:`_log_end_masses`,
+    and the rule's first two nodes in t, ``tau`` (a row per group), over a
+    support that starts at ``lo``.
+
+    The lower piece, L(tau_min) H(tau_min), is part of every level's value.
+    L depends on tau only through se**2 + tau**2, so below tau_min it moves
+    by about its slope in x = tau**2 between the first two nodes: the
+    piece's error is about |L(tau_1) - L(tau_min)| H(tau_min) (x_min -
+    lo**2) / (x_1 - x_min).  ``ends`` adds to that error the upper piece,
+    L(tau_max) (1 - H(tau_max)), which the rule drops; and where the first
+    node is skipped (or its term vanishes) its lower piece at the bound
+    ``e``, which is then dropped instead of added.
+    """
+    first = e[:, 0] + log_ends[:, 0]
+    low = np.where(f[:, 0] > -np.inf, first, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = e[:, 1] - e[:, 0]
+        # log |expm1(d)|, formed so that a steep rise does not overflow
+        log_change = np.where(d > 0.0, d + np.log(-np.expm1(-d)), np.log(-np.expm1(d)))
+        t0, t1 = tau[:, 0], tau[:, 1]
+        log_x = np.log(t0 - lo) + np.log(t0 + lo) - np.log(t1 - t0) - np.log(t1 + t0)
+        error = np.where(low > -np.inf, low + log_change + log_x, -np.inf)
+    upper = e[:, _ML_CUTS[1] - 1] + log_ends[:, 1]
+    return low, np.logaddexp(np.logaddexp(upper, error), np.where(f[:, 0] > -np.inf, -np.inf, first))
+
+
+def _level_values(sums: np.ndarray, first: np.ndarray, steps, low: np.ndarray) -> np.ndarray:
+    """Each group's value at each level from the log of its level sums
+    ``sums`` (a column per level of ``steps``), its first term in t,
+    ``first``, and its lower end piece ``low`` (:func:`_end_pieces`): the
+    trapezoidal rule from tau_min up, whose first node takes half its
+    weight, plus the piece below tau_min.  Where the integrand has decayed
+    at tau_min the half weight and the piece change nothing; where it has
+    not, the pair leaves an error of order step**2, and a full weight
+    there would leave one of order step."""
+    with np.errstate(invalid="ignore"):  # a group whose terms all vanish
+        trap = sums + np.log1p(-0.5 * np.exp(first[:, None] - sums))
+    trap = np.where(first[:, None] > -np.inf, trap, sums)
+    return np.logaddexp(trap + np.log(steps), low[:, None])
+
+
+def _accepted(coarse: np.ndarray, fine: np.ndarray, ends: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Whether each group's two successive level values agree within
+    ``rel_tol`` and its end pieces are within ``rel_tol`` of ``fine``.  A
+    group whose terms at the nodes of ``fine`` all vanish is accepted, a
+    zero likelihood, and so is a NaN, which :func:`chunk_log_marginals`
+    reports."""
+    with np.errstate(invalid="ignore"):  # inf - inf never agrees
+        ok = (np.abs(fine - coarse) <= rel_tol) & (ends - fine <= math.log(rel_tol))
+    return ok | (fine == -np.inf) | np.isnan(fine)
+
+
+def _stacked_stats(tau: np.ndarray, comparisons) -> tuple:
+    """The :func:`~bmameta.core.random_stats` of each row of ``tau`` under
+    its comparison, stacked: one call per comparison."""
+    return tuple(np.stack(v) for v in zip(*(random_stats(t, c) for t, c in zip(tau, comparisons))))
+
+
+def _rule_terms(parts, stats, rows, delta_of, log_b, known, order) -> tuple:
+    """Each group's log terms at the nodes of one rule pass and its delta
+    parts there: ``(f, e)``, shape (groups, nodes).
+
+    ``stats`` has a row of node statistics per comparison, ``rows`` is each
+    group's row and ``delta_of`` its delta part's index in ``parts``;
+    ``log_b`` is each group's log prior density plus log weight at the
+    nodes.  Each delta part runs once, on the rows its groups need; a t
+    prior's nodes are skipped per group (:meth:`_Mixture.rule_values`,
+    with ``known`` and ``order``).  f is the delta part plus ``log_b``,
+    -inf at a skipped node; e is the delta part, or at a skipped node its
+    bound -c / 2.
+    """
+    f, e = np.empty(log_b.shape), np.empty(log_b.shape)
+    for j in np.unique(delta_of):
+        sel = np.flatnonzero(delta_of == j)
+        need, back = np.unique(rows[sel], return_inverse=True)
+        sub = tuple(v[need] for v in stats)
+        if isinstance(parts[j], _Mixture):
+            d, skipped = parts[j].rule_values(sub, back, log_b[sel], known[sel], order)
+            e[sel] = np.where(skipped, -0.5 * sub[0][back], d)
+        else:
+            d = e[sel] = parts[j](sub)[back]
+        f[sel] = d + log_b[sel]
+    return f, e
+
+
+def _level_sums(f: np.ndarray, starts) -> np.ndarray:
+    """log of the sums of exp(f) over each row's nodes up to the end of each
+    of the level segments beginning at ``starts``: shape (rows, segments).
+    Each segment is shifted by its largest term, so no term under- or
+    overflows and a coarse level keeps its digits beside a far larger fine
+    one; a row's sums do not depend on the other rows."""
+    peak = np.maximum.reduceat(f, starts, axis=1)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    sizes = np.diff(np.append(starts, f.shape[1]))
+    sums = np.add.reduceat(np.exp(f - np.repeat(shift, sizes, axis=1)), starts, axis=1)
+    with np.errstate(divide="ignore"):  # a segment whose terms all vanish: -inf
+        return np.logaddexp.accumulate(np.log(sums) + shift, axis=1)
 
 
 def _first_seen(keys) -> dict:
@@ -477,7 +777,7 @@ def _delta_part(g: PriorSpec, rel_tol: float):
     Cauchy prior's (:func:`_voigt`) and those of the uniform and half-normal
     priors, which cut that shape to an interval; they run no quadrature.
     t priors are gamma scale mixtures of normals, so theirs is a 1-D
-    integral of the normal closed form (:func:`_mixture_integrals`).  A
+    integral of the normal closed form (:class:`_Mixture`).  A
     point delta is :func:`bmameta.core.loglik_from_stats`, bit for bit
     :func:`bmameta.core.loglik_random`.
     """
@@ -495,7 +795,7 @@ def _delta_part(g: PriorSpec, rel_tol: float):
     if g.family == "halfnormal":
         (s,) = g.params
         return lambda stats: _halfnormal(stats, s)
-    return _mixture_integrals(g, rel_tol)
+    return _Mixture(g, rel_tol)
 
 
 def _conjugate(stats: tuple, m: float, w) -> np.ndarray:
@@ -614,10 +914,10 @@ def _laguerre(alpha: float) -> tuple:
     return out
 
 
-def _mixture_integrals(g: PriorSpec, rel_tol: float):
-    """``integrals(stats)``: the delta part of a t prior ``g`` at the tau
-    values whose ``stats = (c, mu, S0)`` are given, as log of the integral
-    over lambda of ``_conjugate`` at prior variance s**2 / lambda times the
+class _Mixture:
+    """``part(stats)``: the delta part of a t prior ``g`` at the tau values
+    whose ``stats = (c, mu, S0)`` are given, as log of the integral over
+    lambda of ``_conjugate`` at prior variance s**2 / lambda times the
     gamma mixing density (:class:`_Mixing`).
 
     The rows of 2-D statistics are the lambda rows; a row's result does not
@@ -627,9 +927,9 @@ def _mixture_integrals(g: PriorSpec, rel_tol: float):
 
     * A row whose owners all have r = V / s**2 below _LAGUERRE_R, with
       V = 1 / S0, takes the generalized Gauss-Laguerre rules of
-      :func:`_laguerre`.  With x = mu - m, a = nu / 2 and D**2 = x**2 / s**2,
-      the integrand is lambda**(a - 1/2) e**(-b lambda) times
-      (1 + r lambda)**-1/2 exp(q r lambda (lambda - 1) / (1 + r lambda)),
+      :func:`_laguerre` (:meth:`laguerre`).  With x = mu - m, a = nu / 2 and
+      D**2 = x**2 / s**2, the integrand is lambda**(a - 1/2) e**(-b lambda)
+      times (1 + r lambda)**-1/2 exp(q r lambda (lambda - 1) / (1 + r lambda)),
       with the rate b = a + q and q = D**2 / (2 (1 + r)).  The rate follows
       the data, so what remains is constant at r = 0 and smooth in lambda
       for small r.  Each owner's value comes from the rules of 12 and 18
@@ -648,30 +948,40 @@ def _mixture_integrals(g: PriorSpec, rel_tol: float):
       miss by 1e-6 to 1e-3).  8 and 12 nodes accept 546 rows; 16 and 24
       accept all 598 but cost more cells than the 4 rows they add save.
     * Every other row is one group of the adaptive
-      :func:`~bmameta.quadrature.log_quad_batch` over u = log(lambda), its
-      owners the row's tau values sharing its u range, seeds and
-      partition.  The seeds are the mixing prior's seven quantile seeds
-      alone: the intervals they make already meet the tolerance under the
-      integrator's |K21 - G10| bracket (:class:`_Mixing`), so midpoints
-      between them would only double the cells.  The lower lambda limit is
-      set for the owners' largest distance from the prior's location and
-      largest likelihood variance, both in prior scales.
+      :func:`~bmameta.quadrature.log_quad_batch` over u = log(lambda)
+      (:meth:`adaptive`), its owners the row's tau values sharing its u
+      range, seeds and partition.  The seeds are the mixing prior's seven
+      quantile seeds alone: the intervals they make already meet the
+      tolerance under the integrator's |K21 - G10| bracket
+      (:class:`_Mixing`), so midpoints between them would only double the
+      cells.  The lower lambda limit is set for the owners' largest
+      distance from the prior's location and largest likelihood variance,
+      both in prior scales.
 
     The narrow likelihood peak in delta is integrated in closed form, so
     the integrand is smooth in lambda and delta has no bounds.  ``-c / 2``
     is added after the integral, so no node carries its rounding.  The
     lambda-free terms (:func:`_conjugate_terms`) are computed once per
     owner tau, so an adaptive cell costs one log and one division
-    (:func:`_conjugate_finish`).
+    (:func:`_conjugate_finish`).  The free-tau rule takes the same two
+    rules node by node, and skips nodes before their adaptive rows
+    (:meth:`rule_values`).
     """
-    m, s = g.params[:2]
-    mix = _mixing(g)
-    a = mix.a
-    # log of a**a / Gamma(a) * Gamma(a + 1/2) / a**(a + 1/2) / s, the
-    # Laguerre value's constant at r = 0 and D = 0
-    log_scale = _gammaln_half_step(a) - 0.5 * math.log(a) - math.log(s)
 
-    def adaptive(terms):
+    def __init__(self, g: PriorSpec, rel_tol: float):
+        self.m, self.s = g.params[:2]
+        self.mix = _mixing(g)
+        self.rel_tol = rel_tol
+        # log of a**a / Gamma(a) * Gamma(a + 1/2) / a**(a + 1/2) / s, the
+        # Laguerre value's constant at r = 0 and D = 0
+        a = self.mix.a
+        self.log_scale = _gammaln_half_step(a) - 0.5 * math.log(a) - math.log(self.s)
+
+    def adaptive(self, terms: tuple) -> np.ndarray:
+        """The adaptive rows' values from their owners' :func:`_conjugate_terms`
+        (with c = 0), shape (rows, owners)."""
+        s, mix = self.s, self.mix
+        a = mix.a
         n_owners = terms[1].shape[1]
         # each row's lower lambda limit (:class:`_Mixing`) for its owners'
         # largest D**2 and r, floored so that an overflow still gives a
@@ -696,15 +1006,16 @@ def _mixture_integrals(g: PriorSpec, rel_tol: float):
             out += (mix.log_norm - a * (np.expm1(u) - u))[..., None]
             return out
 
-        return log_quad_batch(logf, bounds, n_owners=n_owners, seeds=mix.seeds, rel_tol=rel_tol)
+        return log_quad_batch(logf, bounds, n_owners=n_owners, seeds=mix.seeds, rel_tol=self.rel_tol)
 
-    def laguerre(terms):
+    def laguerre(self, terms: tuple) -> tuple:
         """(18-node values, whether the row is accepted) of the rows' owners."""
+        s, a = self.s, self.mix.a
         nodes, log_w = _laguerre(a - 0.5)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = terms[1] / (s * s)
             q = 0.5 * (terms[2] / (s * s)) / (1.0 + r)
-            base = log_scale - 0.5 * terms[0] - (a + 0.5) * np.log1p(q / a)
+            base = self.log_scale - 0.5 * terms[0] - (a + 0.5) * np.log1p(q / a)
         out = np.empty(r.shape + (2,))
         step = max(1, _CHUNK_CELLS // (nodes.size * r.shape[1]))
         for i in range(0, r.shape[0], step):
@@ -728,26 +1039,93 @@ def _mixture_integrals(g: PriorSpec, rel_tol: float):
                     peak = np.max(f[..., part], axis=-1)
                     out[rows, :, k] = np.log(np.sum(np.exp(f[..., part] - peak[..., None]), axis=-1)) + peak
         with np.errstate(invalid="ignore"):
-            ok = np.all(np.abs(out[..., 1] - out[..., 0]) <= rel_tol, axis=1)
+            ok = np.all(np.abs(out[..., 1] - out[..., 0]) <= self.rel_tol, axis=1)
         return base + out[..., 1], ok
 
-    def integrals(stats: tuple) -> np.ndarray:
+    def __call__(self, stats: tuple) -> np.ndarray:
         c, mu, s0 = (np.atleast_2d(v) for v in stats)
-        terms = _conjugate_terms((0.0, mu, s0), m)
+        terms = _conjugate_terms((0.0, mu, s0), self.m)
         out = np.empty(mu.shape)
         # the rows the gate sends to the Laguerre rules; those accepted stay True
-        dense = np.all(terms[1] < _LAGUERRE_R * (s * s), axis=1)
+        dense = np.all(terms[1] < _LAGUERRE_R * (self.s * self.s), axis=1)
         if dense.any():
-            values, ok = laguerre(tuple(v[dense] for v in terms))
+            values, ok = self.laguerre(tuple(v[dense] for v in terms))
             rows = np.flatnonzero(dense)[ok]
             out[rows] = values[ok]
             dense[dense] = ok
         rest = ~dense
         if rest.any():
-            out[rest] = adaptive(tuple(v[rest] for v in terms))
+            out[rest] = self.adaptive(tuple(v[rest] for v in terms))
         return (out - 0.5 * c).reshape(np.shape(stats[0]))
 
-    return integrals
+    def rule_values(self, stats: tuple, rows: np.ndarray, log_b: np.ndarray, known: np.ndarray,
+                    order: np.ndarray) -> tuple:
+        """The delta part at the free-tau rule's nodes of a set of groups, each
+        with its own skip set: ``(values, skipped)``, both of shape (groups,
+        nodes), the values -inf where skipped.
+
+        ``stats`` has a row of node statistics per comparison, ``rows`` is
+        each group's row, ``log_b`` each group's log prior density plus log
+        weight at the nodes, ``known`` the log of each group's sum over the
+        nodes of earlier passes, and ``order`` the nodes in increasing t.
+
+        Every node whose V / s**2 is below _LAGUERRE_R takes the Laguerre
+        rules on its own; those accepted are the group's evaluated nodes.
+        A node they do not take would need the adaptive rule, so a group
+        skips it where its bound cannot matter: the delta part is at most
+        the likelihood's peak in delta, exp(-c / 2), so the node adds at
+        most exp(-c / 2) w h(tau), and it is skipped when that is below
+        ``rel_tol`` _SKIP / N of the group's sum over its evaluated nodes,
+        with N the 561 nodes of the rule's stage one.  The nodes a group keeps go to the
+        adaptive rule in fixed blocks of _ROW_NODES nodes consecutive in t,
+        one lambda row per block with the kept nodes as owners.  A row's
+        values depend on its comparison and owners alone, so groups whose
+        rows coincide share them, and a group's values do not depend on the
+        other groups of the call.
+        """
+        c = stats[0]
+        terms = _conjugate_terms((0.0, stats[1], stats[2]), self.m)
+        values = np.full(c.shape, -np.inf)
+        dense = terms[1] < _LAGUERRE_R * (self.s * self.s)
+        if dense.any():
+            laguerre, ok = self.laguerre(tuple(v[dense][:, None] for v in terms))
+            dense[dense] = ok
+            values[dense] = laguerre[ok, 0] - 0.5 * c[dense]
+        out = values[rows]
+        total = np.logaddexp(known, np.logaddexp.reduce(out + log_b, axis=1))
+        bound = log_b - 0.5 * c[rows]
+        cut = total + math.log(self.rel_tol * _SKIP / _ML_CUTS[4])
+        keep = ~dense[rows] & (bound > -np.inf) & (bound >= cut[:, None])
+        if keep.any():
+            self._adaptive_blocks(out, keep, terms, c, rows, order)
+        return out, ~dense[rows] & ~keep
+
+    def _adaptive_blocks(self, out, keep, terms, c, rows, order) -> None:
+        """Fill ``out`` at the ``keep`` nodes from one adaptive lambda row per
+        distinct (comparison, block, kept nodes), all in one integrator
+        call of _ROW_NODES owners per row.  A row with fewer kept nodes
+        repeats its first: a repeated owner refines like the original and
+        leaves the row's lambda range unchanged, so the row keeps its bits,
+        and its cells do not depend on the other rows of the call."""
+        width = _ROW_NODES
+        n_blocks = -(-order.size // width)
+        slots = np.full(n_blocks * width, -1)
+        slots[:order.size] = order
+        slots = slots.reshape(n_blocks, width)
+        kept = np.zeros((keep.shape[0], n_blocks * width), dtype=np.int64)
+        kept[:, :order.size] = keep[:, order]
+        code = kept.reshape(keep.shape[0], n_blocks, width) @ (1 << np.arange(width))
+        group, block = np.nonzero(code)
+        keys, use = np.unique(np.stack([rows[group], block, code[group, block]], axis=1), axis=0,
+                              return_inverse=True)
+        owned = ((keys[:, 2:] >> np.arange(width)) & 1).astype(bool)
+        # each row's owners first, in increasing t, then its first owner again
+        rank = np.where(owned, np.arange(width), width + np.argmax(owned, axis=1)[:, None])
+        owner = slots[keys[:, 1:2], np.sort(rank, axis=1) % width]
+        row = keys[:, :1]
+        values = self.adaptive(tuple(v[row, owner] for v in terms)) - 0.5 * c[row, owner]
+        use = use.ravel()
+        out[group[:, None], owner[use]] = values[use]
 
 
 @lru_cache(maxsize=1024)
@@ -772,12 +1150,8 @@ def _tau_rule(h: PriorSpec) -> tuple:
     node rounds onto p = 1.  The smaller of p and q is formed as
     1 / (1 + exp(2 |u|)), and is 1.2e-16 at the end nodes.
     """
-    n, top = round(_RULE_END / _RULE_STEPS[-1]), 1 << (len(_RULE_STEPS) - 1)
-    j = np.arange(-n, n + 1)
-    # node j's level, the coarsest step that holds it, is log2(8 / gcd(j, 8))
-    level = np.log2(top // np.gcd(j, top))
-    j = np.concatenate([[-n, n], j[np.argsort(level, kind="stable")]])
-    t = j * _RULE_STEPS[-1]
+    n = round(_RULE_END / _RULE_STEPS[-1])
+    t = np.concatenate([[-n, n], _level_order(n, len(_RULE_STEPS))]) * _RULE_STEPS[-1]
     two_u = np.pi * np.abs(np.sinh(t))
     tail = 1.0 / (1.0 + np.exp(two_u))  # min(p, 1 - p)
     log_tail = -np.logaddexp(0.0, two_u)
@@ -903,21 +1277,6 @@ def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
         return _tau_part(model.tau_prior, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
     delta_part = _delta_part(model.delta_prior, rel_tol * 0.1)
     return delta_part(random_stats(xs, comparison)) + model.tau_prior.log_pdf(xs)
-
-
-def _distinct_rows(x: np.ndarray) -> tuple:
-    """``(first, inverse)`` with ``x[first][inverse]`` equal to ``x``, exactly.
-
-    Rows are keyed by their first and last node, which on quadrature
-    nodes identify the interval; the gathered rows are checked against
-    ``x``, and every row is kept on its own if the endpoints ever fail to
-    decide the other nodes.
-    """
-    ends = np.ascontiguousarray(x[:, [0, -1]]).view(np.complex128).ravel()
-    _, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
-    if not np.array_equal(x[first][inverse], x):
-        first = inverse = np.arange(x.shape[0])
-    return first, inverse
 
 
 def _trapz_weights(h: np.ndarray) -> np.ndarray:

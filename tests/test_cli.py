@@ -168,16 +168,36 @@ class TestAnalyze:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_summary_far_from_the_marginal_likelihood_is_a_warning(self, tmp_path, capsys, caplog):
-        # at +-1e100 the tau grid's normalization exceeds the marginal
-        # likelihood by more than exp(709): reported, not an OverflowError
+        # at +-1e100 the grid summaries miss the marginal likelihood: reported,
+        # not an OverflowError.  The random_H0 log marginal, on the
+        # full-support tau rule, matches a 30-digit mpmath integral over
+        # z = log tau, split at the integrand's peak (z ~ 230); 60 on either
+        # side of it the integrand is below exp(-280) of its peak
+        mp = pytest.importorskip("mpmath")
         csv = write(tmp_path / "far.csv", "effect,se\n1e100,1\n-1e100,1\n1e100,1\n")
+        out = tmp_path / "far.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["analyze", csv]) == 0
-        assert any("grid normalization differs from the marginal likelihood by inf" in r.getMessage()
+            assert main(["analyze", csv, "--out", str(out)]) == 0
+        assert any("grid normalization differs from the marginal likelihood by" in r.getMessage()
                    for r in caplog.records if r.levelname == "WARNING")
         assert "Traceback" not in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        [random_h0] = [m for m in json.loads(out.read_text())["models"] if m["name"] == "random_H0"]
+        a, b = 1.71, 0.4  # the pooled invgamma tau prior
+        with mp.workdps(30):
+            y = [mp.mpf(v) for v in (1e100, -1e100, 1e100)]
+
+            def log_f(z):  # likelihood at delta = 0 times prior density times d tau / dz
+                v = 1 + mp.exp(2 * z)
+                return (-sum(mp.log(2 * mp.pi * v) + yi * yi / v for yi in y) / 2
+                        + a * mp.log(b) - mp.loggamma(a) - a * z - b * mp.exp(-z))
+
+            peak = max((mp.mpf(z) / 2 for z in range(400, 520)), key=log_f)
+            top = log_f(peak)
+            pts = [peak + k for k in (-60, -10, -3, -1, 0, 1, 3, 10, 60)]
+            want = float(top + mp.log(mp.quad(lambda z: mp.exp(log_f(z) - top), pts)))
+        assert abs(random_h0["log_marginal"] - want) <= 1e-12 * abs(want), (random_h0["log_marginal"], want)
 
     @pytest.mark.parametrize("scale", [1e-18, 1e151])
     def test_bayes_factors_do_not_depend_on_the_scale(self, tmp_path, scale, capsys):
@@ -921,6 +941,20 @@ class TestCatalogCommand:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["entries"]) == 46
         assert payload["pooled"]["topic"] == "Pooled estimate"
+
+
+class TestParser:
+    def test_parser_is_built_once_per_process(self, capsys):
+        from bmameta import cli
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["catalog", "list"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        # a reused parser still reports errors as a fresh one does
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(["rank"])
+            assert "bmameta rank: error: the following arguments are required: corpus" in capsys.readouterr().err
 
 
 class TestReportSerialization:

@@ -32,6 +32,23 @@ class TestSmdFromRaw:
         with pytest.raises(DegenerateDataError):
             smd_from_raw(2, 0.0, 0.0, 2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n, sd", [(30, 1e-160), (30, 1e-170), (30, 1e-300), (30, 5e-324), (200, 1e-155)])
+    def test_tiny_equal_sds_give_the_mean_difference_over_the_sd(self, n, sd):
+        # the pooled variance is subnormal (1e-160; and at n = 200 and
+        # 1e-155, where the weighted squares sum to a normal 4e-308) or 0
+        # (1e-170 and below), so the pooled SD is formed from the sds over
+        # the larger
+        d, se = smd_from_raw(n, sd, sd, n, 0.0, sd)
+        assert abs(d - 1.0) <= math.ulp(1.0)
+        assert se == pytest.approx(math.sqrt(2 * n / n**2 + 1 / (4 * n)), rel=1e-15)
+
+    def test_normal_squares_keep_their_bits(self):
+        # wherever the pooled variance is a normal float, the pooled SD is
+        # formed directly, as it always was
+        for sd1, sd2 in ((1.0, 2.0), (1e-150, 3e-150), (1.0, 1e-170), (1e150, 1e-200)):
+            d, _ = smd_from_raw(12, 0.7, sd1, 9, 0.1, sd2)
+            assert d == (0.7 - 0.1) / math.sqrt((11 * sd1**2 + 8 * sd2**2) / 19)
+
     def test_small_arms_rejected(self):
         with pytest.raises(DomainError):
             smd_from_raw(1, 0.0, 1.0, 5, 0.0, 1.0)

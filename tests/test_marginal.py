@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bmameta import marginal
 from bmameta import (
     Comparison,
+    ConvergenceError,
     ModelSpec,
     ParameterError,
     PriorSpec,
@@ -259,9 +260,9 @@ def _mp_log_inner(mp, y, se, g, tau):
 def mp_log_marginal(y, se, model):
     """High-precision log marginal likelihood with mpmath (30 digits).
 
-    tau runs over the region :func:`log_marginal` integrates, the prior
-    support less 1e-12 prior mass per tail, so that this checks the
-    quadrature and not that documented truncation.
+    tau runs over the prior's full support, split at the data's scales:
+    the smallest se, the effects' spread and their standard deviation.
+    The delta part is formed in mpmath too (:func:`_mp_log_inner`).
     """
     mp = pytest.importorskip("mpmath")
     g, h = model.delta_prior, model.tau_prior
@@ -272,12 +273,14 @@ def mp_log_marginal(y, se, model):
         def log_f(t):
             return _mp_log_inner(mp, y, se, g, t) + _mp_log_prior(mp, h, t)
 
-        lo, hi = marginal._prior_bounds(h)
-        smin, spread = min(se), max(y) - min(y)
-        pts = {smin * k for k in (0.25, 1, 4)} | {spread * k for k in (0.25, 1, 4)} | {0.1, 0.5, 2.0}
-        pts = [mp.mpf(p) for p in sorted({lo, hi} | {p for p in pts if lo < p < hi})]
-        ref = log_f(pts[len(pts) // 2])
-        integral = mp.quad(lambda t: mp.exp(log_f(t) - ref), pts)
+        lo, hi = h.support
+        smin, spread, sd = min(se), max(y) - min(y), float(np.std(y))
+        pts = {smin * k for k in (0.25, 1, 4)} | {spread * k for k in (0.25, 1, 4)}
+        pts |= {sd * k for k in (0.25, 1, 4)} | {0.1, 0.5, 2.0}
+        pts = [mp.mpf(p) for p in sorted(p for p in pts if lo < p < hi)]
+        ref = max(log_f(p) for p in pts)
+        ends = [mp.mpf(lo), mp.inf if hi == math.inf else mp.mpf(hi)]
+        integral = mp.quad(lambda t: mp.exp(log_f(t) - ref), [ends[0]] + pts + [ends[1]])
         return float(ref + mp.log(integral))
 
 
@@ -332,6 +335,21 @@ class TestMpmathOracle:
         got = log_marginal(model, c)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
 
+    @pytest.mark.parametrize("y, se, model, want", [
+        # the likelihood is largest at tau = 0, below the prior's 1e-12
+        # quantile (tau = 0.0133), where an integral cut there misses 1.13e-6
+        ((0.0,) * 12, (0.02,) * 12, h0r(IG_POOLED), 19.9186295139935528),
+        # a cut at the half-normal's 1e-12 upper quantile misses 1.05e-9
+        ((-3.0, 3.0, 0.0, 5.0), (0.05,) * 4, h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.halfnormal(0.57)),
+         -17.5964793555935),
+    ], ids=["twelve-zeros", "spread-four"])
+    def test_full_support_cases_the_prior_quantiles_cut(self, y, se, model, want):
+        c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
+        ref = mp_log_marginal(y, se, model)
+        assert abs(ref - want) <= 1e-13 * max(1.0, abs(want)), ref
+        got = log_marginal(model, c)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
+
     @pytest.mark.parametrize("nu", [1e3, 1e5, 1e6, 1e8])
     def test_t_prior_with_large_nu(self, nu):
         # a = nu / 2 enters the mixing density only through K(a) and
@@ -356,32 +374,27 @@ class TestTinyStandardErrors:
             assert math.isfinite(log_marginal(member.model, c)), member.model.name
 
     @pytest.mark.parametrize("spread", [620.0, 630.0])
-    def test_delta_priors_sharing_one_cap_need_less_than_a_quarter(self, spread, monkeypatch):
-        # The four delta priors of the candidate set share one outer tau
-        # call and its 40000-cell cap.  On ±spread over 200 studies, the
-        # hardest inputs found that converge (at ±640 the Cauchy prior fails
-        # alone), all of them together stay under a quarter of that cap.
+    def test_far_spread_converges_within_two_rule_stages(self, spread, monkeypatch):
+        # On +-spread over 200 studies at se 0.01, the hardest inputs the
+        # adaptive outer integral converged on, the posterior of log tau is
+        # about 0.004 wide, narrower than stage one's nodes: every free-tau
+        # member of the candidate set converges, within stage one's 561 nodes
+        # and stage two's 1121 per group
         c = Comparison(tuple(Study(y, 0.01) for y in [spread] * 100 + [-spread] * 100))
         cand = general_candidate_set()
         models = [m.model for m in build_standard_ensemble(cand.delta_priors, cand.tau_priors).members
                   if m.model.tau_prior.family != "point"]
-        real = marginal.log_quad_batch
-        outer_rows = []
+        real = marginal._level_sums
+        cells = []
 
-        def recording(log_f, bounds, **kwargs):
-            if kwargs.get("n_owners", 1) != 1:  # an inner delta integral
-                return real(log_f, bounds, **kwargs)
+        def counting(f, starts):
+            cells.append(f.size)
+            return real(f, starts)
 
-            def f(grp, t):
-                outer_rows.append(t.shape[0])
-                return log_f(grp, t)
-
-            return real(f, bounds, **kwargs)
-
-        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        monkeypatch.setattr(marginal, "_level_sums", counting)
         assert len({m.delta_prior for m in models}) == 4
         assert np.all(np.isfinite(marginal.chunk_log_marginals(models, [c])[0]))
-        assert sum(outer_rows) < 40000 / 4
+        assert 0 < sum(cells) <= len(models) * (marginal._ML_CUTS[4] + marginal._ML_CUTS[5])
 
 
 class TestLikelihoodConstantOutsideIntegrand:
@@ -608,6 +621,20 @@ def _count_quadratures(monkeypatch):
     return calls
 
 
+def _count_rule_sums(monkeypatch):
+    """(groups, nodes) of every pass of the free-tau rule, the ``f`` of each
+    ``_level_sums`` call."""
+    real = marginal._level_sums
+    calls = []
+
+    def counting(f, starts):
+        calls.append(f.shape)
+        return real(f, starts)
+
+    monkeypatch.setattr(marginal, "_level_sums", counting)
+    return calls
+
+
 class TestVoigtDeltaPart:
     """A Cauchy delta prior's delta part is closed: log Re w(z) of the
     Faddeeva function, with no quadrature."""
@@ -638,9 +665,9 @@ class TestVoigtDeltaPart:
         assert calls == []
 
     def test_random_h1_runs_only_the_outer_tau_integral(self, rng, monkeypatch):
-        calls = _count_quadratures(monkeypatch)
+        calls, sums = _count_quadratures(monkeypatch), _count_rule_sums(monkeypatch)
         assert math.isfinite(log_marginal(h1r(self.CAUCHY, IG_POOLED), make_comparison(rng, 5)))
-        assert calls == [(1, 1)]
+        assert calls == [] and sums == [(1, marginal._ML_CUTS[3])]
 
 
 class TestTruncatedNormalDeltaParts:
@@ -658,9 +685,9 @@ class TestTruncatedNormalDeltaParts:
 
     @pytest.mark.parametrize("g", PRIORS, ids=str)
     def test_random_h1_runs_only_the_outer_tau_integral(self, g, rng, monkeypatch):
-        calls = _count_quadratures(monkeypatch)
+        calls, sums = _count_quadratures(monkeypatch), _count_rule_sums(monkeypatch)
         assert math.isfinite(log_marginal(h1r(g, IG_POOLED), make_comparison(rng, 5)))
-        assert calls == [(1, 1)]
+        assert calls == [] and sums == [(1, marginal._ML_CUTS[3])]
 
     @settings(max_examples=300, deadline=None)
     @given(lo=st.floats(-40.0, 40.0), log_width=st.floats(-6.0, math.log10(80.0)))
@@ -689,27 +716,24 @@ class TestSharedTauPartition:
             assert np.array_equal(marginal._tau_seeds([h], c)[:-8], want), h
 
     def test_owners_of_one_delta_prior_share_tau_intervals(self, rng, monkeypatch):
+        # the exp-sinh nodes do not depend on the prior: the three
+        # non-uniform tau priors share one random_stats call of 281 nodes,
+        # the uniform prior has its own, and each value is its standalone one
         c = make_comparison(rng, 8)
         models = [h1r(T_POOLED, h) for h in general_candidate_set().tau_priors]
-        real = marginal.log_quad_batch
-        outer_rows = []
+        assert sum(m.tau_prior.family == "uniform" for m in models) == 1
+        real = marginal.random_stats
+        nodes = []
 
-        def recording(log_f, bounds, **kwargs):
-            if kwargs.get("n_owners", 1) != 1:  # an inner delta integral, an owner per tau node
-                return real(log_f, bounds, **kwargs)
-            assert np.shape(bounds) == (len(models), 2)
+        def recording(tau, comparison):
+            nodes.append(np.array(tau))
+            return real(tau, comparison)
 
-            def f(grp, t):
-                outer_rows.append(t)
-                return log_f(grp, t)
-
-            return real(f, bounds, **kwargs)
-
-        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        monkeypatch.setattr(marginal, "random_stats", recording)
         got = marginal.chunk_log_marginals(models, [c])[0]
-        rows = np.concatenate(outer_rows)
-        assert np.unique(rows, axis=0).shape[0] < 0.8 * rows.shape[0]
-        monkeypatch.setattr(marginal, "log_quad_batch", real)
+        assert [t.size for t in nodes] == [marginal._ML_CUTS[3]] * 2
+        assert not np.array_equal(nodes[0], nodes[1])
+        monkeypatch.setattr(marginal, "random_stats", real)
         for model, value in zip(models, got):
             assert value == log_marginal(model, c), model.name
 
@@ -761,20 +785,11 @@ class TestSharedTauPartition:
         twice = marginal.chunk_log_marginals(models + models[:3], [c])[0]
         assert np.array_equal(twice, np.concatenate([got, got[:3]]))
 
-    def test_distinct_rows_keep_rows_with_shared_endpoints_apart(self):
-        t = np.tile(np.linspace(0.1, 0.9, 15), (4, 1))
-        t[1, 7] = 0.55  # same first and last node as row 0, different interior
-        first, inverse = marginal._distinct_rows(t)
-        assert np.array_equal(t[first][inverse], t)
-        assert first.size == 4
-        first, inverse = marginal._distinct_rows(t[[0, 2, 3]])
-        assert first.size == 1 and np.array_equal(inverse, [0, 0, 0])
-
 
 class TestCorpusChunks:
-    """A chunk of comparisons is one outer tau integral with a group per
-    (comparison, delta prior, tau prior); each row equals its comparison's
-    own call bit for bit."""
+    """A chunk of comparisons is one pass of the free-tau rule with a group
+    per (comparison, delta prior, tau prior); each row equals its
+    comparison's own call bit for bit."""
 
     @staticmethod
     def _models():
@@ -793,26 +808,15 @@ class TestCorpusChunks:
         assert np.array_equal(got, want)
 
     def test_first_outer_pass_of_a_chunk_stays_within_its_budget(self, monkeypatch):
+        # stage one's first pass takes levels 1 to 3 of the rule for every
+        # group: a chunk's (group x node) cells there stay within the budget
         models = self._models()
         rng = np.random.default_rng(13)
         corpus = [make_comparison(rng, 5) for _ in range(marginal.chunk_size(models))]
-        real = marginal.log_quad_batch
-        first = []
-
-        def recording(log_f, bounds, **kwargs):
-            if kwargs.get("n_owners", 1) != 1:  # a lambda row integral
-                return real(log_f, bounds, **kwargs)
-
-            def f(grp, t):
-                if not first:
-                    first.append(t.shape[0])
-                return log_f(grp, t)
-
-            return real(f, bounds, **kwargs)
-
-        monkeypatch.setattr(marginal, "log_quad_batch", recording)
+        sums = _count_rule_sums(monkeypatch)
         marginal.chunk_log_marginals(models, corpus)
-        assert len(corpus) >= 2 and 0 < first[0] <= marginal._CHUNK_INTERVALS
+        first = [groups * nodes for groups, nodes in sums if nodes == marginal._ML_CUTS[3]]
+        assert len(corpus) >= 2 and 0 < sum(first) <= marginal._CHUNK_RULE_CELLS
 
 
 class TestPosteriorSummary:
@@ -1006,3 +1010,156 @@ class TestTauRule:
         got = marginal._tau_part(IG_POOLED, c, 1e-10)(xs)
         assert len(calls) == 1, "the input must be rejected"
         assert np.array_equal(got, real(IG_POOLED, c, 1e-10, xs))
+
+
+def mp_log_marginal_in_log_tau(y, se, model, peak, width):
+    """:func:`mp_log_marginal` for a posterior of log tau too narrow for its
+    split points: by 30-digit mpmath over z = log tau, split at ``peak`` and
+    at multiples of ``width`` around it, and cut 60 widths out."""
+    mp = pytest.importorskip("mpmath")
+    g, h = model.delta_prior, model.tau_prior
+    with mp.workdps(30):
+        def log_f(z):
+            t = mp.exp(z)
+            return _mp_log_inner(mp, y, se, g, t) + _mp_log_prior(mp, h, t) + z
+
+        pts = [mp.mpf(peak) + k * mp.mpf(width) for k in (-60, -10, -3, -1, 0, 1, 3, 10, 60)]
+        top = log_f(pts[4])
+        return float(top + mp.log(mp.quad(lambda z: mp.exp(log_f(z) - top), pts)))
+
+
+def mp_log_marginal_with_gamma_mass_near_zero(y, se, model, cut=1e-30):
+    """:func:`mp_log_marginal` for a gamma tau prior of shape below 1, whose
+    density tau**(shape - 1) near 0 mpmath's tau integral does not resolve
+    (it misses by 3e-4 at shape 0.1): by 30-digit mpmath over z = log tau
+    from log ``cut`` to 400 prior scales, plus the mass below ``cut`` in
+    closed form, L(cut) H(cut).  The likelihood depends on tau only through
+    se**2 + tau**2, so below ``cut`` it is L(cut) within (cut / se)**2."""
+    mp = pytest.importorskip("mpmath")
+    g, h = model.delta_prior, model.tau_prior
+    assert h.family == "gamma"
+    with mp.workdps(30):
+        shape, scale = (mp.mpf(v) for v in h.params)
+        low = mp.exp(_mp_log_inner(mp, y, se, g, mp.mpf(cut))) * mp.gammainc(shape, 0, cut / scale, regularized=True)
+
+        def log_f(z):
+            t = mp.exp(z)
+            return _mp_log_inner(mp, y, se, g, t) + _mp_log_prior(mp, h, t) + z
+
+        top = math.log(400.0 * h.params[1])
+        pts = set(np.linspace(math.log(cut), math.log(min(se)), 12))
+        pts |= {math.log(v) for v in (min(se) / 4, min(se), 4 * min(se), 0.1, 1.0, 10.0) if v < 400.0 * h.params[1]}
+        pts = [mp.mpf(p) for p in sorted(pts)] + [mp.mpf(top)]
+        ref = max(log_f(p) for p in pts)
+        body = mp.quad(lambda z: mp.exp(log_f(z) - ref), pts)
+        return float(mp.log(body * mp.exp(ref) + low))
+
+
+class TestFreeTauRule:
+    """The free-tau log marginal's rule: exp-sinh over (0, inf) centred at the
+    data scale, tanh-sinh on a uniform prior's interval, its second stage
+    and its failure."""
+
+    @pytest.mark.parametrize("h", [IG_POOLED, PriorSpec.invgamma(1.26, 0.24), PriorSpec.halfnormal(0.57),
+                                   PriorSpec.gamma(1.59, 0.26), PriorSpec.gamma(0.5, 2.0), PriorSpec.gamma(0.2, 1.0),
+                                   PriorSpec.uniform(0.0, 1.0), PriorSpec.uniform(0.5, 2.0)], ids=str)
+    def test_each_level_misses_the_prior_mass_by_at_most_its_end_pieces(self, h):
+        # with the likelihood at 1 the rule integrates the prior, whose mass
+        # is 1: level 4 misses it by at most the two dropped end masses that
+        # the tail check bounds, and level 3 by at most those plus its
+        # distance to level 4, which the level check bounds; for the
+        # exp-sinh rule at centres from 1e-3 to 100
+        key = h if h.family == "uniform" else None
+        centres = np.zeros(1) if key is not None else np.log([1e-3, 0.1, 1.0, 10.0, 100.0])
+        _, tau, log_w = marginal._ml_nodes(key, centres, np.ones(centres.size), marginal._ML_CUTS[-1])
+        log_b = marginal._log_weighted_prior(h, tau, log_w)
+        ends = np.exp(marginal._log_end_masses(h, tau)).sum(axis=1)
+        level3, level4, level5 = (step * np.exp(log_b[:, :cut]).sum(axis=1)
+                                  for cut, step in zip(marginal._ML_CUTS[3:], marginal._ML_STEPS[2:]))
+        assert np.all(np.abs(1.0 - level5) <= ends + 1e-14), (level5 - 1.0, ends)
+        assert np.all(np.abs(1.0 - level4) <= ends + np.abs(level5 - level4) + 1e-14), (level4 - 1.0, ends)
+        assert np.all(np.abs(1.0 - level3) <= ends + np.abs(level4 - level3) + 1e-14), (level3 - 1.0, ends)
+
+    def test_rule_nodes_cover_the_data_scale(self):
+        u, log_du, orders = marginal._ml_rule()
+        assert u.size == marginal._ML_CUTS[-1] == 1121
+        assert np.subtract(marginal._ML_CUTS[1:], marginal._ML_CUTS[:-1]).tolist() == [71, 70, 140, 280, 560]
+        # each level holds every other node of the next, first and last at t = -+3.5
+        t = np.arcsinh(u / (0.5 * math.pi))
+        for cut, step in zip(marginal._ML_CUTS[1:], marginal._ML_STEPS):
+            assert np.allclose(np.diff(np.sort(t[:cut])), step, rtol=0.0, atol=1e-12)
+        assert np.array_equal(np.sort(u[orders[0]]), u[orders[0]])
+        assert u[0] == u.min() and u[marginal._ML_CUTS[1] - 1] == u.max()
+        _, tau, _ = marginal._ml_nodes(None, np.zeros(1), np.ones(1), marginal._ML_CUTS[4])
+        assert tau.shape == (1, 561) and 4e-12 < tau.min() < 6e-12 and 1.5e11 < tau.max() < 2.5e11
+
+    def test_narrow_posterior_is_recentred(self, monkeypatch):
+        # +-620 over 200 studies at se 0.01 under the half-normal prior: the
+        # posterior of log tau is about 0.004 wide at tau ~ 70, between stage
+        # one's nodes, so stage two recentres it; a cut at the prior's 1e-12
+        # quantile (tau = 4.06) read -2.3e6 here
+        y, se = [620.0] * 100 + [-620.0] * 100, [0.01] * 200
+        c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
+        model = h0r(PriorSpec.halfnormal(0.57))
+        real, calls = marginal._recentred, []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(marginal, "_recentred", recording)
+        got = log_marginal(model, c)
+        assert len(calls) == 1
+        ref = mp_log_marginal_in_log_tau(tuple(y), tuple(se), model, math.log(70.3), 0.004)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+    @pytest.mark.parametrize("shape, scale, k, tau", [(0.1, 1.0, 60, 0.0), (0.2, 1.94, 60, 0.0), (0.3, 1.94, 60, 0.0),
+                                                      (0.5364548824871708, 1.94, 60, 0.0), (0.2, 1.94, 200, 0.05)])
+    def test_prior_mass_near_zero_is_reached(self, shape, scale, k, tau, monkeypatch):
+        # a gamma tau prior of shape below 1, such as fit-priors fits to the
+        # seed-1 bench corpus (shape 0.536), puts mass near 0 that decays
+        # only as tau**shape; on homogeneous data stage one's rule does not
+        # reach it, and stage two widens its rule to, with a fifth level for
+        # the posterior's sharp side
+        c = make_comparison(np.random.default_rng(21), k, tau=tau, se_range=(0.05, 0.4))
+        model = h1r(PriorSpec.normal(0.0, 0.56), PriorSpec.gamma(shape, scale))
+        real, calls = marginal._recentred, []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(marginal, "_recentred", recording)
+        got = log_marginal(model, c)
+        assert len(calls) == 1
+        y, se = c._canonical
+        ref = mp_log_marginal_with_gamma_mass_near_zero(tuple(y), tuple(se), model)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
+
+    def test_unaccepted_group_raises_with_its_reached_tolerance(self):
+        # effects at 1e12 +- 50: the Cauchy delta part's rounding at 1e12
+        # prior scales keeps the levels 6e-7 apart in both stages
+        c = Comparison(tuple(Study(1e12 + d, 0.01) for d in [-50.0] * 100 + [50.0] * 100))
+        with pytest.raises(ConvergenceError, match=r"reached a relative tolerance of [0-9.e-]+, above 1e-09, "
+                                                   r"under tau prior uniform\(0.0,1.0\)"):
+            log_marginal(h1r(PriorSpec.cauchy(0.0, 0.7071), PriorSpec.uniform(0.0, 1.0)), c)
+
+    def test_t_prior_skips_change_no_value(self, monkeypatch):
+        # a node skipped by its bound adds at most 1e-3 of the tolerance:
+        # without the skip every value agrees within it, at more lambda work
+        rng = np.random.default_rng(8)
+        corpus = [make_comparison(rng, k, tau=0.3, se_range=(0.05, 0.4)) for k in (3, 12, 40)]
+        models = [h1r(g, h) for g in (T_POOLED, PriorSpec.t(0.0, 0.33, 3.0))
+                  for h in general_candidate_set().tau_priors]
+
+        def run():
+            cells = _count_quadratures(monkeypatch)
+            values = marginal.chunk_log_marginals(models, corpus)
+            monkeypatch.undo()
+            return values, sum(groups * owners for groups, owners in cells)
+
+        skipped, with_skip = run()
+        monkeypatch.setattr(marginal, "_SKIP", 1e-300)
+        every, without = run()
+        assert with_skip < without
+        assert np.all(np.abs(skipped - every) <= 1e-12 * np.maximum(1.0, np.abs(every))), skipped - every

@@ -350,7 +350,8 @@ class TestFailureHandling:
         assert table.failed_ids == ("wild",)
         messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(messages) == 1
-        assert messages[0].startswith("comparison wild failed: ConvergenceError: quadrature failed")
+        assert messages[0].startswith("comparison wild failed: ConvergenceError: the tau rule reached a "
+                                      "relative tolerance of ")
 
     def test_worker_pool_bounded_by_comparisons(self, candidates, rng, monkeypatch):
         sizes = []

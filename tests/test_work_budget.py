@@ -4,13 +4,16 @@ seeded ``rank`` sweep and a seeded ``analyze`` cost may not grow.
 Times on a small shared host are too noisy to gate on, but work counts
 are deterministic.  The counters sit outside the program: they replace
 the module-level names ``marginal.log_quad_batch``,
-``marginal._rule_sums`` and ``marginal.random_stats`` and count
+``marginal._rule_sums``, ``marginal._level_sums`` and
+``marginal.random_stats`` and count
 
-* outer tau cells and adaptive lambda cells: rows x 21 Kronrod nodes x
-  owners, read from the ``x`` each integrand receives.  An integrand of
-  the t prior's lambda integral (``_mixture_integrals``) counts as lambda,
+* adaptive lambda cells and any adaptive tau cells: rows x 21 Kronrod
+  nodes x owners, read from the ``x`` each integrand receives.  An
+  integrand of the t prior's lambda rows (``_Mixture``) counts as lambda,
   every other as tau.  The Gauss-Laguerre lambda rows call no
   module-level name and are not counted;
+* the cells of the free-tau log marginal's rule, groups x nodes per
+  ``_level_sums`` call, as tau cells;
 * the tanh-sinh cells of the delta-posterior pass, nodes x deltas per
   ``_rule_sums`` call, also as tau cells;
 * ``random_stats`` elements: tau values x studies.
@@ -34,14 +37,15 @@ from bmameta.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 #: The seed-1 counts, measured with the code this file was last changed
-#: with.  The analyze budgets were lowered when the delta-posterior pass
-#: moved from the adaptive tau integral onto the tanh-sinh rule, whose
-#: cells count as tau cells: ``tau_cells`` from 1,896,300 to 611,817 and
-#: ``stats_elements`` from 61,524 to 60,216, measured on top of 30b03c8.
-#: The rank counts did not move.
+#: with.  The budgets were last lowered when the free-tau log marginals
+#: moved from the adaptive outer tau integral onto a fixed exp-sinh rule:
+#: rank ``tau_cells`` 163,380 -> 79,240, ``lambda_cells`` 1,435,896 ->
+#: 591,360 and ``stats_elements`` 449,780 -> 272,100; analyze
+#: ``tau_cells`` 611,817 -> 611,287, ``lambda_cells`` 1,150,464 ->
+#: 1,106,616 and ``stats_elements`` 60,216 -> 59,156.
 BUDGETS = {
-    "rank": {"tau_cells": 163_380, "lambda_cells": 1_435_896, "stats_elements": 449_780},
-    "analyze": {"tau_cells": 611_817, "lambda_cells": 1_150_464, "stats_elements": 60_216},
+    "rank": {"tau_cells": 79_240, "lambda_cells": 591_360, "stats_elements": 272_100},
+    "analyze": {"tau_cells": 611_287, "lambda_cells": 1_106_616, "stats_elements": 59_156},
 }
 
 
@@ -56,9 +60,10 @@ def counts(monkeypatch):
     """The work counts of everything run after the fixture is set up."""
     out = dict.fromkeys(("tau_cells", "lambda_cells", "stats_elements"), 0)
     real_quad, real_rule, real_stats = marginal.log_quad_batch, marginal._rule_sums, marginal.random_stats
+    real_levels = marginal._level_sums
 
     def log_quad_batch(log_f, bounds, *, n_owners=1, **kwargs):
-        key = "lambda_cells" if "_mixture_integrals" in log_f.__qualname__ else "tau_cells"
+        key = "lambda_cells" if "_Mixture" in log_f.__qualname__ else "tau_cells"
 
         def counted(grp, x):
             out[key] += x.size * n_owners
@@ -70,12 +75,17 @@ def counts(monkeypatch):
         out["tau_cells"] += np.size(log_w) * np.size(delta_values)
         return real_rule(stats, log_w, starts, delta_values)
 
+    def level_sums(f, starts):
+        out["tau_cells"] += np.size(f)
+        return real_levels(f, starts)
+
     def random_stats(tau, comparison):
         out["stats_elements"] += np.size(tau) * comparison.k
         return real_stats(tau, comparison)
 
     monkeypatch.setattr(marginal, "log_quad_batch", log_quad_batch)
     monkeypatch.setattr(marginal, "_rule_sums", rule_sums)
+    monkeypatch.setattr(marginal, "_level_sums", level_sums)
     monkeypatch.setattr(marginal, "random_stats", random_stats)
     return out
 

@@ -14,9 +14,9 @@ the roles swapped; a point prior makes a part the likelihood itself.  A
 log marginal evaluates the delta part at a point tau or integrates it
 against a free tau prior, and that outer integrand is also the tau
 posterior's kernel.  The free-tau log marginals and the delta-posterior
-pass take fixed rules over tau; the adaptive lambda rows of a t prior, the
-delta pass's fallback and the grid posteriors run through the log-space
-adaptive Gauss-Kronrod integrator :func:`bmameta.quadrature.log_quad_batch`.
+pass take one fixed rule over tau; only the adaptive lambda rows of a t
+prior run through the log-space adaptive Gauss-Kronrod integrator
+:func:`bmameta.quadrature.log_quad_batch`.
 
 The free-tau log marginals (:func:`_free_tau_log_marginals`) integrate
 over the full support of the tau prior on one rule, with no cut: the
@@ -84,8 +84,8 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
 
 No delta part cuts the delta range or refines a quadrature over delta;
 :class:`ModelSpec` rejects gamma and invgamma delta priors.  The grid
-posterior of delta (:func:`posterior_summary`) still stops at the 1e-12
-bounds for every family.
+posteriors (:func:`posterior_summary`) still stop at the prior's 1e-12
+quantiles (:func:`_prior_bounds`) for every family.
 
 The integrated forms leave the likelihood's constant -c / 2 out of the
 integrand and add it afterwards, so no node carries the rounding of c,
@@ -93,12 +93,6 @@ which grows with the data's spread over se.  The tau statistics of an
 inner integral are computed once per owner tau and broadcast or gathered
 to the nodes; no inner node meets the study axis.  The prior constants
 (bounds, mixing limits and seeds) are computed once per distinct prior.
-
-The adaptive tau integrals that remain, the delta pass's fallback and the
-grid posteriors, keep all prior mass up to 1e-12 per tail
-(:func:`_prior_bounds`).  The fallback is seeded at the powers of 4
-inside those bounds (computed once per prior) and at eight data scales
-(:func:`_tau_seeds`).
 
 The likelihood's tau-only terms (log det, mu, S0 and the centred sum of
 squares of the variances se**2 + tau**2) are computed once per tau node
@@ -108,19 +102,14 @@ a call share one such computation and the free-tau rule one per
 comparison and node set.
 
 The tau part at a free tau (the delta-posterior pass, :func:`_tau_part`)
-integrates in p = H(tau), the tau prior's CDF, where the integrand is the
-likelihood alone, bounded on (0, 1).  It takes a fixed tanh-sinh rule
-(Takahasi & Mori 1974) of four nested levels, 63 to 505 nodes, whose tau
-nodes are prior quantiles cached per prior (:func:`_tau_rule`), so one
-``random_stats`` call serves every delta value.  Each node's tau-only
-terms, its log weight folded into c, are broadcast against every delta,
-and only the O(1) quadratic form in delta is formed per (node, delta)
-cell (:func:`_rule_sums`, :func:`bmameta.core.loglik_from_stats`).  A
-delta is accepted when two successive levels agree within the tolerance
-and the rule's two dropped end pieces are within it of the total
-(Bailey, Jeyabalan & Li 2005).  If any delta is not, the call takes the
-adaptive path (:func:`_tau_kronrod`), where all deltas are owners of one
-group and share its partition, with the bits it has on its own.
+takes the log marginals' own rule and checks, with each delta a group
+whose delta part is the likelihood at that point delta: the nodes'
+statistics come from one ``random_stats`` call per pass, each node's log
+weight and prior density are folded into its c, and only the O(1)
+quadratic form in delta is formed per (node, delta) cell (:func:`_rule_sums`,
+:func:`bmameta.core.loglik_from_stats`).  A delta that stage one does not
+accept is recentred as a log marginal's group is (:func:`_recentred`);
+there is no adaptive fallback, and no tau integral cuts the prior's tails.
 """
 
 from __future__ import annotations
@@ -129,7 +118,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, log_ndtr, logsumexp, wofz
@@ -167,6 +156,9 @@ _ML_END = 3.5
 _ML_STEPS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 _ML_CUTS = (0, 71, 141, 281, 561, 1121)
 _ROW_NODES = 16
+# The nodes whose delta parts :func:`_end_pieces` reads: the rule's first two
+# in t and its last (t = -_ML_END, the next, and t = +_ML_END)
+_END_NODES = [0, 1, _ML_CUTS[1] - 1]
 # A t delta prior's node is skipped for a group where it can add at most
 # rel_tol _SKIP / 561 of the group's total (561 the nodes of stage one),
 # rel_tol the delta part's (a tenth of the log marginal's;
@@ -174,13 +166,7 @@ _ROW_NODES = 16
 _SKIP = 1e-3
 # (group x node) cells of the first rule pass of one chunk of comparisons
 # (:func:`chunk_size`)
-_CHUNK_RULE_CELLS = 1 << 15
-# The delta-posterior pass's tanh-sinh rule (:func:`_tau_rule`): its nested
-# steps in t, the end of its t range, and where each level's nodes end in
-# the rule's arrays, whose two end nodes come first
-_RULE_STEPS = (0.1, 0.05, 0.025, 0.0125)
-_RULE_END = 3.15
-_RULE_CUTS = (2, 65, 129, 255, 507)
+_CHUNK_NODE_CELLS = 1 << 15
 # Points of a posterior summary's first grid; a grid whose normalization
 # misses the marginal likelihood by more than 1e-6 is doubled once.
 _GRID_POINTS = 2048
@@ -303,53 +289,15 @@ def _mixing(g: PriorSpec) -> _Mixing:
     return _Mixing(a, _gammaln_k(a), float(gammaincinv(a + 0.5, _MIX_TAIL)), math.log(hi), seeds)
 
 
-@lru_cache(maxsize=1024)
-def _tau_lattice(prior: PriorSpec) -> np.ndarray:
-    """The powers of 4 inside the prior's bounds, from 1e-12 up, or from
-    1e-12 times the upper bound for a prior that lies below 1."""
-    lo, hi = _prior_bounds(prior)
-    lo = max(lo, min(1e-12, 1e-12 * hi))
-    lattice = 4.0 ** np.arange(math.floor(math.log(lo, 4.0)), math.ceil(math.log(hi, 4.0)) + 1)
-    lattice = lattice[(lattice >= lo) & (lattice <= hi)]
-    lattice.flags.writeable = False
-    return lattice
-
-
 def _data_scale(comparison: Comparison) -> float:
     """The effects' standard deviation, floored at a quarter of the smallest
     se (the smallest se itself for one study): the centre of the free-tau
-    rule (:func:`_ml_nodes`) and the fifth of :func:`_tau_data_scales`."""
+    rule (:func:`_ml_nodes`) for every tau prior but the uniform."""
     y, se = comparison._canonical
     se_min = float(np.min(se))
     with np.errstate(over="ignore"):  # an infinite scale gives a zero likelihood
         sd_y = float(np.std(y)) if comparison.k > 1 else se_min
     return max(sd_y, 0.25 * se_min)
-
-
-def _tau_data_scales(comparison: Comparison) -> np.ndarray:
-    """Eight tau split points from the data: 1/4, 1/2 and 1 times the
-    smallest se, 1/2 to 4 times :func:`_data_scale`, and the effects'
-    largest distance from their median plus the smallest se."""
-    y, se = comparison._canonical
-    se_min = float(np.min(se))
-    with np.errstate(over="ignore"):  # an infinite scale is clipped to the prior's bounds
-        spread = float(np.max(np.abs(y - np.median(y)))) if comparison.k > 1 else se_min
-    scale = _data_scale(comparison)
-    return np.array([
-        0.25 * se_min, 0.5 * se_min, se_min,
-        0.5 * scale, scale, 2.0 * scale, 4.0 * scale, spread + se_min,
-    ])
-
-
-def _tau_seeds(priors: Iterable[PriorSpec], comparison: Comparison) -> np.ndarray:
-    """Outer tau split points: the powers of 4 inside each prior's bounds
-    (:func:`_tau_lattice`), then eight data scales (:func:`_tau_data_scales`).
-
-    Neither depends on a prior's shape, so tau priors whose bounds
-    overlap split the overlap at the same points, and the groups of one
-    outer integral share those intervals.
-    """
-    return np.concatenate([_tau_lattice(h) for h in priors] + [_tau_data_scales(comparison)])
 
 
 def log_marginal(
@@ -411,7 +359,7 @@ def chunk_size(models: Sequence[ModelSpec]) -> int:
     """Comparisons per chunk of :func:`chunk_log_marginals` for ``models``.
 
     As many comparisons as keep a chunk's first pass of the free-tau rule
-    within _CHUNK_RULE_CELLS (group x node) cells, counted as the free-tau
+    within _CHUNK_NODE_CELLS (group x node) cells, counted as the free-tau
     (delta prior, tau prior) pairs times the rule's 281 nodes of levels 1
     to 3; at least one.  The count depends on the models alone, never on
     the data.
@@ -423,7 +371,7 @@ def chunk_size(models: Sequence[ModelSpec]) -> int:
     of 9, so a seeded five-comparison ``rank`` sweep is one chunk per mode.
     """
     pairs = {(m.delta_prior, m.tau_prior) for m in models if m.tau_free}
-    return max(1, _CHUNK_RULE_CELLS // max(1, len(pairs) * _ML_CUTS[3]))
+    return max(1, _CHUNK_NODE_CELLS // max(1, len(pairs) * _ML_CUTS[3]))
 
 
 def _free_tau_log_marginals(models, comparisons, rel_tol):
@@ -481,7 +429,7 @@ def _rule_log_marginals(key, z0, comparisons, members, parts, rel_tol) -> np.nda
     stats = _stacked_stats(tau[:, :cut], comparisons)
     f, e = _rule_terms(parts, stats, comp, delta_of, log_b[:, :cut], np.full(n * p, -np.inf), order[0])
     sums = _level_sums(f, _ML_CUTS[:3])
-    low, ends = _end_pieces(f, e, log_ends, tau[:, :2][comp], _lower_end(key))
+    low, ends = _end_pieces(f[:, 0], e[:, _END_NODES], log_ends, tau[:, :2][comp], _lower_end(key))
     levels = _level_values(sums, f[:, 0], _ML_STEPS[:3], low)
     value = levels[:, 2]
     ok = _accepted(levels[:, 1], value, ends, rel_tol)
@@ -498,7 +446,7 @@ def _rule_log_marginals(key, z0, comparisons, members, parts, rel_tol) -> np.nda
         if again.any():
             q = redo[again]
             value[q] = _recentred(key, z[comp[q]], np.concatenate([f[q], f4[again]], axis=1), value[q],
-                                  e[q][:, [0, _ML_CUTS[1] - 1]], [comparisons[i] for i in comp[q]], delta_of[q],
+                                  e[q][:, _END_NODES[::2]], [comparisons[i] for i in comp[q]], delta_of[q],
                                   [members[j % p][1] for j in q], parts, rel_tol)
     return value.reshape(n, p)
 
@@ -520,13 +468,15 @@ def _recentred(key, z, f, value, e_ends, comparisons, delta_of, taus, parts, rel
     the seeded bench comparisons.  A wide reach in turn spaces the nodes
     out at the posterior's sharp side, so stage two has a fifth level.
 
-    All five levels (1121 nodes) are taken at once, one ``random_stats``
-    call per group, and a group is accepted as in stage one when levels 2
-    and 3 agree, or else 3 and 4, or else 4 and 5; its value is the finer
-    of the first pair that agrees.  A group that is still not accepted
-    raises :class:`ConvergenceError` with the tolerance it reached.  On the
-    seeded bench comparisons gamma tau priors of shape 0.1 and above are
-    accepted, and about half of those of shape 0.05.
+    The five levels (1121 nodes) run in three passes, as stage one's do:
+    levels 1 to 3 (281 nodes) for every group, accepted when levels 2 and
+    3 agree; then level 4 (280 nodes) for the rest, accepted when levels 3
+    and 4 agree; then level 5 (560 nodes), when levels 4 and 5 agree.  Each
+    pass takes one ``random_stats`` call per comparison, and a group's value
+    is the finer level of the pair that agrees.  A group that is still not
+    accepted raises :class:`ConvergenceError` with the tolerance it
+    reached.  On the seeded bench comparisons gamma tau priors of shape 0.1
+    and above are accepted, and about half of those of shape 0.05.
     """
     weight = np.exp(f - np.max(f, axis=1, keepdims=True))
     weight /= np.sum(weight, axis=1, keepdims=True)
@@ -536,28 +486,47 @@ def _recentred(key, z, f, value, e_ends, comparisons, delta_of, taus, parts, rel
     # spacing then stands in for sigma
     u, log_du, orders = _ml_rule()
     spacing = _ML_STEPS[3] * np.exp(log_du[np.argmax(f, axis=1)])
+    reach = np.empty(e_ends.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         masses = rel_tol * _SKIP * np.exp(value[:, None] - e_ends)
-        reach = np.array([_z_of_masses(key, h, m) for h, m in zip(taus, masses)])
+        for h, rows in _rows_by(taus):
+            reach[rows] = _z_of_masses(key, h, masses[rows])
         need = np.fmax(mean - reach[:, 0], reach[:, 1] - mean) / u.max()
-    _, tau, log_w = _ml_nodes(key, mean, np.fmax(np.fmax(sd, spacing), need), _ML_CUTS[5])
-    log_b = np.concatenate([_log_weighted_prior(h, tau[i:i + 1], log_w[i:i + 1]) for i, h in enumerate(taus)])
-    log_ends = np.concatenate([_log_end_masses(h, tau[i:i + 1]) for i, h in enumerate(taus)])
-    stats = _stacked_stats(tau, comparisons)
-    rows = np.arange(len(comparisons))
-    f, e = _rule_terms(parts, stats, rows, delta_of, log_b, np.full(rows.size, -np.inf), orders[2])
-    low, ends = _end_pieces(f, e, log_ends, tau[:, :2], _lower_end(key))
-    levels = _level_values(_level_sums(f, _ML_CUTS[:5]), f[:, 0], _ML_STEPS, low)
-    # the first of levels 3 to 5 that agrees with the level before it
-    ok = np.stack([_accepted(levels[:, j - 1], levels[:, j], ends, rel_tol) for j in (2, 3, 4)], axis=1)
-    if not np.all(ok.any(axis=1)):
-        i = int(np.flatnonzero(~ok.any(axis=1))[0])
-        with np.errstate(invalid="ignore", over="ignore"):
-            reached = max(np.min(np.abs(np.diff(levels[i, 1:]))), math.exp(min(ends[i] - levels[i, 4], 709.0)))
-        raise ConvergenceError(
-            f"the tau rule reached a relative tolerance of {reached:.3g}, above {rel_tol:g}, "
-            f"under tau prior {taus[i]}", bracket=(float(levels[i, 4]), float(levels[i, 4] + math.log(reached))))
-    return levels[np.arange(levels.shape[0]), 2 + np.argmax(ok, axis=1)]
+    sigma = np.fmax(np.fmax(sd, spacing), need)
+    # the log sums of levels 1 to 5, filled pass by pass for the groups not
+    # yet accepted
+    sums = np.full((value.size, 5), -np.inf)
+    out, pending = np.empty(value.size), np.arange(value.size)
+    for p, (start, end) in enumerate(zip((0,) + _ML_CUTS[3:5], _ML_CUTS[3:])):
+        _, tau, log_w = _ml_nodes(key, mean[pending], sigma[pending], end, start)
+        by_prior = _rows_by([taus[i] for i in pending])
+        log_b = np.empty(tau.shape)
+        for h, rows in by_prior:
+            log_b[rows] = _log_weighted_prior(h, tau[rows], log_w[rows])
+        stats = _stacked_stats(tau, [comparisons[i] for i in pending])
+        known = sums[pending, p + 1] if p else np.full(pending.size, -np.inf)
+        f, e = _rule_terms(parts, stats, np.arange(pending.size), delta_of[pending], log_b, known, orders[p])
+        if p:
+            sums[pending, p + 2] = np.logaddexp(known, _level_sums(f, (0,))[:, 0])
+        else:
+            log_ends = np.empty(e_ends.shape)
+            for h, rows in by_prior:
+                log_ends[rows] = _log_end_masses(h, tau[rows])
+            first = f[:, 0]
+            low, ends = _end_pieces(first, e[:, _END_NODES], log_ends, tau[:, :2], _lower_end(key))
+            sums[:, :3] = _level_sums(f, _ML_CUTS[:3])
+        levels = _level_values(sums[pending, :p + 3], first[pending], _ML_STEPS[:p + 3], low[pending])
+        ok = _accepted(levels[:, p + 1], levels[:, p + 2], ends[pending], rel_tol)
+        out[pending[ok]] = levels[ok, p + 2]
+        pending = pending[~ok]
+        if not pending.size:
+            return out
+    i, row = pending[0], levels[~ok][0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        reached = max(np.min(np.abs(np.diff(row[1:]))), math.exp(min(ends[i] - row[4], 709.0)))
+    raise ConvergenceError(
+        f"the tau rule reached a relative tolerance of {reached:.3g}, above {rel_tol:g}, "
+        f"under tau prior {taus[i]}", bracket=(float(row[4]), float(row[4] + math.log(reached))))
 
 
 @lru_cache(maxsize=2)
@@ -580,23 +549,23 @@ def _ml_rule() -> tuple:
     """The free-tau rule's unit nodes: ``(u, log du/dt, orders)`` with
     u = (pi / 2) sinh(t) at t = j _ML_STEPS[-1] over [-_ML_END, _ML_END]
     in level order (:func:`_level_order`; levels end at _ML_CUTS), and the
-    orders in increasing t of the nodes of stage one's two passes and of
-    all the nodes.  Each node's t is the same float at every step that
-    holds it, since halving a step is exact."""
+    orders in increasing t of the nodes of the rule's three passes: levels
+    1 to 3, level 4 and level 5.  Each node's t is the same float at every
+    step that holds it, since halving a step is exact."""
     t = _level_order(round(_ML_END / _ML_STEPS[-1]), len(_ML_STEPS)) * _ML_STEPS[-1]
     u = 0.5 * math.pi * np.sinh(t)
     log_du = math.log(0.5 * math.pi) + np.log(np.cosh(t))
     cut, end = _ML_CUTS[3:5]
-    orders = (np.argsort(t[:cut]), np.argsort(t[cut:end]), np.argsort(t))
+    orders = (np.argsort(t[:cut]), np.argsort(t[cut:end]), np.argsort(t[end:]))
     for v in (u, log_du, *orders):
         v.flags.writeable = False
     return u, log_du, orders
 
 
-def _ml_nodes(key: Optional[PriorSpec], z0: np.ndarray, sigma: np.ndarray, nodes: int) -> tuple:
-    """``(z, tau, log_w)`` of the free-tau rule's first ``nodes`` nodes, a
-    row per entry of ``z0`` and ``sigma``: the nodes z = z0 + sigma u
-    (:func:`_ml_rule`), their tau and log(d tau / d t).
+def _ml_nodes(key: Optional[PriorSpec], z0: np.ndarray, sigma: np.ndarray, nodes: int, start: int = 0) -> tuple:
+    """``(z, tau, log_w)`` of the free-tau rule's nodes from ``start`` up to
+    ``nodes``, a row per entry of ``z0`` and ``sigma``: the nodes
+    z = z0 + sigma u (:func:`_ml_rule`), their tau and log(d tau / d t).
 
     For ``key`` None tau = exp(z), the exp-sinh rule for (0, inf)
     (Takahasi & Mori 1974); stage one centres it at the data scale s, so
@@ -606,9 +575,9 @@ def _ml_nodes(key: Optional[PriorSpec], z0: np.ndarray, sigma: np.ndarray, nodes
     formed as (b - a) / (1 + exp(2 |z|)), so no node rounds onto b.
     """
     u, log_du, _ = _ml_rule()
-    z = z0[:, None] + sigma[:, None] * u[:nodes]
+    z = z0[:, None] + sigma[:, None] * u[start:nodes]
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite centre: a zero likelihood
-        log_w = log_du[:nodes] + np.log(sigma)[:, None]
+        log_w = log_du[start:nodes] + np.log(sigma)[:, None]
         if key is None:
             return z, np.exp(z), log_w + z
         a, b = key.params
@@ -618,20 +587,26 @@ def _ml_nodes(key: Optional[PriorSpec], z0: np.ndarray, sigma: np.ndarray, nodes
     return z, tau, log_w
 
 
-def _z_of_masses(key: Optional[PriorSpec], h: PriorSpec, masses) -> tuple:
+def _z_of_masses(key: Optional[PriorSpec], h: PriorSpec, masses: np.ndarray) -> np.ndarray:
     """The z (:func:`_ml_nodes`) below which the prior ``h`` has mass
-    ``masses[0]`` and above which it has ``masses[1]``; NaN for a mass
-    outside (0, 1) or a z out of range."""
-    out = []
-    for mass, lower in zip(masses, (True, False)):
-        if not 0.0 < mass < 1.0:
-            out.append(math.nan)
-        elif key is not None:  # uniform: H(tau) = p, and z is half its logit
-            out.append(0.5 * (math.log(mass) - math.log1p(-mass)) * (1.0 if lower else -1.0))
-        else:
-            tau = h.quantile(mass) if lower else h.upper_quantile(mass)
-            out.append(math.log(tau) if 0.0 < tau < math.inf else math.nan)
-    return tuple(out)
+    ``masses[:, 0]`` and above which it has ``masses[:, 1]``, a row per row
+    of ``masses``; NaN for a mass outside (0, 1) or a z out of range.  The
+    quantiles take one call per column; the logs are ``math``'s, element by
+    element, which numpy's vector logs do not match bit for bit."""
+    out = np.full(masses.shape, np.nan)
+    inside = (0.0 < masses) & (masses < 1.0)
+    if key is not None:  # uniform: H(tau) = p, and z is half its logit
+        out[inside] = [0.5 * (math.log(m) - math.log1p(-m)) for m in masses[inside]]
+        out[:, 1] *= -1.0
+        return out
+    tau = np.full(masses.shape, np.nan)
+    for j, quantile in enumerate((h.quantile, h.upper_quantile)):
+        rows = inside[:, j]
+        if rows.any():
+            tau[rows, j] = quantile(masses[rows, j])
+    inside &= (0.0 < tau) & (tau < math.inf)
+    out[inside] = [math.log(t) for t in tau[inside]]
+    return out
 
 
 def _log_weighted_prior(h: PriorSpec, tau: np.ndarray, log_w: np.ndarray) -> np.ndarray:
@@ -656,12 +631,13 @@ def _lower_end(key: Optional[PriorSpec]) -> float:
     return 0.0 if key is None else key.params[0]
 
 
-def _end_pieces(f: np.ndarray, e: np.ndarray, log_ends: np.ndarray, tau: np.ndarray, lo: float) -> tuple:
+def _end_pieces(first: np.ndarray, e: np.ndarray, log_ends: np.ndarray, tau: np.ndarray, lo: float) -> tuple:
     """``(low, ends)``, the logs of each group's lower end piece and of what
-    bounds the error its end pieces leave, from its terms ``f`` and delta
-    parts (or their bounds) ``e`` at the nodes, :func:`_log_end_masses`,
-    and the rule's first two nodes in t, ``tau`` (a row per group), over a
-    support that starts at ``lo``.
+    bounds the error its end pieces leave, from its term at the rule's first
+    node in t, ``first``, its delta parts (or their bounds) ``e`` at the
+    first two nodes in t and the last (:data:`_END_NODES`),
+    :func:`_log_end_masses`, and the rule's first two nodes in t, ``tau`` (a
+    row per group, or one row for all), over a support that starts at ``lo``.
 
     The lower piece, L(tau_min) H(tau_min), is part of every level's value.
     L depends on tau only through se**2 + tau**2, so below tau_min it moves
@@ -672,8 +648,8 @@ def _end_pieces(f: np.ndarray, e: np.ndarray, log_ends: np.ndarray, tau: np.ndar
     node is skipped (or its term vanishes) its lower piece at the bound
     ``e``, which is then dropped instead of added.
     """
-    first = e[:, 0] + log_ends[:, 0]
-    low = np.where(f[:, 0] > -np.inf, first, -np.inf)
+    piece = e[:, 0] + log_ends[:, 0]
+    low = np.where(first > -np.inf, piece, -np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = e[:, 1] - e[:, 0]
         # log |expm1(d)|, formed so that a steep rise does not overflow
@@ -681,8 +657,8 @@ def _end_pieces(f: np.ndarray, e: np.ndarray, log_ends: np.ndarray, tau: np.ndar
         t0, t1 = tau[:, 0], tau[:, 1]
         log_x = np.log(t0 - lo) + np.log(t0 + lo) - np.log(t1 - t0) - np.log(t1 + t0)
         error = np.where(low > -np.inf, low + log_change + log_x, -np.inf)
-    upper = e[:, _ML_CUTS[1] - 1] + log_ends[:, 1]
-    return low, np.logaddexp(np.logaddexp(upper, error), np.where(f[:, 0] > -np.inf, -np.inf, first))
+    upper = e[:, 2] + log_ends[:, 1]
+    return low, np.logaddexp(np.logaddexp(upper, error), np.where(first > -np.inf, -np.inf, piece))
 
 
 def _level_values(sums: np.ndarray, first: np.ndarray, steps, low: np.ndarray) -> np.ndarray:
@@ -713,8 +689,23 @@ def _accepted(coarse: np.ndarray, fine: np.ndarray, ends: np.ndarray, rel_tol: f
 
 def _stacked_stats(tau: np.ndarray, comparisons) -> tuple:
     """The :func:`~bmameta.core.random_stats` of each row of ``tau`` under
-    its comparison, stacked: one call per comparison."""
-    return tuple(np.stack(v) for v in zip(*(random_stats(t, c) for t, c in zip(tau, comparisons))))
+    its comparison, stacked: one call per distinct comparison, for all its
+    rows (a value's statistics have the same bits in any batch)."""
+    tau = np.asarray(tau, dtype=float)
+    out = tuple(np.empty(tau.shape) for _ in range(3))
+    for c, rows in _rows_by(comparisons, key=id):
+        for v, part in zip(out, random_stats(tau[rows], c)):
+            v[rows] = part
+    return out
+
+
+def _rows_by(items, key=None) -> list:
+    """``(item, rows)`` per distinct item of ``items`` (by ``key`` if given),
+    in order of first appearance, with ``rows`` its indices."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item if key is None else key(item), (item, []))[1].append(i)
+    return list(groups.values())
 
 
 def _rule_terms(parts, stats, rows, delta_of, log_b, known, order) -> tuple:
@@ -921,8 +912,8 @@ class _Mixture:
     gamma mixing density (:class:`_Mixing`).
 
     The rows of 2-D statistics are the lambda rows; a row's result does not
-    depend on the other rows, so a tau interval of an outer integral gets
-    the same bits in any batch.  Each row is integrated by one of two
+    depend on the other rows, so a tau node of the free-tau rule gets the
+    same bits in any batch.  Each row is integrated by one of two
     rules:
 
     * A row whose owners all have r = V / s**2 below _LAGUERRE_R, with
@@ -1128,63 +1119,25 @@ class _Mixture:
         out[group[:, None], owner[use]] = values[use]
 
 
-@lru_cache(maxsize=1024)
-def _tau_rule(h: PriorSpec) -> tuple:
-    """The tanh-sinh rule of the delta-posterior pass in p = H(tau), the
-    CDF of the tau prior ``h``: ``(tau nodes, log weights)``.
+def _rule_sums(terms: tuple, starts, delta_values: np.ndarray) -> np.ndarray:
+    """log of the sum over nodes j of w_j h(tau_j) L(tau_j, delta) on each
+    segment of nodes beginning at ``starts``, for each delta: shape
+    (segments, deltas).
 
-    The substitution p = 1 / (1 + exp(-2 u)), u = (pi / 2) sinh(t), maps t
-    in R onto (0, 1) with dp / dt = pi cosh(t) p (1 - p) (Takahasi & Mori
-    1974).  Its nodes are t = j _RULE_STEPS[-1] over [-_RULE_END, _RULE_END]
-    (j = -252 to 252), in order of level: the 63 nodes of step 0.1 first,
-    then the 64, 126 and 252 that steps 0.05, 0.025 and 0.0125 add, so each
-    level's sum continues the one before it (_RULE_CUTS).  The log weight
-    is log(dp / dt) at the node; the caller multiplies each level's sum by
-    its step.  In front come the two end nodes again, t = -_RULE_END and
-    +_RULE_END, each weighted by the prior mass beyond it, log p of the
-    first and log(1 - p) of the last: their sum is the rule's dropped end
-    pieces.
-
-    tau = H^-1(p) is the prior's quantile at p below 1/2 and its
-    upper-tail quantile at q = 1 - p = 1 / (1 + exp(2 u)) above it, so no
-    node rounds onto p = 1.  The smaller of p and q is formed as
-    1 / (1 + exp(2 |u|)), and is 1.2e-16 at the end nodes.
+    ``terms`` are the nodes' :func:`~bmameta.core.random_stats` with each
+    node's log weight and log prior density folded into its c (as c - 2
+    log(w h)), so a (node x delta) cell is one
+    :func:`~bmameta.core.loglik_from_stats` term.  The deltas run in blocks
+    of at most :data:`~bmameta.quadrature._BLOCK_CELLS` cells, and each
+    delta's terms are summed after a shift by its largest, so no cell under-
+    or overflows; a delta's sums do not depend on the others in its block.
     """
-    n = round(_RULE_END / _RULE_STEPS[-1])
-    t = np.concatenate([[-n, n], _level_order(n, len(_RULE_STEPS))]) * _RULE_STEPS[-1]
-    two_u = np.pi * np.abs(np.sinh(t))
-    tail = 1.0 / (1.0 + np.exp(two_u))  # min(p, 1 - p)
-    log_tail = -np.logaddexp(0.0, two_u)
-    log_w = math.log(math.pi) + np.log(np.cosh(t)) + log_tail + np.log1p(-tail)
-    log_w[:2] = log_tail[:2]
-    tau = np.empty(t.size)
-    lower = t <= 0.0
-    tau[lower] = h.quantile(tail[lower])
-    tau[~lower] = h.upper_quantile(tail[~lower])
-    for v in (tau, log_w):
-        v.flags.writeable = False
-    return tau, log_w
-
-
-def _rule_sums(stats: tuple, log_w: np.ndarray, starts, delta_values: np.ndarray) -> np.ndarray:
-    """log of the sum over nodes j of w_j L(tau_j, delta) on each segment of
-    nodes beginning at ``starts``, for each delta: shape (segments, deltas).
-
-    ``stats`` are the nodes' :func:`~bmameta.core.random_stats` and
-    ``log_w`` their log weights.  Each weight is folded into its node's c,
-    so a (node x delta) cell is one :func:`~bmameta.core.loglik_from_stats`
-    term.  The deltas run in blocks of at most
-    :data:`~bmameta.quadrature._BLOCK_CELLS` cells, and each delta's terms
-    are summed after a shift by its largest, so no cell under- or
-    overflows; a delta's sums do not depend on the others in its block.
-    """
-    c, mu, s0 = stats
-    node_stats = ((c - 2.0 * log_w)[:, None], mu[:, None], s0[:, None])
+    node_terms = tuple(v[:, None] for v in terms)
     out = np.empty((len(starts), delta_values.size))
-    step = max(1, _BLOCK_CELLS // log_w.size)
+    step = max(1, _BLOCK_CELLS // terms[0].size)
     for i in range(0, delta_values.size, step):
         block = slice(i, i + step)
-        f = loglik_from_stats(node_stats, delta_values[block])
+        f = loglik_from_stats(node_terms, delta_values[block])
         peak = np.max(f, axis=0)
         shift = np.where(np.isfinite(peak), peak, 0.0)
         np.exp(np.subtract(f, shift, out=f), out=f)
@@ -1193,76 +1146,65 @@ def _rule_sums(stats: tuple, log_w: np.ndarray, starts, delta_values: np.ndarray
     return out
 
 
-def _tau_part(h: PriorSpec, comparison: Comparison, rel_tol: float):
-    """``f(delta_values)``: the log of the likelihood integrated over the tau
-    prior ``h`` at each delta (the likelihood itself at a point tau).
+def _tau_part(h: PriorSpec, comparison: Comparison):
+    """``f(delta_values, rel_tol)``: the log of the likelihood integrated
+    over the tau prior ``h`` at each delta (the likelihood itself at a point
+    tau).
 
-    A free tau is integrated in p = H(tau), the prior's CDF:
-    integral of h(tau) L(tau, delta) d tau = integral over (0, 1) of
-    L(H^-1(p), delta) dp, whose integrand is bounded, L(0, delta) at p = 0
-    and 0 as p -> 1, and which needs no prior density.  It takes the
-    nested tanh-sinh rule of :func:`_tau_rule`, with the tau statistics of
-    its nodes from one :func:`~bmameta.core.random_stats` call, and every
-    delta an owner of the rule's (node x delta) cells (:func:`_rule_sums`).
-    A delta is accepted when two successive levels agree within
-    ``rel_tol``: first levels 2 and 3 (253 nodes); the deltas that
-    disagree also take level 4's 252 nodes, and are accepted when levels
-    3 and 4 agree.  It must also pass the tail check: the two dropped end
-    pieces, p times L at the first node plus (1 - p) times L at the last,
-    are at most ``rel_tol`` of its value, which catches a tail cut that
-    the level check cannot see.  Accepted deltas take the finest level's
-    value.
-
-    If any delta is not accepted, the call takes the adaptive path
-    (:func:`_tau_kronrod`) for all of them, and returns its bits unchanged.
+    A free tau takes the log marginals' rule (:func:`_ml_nodes`): the
+    exp-sinh rule centred at the data scale, or a uniform prior's tanh-sinh
+    rule, with each delta a group whose delta part is the likelihood at that
+    point delta.  The statistics of stage one's 561 nodes come from one
+    :func:`~bmameta.core.random_stats` call when the pass is built, so every
+    call of ``f`` reuses them, and each node's log weight and prior density
+    are folded into its c (:func:`_rule_sums`).  A delta is accepted as a
+    log marginal's group is (:func:`_rule_log_marginals`): levels 2 and 3
+    agree within ``rel_tol``, or else levels 3 and 4, and the end pieces
+    are within it (:func:`_end_pieces`, which reads the likelihood at three
+    nodes).  The deltas stage one rejects go to stage two
+    (:func:`_recentred`), a block of at most _BLOCK_CELLS (delta x node)
+    cells at a time, which raises :class:`ConvergenceError` for a delta it
+    does not accept either.
     """
     if h.is_point:
-        return lambda d: loglik_random(d, h.params[0], comparison)
-    tau, log_w = _tau_rule(h)
-    stats = random_stats(tau, comparison)
-    coarse, fine = slice(0, _RULE_CUTS[-2]), slice(_RULE_CUTS[-2], None)
-    log_steps = np.log(_RULE_STEPS)
+        return lambda d, _rel_tol: loglik_random(d, h.params[0], comparison)
+    key = h if h.family == "uniform" else None
+    z0 = np.zeros(1) if key is not None else np.log([_data_scale(comparison)])
+    z, tau, log_w = _ml_nodes(key, z0, np.ones(1), _ML_CUTS[4])
+    log_b = _log_weighted_prior(h, tau, log_w)[0]
+    log_ends = _log_end_masses(h, tau)
+    stats = random_stats(tau[0], comparison)
+    terms = (stats[0] - 2.0 * log_b, stats[1], stats[2])
+    # levels 1 to 3 and level 4, and the nodes _end_pieces reads
+    coarse, fine = (tuple(v[part] for v in terms) for part in (slice(0, _ML_CUTS[3]), slice(_ML_CUTS[3], None)))
+    end_nodes = tuple(v[_END_NODES, None] for v in stats)
+    block = _BLOCK_CELLS // _ML_CUTS[5]
 
-    def integrals(delta_values: np.ndarray) -> np.ndarray:
-        parts = _rule_sums(tuple(v[coarse] for v in stats), log_w[coarse],
-                           (0,) + _RULE_CUTS[:-2], delta_values)
-        ends = parts[0]
-        # the log sums of levels 1 to 3, each times its step
-        levels = np.logaddexp.accumulate(parts[1:], axis=0) + log_steps[:3, None]
-        value = levels[2]
-        with np.errstate(invalid="ignore"):  # inf - inf never agrees
-            ok = np.abs(value - levels[1]) <= rel_tol
-            if not ok.all():
-                redo = ~ok
-                last = _rule_sums(tuple(v[fine] for v in stats), log_w[fine], (0,), delta_values[redo])[0]
-                finest = np.logaddexp(value[redo] - log_steps[2], last) + log_steps[3]
-                ok[redo] = np.abs(finest - value[redo]) <= rel_tol
-                value[redo] = finest
-            ok &= ends - value <= math.log(rel_tol)
-        if ok.all():
-            return value
-        return _tau_kronrod(h, comparison, rel_tol, delta_values)
+    def integrals(delta_values: np.ndarray, rel_tol: float) -> np.ndarray:
+        sums = np.logaddexp.accumulate(_rule_sums(coarse, _ML_CUTS[:3], delta_values), axis=0).T
+        e = loglik_from_stats(end_nodes, delta_values).T
+        first = e[:, 0] + log_b[0]
+        low, ends = _end_pieces(first, e, log_ends, tau[:, :2], _lower_end(key))
+        levels = _level_values(sums, first, _ML_STEPS[:3], low)
+        value = levels[:, 2]
+        ok = _accepted(levels[:, 1], value, ends, rel_tol)
+        redo = np.flatnonzero(~ok)
+        if redo.size:
+            last = _rule_sums(fine, (0,), delta_values[redo])[0]
+            finest = _level_values(np.logaddexp(sums[redo, 2], last)[:, None], first[redo], _ML_STEPS[3:4],
+                                   low[redo])[:, 0]
+            ok[redo] = _accepted(value[redo], finest, ends[redo], rel_tol)
+            value[redo] = finest
+        again = np.flatnonzero(~ok)
+        for i in range(0, again.size, block):
+            q = again[i:i + block]
+            point = [lambda sub, d=delta_values[q, None]: loglik_from_stats(sub, d)]
+            f = loglik_from_stats(tuple(v[None, :] for v in terms), delta_values[q, None])
+            value[q] = _recentred(key, z, f, value[q], e[q][:, ::2], [comparison] * q.size, np.zeros(q.size, int),
+                                  [h] * q.size, point, rel_tol)
+        return value
 
     return integrals
-
-
-def _tau_kronrod(h: PriorSpec, comparison: Comparison, rel_tol: float, delta_values: np.ndarray) -> np.ndarray:
-    """The adaptive path of :func:`_tau_part` at a free tau: one
-    :func:`~bmameta.quadrature.log_quad_batch` group over the prior's
-    bounds with one owner per delta.  Every owner has the same tau range
-    and seeds, so they share one partition, and the integrand computes the
-    tau-only terms once per node and broadcasts them against all delta
-    values."""
-    bounds = np.array([_prior_bounds(h)])
-    seeds = _tau_seeds([h], comparison)
-
-    def logf(_grp, t):
-        stats = tuple(v[..., None] for v in random_stats(t, comparison))
-        out = loglik_from_stats(stats, delta_values)
-        out += h.log_pdf(t)[..., None]
-        return out
-
-    return log_quad_batch(logf, bounds, n_owners=delta_values.size, seeds=seeds, rel_tol=rel_tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -1270,13 +1212,19 @@ def _tau_kronrod(h: PriorSpec, comparison: Comparison, rel_tol: float, delta_val
 # --------------------------------------------------------------------------
 
 
-def _log_posterior_on(model, comparison, parameter, xs, rel_tol):
-    """Unnormalized log posterior of one free parameter at points ``xs``."""
-    xs = np.asarray(xs, dtype=float)
+def _log_posterior(model, comparison, parameter):
+    """``f(xs, rel_tol)``: the unnormalized log posterior of one free
+    parameter at points ``xs``.  A delta posterior's tau part
+    (:func:`_tau_part`) is built here once, so the probes of
+    :func:`_mass_region` and the grids share its node statistics."""
     if parameter == "delta":
-        return _tau_part(model.tau_prior, comparison, rel_tol * 0.1)(xs) + model.delta_prior.log_pdf(xs)
-    delta_part = _delta_part(model.delta_prior, rel_tol * 0.1)
-    return delta_part(random_stats(xs, comparison)) + model.tau_prior.log_pdf(xs)
+        tau_part = _tau_part(model.tau_prior, comparison)
+        return lambda xs, rel_tol: tau_part(xs, rel_tol * 0.1) + model.delta_prior.log_pdf(xs)
+
+    def log_post(xs, rel_tol):
+        return _delta_part(model.delta_prior, rel_tol * 0.1)(random_stats(xs, comparison)) + model.tau_prior.log_pdf(xs)
+
+    return log_post
 
 
 def _trapz_weights(h: np.ndarray) -> np.ndarray:
@@ -1308,8 +1256,9 @@ def _prior_probe(prior: PriorSpec) -> np.ndarray:
     return out
 
 
-def _mass_region(model, comparison, parameter, prior, rel_tol):
-    """Bracket the parameter region holding all posterior mass above exp(-40).
+def _mass_region(log_post, comparison, parameter, prior):
+    """Bracket the parameter region holding all posterior mass above exp(-40),
+    from the log posterior ``log_post`` (:func:`_log_posterior`).
 
     Probing needs only coarse integral accuracy, so it runs at a loose
     tolerance; probe quantiles stop at 1e-4 tail mass (the shrink loop
@@ -1329,7 +1278,7 @@ def _mass_region(model, comparison, parameter, prior, rel_tol):
 
     left, right = lo, hi
     for _ in range(12):
-        logp = _log_posterior_on(model, comparison, parameter, xs, 1e-2)
+        logp = log_post(xs, 1e-2)
         peak = np.max(logp)
         if not np.isfinite(peak):
             raise DomainError("posterior is zero everywhere on the probe grid")
@@ -1371,13 +1320,14 @@ def posterior_summary(
             f"parameter {parameter!r} is a point mass under model {model.name!r}"
         )
     prior = model.delta_prior if parameter == "delta" else model.tau_prior
-    left, right = _mass_region(model, comparison, parameter, prior, rel_tol)
+    log_post = _log_posterior(model, comparison, parameter)
+    left, right = _mass_region(log_post, comparison, parameter, prior)
     logml = log_marginal(model, comparison, rel_tol=rel_tol) if _log_ml is None else _log_ml
 
     n = _GRID_POINTS
     for _ in range(2):
         grid = np.linspace(left, right, n)
-        logpost = _log_posterior_on(model, comparison, parameter, grid, rel_tol)
+        logpost = log_post(grid, rel_tol)
         log_total = _log_trapz(logpost, grid)
         excess = log_total - logml  # math.expm1 overflows past ~709.78
         mismatch = math.expm1(excess) if excess < 709.0 else math.inf

@@ -257,12 +257,20 @@ def _mp_log_inner(mp, y, se, g, tau):
     return -c / 2 + _mp_log_prior(mp, g, mu) + mp.log(integral)
 
 
-def mp_log_marginal(y, se, model):
+def mp_log_marginal(y, se, model, cut=1e-30):
     """High-precision log marginal likelihood with mpmath (30 digits).
 
     tau runs over the prior's full support, split at the data's scales:
-    the smallest se, the effects' spread and their standard deviation.
-    The delta part is formed in mpmath too (:func:`_mp_log_inner`).
+    the smallest se, the effects' spread and their standard deviation, and
+    for a point delta its distance from the effects' mean.  The delta part
+    is formed in mpmath too (:func:`_mp_log_inner`).
+
+    A gamma tau prior of shape below 1 has density tau**(shape - 1) near 0,
+    which mpmath's tau integral does not resolve (it misses by 3.2e-4 at
+    shape 0.1).  There the mass below ``cut`` is added in closed form,
+    L(cut) H(cut), and the rest is integrated over z = log tau up to 400
+    prior scales.  The likelihood depends on tau only through se**2 +
+    tau**2, so below ``cut`` it is L(cut) within (cut / se)**2.
     """
     mp = pytest.importorskip("mpmath")
     g, h = model.delta_prior, model.tau_prior
@@ -273,11 +281,22 @@ def mp_log_marginal(y, se, model):
         def log_f(t):
             return _mp_log_inner(mp, y, se, g, t) + _mp_log_prior(mp, h, t)
 
-        lo, hi = h.support
         smin, spread, sd = min(se), max(y) - min(y), float(np.std(y))
-        pts = {smin * k for k in (0.25, 1, 4)} | {spread * k for k in (0.25, 1, 4)}
-        pts |= {sd * k for k in (0.25, 1, 4)} | {0.1, 0.5, 2.0}
-        pts = [mp.mpf(p) for p in sorted(p for p in pts if lo < p < hi)]
+        bases = [smin, spread, sd] + ([abs(g.params[0] - float(np.mean(y)))] if g.is_point else [])
+        scales = {b * k for b in bases for k in (0.25, 1, 4)}
+        if h.family == "gamma" and h.params[0] < 1.0:
+            shape, scale = (mp.mpf(v) for v in h.params)
+            low = mp.exp(_mp_log_inner(mp, y, se, g, mp.mpf(cut))) * mp.gammainc(shape, 0, cut / scale,
+                                                                                  regularized=True)
+            top = math.log(400.0 * h.params[1])
+            pts = set(np.linspace(math.log(cut), math.log(smin), 12))
+            pts |= {math.log(v) for v in scales | {0.1, 1.0, 10.0} if cut < v < 400.0 * h.params[1]}
+            pts = [mp.mpf(p) for p in sorted(pts)] + [mp.mpf(top)]
+            ref = max(log_f(mp.exp(z)) + z for z in pts)
+            body = mp.quad(lambda z: mp.exp(log_f(mp.exp(z)) + z - ref), pts)
+            return float(mp.log(body * mp.exp(ref) + low))
+        lo, hi = h.support
+        pts = [mp.mpf(p) for p in sorted(p for p in scales | {0.1, 0.5, 2.0} if lo < p < hi)]
         ref = max(log_f(p) for p in pts)
         ends = [mp.mpf(lo), mp.inf if hi == math.inf else mp.mpf(hi)]
         integral = mp.quad(lambda t: mp.exp(log_f(t) - ref), [ends[0]] + pts + [ends[1]])
@@ -707,14 +726,6 @@ class TestTruncatedNormalDeltaParts:
 
 
 class TestSharedTauPartition:
-    def test_tau_seeds_are_a_lattice_shared_by_all_priors(self, rng):
-        c = make_comparison(rng, 5)
-        assert np.array_equal(marginal._tau_seeds([PriorSpec.uniform(0.5, 2.0)], c)[:-8], [1.0])
-        for h in general_candidate_set().tau_priors:
-            lo, hi = marginal._prior_bounds(h)
-            want = [4.0 ** j for j in range(-30, 30) if max(lo, 1e-12) <= 4.0 ** j <= hi]
-            assert np.array_equal(marginal._tau_seeds([h], c)[:-8], want), h
-
     def test_owners_of_one_delta_prior_share_tau_intervals(self, rng, monkeypatch):
         # the exp-sinh nodes do not depend on the prior: the three
         # non-uniform tau priors share one random_stats call of 281 nodes,
@@ -816,7 +827,7 @@ class TestCorpusChunks:
         sums = _count_rule_sums(monkeypatch)
         marginal.chunk_log_marginals(models, corpus)
         first = [groups * nodes for groups, nodes in sums if nodes == marginal._ML_CUTS[3]]
-        assert len(corpus) >= 2 and 0 < sum(first) <= marginal._CHUNK_RULE_CELLS
+        assert len(corpus) >= 2 and 0 < sum(first) <= marginal._CHUNK_NODE_CELLS
 
 
 class TestPosteriorSummary:
@@ -897,119 +908,90 @@ class TestPosteriorSummary:
 
 
 class TestDeltaPosteriorIntegrand:
-    """The tau-inner integrand of the delta posterior's adaptive path (the
-    fallback of the tanh-sinh rule, called here directly) is dense: every
-    delta owner shares one tau partition, and each node's tau-only terms
-    are broadcast against all delta values.  It must still equal the
-    direct likelihood plus the tau prior bit for bit."""
+    """The delta-posterior pass takes the log marginals' rule with each
+    delta a group, so at each delta it is the log marginal of the random_H0
+    model whose point delta prior sits there."""
 
+    @pytest.mark.parametrize("h", [IG_POOLED, PriorSpec.halfnormal(0.57), PriorSpec.gamma(0.5364548824871708, 1.94),
+                                   PriorSpec.uniform(0.0, 1.0)], ids=str)
     @pytest.mark.parametrize("k", [3, 12])
-    def test_dense_integrand_matches_direct_likelihood(self, k, rng, monkeypatch):
+    def test_pass_is_the_point_delta_log_marginal(self, k, h, rng):
         c = make_comparison(rng, k)
         xs = np.linspace(-6.0, 6.0, 41)
-        real = marginal.log_quad_batch
-        calls = []
-
-        def recording(log_f, bounds, **kwargs):
-            def log_f_recorded(grp, t):
-                out = log_f(grp, t)
-                calls.append((t, out.copy()))  # the integrator consumes out
-                return out
-
-            assert np.shape(bounds) == (1, 2) and kwargs["n_owners"] == xs.size
-            return real(log_f_recorded, bounds, **kwargs)
-
-        monkeypatch.setattr(marginal, "log_quad_batch", recording)
-        marginal._tau_kronrod(IG_POOLED, c, 1e-10, xs)
-
-        assert len(calls) >= 2, "the partition must be refined at least once"
-        for t, out in calls:
-            assert out.shape == t.shape + (xs.size,)
-            for r in range(t.shape[0]):
-                want = loglik_random(xs[:, None], t[r], c) + IG_POOLED.log_pdf(t[r])
-                assert np.array_equal(out[r], want.T), t[r]
-
-
-def mp_log_tau_part(y, se, h, delta):
-    """log of the likelihood at ``delta`` integrated over the tau prior ``h``
-    by 30-digit mpmath over the prior's full support, split at the data's
-    and the delta's scales."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        d = PriorSpec.point(float(delta))
-
-        def log_f(t):
-            return _mp_log_inner(mp, y, se, d, t) + _mp_log_prior(mp, h, t)
-
-        lo, hi = h.support
-        dist = abs(float(delta) - float(np.mean(y)))
-        pts = {min(se) * k for k in (0.25, 1, 4)} | {(max(y) - min(y)) * k for k in (0.25, 1, 4)}
-        pts |= {dist * k for k in (0.25, 1, 4)} | {0.01, 0.1, 0.5, 2.0, 10.0}
-        pts = [mp.mpf(p) for p in sorted({p for p in pts if lo < p < hi})]
-        ref = max(log_f(p) for p in pts)
-        ends = [mp.mpf(lo), mp.inf if hi == math.inf else mp.mpf(hi)]
-        integral = mp.quad(lambda t: mp.exp(log_f(t) - ref), [ends[0]] + pts + [ends[1]])
-        return float(ref + mp.log(integral))
+        got = marginal._tau_part(h, c)(xs, 1e-10)
+        for x, value in zip(xs, got):
+            want = log_marginal(ModelSpec("random_H0", PriorSpec.point(float(x)), h), c, rel_tol=1e-10)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (x, value, want)
 
 
 class TestTauRule:
-    """The delta-posterior pass on the tanh-sinh rule in p = H(tau): its
-    accepted values against a full-support mpmath integral, and the
-    adaptive fallback's bits where the rule is rejected."""
+    """The delta-posterior pass on the log marginals' rule: its values against
+    a full-support mpmath integral where stage one accepts them, where only
+    its tail check rejects them, and where only stage two accepts them."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """The number of deltas of each stage-two call."""
+        real, calls = marginal._recentred, []
+
+        def recording(*args):
+            calls.append(args[3].size)
+            return real(*args)
+
+        monkeypatch.setattr(marginal, "_recentred", recording)
+        return calls
 
     @pytest.mark.parametrize("h", [IG_POOLED, PriorSpec.halfnormal(0.57), PriorSpec.gamma(1.59, 0.26),
-                                   PriorSpec.uniform(0.0, 1.0)], ids=str)
+                                   PriorSpec.gamma(0.5364548824871708, 1.94), PriorSpec.uniform(0.0, 1.0)], ids=str)
     @pytest.mark.parametrize("k", [3, 12])
     def test_accepted_values_match_mpmath(self, k, h, rng, monkeypatch):
         c = make_comparison(rng, k)
         model = h1r(T_POOLED, h)
         # the posterior's peak and the points where it falls to exp(-40) of it
-        left, right = marginal._mass_region(model, c, "delta", T_POOLED, 1e-9)
+        log_post = marginal._log_posterior(model, c, "delta")
+        left, right = marginal._mass_region(log_post, c, "delta", T_POOLED)
         grid = np.linspace(left, right, 2001)
-        log_post = marginal._log_posterior_on(model, c, "delta", grid, 1e-9)
-        xs = np.array([left, grid[np.argmax(log_post)], right])
-
-        def rejected(*args):
-            raise AssertionError("the rule rejected the pass")
-
-        monkeypatch.setattr(marginal, "_tau_kronrod", rejected)
-        got = marginal._tau_part(h, c, 1e-10)(xs)
+        xs = np.array([left, grid[np.argmax(log_post(grid, 1e-9))], right])
+        calls = self._recording(monkeypatch)
+        got = marginal._tau_part(h, c)(xs, 1e-10)
+        # a gamma prior of shape below 1 has mass near 0 that stage one may
+        # not reach, as for the log marginals (TestFreeTauRule)
+        assert calls == [] or (h.family == "gamma" and h.params[0] < 1.0), "stage one rejected a delta"
         y, se = c._canonical
         for x, value in zip(xs, got):
-            assert abs(value - mp_log_tau_part(tuple(y), tuple(se), h, x)) <= 1e-10, x
+            ref = mp_log_marginal(tuple(y), tuple(se), ModelSpec("random_H0", PriorSpec.point(float(x)), h))
+            assert abs(value - ref) <= 1e-10, x
 
-    def test_rule_nodes_and_weights(self):
-        tau, log_w = marginal._tau_rule(IG_POOLED)
-        assert tau.size == log_w.size == marginal._RULE_CUTS[-1] == 2 + 505
-        # the levels' nodes: 63, 127, 253 and 505
-        assert np.subtract(marginal._RULE_CUTS[1:], 2).tolist() == [63, 127, 253, 505]
-        # each level's weights times its step sum to the prior's mass, 1,
-        # less the two end pieces
-        ends = np.exp(log_w[:2]).sum()
-        for cut, step in zip(marginal._RULE_CUTS[1:], marginal._RULE_STEPS):
-            assert abs(step * np.exp(log_w[2:cut]).sum() + ends - 1.0) < 1e-14
-        assert np.all(np.isfinite(tau)) and np.all(tau > 0)
-        assert tau[0] == tau.min() and tau[1] == tau.max()
-
-    def test_rejected_pass_returns_the_adaptive_bits(self, monkeypatch):
+    def test_pass_reaches_the_prior_mass_below_its_quantiles(self):
         # twelve equal effects at se 0.02: the likelihood in tau is largest
-        # at 0, below the invgamma prior's 1.2e-16 quantile (tau ~ 0.01), the
-        # rule's first node.  Levels 3 and 4 agree within 1e-10, but the end
-        # piece there is 2.9e-10 of the total, and the rule's value is off
-        # by 1.9e-10 against mpmath over the full support: only the tail
-        # check rejects it
+        # at 0, below the invgamma prior's 1e-12 quantile (tau = 0.0133).  A
+        # pass that cut the prior there was 1.1e-6 off, one on the tanh-sinh
+        # rule in the prior's CDF 1.9e-10; every delta is within 1e-12 of
+        # mpmath over the full support
         c = Comparison(tuple(Study(0.3, 0.02) for _ in range(12)))
         xs = np.linspace(0.29, 0.31, 21)
-        real, calls = marginal._tau_kronrod, []
+        got = marginal._tau_part(IG_POOLED, c)(xs, 1e-10)
+        for x, value in zip(xs, got):
+            model = ModelSpec("random_H0", PriorSpec.point(float(x)), IG_POOLED)
+            ref = mp_log_marginal((0.3,) * 12, (0.02,) * 12, model)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (x, value, ref)
 
-        def recording(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(marginal, "_tau_kronrod", recording)
-        got = marginal._tau_part(IG_POOLED, c, 1e-10)(xs)
-        assert len(calls) == 1, "the input must be rejected"
-        assert np.array_equal(got, real(IG_POOLED, c, 1e-10, xs))
+    def test_far_tail_delta_is_accepted_by_stage_two(self, monkeypatch):
+        # a probe delta 10 from three effects at se 1e-4, as the probes of a
+        # Cauchy delta prior's tails are: its integrand in log tau is a peak
+        # 0.14 wide at tau = 4.07, where stage one's finest nodes are 0.08
+        # apart, so only stage two accepts it.  The tanh-sinh rule in the
+        # prior's CDF was 1.4e-5 off here
+        y, se = (0.29, 0.30, 0.31), (1e-4,) * 3
+        c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
+        h = PriorSpec.gamma(1.59, 0.26)
+        xs = np.array([0.3, 10.0])
+        calls = self._recording(monkeypatch)
+        got = marginal._tau_part(h, c)(xs, 1e-10)
+        assert calls == [1], calls
+        for x, value in zip(xs, got):
+            ref = mp_log_marginal(y, se, ModelSpec("random_H0", PriorSpec.point(float(x)), h))
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (x, value, ref)
 
 
 def mp_log_marginal_in_log_tau(y, se, model, peak, width):
@@ -1026,33 +1008,6 @@ def mp_log_marginal_in_log_tau(y, se, model, peak, width):
         pts = [mp.mpf(peak) + k * mp.mpf(width) for k in (-60, -10, -3, -1, 0, 1, 3, 10, 60)]
         top = log_f(pts[4])
         return float(top + mp.log(mp.quad(lambda z: mp.exp(log_f(z) - top), pts)))
-
-
-def mp_log_marginal_with_gamma_mass_near_zero(y, se, model, cut=1e-30):
-    """:func:`mp_log_marginal` for a gamma tau prior of shape below 1, whose
-    density tau**(shape - 1) near 0 mpmath's tau integral does not resolve
-    (it misses by 3e-4 at shape 0.1): by 30-digit mpmath over z = log tau
-    from log ``cut`` to 400 prior scales, plus the mass below ``cut`` in
-    closed form, L(cut) H(cut).  The likelihood depends on tau only through
-    se**2 + tau**2, so below ``cut`` it is L(cut) within (cut / se)**2."""
-    mp = pytest.importorskip("mpmath")
-    g, h = model.delta_prior, model.tau_prior
-    assert h.family == "gamma"
-    with mp.workdps(30):
-        shape, scale = (mp.mpf(v) for v in h.params)
-        low = mp.exp(_mp_log_inner(mp, y, se, g, mp.mpf(cut))) * mp.gammainc(shape, 0, cut / scale, regularized=True)
-
-        def log_f(z):
-            t = mp.exp(z)
-            return _mp_log_inner(mp, y, se, g, t) + _mp_log_prior(mp, h, t) + z
-
-        top = math.log(400.0 * h.params[1])
-        pts = set(np.linspace(math.log(cut), math.log(min(se)), 12))
-        pts |= {math.log(v) for v in (min(se) / 4, min(se), 4 * min(se), 0.1, 1.0, 10.0) if v < 400.0 * h.params[1]}
-        pts = [mp.mpf(p) for p in sorted(pts)] + [mp.mpf(top)]
-        ref = max(log_f(p) for p in pts)
-        body = mp.quad(lambda z: mp.exp(log_f(z) - ref), pts)
-        return float(mp.log(body * mp.exp(ref) + low))
 
 
 class TestFreeTauRule:
@@ -1133,7 +1088,7 @@ class TestFreeTauRule:
         got = log_marginal(model, c)
         assert len(calls) == 1
         y, se = c._canonical
-        ref = mp_log_marginal_with_gamma_mass_near_zero(tuple(y), tuple(se), model)
+        ref = mp_log_marginal(tuple(y), tuple(se), model)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, ref)
 
     def test_unaccepted_group_raises_with_its_reached_tolerance(self):

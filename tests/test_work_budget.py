@@ -7,15 +7,14 @@ the module-level names ``marginal.log_quad_batch``,
 ``marginal._rule_sums``, ``marginal._level_sums`` and
 ``marginal.random_stats`` and count
 
-* adaptive lambda cells and any adaptive tau cells: rows x 21 Kronrod
-  nodes x owners, read from the ``x`` each integrand receives.  An
-  integrand of the t prior's lambda rows (``_Mixture``) counts as lambda,
-  every other as tau.  The Gauss-Laguerre lambda rows call no
-  module-level name and are not counted;
-* the cells of the free-tau log marginal's rule, groups x nodes per
-  ``_level_sums`` call, as tau cells;
-* the tanh-sinh cells of the delta-posterior pass, nodes x deltas per
-  ``_rule_sums`` call, also as tau cells;
+* adaptive lambda cells: rows x 21 Kronrod nodes x owners, read from the
+  ``x`` each integrand receives.  Every integrand must be one of the t
+  prior's lambda rows (``_Mixture``): no tau integral is adaptive.  The
+  Gauss-Laguerre lambda rows call no module-level name and are not
+  counted;
+* the cells of the free-tau rule, as tau cells: groups x nodes per
+  ``_level_sums`` call (the log marginals and stage two), and nodes x
+  deltas per ``_rule_sums`` call (stage one of the delta-posterior pass);
 * ``random_stats`` elements: tau values x studies.
 
 Each count must stay at most its budget, so a change that refines more,
@@ -37,15 +36,16 @@ from bmameta.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 #: The seed-1 counts, measured with the code this file was last changed
-#: with.  The budgets were last lowered when the free-tau log marginals
-#: moved from the adaptive outer tau integral onto a fixed exp-sinh rule:
-#: rank ``tau_cells`` 163,380 -> 79,240, ``lambda_cells`` 1,435,896 ->
-#: 591,360 and ``stats_elements`` 449,780 -> 272,100; analyze
-#: ``tau_cells`` 611,817 -> 611,287, ``lambda_cells`` 1,150,464 ->
-#: 1,106,616 and ``stats_elements`` 60,216 -> 59,156.
+#: with.  The budgets were last changed when the delta-posterior pass
+#: moved onto the log marginals' rule: analyze ``stats_elements`` fell
+#: 59,156 -> 55,316, since the pass's node statistics are computed once
+#: per posterior summary, and analyze ``tau_cells`` rose 611,287 ->
+#: 673,557, since each delta takes stage one's 281 nodes where the
+#: tanh-sinh rule in the prior's CDF took 255.  The rank budgets and
+#: analyze ``lambda_cells`` did not move.
 BUDGETS = {
     "rank": {"tau_cells": 79_240, "lambda_cells": 591_360, "stats_elements": 272_100},
-    "analyze": {"tau_cells": 611_287, "lambda_cells": 1_106_616, "stats_elements": 59_156},
+    "analyze": {"tau_cells": 673_557, "lambda_cells": 1_106_616, "stats_elements": 55_316},
 }
 
 
@@ -63,17 +63,17 @@ def counts(monkeypatch):
     real_levels = marginal._level_sums
 
     def log_quad_batch(log_f, bounds, *, n_owners=1, **kwargs):
-        key = "lambda_cells" if "_Mixture" in log_f.__qualname__ else "tau_cells"
+        assert "_Mixture" in log_f.__qualname__, log_f.__qualname__
 
         def counted(grp, x):
-            out[key] += x.size * n_owners
+            out["lambda_cells"] += x.size * n_owners
             return log_f(grp, x)
 
         return real_quad(counted, bounds, n_owners=n_owners, **kwargs)
 
-    def rule_sums(stats, log_w, starts, delta_values):
-        out["tau_cells"] += np.size(log_w) * np.size(delta_values)
-        return real_rule(stats, log_w, starts, delta_values)
+    def rule_sums(terms, starts, delta_values):
+        out["tau_cells"] += np.size(terms[0]) * np.size(delta_values)
+        return real_rule(terms, starts, delta_values)
 
     def level_sums(f, starts):
         out["tau_cells"] += np.size(f)

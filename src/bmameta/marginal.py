@@ -445,13 +445,17 @@ def _rule_log_marginals(key, z0, comparisons, members, parts, rel_tol) -> np.nda
         again = ~ok[redo]
         if again.any():
             q = redo[again]
+
+            def terms(groups, stats, log_b, known, order):
+                return _rule_terms(parts, stats, np.arange(groups.size), delta_of[q[groups]], log_b, known, order)
+
             value[q] = _recentred(key, z[comp[q]], np.concatenate([f[q], f4[again]], axis=1), value[q],
-                                  e[q][:, _END_NODES[::2]], [comparisons[i] for i in comp[q]], delta_of[q],
-                                  [members[j % p][1] for j in q], parts, rel_tol)
+                                  e[q][:, _END_NODES[::2]], [comparisons[i] for i in comp[q]],
+                                  [members[j % p][1] for j in q], terms, rel_tol)
     return value.reshape(n, p)
 
 
-def _recentred(key, z, f, value, e_ends, comparisons, delta_of, taus, parts, rel_tol) -> np.ndarray:
+def _recentred(key, z, f, value, e_ends, comparisons, taus, terms, rel_tol) -> np.ndarray:
     """Stage two of the free-tau rule for the groups stage one rejects.
 
     Each group's rule is recentred at the mean of z under its level-4
@@ -477,6 +481,11 @@ def _recentred(key, z, f, value, e_ends, comparisons, delta_of, taus, parts, rel
     accepted raises :class:`ConvergenceError` with the tolerance it
     reached.  On the seeded bench comparisons gamma tau priors of shape 0.1
     and above are accepted, and about half of those of shape 0.05.
+
+    ``terms(groups, stats, log_b, known, order)`` gives the ``(f, e)`` of
+    :func:`_rule_terms` at one pass's nodes for ``groups``, the indices of
+    the groups still pending, from their node statistics ``stats`` (a row
+    per group) and their log prior densities plus log weights ``log_b``.
     """
     weight = np.exp(f - np.max(f, axis=1, keepdims=True))
     weight /= np.sum(weight, axis=1, keepdims=True)
@@ -489,7 +498,7 @@ def _recentred(key, z, f, value, e_ends, comparisons, delta_of, taus, parts, rel
     reach = np.empty(e_ends.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         masses = rel_tol * _SKIP * np.exp(value[:, None] - e_ends)
-        for h, rows in _rows_by(taus):
+        for h, rows in _rows_by(taus).items():
             reach[rows] = _z_of_masses(key, h, masses[rows])
         need = np.fmax(mean - reach[:, 0], reach[:, 1] - mean) / u.max()
     sigma = np.fmax(np.fmax(sd, spacing), need)
@@ -499,13 +508,13 @@ def _recentred(key, z, f, value, e_ends, comparisons, delta_of, taus, parts, rel
     out, pending = np.empty(value.size), np.arange(value.size)
     for p, (start, end) in enumerate(zip((0,) + _ML_CUTS[3:5], _ML_CUTS[3:])):
         _, tau, log_w = _ml_nodes(key, mean[pending], sigma[pending], end, start)
-        by_prior = _rows_by([taus[i] for i in pending])
+        by_prior = _rows_by([taus[i] for i in pending]).items()
         log_b = np.empty(tau.shape)
         for h, rows in by_prior:
             log_b[rows] = _log_weighted_prior(h, tau[rows], log_w[rows])
         stats = _stacked_stats(tau, [comparisons[i] for i in pending])
         known = sums[pending, p + 1] if p else np.full(pending.size, -np.inf)
-        f, e = _rule_terms(parts, stats, np.arange(pending.size), delta_of[pending], log_b, known, orders[p])
+        f, e = terms(pending, stats, log_b, known, orders[p])
         if p:
             sums[pending, p + 2] = np.logaddexp(known, _level_sums(f, (0,))[:, 0])
         else:
@@ -693,19 +702,18 @@ def _stacked_stats(tau: np.ndarray, comparisons) -> tuple:
     rows (a value's statistics have the same bits in any batch)."""
     tau = np.asarray(tau, dtype=float)
     out = tuple(np.empty(tau.shape) for _ in range(3))
-    for c, rows in _rows_by(comparisons, key=id):
-        for v, part in zip(out, random_stats(tau[rows], c)):
+    for rows in _rows_by([id(c) for c in comparisons]).values():
+        for v, part in zip(out, random_stats(tau[rows], comparisons[rows[0]])):
             v[rows] = part
     return out
 
 
-def _rows_by(items, key=None) -> list:
-    """``(item, rows)`` per distinct item of ``items`` (by ``key`` if given),
-    in order of first appearance, with ``rows`` its indices."""
-    groups: dict = {}
-    for i, item in enumerate(items):
-        groups.setdefault(item if key is None else key(item), (item, []))[1].append(i)
-    return list(groups.values())
+def _rows_by(keys: list) -> dict:
+    """Each distinct key of ``keys`` (:func:`_first_seen`), mapped to the
+    indices of its rows."""
+    index = _first_seen(keys)
+    codes = np.array([index[k] for k in keys])
+    return {k: np.flatnonzero(codes == i) for k, i in index.items()}
 
 
 def _rule_terms(parts, stats, rows, delta_of, log_b, known, order) -> tuple:
@@ -1198,10 +1206,15 @@ def _tau_part(h: PriorSpec, comparison: Comparison):
         again = np.flatnonzero(~ok)
         for i in range(0, again.size, block):
             q = again[i:i + block]
-            point = [lambda sub, d=delta_values[q, None]: loglik_from_stats(sub, d)]
-            f = loglik_from_stats(tuple(v[None, :] for v in terms), delta_values[q, None])
-            value[q] = _recentred(key, z, f, value[q], e[q][:, ::2], [comparison] * q.size, np.zeros(q.size, int),
-                                  [h] * q.size, point, rel_tol)
+            d = delta_values[q, None]
+
+            def point(groups, stats, log_b, _known, _order):
+                lik = loglik_from_stats(stats, d[groups])
+                return lik + log_b, lik
+
+            f = loglik_from_stats(tuple(v[None, :] for v in terms), d)
+            value[q] = _recentred(key, z, f, value[q], e[q][:, ::2], [comparison] * q.size, [h] * q.size,
+                                  point, rel_tol)
         return value
 
     return integrals

@@ -993,6 +993,31 @@ class TestTauRule:
             ref = mp_log_marginal(y, se, ModelSpec("random_H0", PriorSpec.point(float(x)), h))
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (x, value, ref)
 
+    @pytest.mark.parametrize("xs", [[10.0, 0.28, 5.0, 0.3, 2.0, 0.32], [10.0, 0.3]], ids=str)
+    @pytest.mark.parametrize("h", [PriorSpec.gamma(0.1, 1.94), PriorSpec.gamma(0.2, 1.0)], ids=str)
+    def test_stage_two_passes_keep_each_delta(self, h, xs, monkeypatch):
+        # twelve effects at 0.3, se 0.02, under gamma priors of shape below
+        # 1: stage one rejects every delta here; stage two accepts the far
+        # deltas at levels 2 and 3 and takes levels 4 and 5 for those near
+        # 0.3, so its later passes see only some of the deltas of the block,
+        # each at its own point
+        y, se = (0.3,) * 12, (0.02,) * 12
+        c = Comparison(tuple(Study(a, b) for a, b in zip(y, se)))
+        part = marginal._tau_part(h, c)
+        real, passes = marginal._ml_nodes, []
+
+        def recording(key, z0, sigma, nodes, start=0):
+            passes.append((start, z0.size))
+            return real(key, z0, sigma, nodes, start)
+
+        monkeypatch.setattr(marginal, "_ml_nodes", recording)
+        got = part(np.array(xs), 1e-10)
+        near = sum(x < 1.0 for x in xs)
+        assert passes[:2] == [(0, len(xs)), (marginal._ML_CUTS[3], near)], passes
+        for x, value in zip(xs, got):
+            ref = mp_log_marginal(y, se, ModelSpec("random_H0", PriorSpec.point(float(x)), h))
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (x, value, ref)
+
 
 def mp_log_marginal_in_log_tau(y, se, model, peak, width):
     """:func:`mp_log_marginal` for a posterior of log tau too narrow for its

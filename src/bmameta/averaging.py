@@ -30,7 +30,6 @@ from functools import partial
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Comparison
 from .errors import BmaMetaError, DegenerateEvidenceError, ParameterError
@@ -225,7 +224,7 @@ def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.nd
     if not np.any(in_mask) or np.all(in_mask):
         raise ParameterError("partition must be nonempty on both sides")
     log_prior = np.log(ensemble.prior_probs)
-    log_odds_prior = float(logsumexp(log_prior[in_mask]) - logsumexp(log_prior[~in_mask]))
+    log_odds_prior = float(_row_logsumexp(log_prior[in_mask]) - _row_logsumexp(log_prior[~in_mask]))
     log_in = _row_logsumexp(log_weights[:, in_mask])
     log_out = _row_logsumexp(log_weights[:, ~in_mask])
     with np.errstate(invalid="ignore"):  # inf - inf where neither side has weight
@@ -235,10 +234,16 @@ def log_inclusion_bfs(ensemble: ModelEnsemble, log_weights, in_indices) -> np.nd
 
 
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row of ``a``.  A column selection is not
-    C-contiguous, and numpy sums it in another order than a lone row: the
-    contiguous copy gives each row the bits it has when reduced alone."""
-    return logsumexp(np.ascontiguousarray(a), axis=1)
+    """Log-sum-exp over the last axis of ``a``, each row shifted by its
+    largest entry: -inf for a row of -inf, without a warning, and inf for a
+    row holding inf.  A column selection is not C-contiguous, and numpy sums
+    it in another order than a lone row: the contiguous copy gives each row
+    the bits it has when reduced alone."""
+    a = np.ascontiguousarray(a)
+    peak = np.max(a, axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):  # a row of -inf: log(0)
+        return np.log(np.sum(np.exp(a - shift), axis=-1)) + shift[..., 0]
 
 
 def mixture_summary(summaries: Sequence[PosteriorSummary], weights) -> PosteriorSummary:
@@ -310,12 +315,12 @@ def log_posteriors(ensemble: ModelEnsemble, logml: np.ndarray) -> tuple:
     """(log prior + log marginal, log posterior probability) of the members,
     whose log marginals ``logml`` holds along its last axis."""
     log_unnorm = np.log(ensemble.prior_probs) + logml
-    return log_unnorm, log_unnorm - logsumexp(log_unnorm, axis=-1, keepdims=True)
+    return log_unnorm, log_unnorm - _row_logsumexp(log_unnorm)[..., None]
 
 
 def _group_weights(log_post: np.ndarray, indices) -> np.ndarray:
     sub = log_post[list(indices)]
-    return np.exp(sub - logsumexp(sub))
+    return np.exp(sub - _row_logsumexp(sub))
 
 
 def _results(ensemble: ModelEnsemble, logml: np.ndarray) -> tuple:

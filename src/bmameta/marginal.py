@@ -53,31 +53,40 @@ times exp(-c(tau) / 2), with V = 1 / S0 (see
   profile, closed in the Faddeeva function w(z) = exp(-z**2) erfc(-i z)
   (:func:`_voigt`): -c / 2 + log Re w((mu - m + i g) sqrt(S0 / 2)), from
   ``scipy.special.wofz`` (Poppe & Wijers 1990).  No quadrature, no bounds.
+  A t prior of nu = 1 is this Cauchy, with the same bits.
 * t(m, s, nu): a gamma scale mixture of normals, t_nu(m, s) = integral
   of N(m, s**2 / lambda) Ga(lambda; nu / 2, rate nu / 2) d lambda, so the
   delta part is the log integral of exp(conj(s**2 / lambda)) against that
-  gamma density (:class:`_Mixture`).  The tau values of one call are the
-  owners of one lambda row; on the free-tau rule each node takes the
-  Laguerre rules below on its own, and the nodes they leave form rows of
-  up to 16 nodes (:meth:`_Mixture.rule_values`), after a skip that needs
-  no lambda work, since the delta part is at most exp(-c / 2).  A row
-  whose owners all have V / s**2 below 0.3 takes a generalized
-  Gauss-Laguerre rule with weight
-  lambda**(a - 1/2) e**(-b lambda), a = nu / 2, whose rate b = a +
-  (mu - m)**2 / (2 (V + s**2)) follows the data (:func:`_laguerre`, by
-  Golub & Welsch 1969).  It is evaluated densely at 12 and 18 nodes and
-  accepted when the two agree within the inner tolerance; any other row
-  falls back to the adaptive integral over u = log(lambda), seeded at the
-  logs of seven mixing-prior quantiles (:class:`_Mixing`), whose log
-  density is written K(nu / 2) - (nu / 2) (expm1(u) - u) so that a large
-  nu cancels no terms of size nu.  On data within a few prior scales of
-  the location, such a row converges on the 8 intervals those seeds make,
-  with no bisection round.  The narrow likelihood peak in delta is
-  integrated in closed form, so delta has no bounds and the integrand is
-  smooth in lambda.  The adaptive path's only cut is in lambda: the lower
-  limit, set from the data's distance to the prior's location and the
-  likelihood's variance, drops at most 1e-16 of the integral, the upper
-  limit 1e-30 of the mixing prior's mass.
+  gamma density (:class:`_Mixture`).  Each owner (tau value) takes the
+  first of three rules that accepts it:
+
+  1. for nu = 3 or 5, the Voigt profile extended by w's first nu // 2
+     derivatives (:func:`_voigt`, z = (mu - m + i s sqrt(nu)) sqrt(S0 / 2)),
+     accepted where |z| <= 3 and the value is finite; past that its terms
+     cancel.  No lambda nodes.
+  2. where V / s**2 is below 0.3, a generalized Gauss-Laguerre rule with
+     weight lambda**(a - 1/2) e**(-b lambda), a = nu / 2, whose rate b = a
+     + (mu - m)**2 / (2 (V + s**2)) follows the data (:func:`_laguerre`, by
+     Golub & Welsch 1969), evaluated at 12 and 18 nodes and accepted when
+     the two agree within the inner tolerance.
+  3. the adaptive integral over u = log(lambda), in lambda rows whose
+     owners share a partition, seeded at the logs of seven mixing-prior
+     quantiles (:class:`_Mixing`), whose log density is written K(nu / 2)
+     - (nu / 2) (expm1(u) - u) so that a large nu cancels no terms of size
+     nu.  On data within a few prior scales of the location, such a row
+     converges on the 8 intervals those seeds make, with no bisection
+     round.  Its only cut is in lambda: the lower limit, set from the
+     data's distance to the prior's location and the likelihood's
+     variance, drops at most 1e-16 of the integral, the upper limit 1e-30
+     of the mixing prior's mass.
+
+  Even and fitted (non-integer) nu start at rule 2.  A call's owners that
+  reach rule 3 form one lambda row per row of its statistics; on the
+  free-tau rule they form rows of up to 16 nodes
+  (:meth:`_Mixture.rule_values`), after a skip that needs no lambda work,
+  since the delta part is at most exp(-c / 2).  The narrow likelihood
+  peak in delta is integrated in closed form, so delta has no bounds and
+  the integrand is smooth in lambda.
 * uniform(a, b) and halfnormal(s): the likelihood's normal shape cut to
   an interval, closed (:func:`_uniform`, :func:`_halfnormal`) in a log
   difference of normal CDFs formed away from mu (:func:`_log_ndtr_diff`).
@@ -147,6 +156,12 @@ _CHUNK_CELLS = 1 << 16
 # Gauss-Laguerre rules of these node counts (:class:`_Mixture`).
 _LAGUERRE_R = 0.3
 _LAGUERRE_NODES = (12, 18)
+# A t delta prior of odd nu = 2 n + 1 = 3 or 5 first takes the closed form of
+# :func:`_voigt`, with the coefficients _VOIGT_B[n], at each owner with
+# |z| <= _VOIGT_Z0, where 40-digit mpmath puts its error within 3.2e-13
+# max(1, |value|); past that its terms cancel (:class:`_Mixture`).
+_VOIGT_B = ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0 / 3.0))
+_VOIGT_Z0 = 3.0
 # The free-tau log marginal's rule (:func:`_ml_nodes`): t runs over
 # [-_ML_END, _ML_END] at the steps _ML_STEPS, and each level's nodes end at
 # _ML_CUTS in the rule's arrays; stage one takes the first four levels.  A t
@@ -241,11 +256,12 @@ class _Mixing:
     gammaln(a) (:func:`bmameta.priors._gammaln_k`).  Written so, no term of
     size a cancels: the density peaks at u = 0 with value K(a) ~
     log(a / 2 pi) / 2.
-    These fields serve the adaptive path of :class:`_Mixture`,
-    which takes every lambda row the Gauss-Laguerre rules
-    (:func:`_laguerre`) do not: rows with a likelihood variance of 0.3
-    prior variances or more, and rows whose 12- and 18-node values
-    disagree.  ``upper`` is the log of the upper lambda limit and
+    These fields serve the adaptive path of :class:`_Mixture`, which takes
+    every owner that neither the closed form of nu = 3 and 5 (:func:`_voigt`)
+    nor the Gauss-Laguerre rules (:func:`_laguerre`) accept: owners with a
+    likelihood variance of 0.3 prior variances or more, or whose 12- and
+    18-node values disagree, where the closed form does not hold.
+    ``upper`` is the log of the upper lambda limit and
     ``seeds`` the logs of the mixing prior's quantiles at
     _MIX_SEED_LEVELS.  Such a row is seeded at these alone, clipped into
     its own range.  The integrand is smooth in u, and on the 8 intervals
@@ -422,9 +438,12 @@ def _rule_log_marginals(key, z0, comparisons, members, parts, rel_tol) -> np.nda
     comp = np.repeat(np.arange(n), p)
     delta_of = np.tile([g for g, _ in members], n)
     z, tau, log_w = _ml_nodes(key, z0, np.ones(n), _ML_CUTS[4])
-    # (comparison, member)-major rows, as ``comp`` and ``delta_of``
-    log_b = np.stack([_log_weighted_prior(h, tau, log_w) for _, h in members], axis=1).reshape(n * p, -1)
-    log_ends = np.stack([_log_end_masses(h, tau) for _, h in members], axis=1).reshape(n * p, 2)
+    # once per distinct tau prior, gathered to (comparison, member)-major
+    # rows, as ``comp`` and ``delta_of``
+    priors = _first_seen(h for _, h in members)
+    of = [priors[h] for _, h in members]
+    log_b = np.stack([_log_weighted_prior(h, tau, log_w) for h in priors], axis=1)[:, of].reshape(n * p, -1)
+    log_ends = np.stack([_log_end_masses(h, tau) for h in priors], axis=1)[:, of].reshape(n * p, 2)
     cut, order = _ML_CUTS[3], _ml_rule()[2]
     stats = _stacked_stats(tau[:, :cut], comparisons)
     f, e = _rule_terms(parts, stats, comp, delta_of, log_b[:, :cut], np.full(n * p, -np.inf), order[0])
@@ -773,10 +792,11 @@ def _delta_part(g: PriorSpec, rel_tol: float):
 
     A normal prior is conjugate to the likelihood's N(mu, 1 / S0) shape in
     delta, so its integral is closed (:func:`_conjugate`), and so are a
-    Cauchy prior's (:func:`_voigt`) and those of the uniform and half-normal
-    priors, which cut that shape to an interval; they run no quadrature.
-    t priors are gamma scale mixtures of normals, so theirs is a 1-D
-    integral of the normal closed form (:class:`_Mixture`).  A
+    Cauchy prior's (:func:`_voigt`, also a t prior's of nu = 1) and those of
+    the uniform and half-normal priors, which cut that shape to an interval;
+    they run no quadrature.  Other t priors are gamma scale mixtures of
+    normals, so theirs is a 1-D integral of the normal closed form, which
+    nu = 3 and 5 skip where :func:`_voigt` holds (:class:`_Mixture`).  A
     point delta is :func:`bmameta.core.loglik_from_stats`, bit for bit
     :func:`bmameta.core.loglik_random`.
     """
@@ -785,8 +805,8 @@ def _delta_part(g: PriorSpec, rel_tol: float):
     if g.family == "normal":
         m, s = g.params
         return lambda stats: _conjugate(stats, m, s * s)
-    if g.family == "cauchy":
-        m, gamma = g.params
+    if g.family == "cauchy" or (g.family == "t" and g.params[2] == 1.0):
+        m, gamma = g.params[:2]
         return lambda stats: _voigt(stats, m, gamma)
     if g.family == "uniform":
         a, b = g.params
@@ -828,20 +848,44 @@ def _conjugate_finish(terms: tuple, w, out: Optional[np.ndarray] = None) -> np.n
     return np.multiply(-0.5, out, out=out)
 
 
-def _voigt(stats: tuple, m: float, gamma: float) -> np.ndarray:
-    """log of the likelihood integrated over a Cauchy(m, gamma) delta prior,
-    from ``stats = (c, mu, S0)``: -c / 2 + log Re w((mu - m + i gamma) sqrt(S0 / 2)).
+def _voigt(stats: tuple, m: float, a: float, n: int = 0) -> np.ndarray:
+    """log of the likelihood integrated over a t(m, a / sqrt(nu), nu) delta
+    prior of odd nu = 2 n + 1, n < len(_VOIGT_B), from ``stats = (c, mu, S0)``:
+    -c / 2 + log F_n(z) at z = (mu - m + i a) sqrt(S0 / 2), with y = Im z and
+    w the Faddeeva function (``scipy.special.wofz``, Poppe & Wijers 1990):
 
-    The likelihood is exp(-c / 2) sqrt(2 pi V) N(delta; mu, V), and a normal
-    convolved with a Cauchy is the Voigt profile Re w(z) / sqrt(2 pi V), with
-    w the Faddeeva function.  Re w > 0 for Im z > 0, but it underflows to 0
-    for data ~1e150 prior scales from m; the result is then -inf, without a
-    warning.
+        F_0 = Re w,  F_1 = Re w + y Im w',  F_2 = F_1 - y**2 Re w'' / 3.
+
+    n = 0 is the Cauchy(m, a) prior.  The likelihood is exp(-c / 2) sqrt(2
+    pi V) N(delta; mu, V), and a normal convolved with a Cauchy is the Voigt
+    profile Re w(z) / sqrt(2 pi V).  In x = (delta - m) sqrt(S0 / 2) a t
+    density of odd nu is proportional to (x**2 + y**2)**-(n + 1), and each
+    power past the first is -d / d(y**2) of the one before, which turns Re
+    w into its y-derivatives, d w / dy = i w'.  In all,
+    F_n = Re sum_j b_j (-i y)**j w^(j)(z) with b_0 = 1 and b_{n, j} =
+    ((2 n - 1 - j) b_{n-1, j} + b_{n-1, j-1}) / (2 n - 1) (_VOIGT_B); the t
+    density's constant cancels against b_0.  The derivatives follow
+    Abramowitz & Stegun 7.1.20: w' = -2 z w + 2 i / sqrt(pi) and
+    w^(j+1) = -2 z w^(j) - 2 j w^(j-1).
+
+    Re w > 0 for Im z > 0, but it underflows to 0 for data ~1e150 prior
+    scales from m; the result is then -inf, without a warning.  For n >= 1
+    the terms cancel as |z| grows (:class:`_Mixture` takes the value only
+    for |z| <= _VOIGT_Z0), and the sum may round to 0 or below, or overflow,
+    which gives -inf or NaN, again without a warning.
     """
     c, mu, s0 = stats
     r = np.sqrt(0.5 * s0)
-    with np.errstate(divide="ignore"):
-        return np.log(wofz((mu - m) * r + 1j * (gamma * r)).real) - 0.5 * c
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = (mu - m) * r + 1j * (a * r)
+        total = w = wofz(z)
+        if n:  # the terms j = 1..n, with prev, d = w^(j-1), w^(j)
+            power, prev, d = 1.0, w, -2.0 * z * w + 2j / math.sqrt(math.pi)
+            for j, b in enumerate(_VOIGT_B[n][1:], 1):
+                power = power * (-1j * z.imag)
+                total = total + b * power * d
+                prev, d = d, -2.0 * z * d - 2.0 * j * prev
+        return np.log(total.real) - 0.5 * c
 
 
 def _uniform(stats: tuple, a: float, b: float) -> np.ndarray:
@@ -919,25 +963,33 @@ class _Mixture:
     lambda of ``_conjugate`` at prior variance s**2 / lambda times the
     gamma mixing density (:class:`_Mixing`).
 
-    The rows of 2-D statistics are the lambda rows; a row's result does not
-    depend on the other rows, so a tau node of the free-tau rule gets the
-    same bits in any batch.  Each row is integrated by one of two
-    rules:
+    Each owner (tau value) takes the first of three rules that accepts it,
+    and its value does not depend on the other owners of its rule, except
+    in an adaptive lambda row:
 
-    * A row whose owners all have r = V / s**2 below _LAGUERRE_R, with
-      V = 1 / S0, takes the generalized Gauss-Laguerre rules of
-      :func:`_laguerre` (:meth:`laguerre`).  With x = mu - m, a = nu / 2 and
-      D**2 = x**2 / s**2, the integrand is lambda**(a - 1/2) e**(-b lambda)
-      times (1 + r lambda)**-1/2 exp(q r lambda (lambda - 1) / (1 + r lambda)),
+    * For nu = 3 and 5, the closed form of :func:`_voigt` (:meth:`closed`),
+      accepted where |z| <= _VOIGT_Z0 and the value is finite.  Past that
+      its terms cancel: against 40-digit mpmath its error, over max(1,
+      |value|), is at most 2.0e-13 (nu = 3) and 3.2e-13 (nu = 5) up to |z|
+      = 3, 5.9e-13 and 1.6e-12 up to 3.2, and 4e-11 and 1.6e-10 up to 4,
+      worst where the data lie far from m against the prior scale (Im z <<
+      Re z).  On the benchmark's seed-1 inputs it leaves 10,752 of the rank
+      sweep's 591,360 adaptive lambda cells and 6.9M of the analyze pool's
+      16.0M.
+    * An owner with r = V / s**2 below _LAGUERRE_R, with V = 1 / S0, takes
+      the generalized Gauss-Laguerre rules of :func:`_laguerre`
+      (:meth:`laguerre`).  With x = mu - m, a = nu / 2 and D**2 = x**2 /
+      s**2, the integrand is lambda**(a - 1/2) e**(-b lambda) times
+      (1 + r lambda)**-1/2 exp(q r lambda (lambda - 1) / (1 + r lambda)),
       with the rate b = a + q and q = D**2 / (2 (1 + r)).  The rate follows
       the data, so what remains is constant at r = 0 and smooth in lambda
       for small r.  Each owner's value comes from the rules of 12 and 18
-      nodes (_LAGUERRE_NODES), evaluated densely; the row is accepted when
-      every owner's two values agree within ``rel_tol``, and then gives the
-      18-node value.  A value that is not finite never agrees, so such a
-      row falls back.  Against 30-digit mpmath (tests/test_marginal.py)
-      the accepted values are within 1e-12 for nu = 1 to 1e5, x from 0.1
-      to 300 prior scales and V up to 0.04.
+      nodes (_LAGUERRE_NODES), evaluated densely; it is accepted when the
+      two agree within ``rel_tol``, and then gives the 18-node value.  A
+      value that is not finite never agrees, so such an owner falls back.
+      Against 30-digit mpmath (tests/test_marginal.py) the accepted values
+      are within 1e-12 for nu = 1 to 1e5, x from 0.1 to 300 prior scales
+      and V up to 0.04.
       The gate and node counts come from the lambda rows of a seeded
       ``rank`` sweep (the 20-member candidate ensemble, 1002 rows): 598
       rows pass the gate and 594 of them are accepted.  Raising the gate
@@ -946,11 +998,14 @@ class _Mixture:
       lambda is far from a low-degree polynomial (at V = 4, 64 nodes still
       miss by 1e-6 to 1e-3).  8 and 12 nodes accept 546 rows; 16 and 24
       accept all 598 but cost more cells than the 4 rows they add save.
-    * Every other row is one group of the adaptive
+    * The owners left take the adaptive
       :func:`~bmameta.quadrature.log_quad_batch` over u = log(lambda)
-      (:meth:`adaptive`), its owners the row's tau values sharing its u
-      range, seeds and partition.  The seeds are the mixing prior's seven
-      quantile seeds alone: the intervals they make already meet the
+      (:meth:`adaptive`): one group per lambda row, whose owners share its u
+      range, seeds and partition.  A call's lambda rows are the rows of its
+      2-D statistics, each with the owners the first two rules leave; a row
+      does not depend on the other rows, so a tau node of the free-tau rule
+      gets the same bits in any batch.  The seeds are the mixing prior's
+      seven quantile seeds alone: the intervals they make already meet the
       tolerance under the integrator's |K21 - G10| bracket
       (:class:`_Mixing`), so midpoints between them would only double the
       cells.  The lower lambda limit is set for the owners' largest
@@ -962,7 +1017,7 @@ class _Mixture:
     is added after the integral, so no node carries its rounding.  The
     lambda-free terms (:func:`_conjugate_terms`) are computed once per
     owner tau, so an adaptive cell costs one log and one division
-    (:func:`_conjugate_finish`).  The free-tau rule takes the same two
+    (:func:`_conjugate_finish`).  The free-tau rule takes the same three
     rules node by node, and skips nodes before their adaptive rows
     (:meth:`rule_values`).
     """
@@ -975,6 +1030,22 @@ class _Mixture:
         # Laguerre value's constant at r = 0 and D = 0
         a = self.mix.a
         self.log_scale = _gammaln_half_step(a) - 0.5 * math.log(a) - math.log(self.s)
+        # the closed form's n and a = s sqrt(nu), for an odd nu it covers
+        n = (g.params[2] - 1.0) / 2.0
+        self.n = int(n) if n in range(1, len(_VOIGT_B)) else None
+        self.a = self.s * math.sqrt(g.params[2])
+
+    def closed(self, mu: np.ndarray, s0: np.ndarray) -> tuple:
+        """(values, accepted) of the closed form (:func:`_voigt`, with c = 0)
+        at each owner: accepted where |z| <= _VOIGT_Z0 and the value is
+        finite, and only those values are set."""
+        values, ok = np.empty(mu.shape), np.zeros(mu.shape, dtype=bool)
+        if self.n is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN is not accepted
+                ok = ((mu - self.m) ** 2 + self.a * self.a) * (0.5 * s0) <= _VOIGT_Z0 * _VOIGT_Z0
+            values[ok] = _voigt((0.0, mu[ok], s0[ok]), self.m, self.a, self.n)
+            ok[ok] = np.isfinite(values[ok])
+        return values, ok
 
     def adaptive(self, terms: tuple) -> np.ndarray:
         """The adaptive rows' values from their owners' :func:`_conjugate_terms`
@@ -1008,7 +1079,8 @@ class _Mixture:
         return log_quad_batch(logf, bounds, n_owners=n_owners, seeds=mix.seeds, rel_tol=self.rel_tol)
 
     def laguerre(self, terms: tuple) -> tuple:
-        """(18-node values, whether the row is accepted) of the rows' owners."""
+        """(18-node values, whether each is accepted) of owners from their
+        :func:`_conjugate_terms` (with c = 0), 1-D."""
         s, a = self.s, self.mix.a
         nodes, log_w = _laguerre(a - 0.5)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -1016,10 +1088,10 @@ class _Mixture:
             q = 0.5 * (terms[2] / (s * s)) / (1.0 + r)
             base = self.log_scale - 0.5 * terms[0] - (a + 0.5) * np.log1p(q / a)
         out = np.empty(r.shape + (2,))
-        step = max(1, _CHUNK_CELLS // (nodes.size * r.shape[1]))
-        for i in range(0, r.shape[0], step):
+        step = max(1, _CHUNK_CELLS // nodes.size)
+        for i in range(0, r.size, step):
             rows = slice(i, i + step)
-            ri, qi = r[rows, :, None], q[rows, :, None]
+            ri, qi = r[rows, None], q[rows, None]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 lam = nodes / (a + qi)
                 rl = ri * lam
@@ -1035,26 +1107,36 @@ class _Mixture:
                 f += lam
                 # each rule's log-sum-exp over its nodes
                 for k, part in enumerate((slice(0, _LAGUERRE_NODES[0]), slice(_LAGUERRE_NODES[0], None))):
-                    peak = np.max(f[..., part], axis=-1)
-                    out[rows, :, k] = np.log(np.sum(np.exp(f[..., part] - peak[..., None]), axis=-1)) + peak
+                    peak = np.max(f[:, part], axis=-1)
+                    out[rows, k] = np.log(np.sum(np.exp(f[:, part] - peak[:, None]), axis=-1)) + peak
         with np.errstate(invalid="ignore"):
-            ok = np.all(np.abs(out[..., 1] - out[..., 0]) <= self.rel_tol, axis=1)
-        return base + out[..., 1], ok
+            ok = np.abs(out[:, 1] - out[:, 0]) <= self.rel_tol
+        return base + out[:, 1], ok
+
+    def closed_or_laguerre(self, mu: np.ndarray, s0: np.ndarray, terms: tuple) -> tuple:
+        """(values, accepted) of each owner under the closed form
+        (:meth:`closed`), then, where V / s**2 is below _LAGUERRE_R, the
+        Laguerre rules, from its statistics and :func:`_conjugate_terms`
+        (with c = 0); only accepted values are set."""
+        values, done = self.closed(mu, s0)
+        gate = ~done & (terms[1] < _LAGUERRE_R * (self.s * self.s))
+        if gate.any():
+            laguerre, ok = self.laguerre(tuple(v[gate] for v in terms))
+            gate[gate] = ok
+            values[gate] = laguerre[ok]
+            done |= gate
+        return values, done
 
     def __call__(self, stats: tuple) -> np.ndarray:
         c, mu, s0 = (np.atleast_2d(v) for v in stats)
         terms = _conjugate_terms((0.0, mu, s0), self.m)
-        out = np.empty(mu.shape)
-        # the rows the gate sends to the Laguerre rules; those accepted stay True
-        dense = np.all(terms[1] < _LAGUERRE_R * (self.s * self.s), axis=1)
-        if dense.any():
-            values, ok = self.laguerre(tuple(v[dense] for v in terms))
-            rows = np.flatnonzero(dense)[ok]
-            out[rows] = values[ok]
-            dense[dense] = ok
-        rest = ~dense
-        if rest.any():
-            out[rest] = self.adaptive(tuple(v[rest] for v in terms))
+        out, done = self.closed_or_laguerre(mu, s0, terms)
+        rows = np.flatnonzero(~np.all(done, axis=1))
+        if rows.size:
+            # each row's adaptive owners, as wide as the row with the most
+            width = np.max(np.count_nonzero(~done[rows], axis=1))
+            owner = rows[:, None], _owners_first(~done[rows])[:, :width]
+            out[owner] = self.adaptive(tuple(v[owner] for v in terms))
         return (out - 0.5 * c).reshape(np.shape(stats[0]))
 
     def rule_values(self, stats: tuple, rows: np.ndarray, log_b: np.ndarray, known: np.ndarray,
@@ -1068,9 +1150,10 @@ class _Mixture:
         weight at the nodes, ``known`` the log of each group's sum over the
         nodes of earlier passes, and ``order`` the nodes in increasing t.
 
-        Every node whose V / s**2 is below _LAGUERRE_R takes the Laguerre
-        rules on its own; those accepted are the group's evaluated nodes.
-        A node they do not take would need the adaptive rule, so a group
+        Each node takes the closed form (:meth:`closed`), then the Laguerre
+        rules where V / s**2 is below _LAGUERRE_R, on its own; those
+        accepted are the group's evaluated nodes.  A node neither accepts
+        would need the adaptive rule, so a group
         skips it where its bound cannot matter: the delta part is at most
         the likelihood's peak in delta, exp(-c / 2), so the node adds at
         most exp(-c / 2) w h(tau), and it is skipped when that is below
@@ -1084,28 +1167,23 @@ class _Mixture:
         """
         c = stats[0]
         terms = _conjugate_terms((0.0, stats[1], stats[2]), self.m)
-        values = np.full(c.shape, -np.inf)
-        dense = terms[1] < _LAGUERRE_R * (self.s * self.s)
-        if dense.any():
-            laguerre, ok = self.laguerre(tuple(v[dense][:, None] for v in terms))
-            dense[dense] = ok
-            values[dense] = laguerre[ok, 0] - 0.5 * c[dense]
+        values, done = self.closed_or_laguerre(stats[1], stats[2], terms)
+        values[done] -= 0.5 * c[done]
+        values[~done] = -np.inf
         out = values[rows]
         total = np.logaddexp(known, np.logaddexp.reduce(out + log_b, axis=1))
         bound = log_b - 0.5 * c[rows]
         cut = total + math.log(self.rel_tol * _SKIP / _ML_CUTS[4])
-        keep = ~dense[rows] & (bound > -np.inf) & (bound >= cut[:, None])
+        keep = ~done[rows] & (bound > -np.inf) & (bound >= cut[:, None])
         if keep.any():
             self._adaptive_blocks(out, keep, terms, c, rows, order)
-        return out, ~dense[rows] & ~keep
+        return out, ~done[rows] & ~keep
 
     def _adaptive_blocks(self, out, keep, terms, c, rows, order) -> None:
         """Fill ``out`` at the ``keep`` nodes from one adaptive lambda row per
         distinct (comparison, block, kept nodes), all in one integrator
-        call of _ROW_NODES owners per row.  A row with fewer kept nodes
-        repeats its first: a repeated owner refines like the original and
-        leaves the row's lambda range unchanged, so the row keeps its bits,
-        and its cells do not depend on the other rows of the call."""
+        call of _ROW_NODES owners per row; a row with fewer kept nodes
+        repeats its first (:func:`_owners_first`)."""
         width = _ROW_NODES
         n_blocks = -(-order.size // width)
         slots = np.full(n_blocks * width, -1)
@@ -1118,13 +1196,22 @@ class _Mixture:
         keys, use = np.unique(np.stack([rows[group], block, code[group, block]], axis=1), axis=0,
                               return_inverse=True)
         owned = ((keys[:, 2:] >> np.arange(width)) & 1).astype(bool)
-        # each row's owners first, in increasing t, then its first owner again
-        rank = np.where(owned, np.arange(width), width + np.argmax(owned, axis=1)[:, None])
-        owner = slots[keys[:, 1:2], np.sort(rank, axis=1) % width]
+        owner = slots[keys[:, 1:2], _owners_first(owned)]
         row = keys[:, :1]
         values = self.adaptive(tuple(v[row, owner] for v in terms)) - 0.5 * c[row, owner]
         use = use.ravel()
         out[group[:, None], owner[use]] = values[use]
+
+
+def _owners_first(owned: np.ndarray) -> np.ndarray:
+    """The columns of each row of the boolean ``owned`` that are True, in
+    increasing order, then the row's first such column again to fill the
+    row: a lambda row's owners.  A repeated owner refines like the original
+    and leaves the row's lambda range unchanged, so the row keeps its bits,
+    and its cells do not depend on the other rows of the call."""
+    width = owned.shape[1]
+    rank = np.where(owned, np.arange(width), width + np.argmax(owned, axis=1)[:, None])
+    return np.sort(rank, axis=1) % width
 
 
 def _rule_sums(terms: tuple, starts, delta_values: np.ndarray) -> np.ndarray:

@@ -27,6 +27,8 @@ from conftest import make_comparison
 
 POINT0 = PriorSpec.point(0.0)
 T_POOLED = PriorSpec.t(0.0, 0.43, 5.0)
+# an even nu: the t delta part takes the lambda rules, with no closed form
+T_EVEN = PriorSpec.t(0.0, 0.43, 4.0)
 IG_POOLED = PriorSpec.invgamma(1.71, 0.40)
 # a 120-study comparison, so the random_H0 integrand meets all studies at once
 LARGE_Y = tuple(round(0.3 + 0.5 * math.sin(1.7 * i), 4) for i in range(120))
@@ -622,7 +624,8 @@ class TestLaguerreLambdaRows:
 
     def test_rows_with_large_variance_take_the_adaptive_path(self, monkeypatch):
         # V / s**2 = 0.33: the gate sends the row to the adaptive integral
-        _, ok = self._row(T_POOLED, 0.1, 0.33 * 0.43**2, monkeypatch)
+        # (an even nu, which has no closed form)
+        _, ok = self._row(T_EVEN, 0.1, 0.33 * 0.43**2, monkeypatch)
         assert not ok
 
 
@@ -654,11 +657,79 @@ def _count_rule_sums(monkeypatch):
     return calls
 
 
+def mp_voigt(x, s0, g):
+    """log of the integral over delta of exp(-S0 (delta - x)**2 / 2) times the
+    t or Cauchy density ``g`` (location 0) by 50-digit mpmath quadrature: the
+    delta part at c = 0, mu = x, split at the likelihood's and the prior's
+    scales."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x, s0 = mp.mpf(x), mp.mpf(s0)
+        sd, s = 1 / mp.sqrt(s0), mp.mpf(g.params[1])
+        pts = sorted({x + sd * k for k in (-12, -3, 0, 3, 12)} | {s * k for k in (-30, -1, 0, 1, 30)})
+        ref = max(_mp_log_prior(mp, g, p) - s0 * (p - x) ** 2 / 2 for p in pts)
+        body = mp.quad(lambda d: mp.exp(_mp_log_prior(mp, g, d) - s0 * (d - x) ** 2 / 2 - ref),
+                       [-mp.inf] + pts + [mp.inf])
+        return float(ref + mp.log(body))
+
+
 class TestVoigtDeltaPart:
     """A Cauchy delta prior's delta part is closed: log Re w(z) of the
-    Faddeeva function, with no quadrature."""
+    Faddeeva function, with no quadrature.  A t prior of nu = 3 or 5 is
+    closed in w and its first nu // 2 derivatives at each owner with |z| <=
+    _VOIGT_Z0, and takes the lambda rules past it."""
 
     CAUCHY = PriorSpec.cauchy(0.0, 1.0 / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("nu", [1.0, 3.0, 5.0])
+    def test_t_matches_mpmath_on_both_sides_of_the_gate(self, nu):
+        # data 0 to 20 prior scales from the location, likelihood variances
+        # from 1e-5 to 1e2 prior variances: |z| from 0 to 3e3, and for each
+        # distance the variance at |z| = 0.98 _VOIGT_Z0, where the terms
+        # cancel most of what the gate lets through
+        s = 0.43
+        dist = s * np.array([0.0, -0.5, 2.0, 6.0, 20.0])
+        x, s0 = (v.ravel() for v in np.meshgrid(dist, np.logspace(-2.0, 5.0, 7) / s**2))
+        x = np.concatenate([x, dist])
+        s0 = np.concatenate([s0, 2.0 * (0.98 * marginal._VOIGT_Z0) ** 2 / (dist**2 + nu * s * s)])
+        g = PriorSpec.t(0.0, s, nu)
+        stats = (np.zeros(x.size), x, s0)
+        got = marginal._delta_part(g, 1e-13)(stats)
+        ref = np.array([mp_voigt(a, b, g) for a, b in zip(x, s0)])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), got - ref
+        if nu > 1.0:
+            _, closed = marginal._Mixture(g, 1e-13).closed(x, s0)
+            assert 0 < np.count_nonzero(closed) < x.size
+
+    def test_t_with_one_df_is_the_cauchy_bit_for_bit(self, rng):
+        dist = np.concatenate([[0.0, 1e200], np.logspace(-6.0, 5.0, 12)])
+        x, s0 = (v.ravel() for v in np.meshgrid(np.concatenate([-dist, dist]), np.logspace(-6.0, 12.0, 10)))
+        stats = (np.zeros(x.size), x, s0)
+        want = marginal._delta_part(self.CAUCHY, 1e-10)(stats)
+        got = marginal._delta_part(PriorSpec.t(0.0, self.CAUCHY.params[1], 1.0), 1e-10)(stats)
+        assert np.array_equal(got, want)
+        c = make_comparison(rng, 5)
+        models = [h1r(g, IG_POOLED) for g in (self.CAUCHY, PriorSpec.t(0.0, self.CAUCHY.params[1], 1.0))]
+        rows = marginal.chunk_log_marginals(models, [c])[0]
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("nu", [3.0, 5.0])
+    def test_owners_past_the_gate_fall_back_without_nan_or_warning(self, nu, monkeypatch):
+        # each owner its own row, so a fallen-back owner has the lambda
+        # rules' own bits: |z| from 0.3 to inf, overflowing z and y**j
+        g = PriorSpec.t(0.0, 0.43, nu)
+        x = np.array([0.1, 0.1, 0.3, 5.0, 1e10, 1e160, 1e300, 0.3, 0.3])
+        s0 = np.array([1.0, 40.0, 1e4, 1.0, 3.0, 1e4, 1e2, 1e300, np.inf])
+        stats = tuple(v[:, None] for v in (np.zeros(x.size), x, s0))
+        part = marginal._delta_part(g, 1e-10)
+        _, closed = part.closed(x, s0)
+        assert closed.tolist() == [True] + [False] * 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = part(stats)
+        assert not np.any(np.isnan(got))
+        monkeypatch.setattr(part, "n", None)
+        assert np.array_equal(got[1:], part(stats)[1:])
 
     def test_matches_mpmath_on_extreme_grid(self):
         mp = pytest.importorskip("mpmath")
@@ -1129,7 +1200,7 @@ class TestFreeTauRule:
         # without the skip every value agrees within it, at more lambda work
         rng = np.random.default_rng(8)
         corpus = [make_comparison(rng, k, tau=0.3, se_range=(0.05, 0.4)) for k in (3, 12, 40)]
-        models = [h1r(g, h) for g in (T_POOLED, PriorSpec.t(0.0, 0.33, 3.0))
+        models = [h1r(g, h) for g in (T_EVEN, PriorSpec.t(0.0, 0.33, 4.0))
                   for h in general_candidate_set().tau_priors]
 
         def run():

@@ -10,8 +10,8 @@ the module-level names ``marginal.log_quad_batch``,
 * adaptive lambda cells: rows x 21 Kronrod nodes x owners, read from the
   ``x`` each integrand receives.  Every integrand must be one of the t
   prior's lambda rows (``_Mixture``): no tau integral is adaptive.  The
-  Gauss-Laguerre lambda rows call no module-level name and are not
-  counted;
+  Gauss-Laguerre lambda rows and the closed form of nu = 3 and 5 call no
+  module-level name and are not counted;
 * the cells of the free-tau rule, as tau cells: groups x nodes per
   ``_level_sums`` call (the log marginals and stage two), and nodes x
   deltas per ``_rule_sums`` call (stage one of the delta-posterior pass);
@@ -36,16 +36,15 @@ from bmameta.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 #: The seed-1 counts, measured with the code this file was last changed
-#: with.  The budgets were last changed when the delta-posterior pass
-#: moved onto the log marginals' rule: analyze ``stats_elements`` fell
-#: 59,156 -> 55,316, since the pass's node statistics are computed once
-#: per posterior summary, and analyze ``tau_cells`` rose 611,287 ->
-#: 673,557, since each delta takes stage one's 281 nodes where the
-#: tanh-sinh rule in the prior's CDF took 255.  The rank budgets and
-#: analyze ``lambda_cells`` did not move.
+#: with.  The budgets were last changed when t delta priors of nu = 3 and
+#: 5 took a closed form (``marginal._voigt``) before their lambda rules:
+#: rank ``lambda_cells`` fell 591,360 -> 10,752, since the sweep's t prior
+#: has nu = 3, and analyze ``lambda_cells`` 1,106,616 -> 1,094,352, since
+#: its comparison's t prior has nu = 4 and only the per-owner gate of the
+#: lambda rules applies.  The other counts did not move.
 BUDGETS = {
-    "rank": {"tau_cells": 79_240, "lambda_cells": 591_360, "stats_elements": 272_100},
-    "analyze": {"tau_cells": 673_557, "lambda_cells": 1_106_616, "stats_elements": 55_316},
+    "rank": {"tau_cells": 79_240, "lambda_cells": 10_752, "stats_elements": 272_100},
+    "analyze": {"tau_cells": 673_557, "lambda_cells": 1_094_352, "stats_elements": 55_316},
 }
 
 
